@@ -3,17 +3,43 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use treecast_trees::{enumerate, pruefer, random};
+use treecast_trees::{enumerate, generators, pruefer, random};
+
+const UNIFORM_SIZES: [usize; 5] = [16, 256, 4096, 10_000, 100_000];
 
 fn bench_uniform(c: &mut Criterion) {
     let mut group = c.benchmark_group("random_uniform_tree");
-    for n in [16usize, 256, 4096] {
+    for n in UNIFORM_SIZES {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bencher, &n| {
             let mut rng = StdRng::seed_from_u64(1);
             bencher.iter(|| random::uniform(n, &mut rng));
         });
     }
     group.finish();
+}
+
+/// The same draws as `random_uniform_tree`, into one reused tree: what a
+/// seeded frontier source pays per round.
+fn bench_uniform_into(c: &mut Criterion) {
+    let mut group = c.benchmark_group("random_uniform_tree_into");
+    for n in UNIFORM_SIZES {
+        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bencher, &n| {
+            let mut rng = StdRng::seed_from_u64(1);
+            let mut tree = random::uniform(n, &mut rng);
+            bencher.iter(|| {
+                random::uniform_into(&mut tree, n, &mut rng);
+                tree.root()
+            });
+        });
+    }
+    group.finish();
+}
+
+/// Clone and drop of a fixed tree: what a static dense source pays per
+/// round.
+fn bench_tree_clone(c: &mut Criterion) {
+    let path = generators::path(1024);
+    c.bench_function("path_clone_drop_1024", |b| b.iter(|| path.clone()));
 }
 
 fn bench_exact_leaves(c: &mut Criterion) {
@@ -56,6 +82,8 @@ fn bench_enumeration(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_uniform,
+    bench_uniform_into,
+    bench_tree_clone,
     bench_exact_leaves,
     bench_pruefer_roundtrip,
     bench_enumeration

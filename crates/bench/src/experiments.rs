@@ -1021,7 +1021,7 @@ pub fn scale(quick: bool) -> ExperimentOutput {
 
 /// [`scale`] over an explicit size grid (exposed for cheap testing).
 pub fn scale_on(ns: &[usize]) -> ExperimentOutput {
-    use crate::frontierbench::measure_scale_rows;
+    use crate::frontierbench::{measure_round_split, measure_scale_rows};
 
     let mut out = ExperimentOutput::new("scale", "E12 frontier engine at scale");
     let mut t = Table::new([
@@ -1051,6 +1051,22 @@ pub fn scale_on(ns: &[usize]) -> ExperimentOutput {
         }
     }
     out.tables.push(("scale_frontier".into(), t));
+    // One steady-state round of the seeded sweep at the largest size,
+    // split into drawing the tree and the engine applying it.
+    if let Some(&n) = ns.iter().max() {
+        let split = measure_round_split(n);
+        let mut t = Table::new(["n", "sample ms", "apply ms", "sample share"]);
+        t.push([
+            n.to_string(),
+            format!("{:.2}", split.sample_ms),
+            format!("{:.2}", split.apply_ms),
+            format!(
+                "{:.0}%",
+                100.0 * split.sample_ms / (split.sample_ms + split.apply_ms)
+            ),
+        ]);
+        out.tables.push(("scale_round_split".into(), t));
+    }
     out.notes.push(
         "Rounds are exact and seeded (gate material); wall and RSS are informational. Peak RSS \
          is the process high-water mark (VmHWM), so later rows inherit earlier rows' peak — \
@@ -1740,6 +1756,9 @@ mod tests {
             "{csv}"
         );
         assert!(!csv.contains(">cap"), "{csv}");
+        let (name, split) = &out.tables[1];
+        assert_eq!(name, "scale_round_split");
+        assert_eq!(split.len(), 1, "one split round at the largest size");
     }
 
     #[test]

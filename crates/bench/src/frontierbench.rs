@@ -20,7 +20,7 @@
 
 use std::time::Instant;
 
-use treecast_core::frontier::{run_workload_frontier, FrontierSource};
+use treecast_core::frontier::{run_workload_frontier, FrontierSource, FrontierState};
 use treecast_core::{KSourceBroadcast, SimulationConfig, Workload};
 use treecast_trees::generators;
 
@@ -123,6 +123,37 @@ pub fn measure_scale_rows(n: usize) -> Vec<ScaleMeasurement> {
             &KSourceBroadcast::evenly_spread(n, SWEEP_K.min(n)),
         ),
     ]
+}
+
+/// One seeded sweep round split into its two phases.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RoundSplit {
+    /// Network size.
+    pub n: usize,
+    /// `FrontierSource::next_round`: drawing the round's uniform tree.
+    pub sample_ms: f64,
+    /// `FrontierState::apply_round`: the engine's work on that tree.
+    pub apply_ms: f64,
+}
+
+/// Times round 2 of the seeded [`SWEEP_K`]-source sweep at size `n`,
+/// phase by phase. Round 1 is a warm-up, so the source samples into its
+/// retained tree as it does for the rest of a run.
+pub fn measure_round_split(n: usize) -> RoundSplit {
+    let workload = KSourceBroadcast::evenly_spread(n, SWEEP_K.min(n));
+    let mut state = FrontierState::new(n, workload.sources());
+    let mut source = FrontierSource::seeded(n, SCALE_SEED);
+    let round = source.next_round(n, None);
+    state.apply_round(round.tree, round.delta, &[]);
+    let started = Instant::now();
+    let round = source.next_round(n, None);
+    let sampled = Instant::now();
+    state.apply_round(round.tree, round.delta, &[]);
+    RoundSplit {
+        n,
+        sample_ms: (sampled - started).as_secs_f64() * 1e3,
+        apply_ms: sampled.elapsed().as_secs_f64() * 1e3,
+    }
 }
 
 /// Renders the measurement rows as the `BENCH_frontier.json` document
@@ -280,6 +311,13 @@ mod tests {
         if let Some(kb) = peak_rss_kb() {
             assert!(kb > 0);
         }
+    }
+
+    #[test]
+    fn round_split_times_both_phases() {
+        let split = measure_round_split(300);
+        assert_eq!(split.n, 300);
+        assert!(split.sample_ms > 0.0 && split.apply_ms > 0.0, "{split:?}");
     }
 
     #[test]

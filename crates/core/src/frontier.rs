@@ -470,6 +470,24 @@ pub struct FrontierSource {
     changed_buf: Vec<NodeId>,
 }
 
+/// The seeded source's dense twin: the same uniform trees from the same
+/// RNG stream, drawn one per round.
+struct SeededTwin {
+    n: usize,
+    rng: StdRng,
+    label: String,
+}
+
+impl TreeSource for SeededTwin {
+    fn next_tree(&mut self, _state: &crate::BroadcastState) -> RootedTree {
+        random::uniform(self.n, &mut self.rng)
+    }
+
+    fn name(&self) -> String {
+        self.label.clone()
+    }
+}
+
 /// One round as produced by [`FrontierSource::next_round`]: the effective
 /// tree plus how it differs from the previous round's.
 #[derive(Debug)]
@@ -529,22 +547,20 @@ impl FrontierSource {
         self.label.clone()
     }
 
-    /// A dense [`TreeSource`] producing the identical tree sequence for
-    /// the first `max_rounds` rounds (the whole run, when the runner is
-    /// capped at `max_rounds`) — the oracle side of the differential
-    /// tests. Call it on a *fresh* source; the seeded variant replays its
-    /// RNG from the seed.
-    pub fn dense_twin(&self, max_rounds: u64) -> Box<dyn TreeSource> {
+    /// A dense [`TreeSource`] producing the identical tree sequence — the
+    /// oracle side of the differential tests. Call it on a *fresh*
+    /// source; the seeded variant replays its RNG from the seed, drawing
+    /// each tree when the run asks for it. Every twin matches for as many
+    /// rounds as the run plays, so `_max_rounds` bounds nothing.
+    pub fn dense_twin(&self, _max_rounds: u64) -> Box<dyn TreeSource> {
         match &self.kind {
             SourceKind::Static(tree) => Box::new(StaticSource::new(tree.clone())),
             SourceKind::Sequence(trees) => Box::new(SequenceSource::new(trees.clone())),
-            SourceKind::Seeded { seed, n } => {
-                let mut rng = StdRng::seed_from_u64(*seed);
-                let trees: Vec<RootedTree> = (0..max_rounds.max(1))
-                    .map(|_| random::uniform(*n, &mut rng))
-                    .collect();
-                Box::new(SequenceSource::new(trees).with_label(self.name()))
-            }
+            SourceKind::Seeded { seed, n } => Box::new(SeededTwin {
+                n: *n,
+                rng: StdRng::seed_from_u64(*seed),
+                label: self.name(),
+            }),
         }
     }
 
@@ -587,7 +603,10 @@ impl FrontierSource {
             SourceKind::Seeded { seed, n: sn } => {
                 assert_eq!(*sn, n, "seeded source built for a different n");
                 let rng = self.rng.get_or_insert_with(|| StdRng::seed_from_u64(*seed));
-                self.current = Some(random::uniform(n, rng));
+                match &mut self.current {
+                    Some(tree) => random::uniform_into(tree, n, rng),
+                    None => self.current = Some(random::uniform(n, rng)),
+                }
                 false
             }
         };

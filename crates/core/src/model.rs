@@ -247,8 +247,7 @@ impl BroadcastState {
         // Reverse BFS: every node is updated before its parent, so each
         // union reads the parent's *old* row — the synchronous semantics —
         // without cloning the state.
-        let order = tree.bfs_order();
-        for &y in order.iter().rev() {
+        for &y in tree.bfs().iter().rev() {
             if let Some(p) = tree.parent(y) {
                 self.heard.union_rows(y, p);
             }

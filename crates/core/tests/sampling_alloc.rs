@@ -1,0 +1,110 @@
+//! Proves the allocation contract of seeded tree sampling: once the tree's
+//! buffers have grown to `n`, `random::uniform_into` and the seeded
+//! `FrontierSource::next_round` (which samples into its retained tree)
+//! allocate zero bytes per call.
+//!
+//! A counting wrapper around the system allocator tallies every
+//! allocation and its size; the file contains exactly one `#[test]` so no
+//! concurrent test can pollute the counters while a window is open.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use treecast_core::FrontierSource;
+use treecast_trees::random;
+
+struct CountingAllocator;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+static BYTES: AtomicUsize = AtomicUsize::new(0);
+
+fn count(size: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(size, Ordering::Relaxed);
+}
+
+// SAFETY: delegates everything to `System`, upholding its contract
+// verbatim; the counters are relaxed atomics with no further invariants.
+unsafe impl GlobalAlloc for CountingAllocator {
+    // SAFETY: same layout contract as `System::alloc`, to which it delegates.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc(layout)
+    }
+
+    // SAFETY: same layout contract as `System::alloc_zeroed`.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    // SAFETY: same pointer/layout contract as `System::realloc`.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    // SAFETY: same pointer/layout contract as `System::dealloc`.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static COUNTER: CountingAllocator = CountingAllocator;
+
+/// `(allocations, bytes)` in the cleanest of five windows of ten calls.
+/// The harness's own threads may allocate concurrently, so one clean
+/// window is the proof; a genuine per-call allocation taints every window.
+fn cleanest_window(mut call: impl FnMut()) -> (usize, usize) {
+    (0..5)
+        .map(|_| {
+            let (a, b) = (
+                ALLOCATIONS.load(Ordering::Relaxed),
+                BYTES.load(Ordering::Relaxed),
+            );
+            for _ in 0..10 {
+                call();
+            }
+            (
+                ALLOCATIONS.load(Ordering::Relaxed) - a,
+                BYTES.load(Ordering::Relaxed) - b,
+            )
+        })
+        .min()
+        .expect("five windows measured")
+}
+
+#[test]
+fn steady_state_sampling_does_not_allocate() {
+    for n in [1usize, 2, 3, 257, 4096] {
+        let mut rng = StdRng::seed_from_u64(n as u64);
+        let mut tree = random::uniform(n, &mut rng); // warm-up: buffers grow here
+        let mut roots = 0;
+        let window = cleanest_window(|| {
+            random::uniform_into(&mut tree, n, &mut rng);
+            roots += tree.root();
+        });
+        assert_eq!(
+            window,
+            (0, 0),
+            "uniform_into at n = {n} must reuse its buffers"
+        );
+        assert!(roots < 50 * n, "keep the draws observable");
+
+        let mut source = FrontierSource::seeded(n, 7);
+        source.next_round(n, None); // warm-up: the retained tree is built here
+        let mut leaves = 0;
+        let window = cleanest_window(|| {
+            leaves += source.next_round(n, None).tree.leaf_count();
+        });
+        assert_eq!(
+            window,
+            (0, 0),
+            "seeded next_round at n = {n} must sample into its retained tree"
+        );
+        assert!(leaves > 0);
+    }
+}

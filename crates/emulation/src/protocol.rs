@@ -130,6 +130,23 @@ impl TokenSet {
         }
     }
 
+    /// `self ∩= other`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a universe mismatch.
+    pub fn intersect_with(&mut self, other: &TokenSet) {
+        assert_eq!(self.n, other.n, "token-universe mismatch");
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a &= b;
+        }
+    }
+
+    /// Removes every token, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
     /// `self ∖= other`.
     ///
     /// # Panics
@@ -139,25 +156,6 @@ impl TokenSet {
         assert_eq!(self.n, other.n, "token-universe mismatch");
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a &= !b;
-        }
-    }
-
-    /// `self ∩ other`, as a new set.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a universe mismatch.
-    #[must_use]
-    pub fn intersection(&self, other: &TokenSet) -> TokenSet {
-        assert_eq!(self.n, other.n, "token-universe mismatch");
-        TokenSet {
-            n: self.n,
-            words: self
-                .words
-                .iter()
-                .zip(&other.words)
-                .map(|(a, b)| a & b)
-                .collect(),
         }
     }
 
@@ -345,6 +343,8 @@ pub struct EmulationState {
     /// `touched` after every request phase).
     requested: Vec<TokenSet>,
     touched: Vec<NodeId>,
+    /// Advert-phase scratch: one peer's online children.
+    online: Vec<NodeId>,
 }
 
 impl EmulationState {
@@ -364,6 +364,7 @@ impl EmulationState {
             round: 0,
             requested: vec![TokenSet::empty(n); n],
             touched: Vec::new(),
+            online: Vec::new(),
         }
     }
 
@@ -453,16 +454,13 @@ impl EmulationState {
         // appended to the destinations' queues: deterministic, and no
         // aliasing between the senders we read and the queues we fill.
         let mut outbox: Vec<(NodeId, Advert)> = Vec::new();
+        let mut online = std::mem::take(&mut self.online);
         for p in 0..n {
             if is_offline(p) {
                 continue;
             }
-            let online: Vec<NodeId> = tree
-                .children(p)
-                .iter()
-                .copied()
-                .filter(|&c| !is_offline(c))
-                .collect();
+            online.clear();
+            online.extend(tree.children(p).iter().filter(|&&c| !is_offline(c)));
             if online.is_empty() {
                 continue;
             }
@@ -484,6 +482,7 @@ impl EmulationState {
                 }
             }
         }
+        self.online = online;
         for (dest, ad) in outbox {
             self.peers[dest].adverts.push_back(ad);
         }
@@ -522,8 +521,7 @@ impl EmulationState {
             self.peers[dest].requests.push_back(rq);
         }
         for y in self.touched.drain(..) {
-            let n = self.requested[y].universe();
-            self.requested[y] = TokenSet::empty(n);
+            self.requested[y].clear();
         }
 
         // Phase 3 — serve. Deliveries are staged (same reason as phase
@@ -556,7 +554,8 @@ impl EmulationState {
                 if is_offline(rq.from) {
                     continue;
                 }
-                let mut grant = rq.want.intersection(&peer.holdings);
+                let mut grant = rq.want;
+                grant.intersect_with(&peer.holdings);
                 if grant.is_empty() {
                     continue;
                 }
@@ -642,7 +641,9 @@ mod tests {
         for t in [3, 65, 69] {
             b.insert(t);
         }
-        assert_eq!(a.intersection(&b).iter().collect::<Vec<_>>(), vec![3, 65]);
+        let mut both = a.clone();
+        both.intersect_with(&b);
+        assert_eq!(both.iter().collect::<Vec<_>>(), vec![3, 65]);
         a.subtract(&b);
         assert_eq!(a.iter().collect::<Vec<_>>(), vec![1]);
         a.union_with(&b);

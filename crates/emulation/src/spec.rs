@@ -132,8 +132,8 @@ impl EmulationSpec {
         let mut source: Box<dyn TreeSource> = match self.trees {
             TreeSpec::Path => Box::new(StaticSource::new(generators::path(self.n))),
             TreeSpec::Star => Box::new(StaticSource::new(generators::star(self.n))),
-            // The frontier source's dense twin pre-draws the identical
-            // tree stream the synchronous replicas see for this seed.
+            // The frontier source's dense twin draws the identical tree
+            // stream the synchronous replicas see for this seed.
             TreeSpec::SeededUniform => {
                 FrontierSource::seeded(self.n, tree_seed).dense_twin(self.round_budget)
             }

@@ -289,6 +289,45 @@ mod tests {
     }
 
     #[test]
+    fn broadcast_time_carries_trees_as_parent_arrays() {
+        let request = Request::BroadcastTime {
+            tree_sequence: vec![generators::path(3), generators::star_with_center(3, 2)],
+            workload: WorkloadSpec::Gossip,
+            rounds: 0,
+        };
+        let text = serde::json::to_string(&request);
+        assert!(
+            text.contains(r#""tree_sequence":[[null,0,1],[2,2,null]]"#),
+            "{text}"
+        );
+        let back: Request = serde::json::from_str(&text).unwrap();
+        assert_eq!(back, request);
+    }
+
+    #[test]
+    fn malformed_trees_never_reach_the_engines() {
+        let wrap = |tree: &str| {
+            format!(
+                r#"{{"BroadcastTime":{{"tree_sequence":[{tree}],"workload":"Gossip","rounds":0}}}}"#
+            )
+        };
+        // A 2-cycle beside the root, as a bare parent array and in the
+        // old derived form with made-up children and depths.
+        for tree in [
+            "[null,2,1]",
+            r#"{"root":0,"parent":[null,2,1],"children":[[],[2],[1]],"depth":[0,1,1]}"#,
+            // A valid path whose children and depths claim height 0.
+            r#"{"root":0,"parent":[null,0,1],"children":[[],[],[]],"depth":[0,0,0]}"#,
+        ] {
+            assert!(
+                serde::json::from_str::<Request>(&wrap(tree)).is_err(),
+                "{tree}"
+            );
+        }
+        assert!(serde::json::from_str::<Request>(&wrap("[null,0,1]")).is_ok());
+    }
+
+    #[test]
     fn objective_names_are_stable() {
         assert_eq!(ObjectiveSpec::MinNewEdges.name(), "min-new-edges");
         assert_eq!(ObjectiveSpec::MinDisseminated.name(), "min-disseminated");

@@ -30,8 +30,7 @@ pub fn row_mask(n: usize) -> u64 {
 /// before parents), precomputed so the transition can update in place while
 /// still reading old parent rows.
 pub fn transition_edges(tree: &RootedTree) -> Vec<(u8, u8)> {
-    let order = tree.bfs_order();
-    order
+    tree.bfs()
         .iter()
         .rev()
         .filter_map(|&y| tree.parent(y).map(|p| (y as u8, p as u8)))

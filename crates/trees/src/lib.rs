@@ -6,12 +6,14 @@
 //! `n^(n−1)` labeled rooted trees (self-loops are added by the model). This
 //! crate supplies everything about that pool:
 //!
-//! * [`RootedTree`] — validated parent-array representation with cached
-//!   children and depths, plus conversions to adjacency matrices.
+//! * [`RootedTree`] — a validated parent array indexed in flat CSR form
+//!   (children, depths and BFS order in a handful of vectors, no per-node
+//!   allocation), plus conversions to adjacency matrices.
 //! * [`generators`] — deterministic families: paths, stars, brooms,
 //!   caterpillars, spiders, k-ary trees, exact-leaf/exact-inner shapes.
 //! * [`random`] — seeded random generation: uniform over `T_n` via Prüfer
-//!   sequences, random recursive trees, exact-leaf-count sampling.
+//!   sequences (also into a reused tree, allocation-free), random
+//!   recursive trees, exact-leaf-count sampling.
 //! * [`pruefer`] — the Prüfer bijection itself.
 //! * [`enumerate`] — exhaustive enumeration of `T_n` for `n ≤ 8` (the
 //!   exact solver's substrate).

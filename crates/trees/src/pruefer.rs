@@ -6,7 +6,7 @@
 //! sequence (a uniform labeled tree among `n^(n−2)`) and then a uniform
 //! root among the `n` nodes.
 
-use crate::tree::{NodeId, RootedTree, TreeError};
+use crate::tree::{reroot_parents, NodeId, RootedTree, TreeError};
 
 /// Decodes a Prüfer sequence into the undirected edge list of the unique
 /// labeled tree on `n = seq.len() + 2` nodes.
@@ -29,14 +29,29 @@ use crate::tree::{NodeId, RootedTree, TreeError};
 /// ```
 pub fn decode(seq: &[NodeId]) -> Vec<(NodeId, NodeId)> {
     let n = seq.len() + 2;
+    let mut degree = vec![0; n];
+    let mut edges = Vec::with_capacity(n - 1);
+    for_each_edge(seq, &mut degree, |leaf, s| edges.push((leaf, s)));
+    edges
+}
+
+/// The decoding loop: calls `edge(leaf, s)` for every removed leaf and
+/// its neighbor `s`, in decoding order, ending with the edge to `n − 1`,
+/// the node that is never removed. `degree` is scratch of length `≥ n`.
+///
+/// # Panics
+///
+/// Panics if any sequence entry is `≥ seq.len() + 2`.
+fn for_each_edge(seq: &[NodeId], degree: &mut [u32], mut edge: impl FnMut(NodeId, NodeId)) {
+    let n = seq.len() + 2;
     for &s in seq {
         assert!(s < n, "Prüfer entry {s} out of range for n = {n}");
     }
-    let mut degree = vec![1usize; n];
+    let degree = &mut degree[..n];
+    degree.fill(1);
     for &s in seq {
         degree[s] += 1;
     }
-    let mut edges = Vec::with_capacity(n - 1);
     // `ptr` scans for the smallest fresh leaf; `leaf` may dip below `ptr`
     // when removing an edge re-leafs a smaller node.
     let mut ptr = 0;
@@ -45,7 +60,7 @@ pub fn decode(seq: &[NodeId]) -> Vec<(NodeId, NodeId)> {
     }
     let mut leaf = ptr;
     for &s in seq {
-        edges.push((leaf, s));
+        edge(leaf, s);
         degree[s] -= 1;
         if degree[s] == 1 && s < ptr {
             leaf = s;
@@ -57,8 +72,26 @@ pub fn decode(seq: &[NodeId]) -> Vec<(NodeId, NodeId)> {
             leaf = ptr;
         }
     }
-    edges.push((leaf, n - 1));
-    edges
+    edge(leaf, n - 1);
+}
+
+/// Decodes `seq` straight into `parent`, the parent array of its tree
+/// rooted at `root`. Each decoding step hangs the removed leaf under its
+/// neighbor, which roots the tree at `n − 1`; flipping the path from
+/// `root` up to `n − 1` then moves the root. `parent` must be all `None`
+/// and `degree` is scratch; both have length `n = seq.len() + 2`.
+///
+/// # Panics
+///
+/// Panics if any sequence entry or `root` is `≥ n`.
+pub(crate) fn decode_parents_into(
+    seq: &[NodeId],
+    root: NodeId,
+    degree: &mut [u32],
+    parent: &mut [Option<NodeId>],
+) {
+    for_each_edge(seq, degree, |leaf, s| parent[leaf] = Some(s));
+    reroot_parents(parent, root);
 }
 
 /// Encodes the undirected skeleton of a labeled tree as its Prüfer
@@ -139,8 +172,16 @@ pub fn encode(tree: &RootedTree) -> Vec<NodeId> {
 /// Panics if any sequence entry is out of range (see [`decode`]).
 pub fn decode_rooted(seq: &[NodeId], root: NodeId) -> Result<RootedTree, TreeError> {
     let n = seq.len() + 2;
-    let edges = decode(seq);
-    RootedTree::from_undirected_edges(n, &edges, root)
+    if root >= n {
+        return Err(TreeError::ParentOutOfRange {
+            node: root,
+            parent: root,
+            n,
+        });
+    }
+    let mut parent = vec![None; n];
+    decode_parents_into(seq, root, &mut vec![0; n], &mut parent);
+    RootedTree::from_parents(parent)
 }
 
 #[cfg(test)]

@@ -30,17 +30,50 @@ use crate::tree::{NodeId, RootedTree};
 /// assert_eq!(t.n(), 10);
 /// ```
 pub fn uniform<R: Rng + ?Sized>(n: usize, rng: &mut R) -> RootedTree {
+    let mut tree = RootedTree::unfilled();
+    uniform_into(&mut tree, n, rng);
+    tree
+}
+
+/// [`uniform`] into an existing tree, reusing its buffers: the same RNG
+/// draws in the same order give the same tree. Once `tree` has held a tree
+/// on `n` nodes, drawing another allocates nothing.
+///
+/// The Prüfer sequence is drawn into the tree's own scratch space and
+/// decoded straight into its parent array.
+///
+/// # Panics
+///
+/// Panics if `n == 0`.
+///
+/// # Examples
+///
+/// ```
+/// use rand::SeedableRng;
+/// use treecast_trees::random::{uniform, uniform_into};
+///
+/// let mut a = rand::rngs::StdRng::seed_from_u64(7);
+/// let mut b = a.clone();
+/// let mut t = uniform(10, &mut a);
+/// uniform_into(&mut t, 10, &mut a);
+/// uniform(10, &mut b);
+/// assert_eq!(t, uniform(10, &mut b));
+/// ```
+pub fn uniform_into<R: Rng + ?Sized>(tree: &mut RootedTree, n: usize, rng: &mut R) {
     assert!(n > 0, "tree needs at least one node");
-    if n == 1 {
-        // analyze: allow(panic): a single-node parent array is trivially a valid tree
-        return RootedTree::from_parents(vec![None]).expect("single node");
-    }
-    let seq: Vec<NodeId> = (0..n.saturating_sub(2))
-        .map(|_| rng.gen_range(0..n))
-        .collect();
-    let root = rng.gen_range(0..n);
+    let filled = tree.refill(n, |parent, degree, scratch| {
+        // A single node has no sequence and no root to draw.
+        if n >= 2 {
+            let seq = &mut scratch[..n - 2];
+            for s in seq.iter_mut() {
+                *s = rng.gen_range(0..n);
+            }
+            let root = rng.gen_range(0..n);
+            pruefer::decode_parents_into(seq, root, degree, parent);
+        }
+    });
     // analyze: allow(panic): Pruefer decode is total on sequences drawn from 0..n
-    pruefer::decode_rooted(&seq, root).expect("Prüfer decode always yields a tree")
+    filled.expect("Prüfer decode always yields a tree");
 }
 
 /// A random recursive tree: node `v` (in a random insertion order) attaches

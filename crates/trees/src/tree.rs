@@ -70,9 +70,12 @@ impl std::error::Error for TreeError {}
 /// the adversary picks some `RootedTree`, the model adds a self-loop at
 /// every node, and information propagates along `parent → child` edges.
 ///
-/// The representation is a validated parent array plus cached children
-/// lists and depths, so adversaries can traverse cheaply in both
-/// directions.
+/// The representation is a validated parent array plus a compressed
+/// sparse row (CSR) index: one flat children array cut by per-node
+/// offsets, the depths, and the breadth-first order that filled them. A
+/// tree is five flat vectors, so cloning one costs five copies and
+/// resampling into an existing tree ([`crate::random::uniform_into`])
+/// allocates nothing.
 ///
 /// # Examples
 ///
@@ -87,12 +90,61 @@ impl std::error::Error for TreeError {}
 /// # Ok::<(), treecast_trees::TreeError>(())
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RootedTree {
     root: NodeId,
     parent: Vec<Option<NodeId>>,
-    children: Vec<Vec<NodeId>>,
-    depth: Vec<usize>,
+    /// `children[child_offsets[v]..child_offsets[v + 1]]` are the children
+    /// of `v`, in increasing node order. Offsets and depths are `u32`
+    /// (trees stay below 2³² nodes), which halves the index's memory
+    /// traffic.
+    child_offsets: Vec<u32>,
+    children: Vec<NodeId>,
+    depth: Vec<u32>,
+    /// Nodes in breadth-first order from the root.
+    bfs: Vec<NodeId>,
+}
+
+/// The root of a parent array: its unique `None` entry, after checking
+/// that every other entry names an in-range parent other than itself.
+fn find_root(parent: &[Option<NodeId>]) -> Result<NodeId, TreeError> {
+    let n = parent.len();
+    if n == 0 {
+        return Err(TreeError::Empty);
+    }
+    let mut root = None;
+    for (v, &p) in parent.iter().enumerate() {
+        match p {
+            None => match root {
+                None => root = Some(v),
+                Some(first) => {
+                    return Err(TreeError::MultipleRoots { first, second: v });
+                }
+            },
+            Some(p) if p >= n => {
+                return Err(TreeError::ParentOutOfRange {
+                    node: v,
+                    parent: p,
+                    n,
+                });
+            }
+            Some(p) if p == v => return Err(TreeError::SelfParent { node: v }),
+            Some(_) => {}
+        }
+    }
+    root.ok_or(TreeError::NoRoot)
+}
+
+/// Re-roots a parent array at `new_root` in place: every edge on the path
+/// from `new_root` up to the old root flips direction.
+pub(crate) fn reroot_parents(parent: &mut [Option<NodeId>], new_root: NodeId) {
+    let mut v = new_root;
+    let mut prev = None;
+    while let Some(p) = parent[v] {
+        parent[v] = prev;
+        prev = Some(v);
+        v = p;
+    }
+    parent[v] = prev;
 }
 
 impl RootedTree {
@@ -103,75 +155,97 @@ impl RootedTree {
     ///
     /// Returns a [`TreeError`] if the array is empty, has zero or multiple
     /// `None` entries, names an out-of-range parent, or contains a cycle.
+    /// A cycle is reported at the smallest node the root cannot reach.
     pub fn from_parents(parent: Vec<Option<NodeId>>) -> Result<Self, TreeError> {
-        let n = parent.len();
-        if n == 0 {
-            return Err(TreeError::Empty);
-        }
-        let mut root = None;
-        for (v, &p) in parent.iter().enumerate() {
-            match p {
-                None => match root {
-                    None => root = Some(v),
-                    Some(first) => {
-                        return Err(TreeError::MultipleRoots { first, second: v });
-                    }
-                },
-                Some(p) if p >= n => {
-                    return Err(TreeError::ParentOutOfRange {
-                        node: v,
-                        parent: p,
-                        n,
-                    });
-                }
-                Some(p) if p == v => return Err(TreeError::SelfParent { node: v }),
-                Some(_) => {}
-            }
-        }
-        let root = root.ok_or(TreeError::NoRoot)?;
+        let mut tree = RootedTree::unfilled();
+        tree.root = find_root(&parent)?;
+        tree.parent = parent;
+        tree.index()?;
+        Ok(tree)
+    }
 
-        // Depth computation doubles as the acyclicity check: a walk to the
-        // root from any node must terminate within n steps.
-        let mut depth = vec![usize::MAX; n];
-        depth[root] = 0;
+    /// A tree with no nodes and no buffers, valid only as the target of a
+    /// [`RootedTree::refill`].
+    pub(crate) fn unfilled() -> Self {
+        RootedTree {
+            root: 0,
+            parent: Vec::new(),
+            child_offsets: Vec::new(),
+            children: Vec::new(),
+            depth: Vec::new(),
+            bfs: Vec::new(),
+        }
+    }
+
+    /// Overwrites this tree with one on `n` nodes, reusing its buffers.
+    /// `fill` gets the parent array, all `None`, and two scratch slices of
+    /// length `n`; it must leave a valid parent array behind. Once the
+    /// buffers have grown to `n`, this allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`RootedTree::from_parents`]. After an error the tree must be
+    /// refilled before it is read again.
+    pub(crate) fn refill(
+        &mut self,
+        n: usize,
+        fill: impl FnOnce(&mut [Option<NodeId>], &mut [u32], &mut [NodeId]),
+    ) -> Result<(), TreeError> {
+        self.parent.clear();
+        self.parent.resize(n, None);
+        self.depth.resize(n, 0);
+        self.children.resize(n, 0);
+        fill(&mut self.parent, &mut self.depth, &mut self.children);
+        self.root = find_root(&self.parent)?;
+        self.index()
+    }
+
+    /// Fills the CSR children index, the depths and the BFS order from the
+    /// parent array and root. Each node has at most one parent, so the BFS
+    /// needs no visited set. It is also the acyclicity check: the nodes it
+    /// never reaches are exactly those on or behind a cycle.
+    fn index(&mut self) -> Result<(), TreeError> {
+        let n = self.parent.len();
+        // Counting sort of the nodes by parent. Scanning the nodes in
+        // increasing order keeps each child list sorted. `depth` holds the
+        // write cursors until the BFS overwrites it.
+        self.child_offsets.clear();
+        self.child_offsets.resize(n + 1, 0);
+        for &p in self.parent.iter().flatten() {
+            self.child_offsets[p + 1] += 1;
+        }
         for v in 0..n {
-            if depth[v] != usize::MAX {
-                continue;
-            }
-            // Walk up until a node of known depth, recording the path.
-            let mut path = Vec::new();
-            let mut cur = v;
-            while depth[cur] == usize::MAX {
-                path.push(cur);
-                if path.len() > n {
-                    return Err(TreeError::Cyclic { node: v });
-                }
-                // analyze: allow(panic): the cycle walk only stands on non-root nodes, which have parents
-                cur = parent[cur].expect("only the root lacks a parent");
-                if cur == v {
-                    return Err(TreeError::Cyclic { node: v });
-                }
-            }
-            let mut d = depth[cur];
-            for &u in path.iter().rev() {
-                d += 1;
-                depth[u] = d;
-            }
+            self.child_offsets[v + 1] += self.child_offsets[v];
         }
-
-        let mut children = vec![Vec::new(); n];
-        for (v, &p) in parent.iter().enumerate() {
+        self.depth.clear();
+        self.depth.extend_from_slice(&self.child_offsets[..n]);
+        // The sort below writes every slot, so stale entries are harmless.
+        self.children.resize(n - 1, 0);
+        for (c, &p) in self.parent.iter().enumerate() {
             if let Some(p) = p {
-                children[p].push(v);
+                self.children[self.depth[p] as usize] = c;
+                self.depth[p] += 1;
             }
         }
 
-        Ok(RootedTree {
-            root,
-            parent,
-            children,
-            depth,
-        })
+        self.depth.fill(u32::MAX);
+        self.depth[self.root] = 0;
+        self.bfs.clear();
+        self.bfs.reserve(n);
+        self.bfs.push(self.root);
+        let mut head = 0;
+        while let Some(&v) = self.bfs.get(head) {
+            head += 1;
+            let d = self.depth[v] + 1;
+            for &c in &self.children[self.child_range(v)] {
+                self.depth[c] = d;
+                self.bfs.push(c);
+            }
+        }
+        match self.depth.iter().position(|&d| d == u32::MAX) {
+            Some(node) => Err(TreeError::Cyclic { node }),
+            None => Ok(()),
+        }
     }
 
     /// Builds a tree from `(parent, child)` edges.
@@ -225,59 +299,6 @@ impl RootedTree {
         Self::from_parents(parent)
     }
 
-    /// Builds a rooted tree from undirected edges by orienting everything
-    /// away from `root`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TreeError`] if the edges do not form a spanning tree of
-    /// `{0, …, n−1}` or `root` is out of range.
-    pub fn from_undirected_edges(
-        n: usize,
-        edges: &[(NodeId, NodeId)],
-        root: NodeId,
-    ) -> Result<Self, TreeError> {
-        if n == 0 {
-            return Err(TreeError::Empty);
-        }
-        if root >= n {
-            return Err(TreeError::ParentOutOfRange {
-                node: root,
-                parent: root,
-                n,
-            });
-        }
-        let mut adj = vec![Vec::new(); n];
-        for &(a, b) in edges {
-            if a >= n || b >= n {
-                return Err(TreeError::ParentOutOfRange {
-                    node: a.max(b),
-                    parent: a.min(b),
-                    n,
-                });
-            }
-            adj[a].push(b);
-            adj[b].push(a);
-        }
-        let mut parent = vec![None; n];
-        let mut visited = vec![false; n];
-        let mut queue = std::collections::VecDeque::from([root]);
-        visited[root] = true;
-        while let Some(v) = queue.pop_front() {
-            for &w in &adj[v] {
-                if !visited[w] {
-                    visited[w] = true;
-                    parent[w] = Some(v);
-                    queue.push_back(w);
-                }
-            }
-        }
-        if let Some(unreached) = visited.iter().position(|&v| !v) {
-            return Err(TreeError::Cyclic { node: unreached });
-        }
-        Self::from_parents(parent)
-    }
-
     /// The number of nodes.
     #[inline]
     pub fn n(&self) -> usize {
@@ -306,14 +327,19 @@ impl RootedTree {
         &self.parent
     }
 
-    /// The children of `v` in insertion order.
+    /// The children of `v`, in increasing node order.
     ///
     /// # Panics
     ///
     /// Panics if `v >= n`.
     #[inline]
     pub fn children(&self, v: NodeId) -> &[NodeId] {
-        &self.children[v]
+        &self.children[self.child_range(v)]
+    }
+
+    #[inline]
+    fn child_range(&self, v: NodeId) -> std::ops::Range<usize> {
+        self.child_offsets[v] as usize..self.child_offsets[v + 1] as usize
     }
 
     /// The depth of `v` (root has depth 0).
@@ -323,12 +349,12 @@ impl RootedTree {
     /// Panics if `v >= n`.
     #[inline]
     pub fn depth(&self, v: NodeId) -> usize {
-        self.depth[v]
+        self.depth[v] as usize
     }
 
     /// The height of the tree: the maximum depth.
     pub fn height(&self) -> usize {
-        self.depth.iter().copied().max().unwrap_or(0)
+        self.depth.iter().copied().max().unwrap_or(0) as usize
     }
 
     /// Returns `true` if `v` has no children.
@@ -336,7 +362,7 @@ impl RootedTree {
     /// A single-node tree's root is a leaf.
     #[inline]
     pub fn is_leaf(&self, v: NodeId) -> bool {
-        self.children[v].is_empty()
+        self.child_offsets[v] == self.child_offsets[v + 1]
     }
 
     /// Returns `true` if `v` has at least one child.
@@ -380,13 +406,14 @@ impl RootedTree {
     /// # Ok::<(), treecast_trees::TreeError>(())
     /// ```
     pub fn bfs_order(&self) -> Vec<NodeId> {
-        let mut order = Vec::with_capacity(self.n());
-        let mut queue = std::collections::VecDeque::from([self.root]);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            queue.extend(self.children[v].iter().copied());
-        }
-        order
+        self.bfs.clone()
+    }
+
+    /// [`RootedTree::bfs_order`], borrowed: the order is computed once,
+    /// when the tree is built.
+    #[inline]
+    pub fn bfs(&self) -> &[NodeId] {
+        &self.bfs
     }
 
     /// Nodes on the path from `v` up to and including the root.
@@ -410,7 +437,7 @@ impl RootedTree {
         let mut stack = vec![v];
         while let Some(u) = stack.pop() {
             count += 1;
-            stack.extend(self.children[u].iter().copied());
+            stack.extend_from_slice(self.children(u));
         }
         count
     }
@@ -421,20 +448,20 @@ impl RootedTree {
         let mut stack = vec![v];
         while let Some(u) = stack.pop() {
             set.insert(u);
-            stack.extend(self.children[u].iter().copied());
+            stack.extend_from_slice(self.children(u));
         }
         set
     }
 
     /// Returns `true` if the tree is a path rooted at one end.
     pub fn is_path(&self) -> bool {
-        (0..self.n()).all(|v| self.children[v].len() <= 1)
+        (0..self.n()).all(|v| self.children(v).len() <= 1)
     }
 
     /// Returns `true` if the tree is a star (root adjacent to every other
     /// node). Single-node and two-node trees count as stars.
     pub fn is_star(&self) -> bool {
-        self.children[self.root].len() == self.n() - 1
+        self.children(self.root).len() == self.n() - 1
     }
 
     /// The adjacency matrix of the tree: entry `(p, c)` for every edge,
@@ -538,14 +565,7 @@ impl RootedTree {
         let n = self.n();
         assert!(new_root < n, "new root {new_root} out of range for n = {n}");
         let mut parent = self.parent.clone();
-        let mut v = new_root;
-        let mut prev: Option<NodeId> = None;
-        while let Some(p) = parent[v] {
-            parent[v] = prev;
-            prev = Some(v);
-            v = p;
-        }
-        parent[v] = prev;
+        reroot_parents(&mut parent, new_root);
         // analyze: allow(panic): rerooting flips root-path edges only, preserving tree-ness
         RootedTree::from_parents(parent).expect("rerooting preserves tree-ness")
     }
@@ -558,7 +578,7 @@ impl RootedTree {
             inner_count: self.inner_count(),
             height: self.height(),
             max_children: (0..self.n())
-                .map(|v| self.children[v].len())
+                .map(|v| self.children(v).len())
                 .max()
                 .unwrap_or(0),
         }
@@ -585,6 +605,27 @@ impl fmt::Display for RootedTree {
             }
         }
         f.write_str("]")
+    }
+}
+
+/// The wire form is the parent array alone, `null` at the root. The
+/// children index and depths are derived, so a document cannot contradict
+/// them.
+#[cfg(feature = "serde")]
+impl serde::Serialize for RootedTree {
+    fn to_value(&self) -> serde::Value {
+        serde::Serialize::to_value(&self.parent)
+    }
+}
+
+/// Reads the parent array and validates it through
+/// [`RootedTree::from_parents`]; a malformed array fails with the
+/// [`TreeError`]'s message.
+#[cfg(feature = "serde")]
+impl serde::Deserialize for RootedTree {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let parent = <Vec<Option<NodeId>> as serde::Deserialize>::from_value(value)?;
+        RootedTree::from_parents(parent).map_err(|e| serde::Error::msg(e.to_string()))
     }
 }
 
@@ -701,20 +742,6 @@ mod tests {
     }
 
     #[test]
-    fn from_undirected_orients_away_from_root() {
-        let t = RootedTree::from_undirected_edges(4, &[(0, 1), (1, 2), (2, 3)], 3).unwrap();
-        assert_eq!(t.root(), 3);
-        assert_eq!(t.parent(0), Some(1));
-        assert_eq!(t.depth(0), 3);
-    }
-
-    #[test]
-    fn from_undirected_rejects_disconnected() {
-        let r = RootedTree::from_undirected_edges(4, &[(0, 1), (2, 3)], 0);
-        assert!(matches!(r, Err(TreeError::Cyclic { .. })));
-    }
-
-    #[test]
     fn matrix_conversion() {
         let t = RootedTree::from_parents(vec![None, Some(0), Some(0)]).unwrap();
         let m = t.to_matrix(true);
@@ -792,5 +819,25 @@ mod tests {
         RootedTree::from_parents(vec![None, Some(0)])
             .unwrap()
             .rerooted(2);
+    }
+
+    #[cfg(feature = "serde")]
+    mod wire {
+        use super::*;
+
+        #[test]
+        fn round_trips_as_the_parent_array() {
+            let t = RootedTree::from_edges(4, [(2, 0), (0, 1), (0, 3)]).unwrap();
+            let text = serde::json::to_string(&t);
+            assert_eq!(text, "[2,0,null,0]");
+            let back: RootedTree = serde::json::from_str(&text).unwrap();
+            assert_eq!(back, t, "the rebuilt index equals the original");
+        }
+
+        #[test]
+        fn a_cycle_fails_with_the_tree_error() {
+            let err = serde::json::from_str::<RootedTree>("[null,2,1]").unwrap_err();
+            assert_eq!(err.to_string(), TreeError::Cyclic { node: 1 }.to_string());
+        }
     }
 }
