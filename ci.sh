@@ -10,8 +10,9 @@
 #            regression gates and the --ignored tier)
 #   full     quick + the compose/solver/workloads/adversary/frontier/
 #            server/montecarlo/emulation bench gates, the release-mode
-#            differential/scenario proptests, and the concurrency-
-#            determinism audit (debug build, threads 1/2/4/8) (default)
+#            differential/scenario proptests, the benchmark's build and
+#            smoke tests, and the concurrency-determinism audit (debug
+#            build, threads 1/2/4/8) (default)
 #   release  full + the slow --ignored solver tier, the beam width
 #            sweep, and the frontier scale rows (n = 10^6)
 #   --fix    apply rustfmt instead of failing on drift
@@ -146,12 +147,19 @@ if [[ "$TIER" != quick ]]; then
     # this run is the fast, optimized re-check).
     run_step "adversary differential + scenario proptests (release)" \
         cargo test -q --release --test adversary_differential --test scenarios
-    run_step "frontier differential proptests (release)" \
-        cargo test -q --release --test frontier_differential --test edge_cases
+    run_step "frontier + prefix differential proptests (release)" \
+        cargo test -q --release --test frontier_differential --test edge_cases \
+        --test prefix_differential
     # Cached server == uncached server == direct engine, across every
     # workload, faults included (also in the debug tier-1 pass).
     run_step "server differential tests (release)" \
         cargo test -q --release -p treecast --test server_differential
+    # The benchmark (perfbench/, a workspace of its own) builds against
+    # the library crates by path, and its smoke tests pin its traced
+    # round loops to the library runners report for report. Building
+    # and testing it here surfaces a library change that breaks it.
+    run_step "benchmark build + smoke tests (perfbench, release)" \
+        cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
     # Concurrency-determinism audit: the five threaded subsystems
     # (sharded compose, solver discovery, server worker pool, Monte
     # Carlo replica pool, gossip-emulation replica pool) across

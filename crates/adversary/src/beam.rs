@@ -321,12 +321,12 @@ where
 ///
 /// ```
 /// use treecast_adversary::{beam_search_plan, BeamOptions, StructuredPool};
-/// use treecast_core::{simulate, SequenceSource, SimulationConfig};
+/// use treecast_core::{run_workload, Broadcast, SequenceSource, SimulationConfig};
 ///
 /// let n = 12;
 /// let plan = beam_search_plan(n, &mut StructuredPool::new(), BeamOptions::for_n(n));
 /// let mut replay = SequenceSource::new(plan.clone());
-/// let report = simulate(n, &mut replay, SimulationConfig::for_n(n));
+/// let report = run_workload(n, &mut replay, &Broadcast, SimulationConfig::for_n(n));
 /// assert_eq!(report.broadcast_time, Some(plan.len() as u64));
 /// ```
 pub fn beam_search_plan<P: CandidateGen + ?Sized>(
@@ -453,7 +453,7 @@ mod tests {
     use crate::objectives::{MinDisseminated, MinMaxReach};
     use crate::strategies::GreedyAdversary;
     use treecast_core::{
-        bounds, run_workload, simulate, Gossip, KBroadcast, KSourceBroadcast, SimulationConfig,
+        bounds, run_workload, Broadcast, Gossip, KBroadcast, KSourceBroadcast, SimulationConfig,
         WorkloadOutcome,
     };
 
@@ -464,14 +464,16 @@ mod tests {
             BeamOptions::for_n(n).with_width(width),
         );
         let mut replay = SequenceSource::new(plan);
-        simulate(n, &mut replay, SimulationConfig::for_n(n)).broadcast_time_or_panic()
+        run_workload(n, &mut replay, &Broadcast, SimulationConfig::for_n(n))
+            .completion_time_or_panic()
     }
 
     #[test]
     fn beam_is_at_least_as_good_as_greedy() {
         for n in [6usize, 10, 16] {
             let mut greedy = GreedyAdversary::new(StructuredPool::new(), MinMaxReach);
-            let g = simulate(n, &mut greedy, SimulationConfig::for_n(n)).broadcast_time_or_panic();
+            let g = run_workload(n, &mut greedy, &Broadcast, SimulationConfig::for_n(n))
+                .completion_time_or_panic();
             let b = beam_time(n, 32);
             assert!(
                 b >= g,
@@ -500,7 +502,8 @@ mod tests {
                 BeamOptions::for_n(n).with_width(32),
             );
             let mut replay = SequenceSource::new(plan);
-            let t = simulate(n, &mut replay, SimulationConfig::for_n(n)).broadcast_time_or_panic();
+            let t = run_workload(n, &mut replay, &Broadcast, SimulationConfig::for_n(n))
+                .completion_time_or_panic();
             assert!(
                 t >= bounds::lower_bound(n as u64),
                 "n = {n}: beam reached {t}, ZSS bound {}",
@@ -514,8 +517,8 @@ mod tests {
     fn adversary_wrapper_replays_plan() {
         let n = 8;
         let mut adv = BeamSearchAdversary::new(StructuredPool::new(), 16);
-        let report = simulate(n, &mut adv, SimulationConfig::for_n(n));
-        let t = report.broadcast_time_or_panic();
+        let report = run_workload(n, &mut adv, &Broadcast, SimulationConfig::for_n(n));
+        let t = report.completion_time_or_panic();
         // Structured (path-shaped) pools cannot reach the ZSS bound; they
         // must still match the static path and respect the theorem.
         assert!(t >= (n as u64) - 1);
@@ -616,7 +619,8 @@ mod tests {
             BeamOptions::for_n(n).with_width(4).with_lookahead(1),
         );
         let mut replay = SequenceSource::new(deeper);
-        let t = simulate(n, &mut replay, SimulationConfig::for_n(n)).broadcast_time_or_panic();
+        let t = run_workload(n, &mut replay, &Broadcast, SimulationConfig::for_n(n))
+            .completion_time_or_panic();
         assert!(t >= (n as u64) - 1);
         assert!(t <= bounds::upper_bound(n as u64));
     }

@@ -27,11 +27,11 @@
 //!
 //! ```
 //! use treecast_adversary::SurvivalAdversary;
-//! use treecast_core::{bounds, simulate, SimulationConfig};
+//! use treecast_core::{bounds, run_workload, Broadcast, SimulationConfig};
 //!
 //! let n = 20;
 //! let mut adversary = SurvivalAdversary::default();
-//! let t = simulate(n, &mut adversary, SimulationConfig::for_n(n))
+//! let t = run_workload(n, &mut adversary, &Broadcast, SimulationConfig::for_n(n))
 //!     .broadcast_time
 //!     .unwrap();
 //! // Clearly beats the static path's n − 1, never breaks the theorem.

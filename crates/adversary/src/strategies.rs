@@ -84,11 +84,11 @@ impl TreeSource for FamilyRandomAdversary {
 ///
 /// ```
 /// use treecast_adversary::{GreedyAdversary, MinMaxReach, StructuredPool};
-/// use treecast_core::{bounds, simulate, SimulationConfig};
+/// use treecast_core::{bounds, run_workload, Broadcast, SimulationConfig};
 ///
 /// let n = 24;
 /// let mut adv = GreedyAdversary::new(StructuredPool::new(), MinMaxReach);
-/// let report = simulate(n, &mut adv, SimulationConfig::for_n(n));
+/// let report = run_workload(n, &mut adv, &Broadcast, SimulationConfig::for_n(n));
 /// let t = report.broadcast_time.unwrap();
 /// // At least the path's n−1, within the theorem's upper bound. (For a
 /// // pool that decisively beats the path, see `SurvivalAdversary`.)
@@ -261,11 +261,14 @@ mod tests {
     use super::*;
     use crate::candidates::{SampledPool, StructuredPool};
     use crate::objectives::{MinMaxReach, MinNewEdges};
-    use treecast_core::{bounds, simulate, simulate_observed, CertObserver, SimulationConfig};
+    use treecast_core::{
+        bounds, drive, run_workload, Broadcast, CertObserver, DenseEngine, NoFaults,
+        SimulationConfig,
+    };
 
     fn broadcast_time<S: TreeSource>(n: usize, mut source: S) -> u64 {
-        let report = simulate(n, &mut source, SimulationConfig::for_n(n));
-        report.broadcast_time_or_panic()
+        let report = run_workload(n, &mut source, &Broadcast, SimulationConfig::for_n(n));
+        report.completion_time_or_panic()
     }
 
     #[test]
@@ -338,7 +341,9 @@ mod tests {
         let n = 14;
         let mut cert = CertObserver::full();
         let mut adv = GreedyAdversary::new(StructuredPool::new(), MinNewEdges);
-        simulate_observed(n, &mut adv, SimulationConfig::for_n(n), &mut [&mut cert]);
+        let cfg = SimulationConfig::for_n(n);
+        let mut dense = DenseEngine::new(n, &mut adv, &Broadcast);
+        drive(&mut dense, &Broadcast, &mut NoFaults, cfg, false, &mut cert);
         assert!(cert.is_clean(), "{:?}", cert.violations());
     }
 

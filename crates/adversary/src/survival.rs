@@ -237,11 +237,11 @@ impl CandidateGen for ArborescencePool {
 ///
 /// ```
 /// use treecast_adversary::SurvivalAdversary;
-/// use treecast_core::{bounds, simulate, SimulationConfig};
+/// use treecast_core::{bounds, run_workload, Broadcast, SimulationConfig};
 ///
 /// let n = 16;
 /// let mut adv = SurvivalAdversary::new(4);
-/// let t = simulate(n, &mut adv, SimulationConfig::for_n(n))
+/// let t = run_workload(n, &mut adv, &Broadcast, SimulationConfig::for_n(n))
 ///     .broadcast_time
 ///     .unwrap();
 /// assert!(t > (n as u64) - 1, "beats the static path");
@@ -291,10 +291,10 @@ impl TreeSource for SurvivalAdversary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use treecast_core::{bounds, simulate, SimulationConfig};
+    use treecast_core::{bounds, run_workload, Broadcast, SimulationConfig};
 
     fn run(n: usize, mut adv: SurvivalAdversary) -> u64 {
-        simulate(n, &mut adv, SimulationConfig::for_n(n)).broadcast_time_or_panic()
+        run_workload(n, &mut adv, &Broadcast, SimulationConfig::for_n(n)).completion_time_or_panic()
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! adversaries over a grid of network sizes, record broadcast (and
 //! optionally gossip) times, and render comparison tables.
 
-use treecast_core::{bounds, simulate, RunOutcome, SimulationConfig, StaticSource, TreeSource};
+use treecast_core::{
+    bounds, run_workload, Broadcast, Gossip, SimulationConfig, StaticSource, TreeSource, Workload,
+};
 use treecast_trees::generators;
 
 use crate::beam::BeamSearchAdversary;
@@ -212,12 +214,13 @@ pub fn run_tournament(
                         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                         .wrapping_add((e as u64) << 32 | n as u64);
                     let mut adversary = factory(n, cell_seed);
-                    let sim_config = if config.measure_gossip {
-                        SimulationConfig::gossip_for_n(n)
+                    let workload: &dyn Workload = if config.measure_gossip {
+                        &Gossip
                     } else {
-                        SimulationConfig::for_n(n)
+                        &Broadcast
                     };
-                    let report = simulate(n, &mut adversary, sim_config);
+                    let report =
+                        run_workload(n, &mut adversary, workload, SimulationConfig::for_n(n));
                     let broadcast_time = report.broadcast_time.unwrap_or_else(|| {
                         // analyze: allow(panic): a tournament entrant that cannot broadcast within the cap is a strategy bug worth crashing the harness
                         panic!(
@@ -226,10 +229,10 @@ pub fn run_tournament(
                             report.rounds, report.outcome
                         )
                     });
-                    let gossip_time = match report.outcome {
-                        RunOutcome::RoundLimit if config.measure_gossip => None,
-                        _ => report.gossip_time,
-                    };
+                    // Gossip implies broadcast, so it can only complete on
+                    // the last round played.
+                    let gossip_time =
+                        (report.disseminated == report.tokens).then_some(report.rounds);
                     out.push(TournamentRow {
                         adversary: name.clone(),
                         n,

@@ -6,7 +6,7 @@ use treecast_adversary::{
     ArborescencePool, BeamSearchAdversary, FreezeLeaderAdversary, GreedyAdversary, MinMaxReach,
     StructuredPool, SurvivalAdversary,
 };
-use treecast_core::{simulate, SimulationConfig};
+use treecast_core::{run_workload, Broadcast, SimulationConfig};
 
 const N: usize = 32;
 
@@ -16,19 +16,19 @@ fn bench_strategies(c: &mut Criterion) {
     group.bench_function("freeze_leader", |b| {
         b.iter(|| {
             let mut adv = FreezeLeaderAdversary::new();
-            simulate(N, &mut adv, SimulationConfig::for_n(N)).rounds
+            run_workload(N, &mut adv, &Broadcast, SimulationConfig::for_n(N)).rounds
         });
     });
     group.bench_function("greedy_structured_max_reach", |b| {
         b.iter(|| {
             let mut adv = GreedyAdversary::new(StructuredPool::new(), MinMaxReach);
-            simulate(N, &mut adv, SimulationConfig::for_n(N)).rounds
+            run_workload(N, &mut adv, &Broadcast, SimulationConfig::for_n(N)).rounds
         });
     });
     group.bench_function("survival_greedy", |b| {
         b.iter(|| {
             let mut adv = SurvivalAdversary::default();
-            simulate(N, &mut adv, SimulationConfig::for_n(N)).rounds
+            run_workload(N, &mut adv, &Broadcast, SimulationConfig::for_n(N)).rounds
         });
     });
     group.finish();
@@ -40,7 +40,7 @@ fn bench_beam(c: &mut Criterion) {
     group.bench_function("survival_beam_16", |b| {
         b.iter(|| {
             let mut adv = BeamSearchAdversary::new(ArborescencePool::new(4), 16);
-            simulate(16, &mut adv, SimulationConfig::for_n(16)).rounds
+            run_workload(16, &mut adv, &Broadcast, SimulationConfig::for_n(16)).rounds
         });
     });
     group.finish();

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use treecast_adversary::UniformRandomAdversary;
-use treecast_core::{simulate, SimulationConfig, StaticSource};
+use treecast_core::{run_workload, Broadcast, SimulationConfig, StaticSource};
 use treecast_trees::generators;
 
 fn bench_static_path(c: &mut Criterion) {
@@ -12,7 +12,7 @@ fn bench_static_path(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bencher, &n| {
             bencher.iter(|| {
                 let mut source = StaticSource::new(generators::path(n));
-                simulate(n, &mut source, SimulationConfig::for_n(n)).rounds
+                run_workload(n, &mut source, &Broadcast, SimulationConfig::for_n(n)).rounds
             });
         });
     }
@@ -25,7 +25,7 @@ fn bench_static_star(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bencher, &n| {
             bencher.iter(|| {
                 let mut source = StaticSource::new(generators::star(n));
-                simulate(n, &mut source, SimulationConfig::for_n(n)).rounds
+                run_workload(n, &mut source, &Broadcast, SimulationConfig::for_n(n)).rounds
             });
         });
     }
@@ -39,7 +39,7 @@ fn bench_uniform_random(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bencher, &n| {
             bencher.iter(|| {
                 let mut source = UniformRandomAdversary::new(9);
-                simulate(n, &mut source, SimulationConfig::for_n(n)).rounds
+                run_workload(n, &mut source, &Broadcast, SimulationConfig::for_n(n)).rounds
             });
         });
     }

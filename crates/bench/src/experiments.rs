@@ -15,8 +15,8 @@ use treecast_adversary::{
     SurvivalAdversary, SurvivalObjective, TournamentConfig,
 };
 use treecast_core::{
-    bounds, simulate, simulate_observed, CertObserver, MetricsRecorder, SequenceSource,
-    SimulationConfig, StaticSource, TreeSource,
+    bounds, drive, run_workload, Broadcast, CertObserver, DenseEngine, MetricsRecorder, NoFaults,
+    SequenceSource, SimulationConfig, StaticSource, TreeSource,
 };
 use treecast_nonsplit as nonsplit;
 use treecast_trees::generators;
@@ -61,7 +61,7 @@ impl ExperimentOutput {
 }
 
 fn broadcast_with<S: TreeSource>(n: usize, mut source: S) -> u64 {
-    simulate(n, &mut source, SimulationConfig::for_n(n)).broadcast_time_or_panic()
+    run_workload(n, &mut source, &Broadcast, SimulationConfig::for_n(n)).completion_time_or_panic()
 }
 
 /// Best achieved broadcast time at `n` across the strategies affordable at
@@ -230,7 +230,9 @@ pub fn sanity(quick: bool) -> ExperimentOutput {
         ]);
         let mut cert = CertObserver::edges_only();
         let mut adv = FamilyRandomAdversary::new(n as u64);
-        let report = simulate_observed(n, &mut adv, SimulationConfig::for_n(n), &mut [&mut cert]);
+        let mut dense = DenseEngine::new(n, &mut adv, &Broadcast);
+        let cfg = SimulationConfig::for_n(n);
+        let report = drive(&mut dense, &Broadcast, &mut NoFaults, cfg, false, &mut cert);
         t.push([
             "strict progress + t <= n^2".to_string(),
             n.to_string(),
@@ -457,7 +459,9 @@ pub fn evolution(quick: bool) -> ExperimentOutput {
     ]);
     let mut run = |name: &str, source: &mut dyn TreeSource, out: &mut ExperimentOutput| {
         let mut rec = MetricsRecorder::every_round();
-        simulate_observed(n, source, SimulationConfig::for_n(n), &mut [&mut rec]);
+        let mut engine = DenseEngine::new(n, source, &Broadcast);
+        let cfg = SimulationConfig::for_n(n);
+        drive(&mut engine, &Broadcast, &mut NoFaults, cfg, false, &mut rec);
         let trace = rec.trace();
         let max_gain = trace.iter().map(|m| m.new_edges).max().unwrap_or(0);
         let min_gain = trace.iter().map(|m| m.new_edges).min().unwrap_or(0);

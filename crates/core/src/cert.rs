@@ -10,14 +10,17 @@
 //!   `t ≤ ⌈(1+√2)n − 1⌉`; for provably optimal adversaries it must also
 //!   reach `⌈(3n−1)/2⌉ − 2`.
 //!
-//! Attach a [`CertObserver`] to a simulation and interrogate it afterwards,
-//! or let property tests assert [`CertObserver::violations`] is empty.
+//! Attach a [`CertObserver`] as the [`Probe`] of a dense run and
+//! interrogate it afterwards, or let property tests assert
+//! [`CertObserver::violations`] is empty.
 
 use treecast_trees::RootedTree;
 
 use crate::bounds;
-use crate::engine::{Observer, RunReport};
+use crate::drive::Probe;
 use crate::model::BroadcastState;
+use crate::scenario::RoundFaults;
+use crate::workload::WorkloadReport;
 
 /// A broken invariant detected during a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,8 +75,8 @@ impl core::fmt::Display for Violation {
     }
 }
 
-/// Observer that checks monotonicity, strict progress, and the Theorem 3.1
-/// upper bound on every run it watches.
+/// A dense-engine [`Probe`] that checks monotonicity, strict progress, and
+/// the Theorem 3.1 upper bound on every run it watches.
 ///
 /// Full subset checks cost `O(n²/64)` per round; cheap mode
 /// ([`CertObserver::edges_only`]) tracks only edge counts, which already
@@ -82,13 +85,17 @@ impl core::fmt::Display for Violation {
 /// # Examples
 ///
 /// ```
-/// use treecast_core::{simulate_observed, CertObserver, SimulationConfig, StaticSource};
+/// use treecast_core::{
+///     drive, Broadcast, CertObserver, DenseEngine, NoFaults, SimulationConfig, StaticSource,
+/// };
 /// use treecast_trees::generators;
 ///
 /// let n = 7;
 /// let mut cert = CertObserver::full();
 /// let mut source = StaticSource::new(generators::path(n));
-/// simulate_observed(n, &mut source, SimulationConfig::for_n(n), &mut [&mut cert]);
+/// let mut engine = DenseEngine::new(n, &mut source, &Broadcast);
+/// let cfg = SimulationConfig::for_n(n);
+/// drive(&mut engine, &Broadcast, &mut NoFaults, cfg, false, &mut cert);
 /// assert!(cert.is_clean(), "violations: {:?}", cert.violations());
 /// ```
 #[derive(Debug, Clone)]
@@ -131,8 +138,8 @@ impl CertObserver {
     }
 }
 
-impl Observer for CertObserver {
-    fn on_round(&mut self, tree: &RootedTree, state: &BroadcastState) {
+impl Probe<BroadcastState> for CertObserver {
+    fn on_round(&mut self, _faults: &RoundFaults, tree: &RootedTree, state: &BroadcastState) {
         let round = state.round();
         if tree.n() != state.n() {
             self.violations.push(Violation::WrongTreeSize {
@@ -173,7 +180,7 @@ impl Observer for CertObserver {
         self.had_witness = state.broadcast_witness().is_some();
     }
 
-    fn on_finish(&mut self, report: &RunReport) {
+    fn on_finish(&mut self, report: &WorkloadReport) {
         if let Some(t) = report.broadcast_time {
             let bound = bounds::upper_bound(report.n as u64);
             if t > bound {
@@ -221,25 +228,35 @@ pub fn check_theorem(n: u64, measured: u64) -> TheoremVerdict {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{simulate_observed, SimulationConfig, StaticSource};
+    use crate::drive::{drive, DenseEngine};
+    use crate::engine::{SimulationConfig, StaticSource};
+    use crate::scenario::NoFaults;
+    use crate::workload::{Broadcast, Gossip, Workload, WorkloadOutcome};
     use treecast_trees::generators;
+
+    /// Plays the static `tree` on the dense engine for at most `cap`
+    /// rounds, with `cert` attached.
+    fn certify(cert: &mut CertObserver, tree: RootedTree, workload: &dyn Workload, cap: u64) {
+        let n = tree.n();
+        let mut source = StaticSource::new(tree);
+        let mut engine = DenseEngine::new(n, &mut source, workload);
+        let cfg = SimulationConfig::for_n(n).with_max_rounds(cap);
+        drive(&mut engine, workload, &mut NoFaults, cfg, false, cert);
+    }
 
     #[test]
     fn clean_run_has_no_violations() {
         for n in [2usize, 5, 9, 17] {
             let mut cert = CertObserver::full();
-            let mut src = StaticSource::new(generators::path(n));
-            simulate_observed(n, &mut src, SimulationConfig::for_n(n), &mut [&mut cert]);
+            certify(&mut cert, generators::path(n), &Broadcast, 100);
             assert!(cert.is_clean(), "n = {n}: {:?}", cert.violations());
         }
     }
 
     #[test]
     fn cheap_mode_also_clean() {
-        let n = 33;
         let mut cert = CertObserver::edges_only();
-        let mut src = StaticSource::new(generators::broom(n, 5));
-        simulate_observed(n, &mut src, SimulationConfig::for_n(n), &mut [&mut cert]);
+        certify(&mut cert, generators::broom(33, 5), &Broadcast, 100);
         assert!(cert.is_clean());
     }
 
@@ -247,14 +264,17 @@ mod tests {
     fn detects_upper_bound_breach() {
         // Fabricate a report that claims to exceed the theorem bound.
         let mut cert = CertObserver::full();
-        let report = RunReport {
+        let report = WorkloadReport {
             n: 4,
+            workload: "broadcast".into(),
             source: "fake".into(),
             rounds: 100,
-            outcome: crate::engine::RunOutcome::Broadcast { witness: 0 },
+            outcome: WorkloadOutcome::Completed,
+            completion_time: Some(100),
             broadcast_time: Some(100),
-            gossip_time: None,
-            final_edge_count: 16,
+            disseminated: 1,
+            tokens: 4,
+            fault_log: Vec::new(),
         };
         cert.on_finish(&report);
         assert!(matches!(
@@ -288,11 +308,8 @@ mod tests {
     fn strict_progress_past_witness_is_allowed() {
         // After broadcast is achieved (witness exists), a stagnant round
         // must NOT be flagged: run to gossip on a tree that stalls.
-        let n = 3;
         let mut cert = CertObserver::full();
-        let mut src = StaticSource::new(generators::path(n));
-        let config = SimulationConfig::gossip_for_n(n).with_max_rounds(10);
-        simulate_observed(n, &mut src, config, &mut [&mut cert]);
+        certify(&mut cert, generators::path(3), &Gossip, 10);
         // The static path stalls after the root's row fills; no NoProgress
         // may be reported for those later rounds.
         assert!(

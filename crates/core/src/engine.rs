@@ -1,10 +1,9 @@
-//! The simulation engine: run a tree source (adversary) against the model
-//! until broadcast, gossip, or a round limit.
+//! Tree sources — the adversary interface of Definition 2.3 — and the
+//! run configuration.
 
-use treecast_trees::{NodeId, RootedTree};
+use treecast_trees::RootedTree;
 
 use crate::model::BroadcastState;
-use crate::workload::{full_state_progress, Broadcast, Gossip, Workload};
 
 /// Produces the round-`t` tree, possibly as a function of the current
 /// product-graph state — this is Definition 2.3's adversary interface.
@@ -43,6 +42,20 @@ impl<T: TreeSource + ?Sized> TreeSource for Box<T> {
 }
 
 /// Repeats one fixed tree every round (e.g. the static path of Section 2).
+///
+/// # Examples
+///
+/// The static path takes exactly `n − 1` rounds to broadcast:
+///
+/// ```
+/// use treecast_core::{run_workload, Broadcast, SimulationConfig, StaticSource};
+/// use treecast_trees::generators;
+///
+/// let n = 6;
+/// let mut source = StaticSource::new(generators::path(n));
+/// let report = run_workload(n, &mut source, &Broadcast, SimulationConfig::for_n(n));
+/// assert_eq!(report.completion_time, Some(5));
+/// ```
 #[derive(Debug, Clone)]
 pub struct StaticSource {
     tree: RootedTree,
@@ -134,74 +147,22 @@ impl TreeSource for SequenceSource {
     }
 }
 
-/// Hooks invoked by [`simulate_observed`] as the run progresses.
-///
-/// All methods have empty defaults; implement only what you need. The
-/// metrics recorder and the runtime certificates are observers.
-pub trait Observer {
-    /// Called after round `t` has been applied; `tree` is the round's tree
-    /// and `state` the state *after* the round.
-    fn on_round(&mut self, tree: &RootedTree, state: &BroadcastState) {
-        let _ = (tree, state);
-    }
-
-    /// Called once with the finished report.
-    fn on_finish(&mut self, report: &RunReport) {
-        let _ = report;
-    }
-}
-
-/// What the simulation should wait for.
-///
-/// These are the two built-in members of the [`Workload`] lattice kept on
-/// the classic engine interface; `k`-broadcast and token-subset workloads
-/// run through [`crate::run_workload`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StopCondition {
-    /// Stop at the first broadcast witness (Definition 2.2's `t*`).
-    Broadcast,
-    /// Keep going until everyone has heard from everyone (gossip); the
-    /// broadcast time is still recorded on the way.
-    Gossip,
-}
-
-impl StopCondition {
-    /// The equivalent workload's termination predicate.
-    fn workload(self) -> &'static dyn Workload {
-        match self {
-            StopCondition::Broadcast => &Broadcast,
-            StopCondition::Gossip => &Gossip,
-        }
-    }
-}
-
-/// Engine configuration.
+/// Run configuration shared by every engine entry point.
 #[derive(Debug, Clone, Copy)]
 pub struct SimulationConfig {
-    /// When to stop (broadcast by default).
-    pub until: StopCondition,
-    /// Hard safety cap on rounds; the run reports
-    /// [`RunOutcome::RoundLimit`] if it is hit. Defaults to `8n + 16` via
-    /// [`SimulationConfig::for_n`].
+    /// Hard cap on rounds; a run that hits it reports
+    /// [`WorkloadOutcome::RoundLimit`](crate::WorkloadOutcome::RoundLimit).
+    /// Defaults to `8n + 16` via [`SimulationConfig::for_n`].
     pub max_rounds: u64,
 }
 
 impl SimulationConfig {
-    /// The default configuration for an `n`-process run: stop at
-    /// broadcast, cap at `8n + 16` rounds (comfortably above the paper's
-    /// `⌈(1+√2)n−1⌉` theorem bound, so hitting it indicates a bug).
+    /// The default configuration for an `n`-process run: cap at `8n + 16`
+    /// rounds (comfortably above the paper's `⌈(1+√2)n−1⌉` theorem bound,
+    /// so a broadcast run hitting it indicates a bug).
     pub fn for_n(n: usize) -> Self {
         SimulationConfig {
-            until: StopCondition::Broadcast,
             max_rounds: 8 * n as u64 + 16,
-        }
-    }
-
-    /// Same but running on to gossip completion.
-    pub fn gossip_for_n(n: usize) -> Self {
-        SimulationConfig {
-            until: StopCondition::Gossip,
-            ..Self::for_n(n)
         }
     }
 
@@ -212,174 +173,47 @@ impl SimulationConfig {
     }
 }
 
-/// Why a run ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RunOutcome {
-    /// A broadcast witness appeared (and that was the stop condition).
-    Broadcast {
-        /// The smallest witnessing node.
-        witness: NodeId,
-    },
-    /// Gossip completed.
-    Gossip,
-    /// The round cap was hit first.
-    RoundLimit,
-}
-
-/// Summary of a finished run.
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// Number of processes.
-    pub n: usize,
-    /// Name of the tree source that drove the run.
-    pub source: String,
-    /// Rounds executed.
-    pub rounds: u64,
-    /// Why the run stopped.
-    pub outcome: RunOutcome,
-    /// First round with a broadcast witness, if one appeared.
-    pub broadcast_time: Option<u64>,
-    /// First round with gossip complete, if reached.
-    pub gossip_time: Option<u64>,
-    /// Edges of `G(t)` at the end.
-    pub final_edge_count: usize,
-}
-
-impl RunReport {
-    /// The broadcast time, panicking with a helpful message if the run
-    /// never broadcast (useful in experiments that expect completion).
-    ///
-    /// # Panics
-    ///
-    /// Panics if broadcast was not achieved.
-    pub fn broadcast_time_or_panic(&self) -> u64 {
-        self.broadcast_time.unwrap_or_else(|| {
-            // analyze: allow(panic): documented panicking accessor (the _or_panic suffix is the contract)
-            panic!(
-                "source {:?} did not broadcast within {} rounds at n = {}",
-                self.source, self.rounds, self.n
-            )
-        })
-    }
-}
-
-/// Runs `source` against a fresh `n`-process state. Convenience wrapper
-/// around [`simulate_observed`] with no observers.
-///
-/// # Examples
-///
-/// ```
-/// use treecast_core::{simulate, SimulationConfig, StaticSource};
-/// use treecast_trees::generators;
-///
-/// let n = 6;
-/// let mut source = StaticSource::new(generators::path(n));
-/// let report = simulate(n, &mut source, SimulationConfig::for_n(n));
-/// assert_eq!(report.broadcast_time, Some(5));
-/// ```
-pub fn simulate<S: TreeSource + ?Sized>(
-    n: usize,
-    source: &mut S,
-    config: SimulationConfig,
-) -> RunReport {
-    simulate_observed(n, source, config, &mut [])
-}
-
-/// Runs `source` against a fresh `n`-process state, feeding every round to
-/// the observers.
-///
-/// # Panics
-///
-/// Panics if `n == 0` or the source produces a tree of the wrong size.
-pub fn simulate_observed<S: TreeSource + ?Sized>(
-    n: usize,
-    source: &mut S,
-    config: SimulationConfig,
-    observers: &mut [&mut dyn Observer],
-) -> RunReport {
-    // The stop decision runs through the workload lattice: one
-    // disseminated-token count per round feeds both milestone recorders
-    // and the configured workload's termination predicate.
-    let workload = config.until.workload();
-    let mut state = BroadcastState::new(n);
-    let mut progress = full_state_progress(&state);
-    let mut broadcast_time = (progress.disseminated >= 1).then_some(0);
-    let mut gossip_time = (progress.disseminated >= progress.tokens).then_some(0);
-
-    while !workload.is_complete(&progress) && state.round() < config.max_rounds {
-        let tree = source.next_tree(&state);
-        state.apply(&tree);
-        for obs in observers.iter_mut() {
-            obs.on_round(&tree, &state);
-        }
-        progress = full_state_progress(&state);
-        if broadcast_time.is_none() && progress.disseminated >= 1 {
-            broadcast_time = Some(state.round());
-        }
-        if gossip_time.is_none() && progress.disseminated >= progress.tokens {
-            gossip_time = Some(state.round());
-        }
-    }
-
-    let outcome = if workload.is_complete(&progress) {
-        match config.until {
-            StopCondition::Broadcast => RunOutcome::Broadcast {
-                witness: state
-                    .broadcast_witness()
-                    // analyze: allow(panic): the Broadcast stop condition fired, so a witness row exists
-                    .expect("stop condition implies a witness"),
-            },
-            StopCondition::Gossip => RunOutcome::Gossip,
-        }
-    } else {
-        RunOutcome::RoundLimit
-    };
-
-    let report = RunReport {
-        n,
-        source: source.name(),
-        rounds: state.round(),
-        outcome,
-        broadcast_time,
-        gossip_time,
-        final_edge_count: state.edge_count(),
-    };
-    for obs in observers.iter_mut() {
-        obs.on_finish(&report);
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::drive::{drive, DenseEngine, Probe};
+    use crate::scenario::{NoFaults, RoundFaults};
+    use crate::workload::{run_workload, Broadcast, Gossip, WorkloadOutcome, WorkloadReport};
     use treecast_trees::generators;
 
     #[test]
     fn static_path_takes_n_minus_1() {
         for n in 2..10 {
             let mut source = StaticSource::new(generators::path(n));
-            let report = simulate(n, &mut source, SimulationConfig::for_n(n));
-            assert_eq!(report.broadcast_time, Some((n - 1) as u64), "n = {n}");
-            assert!(matches!(
-                report.outcome,
-                RunOutcome::Broadcast { witness: 0 }
-            ));
+            let mut witness = None;
+            let report = drive(
+                &mut DenseEngine::new(n, &mut source, &Broadcast),
+                &Broadcast,
+                &mut NoFaults,
+                SimulationConfig::for_n(n),
+                false,
+                &mut |_: &RoundFaults, _: &RootedTree, state: &BroadcastState| {
+                    witness = state.broadcast_witness();
+                },
+            );
+            assert_eq!(report.completion_time, Some((n - 1) as u64), "n = {n}");
+            assert_eq!(report.outcome, WorkloadOutcome::Completed);
+            assert_eq!(witness, Some(0));
         }
     }
 
     #[test]
     fn static_star_takes_1() {
         let mut source = StaticSource::new(generators::star(9));
-        let report = simulate(9, &mut source, SimulationConfig::for_n(9));
-        assert_eq!(report.broadcast_time, Some(1));
+        let report = run_workload(9, &mut source, &Broadcast, SimulationConfig::for_n(9));
+        assert_eq!(report.completion_time, Some(1));
     }
 
     #[test]
     fn single_process_is_instant() {
         let mut source = StaticSource::new(generators::star(1));
-        let report = simulate(1, &mut source, SimulationConfig::for_n(1));
-        assert_eq!(report.broadcast_time, Some(0));
+        let report = run_workload(1, &mut source, &Broadcast, SimulationConfig::for_n(1));
+        assert_eq!(report.completion_time, Some(0));
         assert_eq!(report.rounds, 0);
     }
 
@@ -387,10 +221,10 @@ mod tests {
     fn gossip_on_static_path_hits_round_limit() {
         let n = 4;
         let mut source = StaticSource::new(generators::path(n));
-        let report = simulate(n, &mut source, SimulationConfig::gossip_for_n(n));
-        assert_eq!(report.outcome, RunOutcome::RoundLimit);
+        let report = run_workload(n, &mut source, &Gossip, SimulationConfig::for_n(n));
+        assert_eq!(report.outcome, WorkloadOutcome::RoundLimit);
         assert_eq!(report.broadcast_time, Some((n - 1) as u64));
-        assert_eq!(report.gossip_time, None);
+        assert_eq!(report.completion_time, None);
     }
 
     #[test]
@@ -403,8 +237,8 @@ mod tests {
             generators::star(n),
         ];
         let mut source = SequenceSource::new(schedule);
-        let report = simulate(n, &mut source, SimulationConfig::for_n(n));
-        assert_eq!(report.broadcast_time, Some(3));
+        let report = run_workload(n, &mut source, &Broadcast, SimulationConfig::for_n(n));
+        assert_eq!(report.completion_time, Some(3));
     }
 
     #[test]
@@ -420,11 +254,11 @@ mod tests {
             rounds: u64,
             finishes: u64,
         }
-        impl Observer for Counter {
-            fn on_round(&mut self, _t: &RootedTree, _s: &BroadcastState) {
+        impl Probe<BroadcastState> for Counter {
+            fn on_round(&mut self, _: &RoundFaults, _: &RootedTree, _: &BroadcastState) {
                 self.rounds += 1;
             }
-            fn on_finish(&mut self, report: &RunReport) {
+            fn on_finish(&mut self, report: &WorkloadReport) {
                 self.finishes += 1;
                 assert_eq!(report.rounds, self.rounds);
             }
@@ -435,11 +269,13 @@ mod tests {
             finishes: 0,
         };
         let mut source = StaticSource::new(generators::path(n));
-        simulate_observed(
-            n,
-            &mut source,
+        drive(
+            &mut DenseEngine::new(n, &mut source, &Broadcast),
+            &Broadcast,
+            &mut NoFaults,
             SimulationConfig::for_n(n),
-            &mut [&mut counter],
+            false,
+            &mut counter,
         );
         assert_eq!(counter.rounds, (n - 1) as u64);
         assert_eq!(counter.finishes, 1);
@@ -449,7 +285,7 @@ mod tests {
     fn labels_flow_into_reports() {
         let n = 3;
         let mut source = StaticSource::new(generators::path(n)).with_label("my-path");
-        let report = simulate(n, &mut source, SimulationConfig::for_n(n));
+        let report = run_workload(n, &mut source, &Broadcast, SimulationConfig::for_n(n));
         assert_eq!(report.source, "my-path");
     }
 }

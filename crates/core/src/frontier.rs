@@ -1,54 +1,38 @@
-//! The frontier-sparse simulation engine: million-node broadcast runs in
-//! O(newly informed) work per round.
+//! The frontier-sparse engine: million-node runs in O(newly informed)
+//! work per round.
 //!
-//! The dense engine ([`crate::run_workload`]) carries the full `n × n`
-//! product graph — O(n²) bits of state and O(n²/64) word work per round,
-//! which caps experiments near n ≈ 10⁴. But the model is **monotone**:
-//! along a round tree, node `y` hears token `x` exactly when its parent
-//! already holds `x`, and (absent faults) holder sets only grow. So a
-//! token's run is fully described by its holder set plus the per-round
-//! *frontier* of newly informed nodes, and a round only needs to examine
+//! The dense engine carries the `n × n` product graph, O(n²/64) words of
+//! work per round. But along a round tree, node `y` hears token `x`
+//! exactly when its parent already holds `x`, so a round only needs to
+//! examine, per token,
 //!
 //! * last round's fault-**deferred** candidates,
-//! * the children (in this round's tree) of last round's frontier, and
-//! * the nodes whose parent changed since last round (the **delta** the
-//!   tree source reports).
+//! * the children of last round's **frontier** (newly informed nodes), and
+//! * the nodes whose parent changed (the **delta** the source reports).
 //!
-//! Everything else provably cannot change this round (see
-//! `apply_round`). On a static tree the delta is empty and a round costs
-//! O(frontier) — the paper's static path runs a million rounds at O(1)
-//! each, where the dense engine would pay O(n²/64) per round.
-//!
-//! Holder sets are [`HybridRow`]s: a sorted index list while small, dense
-//! words once promoted, so early rounds of a million-node run cost bytes,
-//! not 125 KB per token.
+//! Nothing else can change (see `apply_round`): on a static tree a round
+//! costs O(frontier). Holder sets are [`HybridRow`]s — sorted lists while
+//! small, dense words once promoted.
 //!
 //! # Exactness and scale
 //!
-//! The engine tracks an explicit token set. With [`SourceSet::All`]
-//! workloads (broadcast, k-broadcast, gossip) that is all `n` tokens —
-//! *exactly* the dense semantics, which is what the differential suite
-//! (`tests/frontier_differential.rs`) pins round-for-round against the
-//! dense oracle for n ≤ 1024, faults included. All-token tracking is
-//! inherently Ω(n²) in the worst case, so at n = 10⁶ the experiments use
-//! [`SourceSet::Nodes`] workloads ([`crate::KSourceBroadcast`]): the root
-//! token for broadcast (provably the dense answer on root-stable
-//! sources), a spread sample of k tokens for gossip-style sweeps.
-//!
-//! One observable difference at the report level:
-//! [`WorkloadReport::broadcast_time`] of a *tracked* (`SourceSet::Nodes`)
-//! run is the first round a **tracked** token disseminated, while the
-//! dense runner reports the first round *any* of the `n` tokens did. The
-//! two agree on every `SourceSet::All` workload.
+//! With [`SourceSet::All`] workloads all `n` tokens are tracked: exactly
+//! the dense semantics, pinned round-for-round (faults included) by
+//! `tests/frontier_differential.rs`. That is Ω(n²) in the worst case, so
+//! n = 10⁶ experiments track [`SourceSet::Nodes`]
+//! ([`crate::KSourceBroadcast`]). There, and only there,
+//! [`WorkloadReport::broadcast_time`] is the first round a *tracked*
+//! token disseminated, where the dense engine counts any of the `n`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use treecast_bitmatrix::{BitSet, HybridRow};
 use treecast_trees::{random, NodeId, RootedTree};
 
+use crate::drive::{drive, RoundEngine};
 use crate::engine::{summarize, SequenceSource, SimulationConfig, StaticSource, TreeSource};
 use crate::scenario::{FaultModel, NoFaults, RoundFaults};
-use crate::workload::{SourceSet, Workload, WorkloadOutcome, WorkloadProgress, WorkloadReport};
+use crate::workload::{SourceSet, Workload, WorkloadProgress, WorkloadReport};
 
 /// How this round's tree differs from the previous round's, as reported
 /// by [`FrontierSource::next_round`].
@@ -181,17 +165,11 @@ impl FrontierState {
         self.round
     }
 
-    /// Number of tracked tokens.
-    #[inline]
-    pub fn token_count(&self) -> usize {
-        self.tokens.len()
-    }
-
     /// The holder set of token `i`.
     ///
     /// # Panics
     ///
-    /// Panics if `i >= token_count()`.
+    /// Panics if `i` is not a tracked token.
     pub fn holders(&self, i: usize) -> &HybridRow {
         &self.tokens[i].holders
     }
@@ -213,19 +191,13 @@ impl FrontierState {
         }
     }
 
-    /// Checks the structural invariants that hold between rounds; a noop
-    /// in release builds.
+    /// Checks the between-round invariants; a noop in release builds.
     ///
-    /// Per token: the source always holds its own token (even `forget`
-    /// preserves this), frontier nodes are holders — or parked in
-    /// `deferred`, when a `forget` since the last round evicted them
-    /// from the holder set but not from the frontier list — deferred
-    /// nodes are in-range non-holders awaiting re-delivery, and the
-    /// cached `full` flag matches the holder set. Globally: `disseminated` equals the
-    /// recount of full tokens, and the `seen` dedup bits are all clear
-    /// (they are scrubbed via `touched` at the end of every round — the
-    /// other scratch vectors are recycled lazily and may hold stale
-    /// contents, so they carry no between-round invariant).
+    /// Per token: the source holds its own token, frontier nodes are
+    /// holders (or deferred, after a `forget`), deferred nodes are
+    /// in-range non-holders, and the cached `full` flag matches the
+    /// holder set. Globally: `disseminated` equals the recount of full
+    /// tokens, and the `seen` dedup bits are clear.
     ///
     /// # Panics
     ///
@@ -432,15 +404,11 @@ enum SourceKind {
     Seeded { seed: u64, n: usize },
 }
 
-/// A delta-reporting tree source for the frontier engine.
-///
-/// The dense [`TreeSource`] trait hands the adversary the full
-/// [`BroadcastState`](crate::BroadcastState) every round, which a sparse
-/// run cannot afford to materialize — so the frontier engine has its own
-/// (state-oblivious) source type that additionally reports a
-/// [`RoundDelta`] per round. Every variant has an exact dense twin
-/// ([`FrontierSource::dense_twin`]) producing the identical tree
-/// sequence, which is what the differential suite runs the oracle on.
+/// A state-oblivious tree source for the frontier engine that also
+/// reports each round's [`RoundDelta`]. (The dense [`TreeSource`] reads
+/// the full [`BroadcastState`](crate::BroadcastState), which a sparse run
+/// cannot afford.) Every variant has an exact dense twin
+/// ([`FrontierSource::dense_twin`]), the differential suite's oracle.
 ///
 /// # Examples
 ///
@@ -547,11 +515,9 @@ impl FrontierSource {
         self.label.clone()
     }
 
-    /// A dense [`TreeSource`] producing the identical tree sequence — the
-    /// oracle side of the differential tests. Call it on a *fresh*
-    /// source; the seeded variant replays its RNG from the seed, drawing
-    /// each tree when the run asks for it. Every twin matches for as many
-    /// rounds as the run plays, so `_max_rounds` bounds nothing.
+    /// A dense [`TreeSource`] producing the identical tree sequence, for
+    /// as many rounds as the run plays (`_max_rounds` bounds nothing).
+    /// The seeded twin replays the RNG from the seed.
     pub fn dense_twin(&self, _max_rounds: u64) -> Box<dyn TreeSource> {
         match &self.kind {
             SourceKind::Static(tree) => Box::new(StaticSource::new(tree.clone())),
@@ -644,6 +610,58 @@ impl FrontierSource {
     }
 }
 
+/// The frontier engine for [`drive`]: a [`FrontierState`] over the
+/// workload's tokens, stepped along a [`FrontierSource`] with the offline
+/// nodes masked, then the losses applied.
+pub struct FrontierEngine<'a> {
+    source: &'a mut FrontierSource,
+    state: FrontierState,
+}
+
+impl<'a> FrontierEngine<'a> {
+    /// A fresh `n`-process engine for `workload`'s tokens.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or a workload source is out of range.
+    pub fn new<W: Workload + ?Sized>(
+        n: usize,
+        source: &'a mut FrontierSource,
+        workload: &W,
+    ) -> Self {
+        let sources: Vec<NodeId> = match workload.sources(n) {
+            SourceSet::All => (0..n).collect(),
+            SourceSet::Nodes(nodes) => nodes,
+        };
+        FrontierEngine {
+            source,
+            state: FrontierState::new(n, &sources),
+        }
+    }
+}
+
+impl RoundEngine for FrontierEngine<'_> {
+    type State = FrontierState;
+
+    fn step(&mut self, faults: &RoundFaults) -> Option<(&RootedTree, &FrontierState)> {
+        let round = self.source.next_round(self.state.n(), faults.root);
+        self.state
+            .apply_round(round.tree, round.delta, &faults.offline);
+        for &y in &faults.losses {
+            self.state.forget(y);
+        }
+        Some((round.tree, &self.state))
+    }
+
+    fn progress(&self) -> WorkloadProgress {
+        self.state.progress()
+    }
+
+    fn source_name(&self) -> String {
+        self.source.name()
+    }
+}
+
 /// Runs `source` against `workload` on the frontier engine — the sparse
 /// counterpart of [`crate::run_workload`], with identical report
 /// semantics (and, like it, an empty `fault_log`).
@@ -678,26 +696,13 @@ pub fn run_workload_frontier<W: Workload + ?Sized>(
     workload: &W,
     config: SimulationConfig,
 ) -> WorkloadReport {
-    // Quiet rounds skip log recording entirely: a million-round run must
-    // not retain a million `RoundFaults`.
-    run_frontier_inner(
-        n,
-        source,
-        workload,
-        &mut NoFaults,
-        config,
-        false,
-        |_, _, _| {},
-    )
+    let mut engine = FrontierEngine::new(n, source, workload);
+    drive(&mut engine, workload, &mut NoFaults, config, false, &mut ())
 }
 
 /// Runs `source` against `workload` under `faults` on the frontier engine
-/// — the sparse counterpart of [`crate::run_workload_faulty`], mirroring
-/// its per-round call sequence exactly (fault query, normalization,
-/// re-rooting, offline masking, losses, logging) so the recorded
-/// [`WorkloadReport::fault_log`] is bit-identical to the dense runner's
-/// and replays through
-/// [`FaultSchedule::replay`](crate::scenario::FaultSchedule::replay).
+/// — the sparse counterpart of [`crate::run_workload_faulty`], with a
+/// bit-identical [`WorkloadReport::fault_log`].
 ///
 /// # Panics
 ///
@@ -714,93 +719,8 @@ where
     W: Workload + ?Sized,
     F: FaultModel + ?Sized,
 {
-    run_frontier_inner(n, source, workload, faults, config, true, |_, _, _| {})
-}
-
-/// [`run_workload_frontier_faulty`] with a per-round hook, mirroring
-/// [`crate::run_workload_faulty_traced`]: called after every executed
-/// round (losses applied) with the round's faults, the effective tree,
-/// and the state — the witness the differential suite compares
-/// round-for-round against the dense oracle's trace.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`run_workload_frontier_faulty`].
-pub fn run_workload_frontier_faulty_traced<W, F>(
-    n: usize,
-    source: &mut FrontierSource,
-    workload: &W,
-    faults: &mut F,
-    config: SimulationConfig,
-    on_round: impl FnMut(&RoundFaults, &RootedTree, &FrontierState),
-) -> WorkloadReport
-where
-    W: Workload + ?Sized,
-    F: FaultModel + ?Sized,
-{
-    run_frontier_inner(n, source, workload, faults, config, true, on_round)
-}
-
-fn run_frontier_inner<W, F>(
-    n: usize,
-    source: &mut FrontierSource,
-    workload: &W,
-    faults: &mut F,
-    config: SimulationConfig,
-    record_log: bool,
-    mut on_round: impl FnMut(&RoundFaults, &RootedTree, &FrontierState),
-) -> WorkloadReport
-where
-    W: Workload + ?Sized,
-    F: FaultModel + ?Sized,
-{
-    let sources = match workload.sources(n) {
-        SourceSet::All => (0..n).collect(),
-        SourceSet::Nodes(nodes) => nodes,
-    };
-    let mut state = FrontierState::new(n, &sources);
-    let mut progress = state.progress();
-    let mut completion_time = workload.is_complete(&progress).then_some(0);
-    let mut broadcast_time = (progress.disseminated >= 1).then_some(0);
-    let mut fault_log: Vec<RoundFaults> = Vec::new();
-
-    while completion_time.is_none() && state.round() < config.max_rounds {
-        let mut rf = faults.faults(state.round() + 1, n);
-        rf.normalize(n);
-        let round = source.next_round(n, rf.root);
-        state.apply_round(round.tree, round.delta, &rf.offline);
-        for &y in &rf.losses {
-            state.forget(y);
-        }
-        on_round(&rf, round.tree, &state);
-        if record_log {
-            fault_log.push(rf);
-        }
-        progress = state.progress();
-        if workload.is_complete(&progress) {
-            completion_time = Some(progress.round);
-        }
-        if broadcast_time.is_none() && progress.disseminated >= 1 {
-            broadcast_time = Some(state.round());
-        }
-    }
-
-    WorkloadReport {
-        n,
-        workload: workload.name(),
-        source: source.name(),
-        rounds: state.round(),
-        outcome: if completion_time.is_some() {
-            WorkloadOutcome::Completed
-        } else {
-            WorkloadOutcome::RoundLimit
-        },
-        completion_time,
-        broadcast_time,
-        disseminated: progress.disseminated,
-        tokens: progress.tokens,
-        fault_log,
-    }
+    let mut engine = FrontierEngine::new(n, source, workload);
+    drive(&mut engine, workload, faults, config, true, &mut ())
 }
 
 #[cfg(test)]

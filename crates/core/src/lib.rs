@@ -13,35 +13,26 @@
 //!
 //! This crate provides:
 //!
-//! * [`BroadcastState`] — the evolving product graph (Definitions 2.1–2.2)
-//!   in an `O(n²/64)`-per-round column representation;
-//! * [`simulate`] / [`simulate_observed`] and the [`TreeSource`] trait —
-//!   the adversary interface (Definition 2.3) and run engine;
-//! * [`bounds`] — every formula in the paper's Figure 1, in exact integer
-//!   arithmetic;
-//! * [`Workload`] / [`run_workload`] — the companion paper's variant
-//!   workloads (arXiv:2211.10151): `k`-broadcast, all-to-all gossip, and
-//!   batched token-subset dissemination ([`TrackedTokens`]);
-//! * [`prefix`] / [`run_workload_prefixes`] — workload runs off a stream
-//!   of precomposed prefix products ([`PrefixProvider`]), composing each
-//!   reversed prefix exactly once for all sources — the hot path behind
-//!   the `treecast-server` prefix cache;
-//! * [`scenario`] / [`run_workload_faulty`] — the fault layer over the
-//!   workload lattice (token loss, dynamic root reassignment, node
-//!   dropout/rejoin), every run replayable from its recorded
-//!   [`WorkloadReport::fault_log`];
-//! * [`replica`] — the replica-source contract ([`ReplicaSource`],
-//!   [`TreeSpec`], the per-mille [`FaultSpec`], the shared seed
-//!   derivation) through which both the Monte Carlo layer and the gossip
-//!   emulation fan out seeded replicas of one cell;
-//! * [`frontier`] / [`run_workload_frontier`] — a second, frontier-sparse
-//!   engine whose rounds cost O(newly informed) instead of O(n²/64),
-//!   scaling the same workloads and faults to n = 10⁶ and pinned
-//!   round-for-round to the dense engine by a differential test layer;
-//! * [`MetricsRecorder`] — the matrix-evolution quantities of the paper's
-//!   Section 3 analysis, observable round by round;
-//! * [`CertObserver`] / [`cert::check_theorem`] — runtime certificates for
-//!   monotonicity, strict progress, and the Theorem 3.1 sandwich.
+//! * [`BroadcastState`] — the product graph (Definitions 2.1–2.2) in an
+//!   `O(n²/64)`-per-round column representation;
+//! * [`TreeSource`] — the adversary interface (Definition 2.3);
+//! * [`drive`] — the one round loop, over a [`RoundEngine`] (dense,
+//!   frontier, prefix, and `treecast-emulation`'s gossip protocol), with a
+//!   [`Probe`] watching each round;
+//! * [`bounds`] — every formula in the paper's Figure 1, in exact integers;
+//! * [`Workload`] / [`run_workload`] — the variant workloads of
+//!   arXiv:2211.10151: `k`-broadcast, gossip, token subsets;
+//! * [`prefix`] — runs off precomposed prefix products, composed once for
+//!   all sources (the `treecast-server` cache's hot path);
+//! * [`scenario`] — token loss, root reassignment and dropout, every run
+//!   replayable from its [`WorkloadReport::fault_log`];
+//! * [`replica`] — the seeded-replica contract shared by the Monte Carlo
+//!   layer and the gossip emulation;
+//! * [`frontier`] — a sparse engine whose rounds cost O(newly informed),
+//!   scaling the same workloads and faults to n = 10⁶;
+//! * [`MetricsRecorder`] / [`CertObserver`] — probes recording the
+//!   Section 3 matrix quantities and certifying monotonicity, strict
+//!   progress and the Theorem 3.1 sandwich.
 //!
 //! # Examples
 //!
@@ -49,13 +40,13 @@
 //! rounds, well inside the theorem's window:
 //!
 //! ```
-//! use treecast_core::{bounds, simulate, SimulationConfig, StaticSource};
+//! use treecast_core::{bounds, run_workload, Broadcast, SimulationConfig, StaticSource};
 //! use treecast_trees::generators;
 //!
 //! let n = 12;
 //! let mut source = StaticSource::new(generators::path(n));
-//! let report = simulate(n, &mut source, SimulationConfig::for_n(n));
-//! let t = report.broadcast_time.unwrap();
+//! let report = run_workload(n, &mut source, &Broadcast, SimulationConfig::for_n(n));
+//! let t = report.completion_time_or_panic();
 //! assert_eq!(t, (n as u64) - 1);
 //! assert!(t <= bounds::upper_bound(n as u64));
 //! ```
@@ -65,6 +56,7 @@
 
 pub mod bounds;
 pub mod cert;
+mod drive;
 mod engine;
 pub mod frontier;
 pub mod metrics;
@@ -75,24 +67,24 @@ pub mod scenario;
 pub mod workload;
 
 pub use cert::{CertObserver, TheoremVerdict, Violation};
-pub use engine::{
-    simulate, simulate_observed, Observer, RunOutcome, RunReport, SequenceSource, SimulationConfig,
-    StaticSource, StopCondition, TreeSource,
-};
+pub use drive::{drive, DenseEngine, Probe, RoundEngine};
+pub use engine::{SequenceSource, SimulationConfig, StaticSource, TreeSource};
 pub use frontier::{
-    run_workload_frontier, run_workload_frontier_faulty, run_workload_frontier_faulty_traced,
-    FrontierRound, FrontierSource, FrontierState, RoundDelta,
+    run_workload_frontier, run_workload_frontier_faulty, FrontierEngine, FrontierRound,
+    FrontierSource, FrontierState, RoundDelta,
 };
 pub use metrics::{MetricsRecorder, RoundMetrics};
 pub use model::BroadcastState;
-pub use prefix::{run_workload_prefixes, ComposedPrefixes, PrefixProvider, PrefixRound};
+pub use prefix::{
+    run_workload_prefixes, ComposedPrefixes, PrefixEngine, PrefixProvider, PrefixRound,
+};
 pub use replica::{
     default_budget, replica_seed, splitmix64, FaultSpec, ReplicaOutcome, ReplicaSource, TreeSpec,
     TREE_STREAM_TWEAK,
 };
 pub use scenario::{
-    run_workload_faulty, run_workload_faulty_traced, FaultModel, FaultSchedule, NoFaults,
-    RotatingRoot, RoundFaults, SeededFaults,
+    run_workload_faulty, FaultModel, FaultSchedule, NoFaults, RotatingRoot, RoundFaults,
+    SeededFaults,
 };
 pub use workload::{
     run_workload, Broadcast, Gossip, KBroadcast, KSourceBroadcast, SourceSet, TrackedTokens,

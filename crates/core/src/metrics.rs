@@ -3,15 +3,16 @@
 //! Section 3 of the paper: *"Our analysis is enabled by a novel perspective
 //! on the problem: adjacency matrices with boolean entries. We analyse how
 //! these adjacency matrices evolve over rounds."* This module turns that
-//! perspective into observable data: a [`MetricsRecorder`] observer samples
+//! perspective into observable data: a [`MetricsRecorder`] probe samples
 //! the quantities the proof tracks (row weights, fresh edges, duplicate
 //! rows) and renders them as CSV for experiment E8.
 
 use treecast_bitmatrix::BoolMatrix;
 use treecast_trees::RootedTree;
 
-use crate::engine::{Observer, RunReport};
+use crate::drive::Probe;
 use crate::model::BroadcastState;
+use crate::scenario::RoundFaults;
 
 /// One sampled round of matrix-evolution statistics.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,19 +45,23 @@ pub struct RoundMetrics {
     pub tree_height: usize,
 }
 
-/// Observer that samples [`RoundMetrics`] every `every` rounds (and always
-/// on the final round it sees).
+/// A dense-engine [`Probe`] that samples [`RoundMetrics`] every `every`
+/// rounds.
 ///
 /// # Examples
 ///
 /// ```
-/// use treecast_core::{simulate_observed, MetricsRecorder, SimulationConfig, StaticSource};
+/// use treecast_core::{
+///     drive, Broadcast, DenseEngine, MetricsRecorder, NoFaults, SimulationConfig, StaticSource,
+/// };
 /// use treecast_trees::generators;
 ///
 /// let n = 8;
 /// let mut metrics = MetricsRecorder::every_round();
 /// let mut source = StaticSource::new(generators::path(n));
-/// simulate_observed(n, &mut source, SimulationConfig::for_n(n), &mut [&mut metrics]);
+/// let mut engine = DenseEngine::new(n, &mut source, &Broadcast);
+/// let cfg = SimulationConfig::for_n(n);
+/// drive(&mut engine, &Broadcast, &mut NoFaults, cfg, false, &mut metrics);
 /// let trace = metrics.trace();
 /// assert_eq!(trace.len(), (n - 1) as usize);
 /// // Strict progress: every round added at least one edge.
@@ -93,11 +98,6 @@ impl MetricsRecorder {
     /// The collected trace.
     pub fn trace(&self) -> &[RoundMetrics] {
         &self.trace
-    }
-
-    /// Consumes the recorder, returning the trace.
-    pub fn into_trace(self) -> Vec<RoundMetrics> {
-        self.trace
     }
 
     /// Renders the trace as CSV (with header), ready for plotting.
@@ -154,8 +154,8 @@ impl Default for MetricsRecorder {
     }
 }
 
-impl Observer for MetricsRecorder {
-    fn on_round(&mut self, tree: &RootedTree, state: &BroadcastState) {
+impl Probe<BroadcastState> for MetricsRecorder {
+    fn on_round(&mut self, _faults: &RoundFaults, tree: &RootedTree, state: &BroadcastState) {
         if self.trace.is_empty() {
             // First sighting: baseline is the identity state's n edges.
             self.last_edges = state.n();
@@ -164,30 +164,30 @@ impl Observer for MetricsRecorder {
             self.sample(tree, state);
         }
     }
-
-    fn on_finish(&mut self, report: &RunReport) {
-        // Ensure the last round is always in the trace.
-        if self.trace.last().map(|m| m.round) != Some(report.rounds) && report.rounds > 0 {
-            // Nothing to sample from here (no state access); the engine
-            // calls on_round for every round, so with every == 1 this
-            // cannot happen. For sparse sampling the final in-between
-            // round is simply absent, which is fine for plots.
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{simulate_observed, SimulationConfig, StaticSource};
+    use crate::drive::{drive, DenseEngine};
+    use crate::engine::{SimulationConfig, StaticSource};
+    use crate::scenario::NoFaults;
+    use crate::workload::Broadcast;
     use treecast_trees::generators;
+
+    /// Broadcasts `tree` statically on `n` nodes with `rec` attached.
+    fn record(n: usize, tree: RootedTree, rec: &mut MetricsRecorder) {
+        let mut src = StaticSource::new(tree);
+        let mut engine = DenseEngine::new(n, &mut src, &Broadcast);
+        let cfg = SimulationConfig::for_n(n);
+        drive(&mut engine, &Broadcast, &mut NoFaults, cfg, false, rec);
+    }
 
     #[test]
     fn path_trace_shape() {
         let n = 6;
         let mut rec = MetricsRecorder::every_round();
-        let mut src = StaticSource::new(generators::path(n));
-        simulate_observed(n, &mut src, SimulationConfig::for_n(n), &mut [&mut rec]);
+        record(n, generators::path(n), &mut rec);
         let trace = rec.trace();
         assert_eq!(trace.len(), 5);
         // Edge counts strictly increase.
@@ -205,8 +205,7 @@ mod tests {
     fn new_edges_accounting_starts_from_identity() {
         let n = 5;
         let mut rec = MetricsRecorder::every_round();
-        let mut src = StaticSource::new(generators::star(n));
-        simulate_observed(n, &mut src, SimulationConfig::for_n(n), &mut [&mut rec]);
+        record(n, generators::star(n), &mut rec);
         let trace = rec.trace();
         assert_eq!(trace.len(), 1);
         // Star round 1: n−1 fresh edges from the center.
@@ -218,8 +217,7 @@ mod tests {
     fn sampled_recorder_skips() {
         let n = 9;
         let mut rec = MetricsRecorder::sampled(3);
-        let mut src = StaticSource::new(generators::path(n));
-        simulate_observed(n, &mut src, SimulationConfig::for_n(n), &mut [&mut rec]);
+        record(n, generators::path(n), &mut rec);
         let rounds: Vec<u64> = rec.trace().iter().map(|m| m.round).collect();
         assert_eq!(rounds, vec![3, 6]);
     }
@@ -228,8 +226,7 @@ mod tests {
     fn csv_has_header_and_rows() {
         let n = 4;
         let mut rec = MetricsRecorder::every_round();
-        let mut src = StaticSource::new(generators::path(n));
-        simulate_observed(n, &mut src, SimulationConfig::for_n(n), &mut [&mut rec]);
+        record(n, generators::path(n), &mut rec);
         let csv = rec.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 1 + 3);

@@ -181,11 +181,15 @@ impl BroadcastState {
     }
 
     /// All broadcast witnesses: nodes `x` present in **every** heard-from
-    /// set, i.e. `⋂_y heard[y]`.
+    /// set, i.e. `⋂_y heard[y]`. Bails out at the first empty meet, so
+    /// the rounds before broadcast stay cheap.
     pub fn broadcast_witnesses(&self) -> BitSet {
-        let mut acc = BitSet::full(self.n);
-        for h in self.heard.rows() {
-            acc.intersect_with(h);
+        let mut acc = self.heard.row(0).to_bitset();
+        for y in 1..self.n {
+            if acc.is_empty() {
+                break;
+            }
+            acc.intersect_with(self.heard.row(y));
         }
         acc
     }
@@ -193,16 +197,7 @@ impl BroadcastState {
     /// The smallest broadcast witness, if broadcast has been achieved
     /// (Definition 2.2).
     pub fn broadcast_witness(&self) -> Option<NodeId> {
-        // Cheaper than materializing the intersection when far from done:
-        // bail at the first empty meet.
-        let mut acc = self.heard.row(0).to_bitset();
-        for y in 1..self.n {
-            acc.intersect_with(self.heard.row(y));
-            if acc.is_empty() {
-                return None;
-            }
-        }
-        acc.min()
+        self.broadcast_witnesses().min()
     }
 
     /// Returns `true` if every node has heard from every node — the gossip
@@ -212,22 +207,9 @@ impl BroadcastState {
     }
 
     /// Number of *disseminated tokens*: nodes whose information has
-    /// reached everyone (full rows of `G(t)`, i.e. broadcast witnesses).
-    ///
-    /// This is the progress measure of the workload lattice
-    /// ([`crate::Workload`]): broadcast waits for 1, `k`-broadcast for
-    /// `k`, gossip for `n`. Bails out at the first empty intersection, so
-    /// the pre-broadcast rounds of a run pay the same early-exit cost as
-    /// [`BroadcastState::broadcast_witness`].
+    /// reached everyone — the progress measure of [`crate::Workload`].
     pub fn disseminated_count(&self) -> usize {
-        let mut acc = self.heard.row(0).to_bitset();
-        for y in 1..self.n {
-            acc.intersect_with(self.heard.row(y));
-            if acc.is_empty() {
-                return 0;
-            }
-        }
-        acc.len()
+        self.broadcast_witnesses().len()
     }
 
     /// Applies one synchronous round along `tree` (with implicit
@@ -256,13 +238,8 @@ impl BroadcastState {
     }
 
     /// Applies one synchronous round along an arbitrary directed graph
-    /// `m` (self-loops are **not** implied; pass a reflexive matrix to
-    /// preserve information).
-    ///
-    /// Used by the nonsplit-graph experiments, where rounds are not trees.
-    /// Double-buffered: the state keeps a scratch matrix between calls, so
-    /// steady-state round application performs no heap allocation (the
-    /// scratch is allocated once, on the first call).
+    /// `m` (self-loops are **not** implied). Double-buffered, so
+    /// steady-state calls do not allocate.
     ///
     /// # Panics
     ///
@@ -293,14 +270,9 @@ impl BroadcastState {
         self.round += 1;
     }
 
-    /// Token-loss fault: node `y` forgets everything it has heard except
-    /// its own token (`heard[y] := {y}`).
-    ///
-    /// This deliberately breaks the monotone-growth invariant of the
-    /// fault-free model — it is the scenario layer's primitive
-    /// ([`crate::scenario`]), not part of the paper's Definition 2.1
-    /// semantics. The round counter is unchanged (a loss happens *within*
-    /// a round).
+    /// Token-loss fault ([`crate::scenario`]): node `y` forgets everything
+    /// but its own token (`heard[y] := {y}`), breaking the fault-free
+    /// model's monotone growth. The round counter is unchanged.
     ///
     /// # Panics
     ///

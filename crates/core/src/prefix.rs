@@ -1,55 +1,39 @@
 //! Precomposed prefix products: run any [`Workload`] off a stream of
 //! round-prefix products instead of stepping a state per source.
 //!
-//! The paper reduces every dissemination variant to the product
-//! `G(t) = A₁ ∘ … ∘ A_t` of per-round tree matrices: token `x` is
-//! disseminated at round `t` iff row `x` of `G(t)` is full, broadcast
-//! completes when some row is full, gossip when all rows are. The gossip
-//! reduction used to be exercised per source — for each source `x` and
-//! horizon `t` the reversed product `R(t) = A_tᵀ ∘ … ∘ A₁ᵀ = G(t)ᵀ` was
-//! recomposed from scratch (`O(sources × rounds)` compositions, the shape
-//! kept as [`gossip_time_naive_per_source`]). But `R(t)` extends by a
-//! single **left** composition,
+//! Token `x` is disseminated at round `t` iff row `x` of
+//! `G(t) = A₁ ∘ … ∘ A_t` is full. The reversed product
+//! `R(t) = G(t)ᵀ` extends by one **left** composition,
 //!
 //! ```text
 //! R(t+1) = A_{t+1}ᵀ ∘ R(t),
 //! ```
 //!
-//! whose left operand is a transposed round tree with at most `2n` edges —
-//! the sparse kernel of `BoolMatrix::compose_into`. So one `O(n²/64)`
-//! composition per round serves **every** source at once: row `y` of
-//! `R(t)` is the heard-from set of node `y`, and AND-ing all rows yields
-//! the set of disseminated tokens in one linear scan.
+//! whose left operand has at most `2n` edges (the sparse kernel of
+//! `BoolMatrix::compose_into`). So one composition per round serves every
+//! source: row `y` of `R(t)` is `y`'s heard-from set, and the AND of all
+//! rows is the disseminated-token mask.
 //!
-//! This module provides:
-//!
-//! * [`PrefixProvider`] — the stream-of-prefix-products abstraction
-//!   ([`run_workload_prefixes`] is generic over it, so the server's
-//!   sharded cache can substitute warm products for fresh compositions);
-//! * [`ComposedPrefixes`] — the direct provider over a tree sequence
-//!   (`SequenceSource` semantics: the last tree repeats);
-//! * [`run_workload_prefixes`] — the engine loop over a provider,
-//!   producing a [`WorkloadReport`] field-for-field identical to
-//!   [`crate::run_workload`] on the same schedule;
-//! * [`gossip_time_naive_per_source`] — the superseded per-source
-//!   recomputation, kept as the differential/microbench reference.
-//!
-//! Faulty rounds (token loss, re-rooting, dropout) break the pure product
-//! structure, so scenario replays stay on
-//! [`crate::run_workload_faulty`]; this module is the fault-free hot
-//! path.
+//! A [`PrefixProvider`] streams the products — [`ComposedPrefixes`]
+//! directly, the server's cache from warm entries — and
+//! [`run_workload_prefixes`] drives a workload off them. Faults break the
+//! product structure, so this is the fault-free path.
 
 use treecast_bitmatrix::{BitSet, BoolMatrix};
 use treecast_trees::RootedTree;
 
+use crate::drive::{drive, RoundEngine};
 use crate::engine::SimulationConfig;
-use crate::workload::{SourceSet, Workload, WorkloadOutcome, WorkloadProgress, WorkloadReport};
+use crate::scenario::{NoFaults, RoundFaults};
+use crate::workload::{SourceSet, Workload, WorkloadProgress, WorkloadReport};
 
 /// One round's precomposed prefix product, in heard view.
 #[derive(Debug, Clone, Copy)]
 pub struct PrefixRound<'a> {
     /// The 1-based round this prefix covers.
     pub round: u64,
+    /// The round's tree `A_t` (the schedule's last tree, once it repeats).
+    pub tree: &'a RootedTree,
     /// `R(t) = G(t)ᵀ`: row `y` is the heard-from set of node `y` after
     /// `t` rounds.
     pub heard: &'a BoolMatrix,
@@ -59,13 +43,8 @@ pub struct PrefixRound<'a> {
 }
 
 /// A stream of round-prefix products `R(1), R(2), …` for one tree
-/// schedule.
-///
-/// Implementations compose each prefix **once** regardless of how many
-/// sources the consuming workload measures — [`ComposedPrefixes`] by
-/// incremental left-composition, the server's cache by returning warm
-/// products. `next_prefix` returns `None` when the schedule is exhausted
-/// (providers with `SequenceSource` repeat-last semantics never are).
+/// schedule, each composed once for all sources. `next_prefix` returns
+/// `None` when the schedule is exhausted.
 pub trait PrefixProvider {
     /// Number of processes.
     fn n(&self) -> usize;
@@ -79,9 +58,7 @@ pub trait PrefixProvider {
 }
 
 /// Computes the disseminated-token mask of a heard-view product: the AND
-/// of all rows. Exposed for providers that memoize the mask next to the
-/// matrix (the server cache stores it per entry so warm rounds skip the
-/// scan).
+/// of all rows (public for providers that memoize it).
 pub fn disseminated_mask(heard: &BoolMatrix, out: &mut BitSet) {
     let n = heard.n();
     assert_eq!(
@@ -99,13 +76,8 @@ pub fn disseminated_mask(heard: &BoolMatrix, out: &mut BitSet) {
 }
 
 /// The direct [`PrefixProvider`]: left-composes `R(t+1) = A_{t+1}ᵀ ∘ R(t)`
-/// over a tree sequence, repeating the last tree forever (the
-/// `SequenceSource` convention, so a prefix-driven run sees the same
-/// schedule as an engine-driven one).
-///
-/// Steady-state advancing performs no heap allocation: the product, its
-/// double buffer, the transposed round matrix, and the mask are all
-/// retained.
+/// over a tree sequence, repeating the last tree forever (as
+/// `SequenceSource` does), with no steady-state allocation.
 #[derive(Debug, Clone)]
 pub struct ComposedPrefixes {
     n: usize,
@@ -182,6 +154,7 @@ impl PrefixProvider for ComposedPrefixes {
         disseminated_mask(&self.heard, &mut self.mask);
         Some(PrefixRound {
             round: self.round,
+            tree,
             heard: &self.heard,
             disseminated: &self.mask,
         })
@@ -192,16 +165,85 @@ impl PrefixProvider for ComposedPrefixes {
     }
 }
 
+/// The prefix engine for [`drive`]: reads each round's dissemination
+/// count off a [`PrefixProvider`] instead of stepping a state; a probe
+/// sees the heard view `R(t)`. Fault-free: a faulty round panics.
+pub struct PrefixEngine<'a, P: ?Sized> {
+    provider: &'a mut P,
+    progress: WorkloadProgress,
+    /// The workload's sources as a mask; `None` counts all `n` tokens.
+    sources: Option<BitSet>,
+    any_disseminated: bool,
+}
+
+impl<'a, P: PrefixProvider + ?Sized> PrefixEngine<'a, P> {
+    /// An engine over `provider` counting `workload`'s tokens.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `provider.n() == 0` or a workload source is out of range.
+    pub fn new<W: Workload + ?Sized>(provider: &'a mut P, workload: &W) -> Self {
+        let n = provider.n();
+        assert!(n > 0, "the model needs at least one process");
+        let (tokens, sources) = match workload.sources(n) {
+            SourceSet::All => (n, None),
+            SourceSet::Nodes(sources) => {
+                for &s in &sources {
+                    assert!(s < n, "source {s} out of range for n = {n}");
+                }
+                (sources.len(), Some(BitSet::from_indices(n, sources)))
+            }
+        };
+        // R(0) is the identity: every token is disseminated iff n == 1.
+        PrefixEngine {
+            provider,
+            progress: WorkloadProgress {
+                n,
+                round: 0,
+                tokens,
+                disseminated: if n == 1 { tokens } else { 0 },
+            },
+            sources,
+            any_disseminated: n == 1,
+        }
+    }
+}
+
+impl<P: PrefixProvider + ?Sized> RoundEngine for PrefixEngine<'_, P> {
+    type State = BoolMatrix;
+
+    fn step(&mut self, faults: &RoundFaults) -> Option<(&RootedTree, &BoolMatrix)> {
+        assert!(faults.is_quiet(), "prefix products are fault-free");
+        let prefix = self.provider.next_prefix()?;
+        self.progress.round = prefix.round;
+        self.progress.disseminated = match &self.sources {
+            None => prefix.disseminated.len(),
+            Some(bits) => prefix.disseminated.intersection_len(bits),
+        };
+        self.any_disseminated = !prefix.disseminated.is_empty();
+        Some((prefix.tree, prefix.heard))
+    }
+
+    fn progress(&self) -> WorkloadProgress {
+        self.progress
+    }
+
+    fn any_disseminated(&self, _progress: &WorkloadProgress) -> bool {
+        self.any_disseminated
+    }
+
+    fn source_name(&self) -> String {
+        self.provider.name()
+    }
+}
+
 /// Runs `workload` off `provider`'s prefix products until completion,
-/// `config.max_rounds`, or provider exhaustion — the prefix-driven
-/// counterpart of [`crate::run_workload`].
+/// `config.max_rounds`, or provider exhaustion — [`drive`] on the
+/// [`PrefixEngine`].
 ///
-/// The report is field-for-field identical to a [`crate::run_workload`]
-/// run of the same schedule (`tests/prefix_differential.rs` pins this
-/// across the workload lattice), but the per-round cost is one shared
-/// composition — the gossip and k-broadcast reductions no longer pay
-/// anything per source. `config.until` is ignored; fault-free by
-/// construction, so `fault_log` is empty.
+/// The report equals a [`crate::run_workload`] run of the same schedule
+/// (`tests/prefix_differential.rs` pins this), at one shared composition
+/// per round. `fault_log` is empty.
 ///
 /// # Examples
 ///
@@ -228,86 +270,13 @@ where
     P: PrefixProvider + ?Sized,
     W: Workload + ?Sized,
 {
-    let n = provider.n();
-    assert!(n > 0, "the model needs at least one process");
-    let (tokens, source_bits) = match workload.sources(n) {
-        SourceSet::All => (n, None),
-        SourceSet::Nodes(sources) => {
-            for &s in &sources {
-                assert!(s < n, "source {s} out of range for n = {n}");
-            }
-            let k = sources.len();
-            (k, Some(BitSet::from_indices(n, sources)))
-        }
-    };
-    let count = |mask: &BitSet| match &source_bits {
-        None => mask.len(),
-        Some(bits) => mask.intersection_len(bits),
-    };
-
-    // Round 0: R(0) is the identity, so the mask is full iff n == 1.
-    let mask0 = if n == 1 {
-        BitSet::full(n)
-    } else {
-        BitSet::new(n)
-    };
-    let mut round = 0u64;
-    let mut disseminated = count(&mask0);
-    let mut completion_time = workload
-        .is_complete(&WorkloadProgress {
-            n,
-            round,
-            tokens,
-            disseminated,
-        })
-        .then_some(0);
-    let mut broadcast_time = (!mask0.is_empty()).then_some(0);
-
-    while completion_time.is_none() && round < config.max_rounds {
-        let Some(prefix) = provider.next_prefix() else {
-            break;
-        };
-        round = prefix.round;
-        disseminated = count(prefix.disseminated);
-        let progress = WorkloadProgress {
-            n,
-            round,
-            tokens,
-            disseminated,
-        };
-        if workload.is_complete(&progress) {
-            completion_time = Some(round);
-        }
-        if broadcast_time.is_none() && !prefix.disseminated.is_empty() {
-            broadcast_time = Some(round);
-        }
-    }
-
-    WorkloadReport {
-        n,
-        workload: workload.name(),
-        source: provider.name(),
-        rounds: round,
-        outcome: if completion_time.is_some() {
-            WorkloadOutcome::Completed
-        } else {
-            WorkloadOutcome::RoundLimit
-        },
-        completion_time,
-        broadcast_time,
-        disseminated,
-        tokens,
-        fault_log: Vec::new(),
-    }
+    let mut engine = PrefixEngine::new(provider, workload);
+    drive(&mut engine, workload, &mut NoFaults, config, false, &mut ())
 }
 
-/// The superseded gossip reduction, verbatim: for every source `x` and
-/// every horizon `t`, recompose the reversed product `R(t)` **from
-/// scratch** and test row `x` — `O(sources × horizons)` full
-/// compositions against the shared path's one per round.
-///
-/// Kept as the differential reference and the "before" half of the
-/// workloads microbench; never call this on a hot path.
+/// The naive gossip reduction: for every source `x` and horizon `t`,
+/// recompose `R(t)` from scratch and test row `x` — `O(sources ×
+/// horizons)` compositions. A differential and microbench reference only.
 pub fn gossip_time_naive_per_source(trees: &[RootedTree], max_rounds: u64) -> Option<u64> {
     assert!(!trees.is_empty(), "need at least one tree");
     let n = trees[0].n();
@@ -345,7 +314,9 @@ pub fn gossip_time_naive_per_source(trees: &[RootedTree], max_rounds: u64) -> Op
 mod tests {
     use super::*;
     use crate::engine::{SequenceSource, StaticSource};
-    use crate::workload::{run_workload, Broadcast, Gossip, KBroadcast, KSourceBroadcast};
+    use crate::workload::{
+        run_workload, Broadcast, Gossip, KBroadcast, KSourceBroadcast, WorkloadOutcome,
+    };
     use treecast_trees::generators;
 
     fn rotating_stars(n: usize) -> Vec<RootedTree> {

@@ -1,23 +1,13 @@
-//! The replica-source surface: the contract between anything that can
-//! run seeded independent replicas of a dissemination cell and the
-//! Monte Carlo estimation layer that aggregates them.
+//! The replica-source contract between anything that runs seeded
+//! replicas of a dissemination cell (the synchronous engines, the gossip
+//! emulation) and the Monte Carlo layer that aggregates them.
 //!
-//! PR 9's `treecast-montecarlo` hardwired its replica pool to the two
-//! synchronous engines; the emulation layer (`treecast-emulation`) runs
-//! the same cells through an asynchronous gossip protocol and must feed
-//! the same estimators, sweeps and critical-value readout. This module
-//! is the seam: a [`ReplicaSource`] is anything that (a) describes a
-//! cell — size, tracked tokens, labels, censoring budget — and (b) runs
-//! replica `index` to a [`ReplicaOutcome`], deterministically per index.
-//! The shared vocabulary lives here too: [`TreeSpec`] (the tree stream a
-//! replica runs against), [`FaultSpec`] (the per-mille fault mix),
-//! [`splitmix64`]/[`replica_seed`] (the workspace's standard seed
-//! derivation) and [`default_budget`]. Because every implementor derives
-//! per-replica seeds through the same [`replica_seed`] +
-//! [`TREE_STREAM_TWEAK`] chain, replica `r` of a synchronous-engine cell
-//! and replica `r` of its emulated twin see the *identical* tree and
-//! fault streams — emulated-vs-model completion ratios are paired
-//! comparisons, not independent samples.
+//! A [`ReplicaSource`] describes a cell and runs replica `index` to a
+//! [`ReplicaOutcome`], deterministically per index. [`TreeSpec`] and
+//! [`FaultSpec`] name the cell's tree stream and fault mix. Every
+//! implementor derives seeds through [`replica_seed`] and
+//! [`TREE_STREAM_TWEAK`], so replica `r` of a synchronous cell and of its
+//! emulated twin see identical streams: paired comparisons.
 
 use crate::scenario::{rate_label, FaultModel, RoundFaults, SeededFaults};
 
@@ -51,9 +41,8 @@ impl TreeSpec {
 /// The randomized fault mix of a cell, applied through
 /// [`SeededFaults`] plus an optional deterministic root rotation.
 ///
-/// Rates are stored in per-mille; the percent constructors are exact
-/// wrappers (`p%` ≡ `10p‰`), mirroring [`SeededFaults`] so that every
-/// percent-era cell keeps its fault stream and label bit-identical.
+/// Rates are per-mille; the percent constructors are exact wrappers
+/// (`p%` ≡ `10p‰`), as in [`SeededFaults`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultSpec {
     /// Per-round per-node token-loss probability, per-mille (0..=1000).
@@ -121,9 +110,7 @@ impl FaultSpec {
         self.loss_permille == 0 && self.dropout_permille == 0 && self.rotation_period.is_none()
     }
 
-    /// Human-readable label for tables and reports. Whole-percent rates
-    /// keep the historical `%` form (`loss=10%`); sub-percent rates are
-    /// labeled in per-mille (`loss=5‰`).
+    /// Label for tables and reports (`loss=10%`, `loss=5‰`).
     #[must_use]
     pub fn label(&self) -> String {
         if self.is_quiet() {
@@ -234,13 +221,10 @@ pub const TREE_STREAM_TWEAK: u64 = 0x0007_4EE0_0000_0001;
 /// Anything that can run seeded independent replicas of one
 /// dissemination cell.
 ///
-/// The Monte Carlo layer fans `replicas()` calls of
-/// [`ReplicaSource::run_replica`] out over a worker pool and folds the
-/// outcomes (in replica-index order) into its censoring-aware
-/// statistics; the labels become the estimate's table row. Implementors
-/// must make `run_replica` a pure function of `(self, index)` — that is
-/// what makes every downstream statistic bit-identical for any thread
-/// count, the property `analyze --determinism` audits.
+/// The Monte Carlo layer fans [`ReplicaSource::run_replica`] out over a
+/// worker pool and folds the outcomes in index order. `run_replica` must
+/// be a pure function of `(self, index)`, which makes every statistic
+/// bit-identical for any thread count.
 pub trait ReplicaSource: Sync {
     /// Network size of the cell.
     fn n(&self) -> usize;

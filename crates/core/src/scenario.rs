@@ -1,44 +1,34 @@
 //! The fault/scenario layer over [`run_workload`]: token loss, dynamic
 //! root reassignment, and node dropout/rejoin.
 //!
-//! The paper's model gives the adversary the round topology but guarantees
-//! perfect memory, a fixed root role per tree, and full participation.
-//! Schwarz, Zeiner & Schmid (arXiv:1701.06800) show dissemination bounds
-//! shift qualitatively once such guarantees weaken — this module makes the
-//! weakened scenarios executable on top of the [`Workload`] lattice:
+//! The paper guarantees perfect memory, a fixed root per tree and full
+//! participation; Schwarz, Zeiner & Schmid (arXiv:1701.06800) show the
+//! bounds shift once such guarantees weaken. This module makes the
+//! weakened scenarios executable over the [`Workload`] lattice:
 //!
-//! * **token loss** — at the end of a round, a faulty node forgets every
-//!   token it has heard except its own ([`BroadcastState::forget`] /
-//!   `TrackedTokens::forget`);
-//! * **dynamic root reassignment** — the adversary commits to a round
-//!   tree, then the fault layer re-roots it at another node
-//!   (`RootedTree::rerooted`), flipping the edges on the root path while
-//!   keeping the topology;
-//! * **dropout/rejoin** — an offline node neither sends nor receives for
-//!   the round (its incident tree edges are dropped; it keeps its memory
-//!   and self-loop) and rejoins when the model stops listing it.
+//! * **token loss** — at the end of a round a node forgets every token
+//!   but its own ([`BroadcastState::forget`]);
+//! * **root reassignment** — the round tree is re-rooted at another node
+//!   (`RootedTree::rerooted`), keeping its topology;
+//! * **dropout** — an offline node's tree edges are dropped for the round
+//!   (it keeps its memory and self-loop).
 //!
-//! Faults come from a [`FaultModel`] — deterministic schedules
-//! ([`FaultSchedule`], [`RotatingRoot`]) or a seeded random generator
-//! ([`SeededFaults`]). Whatever the model, [`run_workload_faulty`] records
-//! the faults it actually applied into [`WorkloadReport::fault_log`], and
-//! replaying that log through [`FaultSchedule::replay`] reproduces the run
-//! bit-identically — every scenario result stays a replayable witness.
+//! Faults come from a [`FaultModel`]: [`FaultSchedule`], [`RotatingRoot`]
+//! or the seeded [`SeededFaults`]. [`run_workload_faulty`] records the
+//! faults it applied in [`WorkloadReport::fault_log`], and
+//! [`FaultSchedule::replay`] of that log reproduces the run
+//! bit-identically.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use treecast_bitmatrix::BoolMatrix;
-use treecast_trees::{NodeId, RootedTree};
+use treecast_trees::NodeId;
 
+use crate::drive::{drive, DenseEngine};
 use crate::engine::{SimulationConfig, TreeSource};
-use crate::model::BroadcastState;
-use crate::workload::{
-    full_state_progress, SourceSet, TrackedTokens, Workload, WorkloadOutcome, WorkloadProgress,
-    WorkloadReport,
-};
+use crate::workload::{Workload, WorkloadReport};
 
 #[cfg(doc)]
-use crate::workload::run_workload;
+use crate::{model::BroadcastState, workload::run_workload};
 
 /// The faults applied in one round. Produced by a [`FaultModel`],
 /// normalized (sorted, deduplicated, bounds-checked) and recorded verbatim
@@ -66,11 +56,25 @@ impl RoundFaults {
         self.losses.is_empty() && self.root.is_none() && self.offline.is_empty()
     }
 
-    /// Sorts and deduplicates the node lists and bounds-checks everything
-    /// against `n`. Public so every runner — the dense and frontier
-    /// engines here, the gossip emulation in `treecast-emulation` —
-    /// normalizes identically before recording the round into a fault
-    /// log.
+    /// Checks that every node the round names is `< n`: the bounds rule
+    /// of [`RoundFaults::normalize`], for callers that must reject
+    /// untrusted faults instead of panicking.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first out-of-range node.
+    pub fn check(&self, n: usize) -> Result<(), String> {
+        if let Some(v) = self.losses.iter().chain(&self.offline).find(|&&v| v >= n) {
+            return Err(format!("fault names node {v}, out of range for n = {n}"));
+        }
+        match self.root {
+            Some(r) if r >= n => Err(format!("fault root {r} out of range for n = {n}")),
+            _ => Ok(()),
+        }
+    }
+
+    /// Sorts and deduplicates the node lists and bounds-checks them
+    /// ([`RoundFaults::check`]), as [`drive`] does before every round.
     ///
     /// # Panics
     ///
@@ -80,11 +84,9 @@ impl RoundFaults {
         self.losses.dedup();
         self.offline.sort_unstable();
         self.offline.dedup();
-        for &v in self.losses.iter().chain(self.offline.iter()) {
-            assert!(v < n, "fault names node {v}, out of range for n = {n}");
-        }
-        if let Some(r) = self.root {
-            assert!(r < n, "fault root {r} out of range for n = {n}");
+        if let Err(message) = self.check(n) {
+            // analyze: allow(panic): documented contract; untrusted input goes through `check` first
+            panic!("{message}");
         }
     }
 }
@@ -197,34 +199,16 @@ impl FaultModel for RotatingRoot {
 /// probability `loss_permille`/1000, goes offline for `dropout_rounds`
 /// rounds with probability `dropout_permille`/1000, and the round is
 /// re-rooted at a uniform node with probability `root_permille`/1000.
-/// The percent builders ([`SeededFaults::with_token_loss`] etc.) are
-/// exact wrappers over the per-mille ones (`p%` ≡ `10p‰`), which is what
-/// lets the Monte Carlo sweeps resolve sub-percent transitions without
-/// disturbing any percent-configured stream.
+/// The percent builders are exact wrappers over the per-mille ones
+/// (`p%` ≡ `10p‰`).
 ///
-/// Fully deterministic given the seed and the round sequence — the runner
-/// queries rounds in order, so a rerun with the same configuration
-/// replays the identical fault sequence (and so does
-/// [`FaultSchedule::replay`] of the recorded log, without the model).
+/// Deterministic given the seed, since the driver queries rounds in order.
 ///
-/// # Offline-loss semantics
-///
-/// Token loss is sampled for **every** node each round, including nodes
-/// that are offline that round: dropout is a *connectivity* fault (the
-/// node's tree edges are dropped) while loss is a *memory* fault (the
-/// node's foreign tokens are wiped), and the two streams are
-/// independent. A [`RoundFaults`] produced here may therefore name the
-/// same node in both `losses` and `offline`, and the runners apply both
-/// — the node neither sends nor receives and ends the round holding only
-/// its own token. Suppressing the draw instead would silently shift
-/// every later sample in the stream; the independent-sampling semantics
-/// is pinned by regression tests.
-///
-/// # Fixed n
-///
-/// The dropout windows are per-node state, so one model instance must be
-/// driven at a single network size: [`SeededFaults::faults`] panics if
-/// `n` changes between calls (it used to silently truncate the windows).
+/// Loss is sampled for **every** node, offline ones included: dropout is
+/// a connectivity fault and loss a memory fault, drawn independently (a
+/// suppressed draw would shift the rest of the stream), so one node may
+/// appear in both `losses` and `offline`. The dropout windows are
+/// per-node state, so one instance serves a single `n`.
 #[derive(Debug, Clone)]
 pub struct SeededFaults {
     rng: StdRng,
@@ -330,13 +314,9 @@ impl SeededFaults {
         self
     }
 
-    /// One Bernoulli draw at `permille`/1000.
-    ///
-    /// Exactly one RNG word is consumed for any non-zero rate, and rates
-    /// that are whole percents keep drawing through `gen_ratio(p, 100)`
-    /// — the historical stream — so every percent-configured model (and
-    /// every recorded baseline/replay) stays bit-identical; only true
-    /// sub-percent rates take the finer `gen_ratio(p, 1000)` draw.
+    /// One Bernoulli draw at `permille`/1000: one RNG word for any
+    /// non-zero rate, with whole percents drawn as `gen_ratio(p, 100)` so
+    /// percent-configured streams keep their recorded values.
     fn chance(&mut self, permille: u32) -> bool {
         if permille == 0 {
             false
@@ -348,10 +328,8 @@ impl SeededFaults {
     }
 }
 
-/// `5%` for whole percents, `5‰` otherwise — keeps every historical
-/// percent-era label byte-identical while sub-percent rates stay
-/// visible. Crate-visible so [`crate::replica::FaultSpec`] labels rates
-/// identically.
+/// `5%` for whole percents, `5‰` otherwise (shared with
+/// [`crate::replica::FaultSpec`]).
 pub(crate) fn rate_label(permille: u32) -> String {
     if permille % 10 == 0 {
         format!("{}%", permille / 10)
@@ -363,9 +341,7 @@ pub(crate) fn rate_label(permille: u32) -> String {
 impl FaultModel for SeededFaults {
     /// # Panics
     ///
-    /// Panics if `n` differs from the `n` of an earlier call on the same
-    /// instance — the dropout windows are per-node state, and silently
-    /// truncating (the old behavior) would drop live offline windows.
+    /// Panics if `n` differs from the `n` of an earlier call.
     fn faults(&mut self, round: u64, n: usize) -> RoundFaults {
         assert!(
             self.offline_until.is_empty() || self.offline_until.len() == n,
@@ -406,21 +382,13 @@ impl FaultModel for SeededFaults {
     }
 }
 
-/// Runs `source` against `workload` under `faults` — the fault-layer
-/// generalization of [`run_workload`].
-///
-/// Per round: the fault model is queried, the source's tree is re-rooted
-/// if demanded, edges incident to offline nodes are dropped (self-loops
-/// stay, so nobody loses memory by being offline), the masked round is
-/// applied, and finally the round's loss victims forget their foreign
-/// tokens. The faults actually applied land in
-/// [`WorkloadReport::fault_log`] — [`FaultSchedule::replay`] of that log
-/// reproduces the run bit-identically (given the same deterministic
-/// `source`).
-///
-/// Token loss makes progress non-monotone, so unlike the fault-free
-/// engine a scenario run can *regress*; the run still stops at the first
-/// round whose end state satisfies the workload (or at the cap).
+/// Runs `source` against `workload` under `faults` on the [`DenseEngine`]
+/// — the fault-layer generalization of [`run_workload`]. The faults
+/// applied land in [`WorkloadReport::fault_log`], and
+/// [`FaultSchedule::replay`] of that log reproduces the run
+/// bit-identically. Token loss makes progress non-monotone; the run
+/// still stops at the first round whose end state satisfies the
+/// workload (or at the cap).
 ///
 /// # Examples
 ///
@@ -455,120 +423,15 @@ where
     W: Workload + ?Sized,
     F: FaultModel + ?Sized,
 {
-    run_workload_faulty_traced(n, source, workload, faults, config, |_, _, _| {})
-}
-
-/// [`run_workload_faulty`] with a per-round hook: called after every
-/// executed round with the faults applied, the (re-rooted, pre-masking)
-/// tree, and the state after the round — the round-for-round witness the
-/// differential tests compare against the fault-free engine.
-pub fn run_workload_faulty_traced<S, W, F>(
-    n: usize,
-    source: &mut S,
-    workload: &W,
-    faults: &mut F,
-    config: SimulationConfig,
-    mut on_round: impl FnMut(&RoundFaults, &RootedTree, &BroadcastState),
-) -> WorkloadReport
-where
-    S: TreeSource + ?Sized,
-    W: Workload + ?Sized,
-    F: FaultModel + ?Sized,
-{
-    let mut state = BroadcastState::new(n);
-    let mut tracked = match workload.sources(n) {
-        SourceSet::All => None,
-        SourceSet::Nodes(sources) => Some(TrackedTokens::new(n, &sources)),
-    };
-    let progress_of = |state: &BroadcastState, tracked: &Option<TrackedTokens>| match tracked {
-        Some(t) => t.progress(),
-        None => full_state_progress(state),
-    };
-    let full_disseminated = |progress: &WorkloadProgress,
-                             tracked: &Option<TrackedTokens>,
-                             state: &BroadcastState| match tracked {
-        None => progress.disseminated,
-        Some(_) => state.disseminated_count(),
-    };
-
-    let mut progress = progress_of(&state, &tracked);
-    let mut completion_time = workload.is_complete(&progress).then_some(0);
-    let mut broadcast_time = (full_disseminated(&progress, &tracked, &state) >= 1).then_some(0);
-    let mut fault_log: Vec<RoundFaults> = Vec::new();
-    let mut round_matrix = BoolMatrix::zeros(n);
-
-    while completion_time.is_none() && state.round() < config.max_rounds {
-        let mut rf = faults.faults(state.round() + 1, n);
-        rf.normalize(n);
-        let tree = source.next_tree(&state);
-        let tree = match rf.root {
-            Some(r) => tree.rerooted(r),
-            None => tree,
-        };
-        if rf.is_quiet() {
-            // Quiet rounds take the engine's cheap tree-apply stepping
-            // (reverse-BFS row unions — no matrix to build), which is what
-            // lets `run_workload` delegate here at zero per-round cost.
-            state.apply(&tree);
-            if let Some(t) = tracked.as_mut() {
-                t.apply(&tree);
-            }
-        } else {
-            round_matrix.clear();
-            round_matrix.add_self_loops();
-            let is_offline = |v: NodeId| rf.offline.binary_search(&v).is_ok();
-            for y in 0..n {
-                if let Some(p) = tree.parent(y) {
-                    if !is_offline(p) && !is_offline(y) {
-                        round_matrix.set(p, y, true);
-                    }
-                }
-            }
-            state.apply_matrix(&round_matrix);
-            if let Some(t) = tracked.as_mut() {
-                t.apply_matrix(&round_matrix);
-            }
-            for &y in &rf.losses {
-                state.forget(y);
-                if let Some(t) = tracked.as_mut() {
-                    t.forget(y);
-                }
-            }
-        }
-        on_round(&rf, &tree, &state);
-        fault_log.push(rf);
-        progress = progress_of(&state, &tracked);
-        if workload.is_complete(&progress) {
-            completion_time = Some(progress.round);
-        }
-        if broadcast_time.is_none() && full_disseminated(&progress, &tracked, &state) >= 1 {
-            broadcast_time = Some(state.round());
-        }
-    }
-
-    WorkloadReport {
-        n,
-        workload: workload.name(),
-        source: source.name(),
-        rounds: state.round(),
-        outcome: if completion_time.is_some() {
-            WorkloadOutcome::Completed
-        } else {
-            WorkloadOutcome::RoundLimit
-        },
-        completion_time,
-        broadcast_time,
-        disseminated: progress.disseminated,
-        tokens: progress.tokens,
-        fault_log,
-    }
+    let mut engine = DenseEngine::new(n, source, workload);
+    drive(&mut engine, workload, faults, config, true, &mut ())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{SequenceSource, StaticSource};
-    use crate::workload::{run_workload, Broadcast, Gossip, KSourceBroadcast};
+    use crate::workload::{run_workload, Broadcast, Gossip, KSourceBroadcast, WorkloadOutcome};
     use treecast_trees::generators;
 
     #[test]

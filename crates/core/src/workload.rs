@@ -1,53 +1,38 @@
 //! Workloads: what the processes are trying to disseminate, and when a
 //! run counts as finished.
 //!
-//! The source paper studies one workload — single-source broadcast
-//! (Definition 2.2) — but its companion version (*Asymptotically Tight
-//! Bounds on the Time Complexity of Broadcast and its Variants in Dynamic
-//! Networks*, arXiv:2211.10151) generalizes the question to **k-broadcast**
-//! and **all-to-all gossip**. This module makes the whole family pluggable:
-//!
-//! * a token model — every source node owns a distinct token, and a round
-//!   graph moves tokens along its edges;
-//! * the [`Workload`] trait — which nodes are sources, and a termination
-//!   predicate over the per-token dissemination progress;
-//! * ready-made workloads: [`Broadcast`], [`KBroadcast`], [`Gossip`],
-//!   [`KSourceBroadcast`];
-//! * [`run_workload`] — the engine loop generalizing
-//!   [`crate::simulate`], plus [`TrackedTokens`], the batched `k`-row
-//!   state that rides `BoolMatrix::compose_prefix_into`.
+//! The source paper studies single-source broadcast (Definition 2.2); its
+//! companion version (arXiv:2211.10151) generalizes the question to
+//! **k-broadcast** and **all-to-all gossip**. The [`Workload`] trait names
+//! the sources and a termination predicate; [`run_workload`] runs one on
+//! the dense engine.
 //!
 //! # Semantics
 //!
 //! Every node `x` starts with its own token `x`; after `t` rounds node `y`
-//! holds exactly the tokens `{x : (x, y) ∈ G(t)}` — the heard-from set
-//! [`BroadcastState`] already tracks. A token is **disseminated** when
-//! every node holds it (its source's row of `G(t)` is full, i.e. the
-//! source has broadcast). The workload family is a threshold lattice over
-//! the count of disseminated tokens:
+//! holds exactly `{x : (x, y) ∈ G(t)}`, the heard-from set
+//! [`BroadcastState`] tracks. A token is **disseminated** when every node
+//! holds it. The workloads are thresholds on the disseminated count:
 //!
-//! * [`Broadcast`] — 1 token disseminated (Definition 2.2 exactly);
-//! * [`KBroadcast`] — `k` tokens disseminated (`k` distinct nodes have
-//!   each completed a broadcast); `k = 1` recovers broadcast;
-//! * [`Gossip`] — all `n` tokens disseminated (`G(t)` all-ones, the
-//!   all-to-all mode previously reached via the engine's
-//!   `StopCondition::Gossip` / the tournament's `measure_gossip` flag);
-//! * [`KSourceBroadcast`] — only `k` chosen source tokens exist, all of
-//!   which must be disseminated; tracked in a batched `k × n` holder
-//!   matrix ([`TrackedTokens`]) instead of the full `n × n` state.
+//! * [`Broadcast`] — 1 token (Definition 2.2 exactly);
+//! * [`KBroadcast`] — `k` tokens; `k = 1` is broadcast;
+//! * [`Gossip`] — all `n` tokens (`G(t)` all-ones);
+//! * [`KSourceBroadcast`] — only `k` chosen tokens exist, all of which
+//!   must be disseminated, tracked in a batched `k × n` holder matrix
+//!   ([`TrackedTokens`]).
 //!
-//! A worst-case caveat the experiments exhibit (`E10 variants`): under the
-//! unrestricted rooted-tree adversary only `k = 1` is guaranteed finite —
-//! the static path reaches a state whose heard-from sets are nested after
-//! `n − 1` rounds and then never makes progress again, so `k ≥ 2` and
-//! gossip can be delayed forever ([`crate::bounds::tree_k_broadcast_diverges`]).
-//! Under `c`-nonsplit round graphs every workload completes quickly.
+//! Under the unrestricted tree adversary only `k = 1` is guaranteed
+//! finite: the static path nests the heard-from sets after `n − 1` rounds
+//! and stalls, so `k ≥ 2` and gossip can be delayed forever
+//! ([`crate::bounds::tree_k_broadcast_diverges`]).
 
 use treecast_bitmatrix::BoolMatrix;
 use treecast_trees::{NodeId, RootedTree};
 
+use crate::drive::{drive, DenseEngine};
 use crate::engine::{SimulationConfig, TreeSource};
 use crate::model::BroadcastState;
+use crate::scenario::NoFaults;
 
 /// Which nodes start with a token.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -145,7 +130,7 @@ impl Workload for KBroadcast {
 }
 
 /// All-to-all gossip: stop once every node has heard from every node
-/// (`G(t)` all-ones). Replaces the ad-hoc `measure_gossip` plumbing.
+/// (`G(t)` all-ones).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Gossip;
 
@@ -162,10 +147,8 @@ impl Workload for Gossip {
 /// Broadcast from `k` chosen sources: only the sources' tokens exist, and
 /// the run completes when all of them have been disseminated.
 ///
-/// Unlike the [`SourceSet::All`] family this workload is measured on a
-/// batched [`TrackedTokens`] state — `k` holder rows composed with the
-/// round matrix through `BoolMatrix::compose_prefix_into`, which puts the
-/// PR-2 tiled kernel on the hot path at `k ≪ n`.
+/// Measured on a batched [`TrackedTokens`] state rather than the full
+/// `n × n` one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KSourceBroadcast {
     sources: Vec<NodeId>,
@@ -186,17 +169,9 @@ impl KSourceBroadcast {
         KSourceBroadcast { sources }
     }
 
-    /// The `k` evenly spread canonical sources `{⌊0·n/k⌋, ⌊1·n/k⌋, …,
-    /// ⌊(k−1)·n/k⌋}` used by the experiments.
-    ///
-    /// **Contract:** requires `1 ≤ k ≤ n`, and asserts it explicitly —
-    /// `k = 0` has no tokens to disseminate (vacuous completion at round
-    /// 0) and `k > n` cannot name `k` distinct sources (the floor formula
-    /// would silently collide, e.g. `n = 4, k = 5` repeats node 0). For
-    /// `1 ≤ k ≤ n` consecutive floors differ by at least `⌊n/k⌋ ≥ 1`, so
-    /// the sources are always distinct and [`KSourceBroadcast::new`]'s
-    /// duplicate check never fires. `k = 1` yields the single source
-    /// `{0}`; `k = n` yields all nodes (the gossip source set).
+    /// The `k` evenly spread canonical sources `{⌊i·n/k⌋ : 0 ≤ i < k}`
+    /// used by the experiments: distinct for `1 ≤ k ≤ n` (consecutive
+    /// floors differ by `⌊n/k⌋ ≥ 1`), while `k > n` would repeat nodes.
     ///
     /// # Panics
     ///
@@ -241,18 +216,11 @@ impl Workload for KSourceBroadcast {
 /// token `i` (owned by `sources[i]`), kept in the first `k` rows of one
 /// square [`BoolMatrix`].
 ///
-/// Round application is one [`BoolMatrix::compose_prefix_into`] — a
-/// `k × n` row block against the round's `n × n` matrix — so *stepping
-/// this state* costs `k/n`-th of a full-state round and runs on the
-/// PR-2 sparse/tiled kernels. The round matrix and output buffers are
-/// retained, so steady-state stepping performs no heap allocation.
-///
-/// Note the engine entry points ([`run_workload`],
-/// [`crate::run_workload_faulty`]) keep a full [`BroadcastState`] in
-/// lockstep so state-reading adversaries see their usual interface —
-/// end to end, a tracked run measures this state *in addition to* the
-/// full one; the `k/n` saving is the standalone stepping cost (what
-/// `bench_workloads` gates), not a reduction of the engine loop.
+/// A round is one [`BoolMatrix::compose_prefix_into`] of the `k × n` row
+/// block with the round matrix — `k/n`-th of a full-state round, with no
+/// steady-state allocation. The dense engine still keeps a full
+/// [`BroadcastState`] in lockstep for state-reading adversaries, so the
+/// saving is the standalone stepping cost, not the engine's.
 #[derive(Debug, Clone)]
 pub struct TrackedTokens {
     n: usize,
@@ -474,16 +442,8 @@ impl WorkloadReport {
 }
 
 /// Runs `source` against a fresh `n`-process state until `workload`
-/// completes or `config.max_rounds` passes.
-///
-/// For [`SourceSet::All`] workloads the state is a [`BroadcastState`]
-/// (identical stepping to [`crate::simulate`]); for
-/// [`SourceSet::Nodes`] workloads the measured object is a batched
-/// [`TrackedTokens`] state, with a full [`BroadcastState`] kept in
-/// lockstep so state-reading adversaries ([`TreeSource`]) see the same
-/// interface as everywhere else.
-///
-/// `config.until` is ignored — the workload is the stop condition.
+/// completes or `config.max_rounds` passes — [`drive`] on the
+/// [`DenseEngine`], fault-free, with an empty `fault_log`.
 ///
 /// # Examples
 ///
@@ -513,41 +473,15 @@ pub fn run_workload<S: TreeSource + ?Sized, W: Workload + ?Sized>(
     workload: &W,
     config: SimulationConfig,
 ) -> WorkloadReport {
-    // The fault-free engine *is* the scenario runner under `NoFaults`:
-    // quiet rounds take the cheap tree-apply stepping inside the runner,
-    // so delegation costs nothing per round and the two engines cannot
-    // drift (the round-for-round equivalence is also property-tested in
-    // `tests/scenarios.rs`).
-    let mut report = crate::scenario::run_workload_faulty(
-        n,
-        source,
-        workload,
-        &mut crate::scenario::NoFaults,
-        config,
-    );
-    // Fault-free reports carry no log (every entry would be quiet).
-    report.fault_log.clear();
-    report
+    let mut engine = DenseEngine::new(n, source, workload);
+    drive(&mut engine, workload, &mut NoFaults, config, false, &mut ())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{simulate, SequenceSource, StaticSource};
+    use crate::engine::{SequenceSource, StaticSource};
     use treecast_trees::generators;
-
-    #[test]
-    fn broadcast_workload_matches_simulate() {
-        for n in 2..10 {
-            let mut a = StaticSource::new(generators::path(n));
-            let mut b = StaticSource::new(generators::path(n));
-            let legacy = simulate(n, &mut a, SimulationConfig::for_n(n));
-            let report = run_workload(n, &mut b, &Broadcast, SimulationConfig::for_n(n));
-            assert_eq!(report.completion_time, legacy.broadcast_time, "n = {n}");
-            assert_eq!(report.broadcast_time, legacy.broadcast_time, "n = {n}");
-            assert_eq!(report.rounds, legacy.rounds, "n = {n}");
-        }
-    }
 
     #[test]
     fn k_equals_one_is_broadcast_and_k_equals_n_is_gossip() {

@@ -2,39 +2,23 @@
 //! adversary-controlled round trees, pinned round-for-round to the
 //! synchronous engines.
 //!
-//! The paper's model is synchronous: each round the adversary picks a
-//! rooted tree and every edge transfers the parent's whole heard-from
-//! set at once. Real gossip deployments are not like that — peers
-//! advertise what they hold, request what they miss, and serve requests
-//! under bandwidth, fan-out and batching limits, with messages queueing
-//! across rounds. This crate runs that asynchronous protocol over the
-//! *same* adversarial tree schedules, fault models and workloads as the
-//! rest of the workspace, and answers the question the synchronous
-//! model cannot: how much completion time do the protocol's resource
-//! limits add on top of the adversary?
+//! In the paper's synchronous model every tree edge transfers the
+//! parent's whole heard-from set at once. Real gossip peers advertise
+//! what they hold, request what they miss, and serve requests under
+//! bandwidth, fan-out and batching limits. This crate runs that protocol
+//! over the same trees, faults and workloads, to measure how much
+//! completion time the resource limits add on top of the adversary.
 //!
-//! * [`protocol`] — `n` simulated peers ([`EmulationState`]) running a
-//!   deterministic advert → request → deliver exchange through per-peer
-//!   FIFO queues, with [`GossipKnobs`] (bandwidth cap, advert fan-out,
-//!   batch size, queue discipline) as scenario knobs;
-//! * [`runner`] — [`run_emulation`], the emulation twin of the
-//!   synchronous `run_workload_faulty`: identical loop order, identical
-//!   fault normalization and logging, identical completion semantics,
-//!   so `FaultSchedule::replay` reproduces emulated runs bit-identically
-//!   too;
-//! * [`spec`] — [`EmulationSpec`], a
-//!   [`treecast_core::ReplicaSource`] implementation, which plugs
-//!   emulated cells into `treecast-montecarlo`'s estimators, sweeps and
-//!   critical-value readout verbatim, stream-paired seed-for-seed with
-//!   the synchronous cells; [`EmuSweepDim`] makes the knobs sweepable
-//!   dimensions.
+//! * [`protocol`] — `n` peers ([`EmulationState`]) exchanging adverts,
+//!   requests and deliveries through FIFO queues, under [`GossipKnobs`];
+//! * [`runner`] — [`EmulationEngine`] and [`run_emulation`], the gossip
+//!   protocol on the core round driver;
+//! * [`spec`] — [`EmulationSpec`], a [`treecast_core::ReplicaSource`]
+//!   stream-paired seed-for-seed with the synchronous cells, with
+//!   [`EmuSweepDim`] making the knobs sweepable.
 //!
-//! The pinning contract, enforced by this crate's differential tests
-//! and audited by `analyze --determinism` as the workspace's fifth
-//! threaded subsystem: with every knob unconstrained, an emulated run
-//! equals the synchronous run *report-for-report* (completion time,
-//! broadcast time, fault log) on the same trees, faults and workload —
-//! asynchrony only appears when a knob constrains the protocol.
+//! With every knob unconstrained an emulated run equals the synchronous
+//! run report-for-report, fault log included (`tests/differential.rs`).
 //!
 //! ```
 //! use treecast_core::scenario::NoFaults;
@@ -64,5 +48,5 @@ pub mod runner;
 pub mod spec;
 
 pub use protocol::{EmulationState, GossipKnobs, QueueDiscipline, TokenSet};
-pub use runner::{run_emulation, run_emulation_traced};
+pub use runner::{run_emulation, run_emulation_traced, EmulationEngine};
 pub use spec::{EmuSweepDim, EmulationSpec};

@@ -1,43 +1,100 @@
-//! The emulation runner: drives [`EmulationState`] rounds from a
-//! [`TreeSource`] + [`FaultModel`] pair with the exact loop of the
-//! synchronous [`run_workload_faulty`], so the two produce comparable —
-//! and, with unconstrained knobs, *identical* — [`WorkloadReport`]s.
-//!
-//! Mirrored decisions, in loop order: the fault model is queried once
-//! per executed round with 1-based round numbers; the faults are
-//! [`RoundFaults::normalize`]d before use; the source's tree is
-//! re-rooted when the faults demand it; the round executes
-//! ([`EmulationState::gossip_round`] here, the masked matrix there);
-//! the trace hook fires; the normalized faults are appended to the
-//! fault log; completion is the tracked workload's predicate over the
-//! end-of-round state and `broadcast_time` is the first round with any
-//! *fully* disseminated token, both seeded at round 0 for the `n = 1`
-//! degenerate case. Replaying a report's `fault_log` through
-//! [`FaultSchedule::replay`] therefore reproduces an emulation run
-//! bit-identically, exactly as it does a synchronous run.
-//!
-//! One honest divergence: [`TreeSource::next_tree`] takes the
-//! synchronous product-graph state, which an emulation does not have.
-//! The runner feeds every call a fresh round-0 [`BroadcastState`], so a
-//! *state-adaptive* source would see a frozen snapshot. All sources the
-//! replica layer uses (static trees, pre-generated sequences, seeded
-//! streams) ignore the state argument entirely; adaptive adversaries
-//! are a synchronous-engine concept.
-//!
-//! [`run_workload_faulty`]: treecast_core::scenario::run_workload_faulty
-//! [`FaultSchedule::replay`]: treecast_core::scenario::FaultSchedule::replay
+//! The emulation runner: [`EmulationState`] rounds on the core round
+//! driver ([`drive`]), the loop every synchronous run takes, so with
+//! unconstrained knobs an emulated run returns the synchronous
+//! [`WorkloadReport`], and its `fault_log` replays it bit-identically.
 
 use treecast_core::scenario::{FaultModel, RoundFaults};
-use treecast_core::workload::{SourceSet, Workload, WorkloadOutcome, WorkloadReport};
-use treecast_core::{BroadcastState, SimulationConfig, TreeSource};
+use treecast_core::workload::{SourceSet, Workload, WorkloadProgress, WorkloadReport};
+use treecast_core::{drive, BroadcastState, RoundEngine, SimulationConfig, TreeSource};
 use treecast_trees::{NodeId, RootedTree};
 
 use crate::protocol::{EmulationState, GossipKnobs};
 
-/// Runs the gossip protocol over `source`'s trees under `faults` until
-/// `workload` completes or `config.max_rounds` is hit — the emulation
-/// twin of [`treecast_core::scenario::run_workload_faulty`], knob-capped
-/// by `knobs`.
+/// The emulation engine for [`drive`]: an [`EmulationState`] running
+/// the gossip protocol under `knobs` over a [`TreeSource`]'s trees.
+///
+/// [`TreeSource::next_tree`] takes the synchronous product-graph state,
+/// which an emulation does not have, so every call gets a frozen round-0
+/// [`BroadcastState`]. The replica layer's sources (static, sequence,
+/// seeded) ignore the state; a state-adaptive adversary would see a
+/// stale snapshot.
+pub struct EmulationEngine<'a, S: ?Sized> {
+    source: &'a mut S,
+    knobs: &'a GossipKnobs,
+    emu: EmulationState,
+    /// The tracked sources; `None` tracks all `n` tokens.
+    sources: Option<Vec<NodeId>>,
+    frozen: BroadcastState,
+    tree: Option<RootedTree>,
+}
+
+impl<'a, S: TreeSource + ?Sized> EmulationEngine<'a, S> {
+    /// A fresh `n`-peer emulation of `workload`'s tokens under `knobs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn new<W: Workload + ?Sized>(
+        n: usize,
+        source: &'a mut S,
+        workload: &W,
+        knobs: &'a GossipKnobs,
+    ) -> Self {
+        EmulationEngine {
+            source,
+            knobs,
+            emu: EmulationState::new(n),
+            sources: match workload.sources(n) {
+                SourceSet::All => None,
+                SourceSet::Nodes(list) => Some(list),
+            },
+            frozen: BroadcastState::new(n),
+            tree: None,
+        }
+    }
+}
+
+impl<S: TreeSource + ?Sized> RoundEngine for EmulationEngine<'_, S> {
+    type State = EmulationState;
+
+    fn step(&mut self, faults: &RoundFaults) -> Option<(&RootedTree, &EmulationState)> {
+        let mut tree = self.source.next_tree(&self.frozen);
+        if let Some(r) = faults.root {
+            tree = tree.rerooted(r);
+        }
+        self.emu.gossip_round(&tree, faults, self.knobs);
+        Some((self.tree.insert(tree), &self.emu))
+    }
+
+    fn progress(&self) -> WorkloadProgress {
+        let n = self.emu.n();
+        let (tokens, disseminated) = match &self.sources {
+            None => (n, self.emu.disseminated_count()),
+            Some(list) => (list.len(), self.emu.disseminated_among(list)),
+        };
+        WorkloadProgress {
+            n,
+            round: self.emu.round(),
+            tokens,
+            disseminated,
+        }
+    }
+
+    fn any_disseminated(&self, progress: &WorkloadProgress) -> bool {
+        match self.sources {
+            None => progress.disseminated >= 1,
+            Some(_) => self.emu.disseminated_count() >= 1,
+        }
+    }
+
+    fn source_name(&self) -> String {
+        self.source.name()
+    }
+}
+
+/// Runs the gossip protocol under `knobs` over `source`'s trees and
+/// `faults` — the emulation twin of
+/// [`treecast_core::scenario::run_workload_faulty`].
 ///
 /// # Panics
 ///
@@ -59,10 +116,8 @@ where
     run_emulation_traced(n, source, workload, knobs, faults, config, |_, _, _| {})
 }
 
-/// [`run_emulation`] with a per-round hook: called after every executed
-/// round with the normalized faults, the (re-rooted) round tree, and
-/// the emulation state after the round — the round-for-round witness
-/// the differential tests compare against the synchronous engine.
+/// [`run_emulation`] with a per-round [`Probe`](treecast_core::Probe)
+/// closure.
 ///
 /// # Panics
 ///
@@ -81,78 +136,15 @@ where
     W: Workload + ?Sized,
     F: FaultModel + ?Sized,
 {
-    let mut emu = EmulationState::new(n);
-    // The tracked-source list: `None` tracks all n tokens (the
-    // broadcast/gossip family), mirroring the synchronous runner's
-    // TrackedTokens split.
-    let sources: Option<Vec<NodeId>> = match workload.sources(n) {
-        SourceSet::All => None,
-        SourceSet::Nodes(list) => Some(list),
-    };
-    let progress_of = |emu: &EmulationState| {
-        let (tokens, disseminated) = match &sources {
-            None => (n, emu.disseminated_count()),
-            Some(list) => (list.len(), emu.disseminated_among(list)),
-        };
-        treecast_core::workload::WorkloadProgress {
-            n,
-            round: emu.round(),
-            tokens,
-            disseminated,
-        }
-    };
-    // The state handed to `next_tree` — see the module docs: the spec
-    // sources ignore it, so a frozen round-0 snapshot is exact.
-    let frozen = BroadcastState::new(n);
-
-    let mut progress = progress_of(&emu);
-    let mut completion_time = workload.is_complete(&progress).then_some(0);
-    let mut broadcast_time = (emu.disseminated_count() >= 1).then_some(0);
-    let mut fault_log: Vec<RoundFaults> = Vec::new();
-
-    while completion_time.is_none() && emu.round() < config.max_rounds {
-        let mut rf = faults.faults(emu.round() + 1, n);
-        rf.normalize(n);
-        let tree = source.next_tree(&frozen);
-        let tree = match rf.root {
-            Some(r) => tree.rerooted(r),
-            None => tree,
-        };
-        emu.gossip_round(&tree, &rf, knobs);
-        on_round(&rf, &tree, &emu);
-        fault_log.push(rf);
-        progress = progress_of(&emu);
-        if workload.is_complete(&progress) {
-            completion_time = Some(progress.round);
-        }
-        if broadcast_time.is_none() && emu.disseminated_count() >= 1 {
-            broadcast_time = Some(emu.round());
-        }
-    }
-
-    WorkloadReport {
-        n,
-        workload: workload.name(),
-        source: source.name(),
-        rounds: emu.round(),
-        outcome: if completion_time.is_some() {
-            WorkloadOutcome::Completed
-        } else {
-            WorkloadOutcome::RoundLimit
-        },
-        completion_time,
-        broadcast_time,
-        disseminated: progress.disseminated,
-        tokens: progress.tokens,
-        fault_log,
-    }
+    let mut engine = EmulationEngine::new(n, source, workload, knobs);
+    drive(&mut engine, workload, faults, config, true, &mut on_round)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use treecast_core::scenario::{run_workload_faulty, FaultSchedule, NoFaults, SeededFaults};
-    use treecast_core::workload::{Broadcast, Gossip, KSourceBroadcast};
+    use treecast_core::workload::{Broadcast, Gossip, KSourceBroadcast, WorkloadOutcome};
     use treecast_core::{SequenceSource, StaticSource};
     use treecast_trees::generators;
 
@@ -182,7 +174,7 @@ mod tests {
         // report — fault log included.
         let n = 8;
         let trees: Vec<_> = (0..n).map(|c| generators::star_with_center(n, c)).collect();
-        let cfg = SimulationConfig::gossip_for_n(n);
+        let cfg = SimulationConfig::for_n(n);
         let workload = Gossip;
         for seed in [1u64, 7, 0xFEED] {
             let mut a = SequenceSource::new(trees.clone());

@@ -1,20 +1,12 @@
 //! The emulation's replica cell: [`EmulationSpec`] implements
-//! [`ReplicaSource`], so `treecast-montecarlo`'s estimators, generic
-//! replica pool, sweeps and critical-value readout apply to gossip
-//! emulations verbatim — and [`EmuSweepDim`] turns the protocol knobs
-//! (bandwidth, fan-out, batch, discipline) into first-class sweep
-//! dimensions next to the fault rates.
+//! [`ReplicaSource`], so `treecast-montecarlo`'s estimators, sweeps and
+//! critical-value readout apply to gossip emulations verbatim, and
+//! [`EmuSweepDim`] makes the protocol knobs sweep dimensions.
 //!
-//! # Stream pairing
-//!
-//! Replica `r` derives its fault seed as [`replica_seed`]`(base, r)`
-//! and its tree seed as [`splitmix64`]`(seed ⊕ `[`TREE_STREAM_TWEAK`]`)`
-//! — the identical chain the synchronous `RunSpec` uses, with the
-//! identical default base seed. Replica `r` of an emulated cell and
-//! replica `r` of its synchronous twin therefore run against the *same*
-//! trees and the *same* faults, which makes the emulated-vs-model
-//! completion ratios of experiment E15 paired comparisons rather than
-//! independent samples.
+//! Replica `r` derives its fault seed as [`replica_seed`]`(base, r)` and
+//! its tree seed as [`splitmix64`]`(seed ⊕ `[`TREE_STREAM_TWEAK`]`)`, the
+//! synchronous `RunSpec`'s chain and default base seed, so emulated and
+//! synchronous replicas see the same trees and faults.
 
 use treecast_core::replica::{
     default_budget, replica_seed, splitmix64, FaultSpec, ReplicaOutcome, ReplicaSource, TreeSpec,
@@ -22,7 +14,7 @@ use treecast_core::replica::{
 };
 use treecast_core::{
     FrontierSource, KSourceBroadcast, SimulationConfig, StaticSource, TreeSource, Workload,
-    WorkloadOutcome, WorkloadReport,
+    WorkloadReport,
 };
 use treecast_trees::generators;
 
@@ -57,10 +49,8 @@ pub struct EmulationSpec {
 
 impl EmulationSpec {
     /// A cell with the replica layer's defaults: budget from
-    /// [`default_budget`], 64 replicas, and the *same* base seed as the
-    /// synchronous `RunSpec` default — that equality is what stream-pairs
-    /// default emulated cells with their model twins (see the module
-    /// docs).
+    /// [`default_budget`], 64 replicas, and the synchronous `RunSpec`'s
+    /// base seed (which stream-pairs the two).
     ///
     /// # Panics
     ///
@@ -183,12 +173,8 @@ impl ReplicaSource for EmulationSpec {
     }
 
     fn run_replica(&self, index: usize) -> ReplicaOutcome {
-        let report = self.run_one(index);
         ReplicaOutcome {
-            rounds: match report.outcome {
-                WorkloadOutcome::Completed => report.completion_time,
-                WorkloadOutcome::RoundLimit => None,
-            },
+            rounds: self.run_one(index).completion_time,
         }
     }
 }

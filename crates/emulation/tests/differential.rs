@@ -17,12 +17,12 @@
 use proptest::prelude::*;
 use treecast_core::scenario::{FaultSchedule, NoFaults, SeededFaults};
 use treecast_core::{
-    run_workload_faulty, run_workload_faulty_traced, Broadcast, FrontierSource, Gossip,
-    KSourceBroadcast, SequenceSource, SimulationConfig, StaticSource, TreeSource, Workload,
-    WorkloadReport,
+    drive, run_workload_faulty, Broadcast, BroadcastState, DenseEngine, FrontierSource, Gossip,
+    KSourceBroadcast, RoundFaults, SequenceSource, SimulationConfig, StaticSource, TreeSource,
+    Workload, WorkloadReport,
 };
 use treecast_emulation::{run_emulation, run_emulation_traced, GossipKnobs};
-use treecast_trees::generators;
+use treecast_trees::{generators, RootedTree};
 
 /// The three replica-layer tree sources, as fresh dense sources: the
 /// static path, a rotating-center star sequence, and a seeded uniform
@@ -67,13 +67,13 @@ fn assert_round_for_round(
         },
     );
     let mut sync_rounds: Vec<Vec<Vec<usize>>> = Vec::new();
-    let model = run_workload_faulty_traced(
-        n,
-        &mut sync_source,
+    let model = drive(
+        &mut DenseEngine::new(n, &mut sync_source, workload),
         workload,
         &mut sync_faults,
         config,
-        |_, _, state| {
+        true,
+        &mut |_: &RoundFaults, _: &RootedTree, state: &BroadcastState| {
             sync_rounds.push(
                 (0..n)
                     .map(|y| state.heard_set(y).into_iter().collect())
@@ -116,7 +116,7 @@ fn faulty_emulation_is_the_synchronous_model_round_for_round() {
     // re-rooting together; the streams on both sides are the same seed.
     let n = 17;
     let budget = 160;
-    let config = SimulationConfig::gossip_for_n(n).with_max_rounds(budget);
+    let config = SimulationConfig::for_n(n).with_max_rounds(budget);
     for seed in [3u64, 0xC0C0, 0xFA417] {
         let cocktail = || {
             SeededFaults::new(seed)
@@ -160,7 +160,7 @@ fn workload_families_match_at_n_1024() {
 
     // gossip on the seeded uniform stream: the O(log n) regime.
     let budget = 704; // 64·⌈log₂ 1024⌉, the replica layer's budget
-    let config = SimulationConfig::gossip_for_n(n).with_max_rounds(budget);
+    let config = SimulationConfig::for_n(n).with_max_rounds(budget);
     let mut a = FrontierSource::seeded(n, 0xE15).dense_twin(budget);
     let mut b = FrontierSource::seeded(n, 0xE15).dense_twin(budget);
     let emulated = run_emulation(n, &mut a, &Gossip, &knobs, &mut NoFaults, config);

@@ -28,7 +28,7 @@
 
 use treecast_core::frontier::{run_workload_frontier_faulty, FrontierSource};
 use treecast_core::scenario::run_workload_faulty;
-use treecast_core::{KSourceBroadcast, SimulationConfig, Workload, WorkloadOutcome};
+use treecast_core::{KSourceBroadcast, SimulationConfig, Workload};
 use treecast_trees::generators;
 
 // The cell vocabulary and the replica-source contract live in
@@ -223,10 +223,7 @@ pub fn run_replica_on(spec: &RunSpec, index: usize, frontier: bool) -> ReplicaOu
         }
     };
     ReplicaOutcome {
-        rounds: match report.outcome {
-            WorkloadOutcome::Completed => report.completion_time,
-            WorkloadOutcome::RoundLimit => None,
-        },
+        rounds: report.completion_time,
     }
 }
 

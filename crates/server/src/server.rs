@@ -152,6 +152,11 @@ impl Server {
             Request::ScenarioReplay { schedule } => {
                 let n = validate_sequence(&schedule.trees)?;
                 let workload = schedule.workload.workload(n)?;
+                for (t, faults) in schedule.faults.iter().enumerate() {
+                    faults
+                        .check(n)
+                        .map_err(|e| format!("round {}: {e}", t + 1))?;
+                }
                 // Faults break the pure product structure, so replays run
                 // on the scenario engine, bit-identical to a direct
                 // `run_workload_faulty` call — never through the cache.
@@ -405,6 +410,7 @@ impl PrefixProvider for CachedPrefixes<'_> {
         let current = self.current.insert(entry);
         Some(PrefixRound {
             round: self.round,
+            tree: &self.trees[idx],
             heard: current.heard(),
             disseminated: current.disseminated(),
         })
@@ -564,6 +570,65 @@ mod tests {
             panic!("expected a scenario-replay response");
         };
         assert_eq!(report.completion_time, Some(n as u64 - 1));
+    }
+
+    /// A replay whose fault names a node `>= n`, once per fault field.
+    fn out_of_range_replays(n: usize) -> Vec<Request> {
+        let bad = [
+            RoundFaults {
+                losses: vec![n],
+                ..RoundFaults::default()
+            },
+            RoundFaults {
+                root: Some(n),
+                ..RoundFaults::default()
+            },
+            RoundFaults {
+                offline: vec![1, n + 3],
+                ..RoundFaults::default()
+            },
+        ];
+        bad.into_iter()
+            .map(|fault| Request::ScenarioReplay {
+                schedule: Schedule {
+                    trees: vec![generators::path(n)],
+                    faults: vec![RoundFaults::default(), fault],
+                    workload: WorkloadSpec::Broadcast,
+                    rounds: 0,
+                },
+            })
+            .collect()
+    }
+
+    #[test]
+    fn out_of_range_replay_faults_are_errors_not_panics() {
+        let n = 4;
+        let s = server(CacheConfig::default());
+        for request in out_of_range_replays(n) {
+            let response = s.serve(&request);
+            assert!(
+                matches!(&response, Response::Error { message } if message.contains("out of range")),
+                "{response:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_bad_replay_does_not_abort_its_batch() {
+        let n = 4;
+        let s = server(CacheConfig::default());
+        let good = Request::BroadcastTime {
+            tree_sequence: rotating_stars(n),
+            workload: WorkloadSpec::Gossip,
+            rounds: 0,
+        };
+        let mut batch = vec![good.clone(), good.clone()];
+        batch.insert(1, out_of_range_replays(n).remove(0));
+        let responses = s.serve_batch(&batch);
+        assert_eq!(responses.len(), 3, "every slot is answered");
+        assert_eq!(responses[0], s.serve(&good));
+        assert!(matches!(responses[1], Response::Error { .. }));
+        assert_eq!(responses[2], responses[0]);
     }
 
     #[test]

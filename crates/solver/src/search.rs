@@ -31,7 +31,7 @@
 //! `~2.5n`), results are bit-identical for any thread count (merges run in
 //! shard order), and the table is sized for tens of millions of states.
 
-use treecast_core::{simulate, SequenceSource, SimulationConfig};
+use treecast_core::{run_workload, Broadcast, SequenceSource, SimulationConfig};
 use treecast_trees::{generators, RootedTree};
 
 use crate::canon::{canonicalize, CanonMode};
@@ -635,8 +635,8 @@ fn extract_schedule(
 pub fn verify_schedule(n: usize, schedule: &[RootedTree]) -> u64 {
     let mut source =
         SequenceSource::new(schedule.to_vec()).with_label(format!("solver-optimal(n={n})"));
-    let report = simulate(n, &mut source, SimulationConfig::for_n(n));
-    report.broadcast_time_or_panic()
+    let report = run_workload(n, &mut source, &Broadcast, SimulationConfig::for_n(n));
+    report.completion_time_or_panic()
 }
 
 #[cfg(test)]

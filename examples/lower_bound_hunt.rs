@@ -8,7 +8,7 @@
 //! ```
 
 use treecast::adversary::{beam_search_plan, ArborescencePool, BeamOptions, SurvivalAdversary};
-use treecast::core::{bounds, simulate, SequenceSource, SimulationConfig};
+use treecast::core::{bounds, run_workload, Broadcast, SequenceSource, SimulationConfig};
 use treecast::solver;
 
 fn main() {
@@ -45,23 +45,25 @@ fn main() {
     );
     for n in [8usize, 12, 16, 24, 32] {
         let path = (n - 1) as u64;
-        let survival = simulate(
+        let survival = run_workload(
             n,
             &mut SurvivalAdversary::default(),
+            &Broadcast,
             SimulationConfig::for_n(n),
         )
-        .broadcast_time_or_panic();
+        .completion_time_or_panic();
         let plan = beam_search_plan(
             n,
             &mut ArborescencePool::new(4),
             BeamOptions::for_n(n).with_width(32),
         );
-        let beam = simulate(
+        let beam = run_workload(
             n,
             &mut SequenceSource::new(plan),
+            &Broadcast,
             SimulationConfig::for_n(n),
         )
-        .broadcast_time_or_panic();
+        .completion_time_or_panic();
         println!(
             "{:>3} {:>7} {:>9} {:>9} {:>8} {:>8}",
             n,

@@ -8,7 +8,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use treecast::core::{bounds, simulate, SimulationConfig, StaticSource};
+use treecast::core::{bounds, run_workload, Broadcast, SimulationConfig, StaticSource};
 use treecast::trees::generators;
 
 fn main() {
@@ -17,7 +17,7 @@ fn main() {
 
     // A static path: information crawls one hop per round.
     let mut path = StaticSource::new(generators::path(n));
-    let report = simulate(n, &mut path, SimulationConfig::for_n(n));
+    let report = run_workload(n, &mut path, &Broadcast, SimulationConfig::for_n(n));
     println!(
         "static path      : broadcast after {:>3} rounds (expected n − 1 = {})",
         report.broadcast_time.expect("path always broadcasts"),
@@ -26,7 +26,7 @@ fn main() {
 
     // A static star: the center reaches everyone in one round.
     let mut star = StaticSource::new(generators::star(n));
-    let report = simulate(n, &mut star, SimulationConfig::for_n(n));
+    let report = run_workload(n, &mut star, &Broadcast, SimulationConfig::for_n(n));
     println!(
         "static star      : broadcast after {:>3} rounds",
         report.broadcast_time.expect("star broadcasts instantly")
@@ -47,7 +47,7 @@ fn main() {
 
     // A strong adversary lands inside the window, above the path.
     let mut adversary = treecast::adversary::SurvivalAdversary::default();
-    let report = simulate(n, &mut adversary, SimulationConfig::for_n(n));
+    let report = run_workload(n, &mut adversary, &Broadcast, SimulationConfig::for_n(n));
     println!(
         "\nsurvival greedy  : broadcast after {:>3} rounds — the adversary \
          buys {} extra rounds over the path",

@@ -7,7 +7,7 @@
 //! ```
 
 use treecast::adversary::{ExactInnerPool, ExactLeafPool, GreedyAdversary, SurvivalObjective};
-use treecast::core::{bounds, simulate, SimulationConfig};
+use treecast::core::{bounds, run_workload, Broadcast, SimulationConfig};
 
 fn main() {
     println!("restricted adversaries: broadcast time under exactly-k trees\n");
@@ -20,18 +20,20 @@ fn main() {
             if k >= n {
                 continue;
             }
-            let leaves = simulate(
+            let leaves = run_workload(
                 n,
                 &mut GreedyAdversary::new(ExactLeafPool::new(k, 8, 1), SurvivalObjective),
+                &Broadcast,
                 SimulationConfig::for_n(n),
             )
-            .broadcast_time_or_panic();
-            let inner = simulate(
+            .completion_time_or_panic();
+            let inner = run_workload(
                 n,
                 &mut GreedyAdversary::new(ExactInnerPool::new(k, 8, 1), SurvivalObjective),
+                &Broadcast,
                 SimulationConfig::for_n(n),
             )
-            .broadcast_time_or_panic();
+            .completion_time_or_panic();
             println!(
                 "{:>3} {:>4} {:>10} {:>10} {:>8} {:>8}",
                 k,

@@ -24,12 +24,12 @@
 //! # Quickstart
 //!
 //! ```
-//! use treecast::core::{bounds, simulate, SimulationConfig};
+//! use treecast::core::{bounds, run_workload, Broadcast, SimulationConfig};
 //! use treecast::adversary::SurvivalAdversary;
 //!
 //! let n = 16;
 //! let mut adversary = SurvivalAdversary::default();
-//! let report = simulate(n, &mut adversary, SimulationConfig::for_n(n));
+//! let report = run_workload(n, &mut adversary, &Broadcast, SimulationConfig::for_n(n));
 //! let t = report.broadcast_time.unwrap();
 //! assert!(t > (n as u64) - 1, "beats the static path");
 //! assert!(t <= bounds::upper_bound(n as u64), "Theorem 3.1 upper bound");

@@ -6,12 +6,12 @@
 //! [`RootedTree::rerooted`]: treecast::trees::RootedTree::rerooted
 
 use treecast::core::{
-    run_workload_faulty, run_workload_faulty_traced, run_workload_frontier,
-    run_workload_frontier_faulty, run_workload_frontier_faulty_traced, Broadcast, FaultSchedule,
-    FrontierSource, Gossip, KBroadcast, RoundFaults, SimulationConfig, StaticSource, Workload,
-    WorkloadOutcome, WorkloadReport,
+    drive, run_workload_faulty, run_workload_frontier, run_workload_frontier_faulty, Broadcast,
+    BroadcastState, DenseEngine, FaultSchedule, FrontierEngine, FrontierSource, FrontierState,
+    Gossip, KBroadcast, RoundFaults, SimulationConfig, StaticSource, Workload, WorkloadOutcome,
+    WorkloadReport,
 };
-use treecast::trees::generators;
+use treecast::trees::{generators, RootedTree};
 
 fn assert_engines_agree(
     n: usize,
@@ -23,22 +23,26 @@ fn assert_engines_agree(
 ) -> (WorkloadReport, WorkloadReport) {
     let mut dense_src = sparse_src.dense_twin(cfg.max_rounds);
     let mut sparse_trace = Vec::new();
-    let sparse = run_workload_frontier_faulty_traced(
-        n,
-        &mut sparse_src,
+    let sparse = drive(
+        &mut FrontierEngine::new(n, &mut sparse_src, workload),
         workload,
         &mut FaultSchedule::new(schedule.to_vec()),
         cfg,
-        |_, tree, state| sparse_trace.push((state.disseminated_count(), tree.root())),
+        true,
+        &mut |_: &RoundFaults, tree: &RootedTree, state: &FrontierState| {
+            sparse_trace.push((state.disseminated_count(), tree.root()));
+        },
     );
     let mut dense_trace = Vec::new();
-    let dense = run_workload_faulty_traced(
-        n,
-        &mut dense_src,
+    let dense = drive(
+        &mut DenseEngine::new(n, &mut dense_src, workload),
         workload,
         &mut FaultSchedule::new(schedule.to_vec()),
         cfg,
-        |_, tree, state| dense_trace.push((state.disseminated_count(), tree.root())),
+        true,
+        &mut |_: &RoundFaults, tree: &RootedTree, state: &BroadcastState| {
+            dense_trace.push((state.disseminated_count(), tree.root()));
+        },
     );
     assert_eq!(sparse.completion_time, dense.completion_time, "{ctx}");
     assert_eq!(sparse.broadcast_time, dense.broadcast_time, "{ctx}");

@@ -4,7 +4,7 @@
 
 use treecast::adversary::SurvivalAdversary;
 use treecast::bitmatrix::{BitSet, BoolMatrix, PackedMatrix};
-use treecast::core::{bounds, simulate, BroadcastState, SimulationConfig};
+use treecast::core::{bounds, run_workload, Broadcast, BroadcastState, SimulationConfig};
 use treecast::nonsplit::cfn_product_is_nonsplit;
 use treecast::solver::{solve_with, CanonMode, SolveOptions};
 use treecast::trees::{generators, pruefer, random, RootedTree};
@@ -41,7 +41,7 @@ fn core_reexports_resolve() {
 fn adversary_reexports_resolve() {
     let n = 8;
     let mut adversary = SurvivalAdversary::default();
-    let report = simulate(n, &mut adversary, SimulationConfig::for_n(n));
+    let report = run_workload(n, &mut adversary, &Broadcast, SimulationConfig::for_n(n));
     let t = report
         .broadcast_time
         .expect("survival adversary broadcasts");

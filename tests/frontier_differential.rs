@@ -12,12 +12,12 @@
 use proptest::prelude::*;
 
 use treecast::core::{
-    run_workload_faulty, run_workload_faulty_traced, run_workload_frontier,
-    run_workload_frontier_faulty, run_workload_frontier_faulty_traced, Broadcast, FaultModel,
-    FaultSchedule, FrontierSource, Gossip, KBroadcast, NoFaults, RotatingRoot, SeededFaults,
+    drive, run_workload_faulty, run_workload_frontier, run_workload_frontier_faulty, Broadcast,
+    BroadcastState, DenseEngine, FaultModel, FaultSchedule, FrontierEngine, FrontierSource,
+    FrontierState, Gossip, KBroadcast, NoFaults, RotatingRoot, RoundFaults, SeededFaults,
     SimulationConfig, Workload, WorkloadReport,
 };
-use treecast::trees::generators;
+use treecast::trees::{generators, RootedTree};
 
 /// Seeded fault rounds are unbounded streams, so runs under them cap the
 /// round budget to keep the dense twin's materialized tree schedule (and
@@ -72,13 +72,13 @@ fn assert_differential(
     let mut dense_src = sparse_src.dense_twin(cfg.max_rounds);
 
     let mut sparse_trace: Vec<(usize, usize)> = Vec::new();
-    let sparse = run_workload_frontier_faulty_traced(
-        n,
-        &mut sparse_src,
+    let sparse = drive(
+        &mut FrontierEngine::new(n, &mut sparse_src, workload),
         workload,
         sparse_faults,
         cfg,
-        |_, tree, state| {
+        true,
+        &mut |_: &RoundFaults, tree: &RootedTree, state: &FrontierState| {
             // The structural invariant checker is live in debug builds; the
             // differential suite exercises it on every traced round.
             state.debug_validate();
@@ -87,13 +87,15 @@ fn assert_differential(
     );
 
     let mut dense_trace: Vec<(usize, usize)> = Vec::new();
-    let dense = run_workload_faulty_traced(
-        n,
-        &mut dense_src,
+    let dense = drive(
+        &mut DenseEngine::new(n, &mut dense_src, workload),
         workload,
         dense_faults,
         cfg,
-        |_, tree, state| dense_trace.push((state.disseminated_count(), tree.root())),
+        true,
+        &mut |_: &RoundFaults, tree: &RootedTree, state: &BroadcastState| {
+            dense_trace.push((state.disseminated_count(), tree.root()));
+        },
     );
 
     assert_eq!(sparse.n, dense.n, "{ctx}: n");

@@ -8,7 +8,9 @@ use rand::SeedableRng;
 
 use treecast::adversary::{FamilyRandomAdversary, SurvivalAdversary, UniformRandomAdversary};
 use treecast::bitmatrix::BoolMatrix;
-use treecast::core::{bounds, simulate_observed, BroadcastState, CertObserver, SimulationConfig};
+use treecast::core::{
+    bounds, drive, Broadcast, BroadcastState, CertObserver, DenseEngine, NoFaults, SimulationConfig,
+};
 use treecast::trees::{random, RootedTree};
 
 /// Column-view incremental state must equal the literal Definition 2.1
@@ -45,8 +47,9 @@ fn certificates_hold_for_all_adversaries() {
             ];
             for (name, source) in checks.iter_mut() {
                 let mut cert = CertObserver::full();
-                let report =
-                    simulate_observed(n, source, SimulationConfig::for_n(n), &mut [&mut cert]);
+                let mut dense = DenseEngine::new(n, source, &Broadcast);
+                let cfg = SimulationConfig::for_n(n);
+                let report = drive(&mut dense, &Broadcast, &mut NoFaults, cfg, false, &mut cert);
                 assert!(
                     cert.is_clean(),
                     "{name} at n = {n}, seed {seed}: {:?}",

@@ -7,8 +7,8 @@ use treecast::adversary::{
     TournamentConfig,
 };
 use treecast::core::{
-    simulate_observed, BroadcastState, MetricsRecorder, Observer, RunReport, SimulationConfig,
-    StaticSource,
+    drive, Broadcast, BroadcastState, DenseEngine, MetricsRecorder, NoFaults, Probe, RoundFaults,
+    SimulationConfig, StaticSource, TreeSource, WorkloadReport,
 };
 use treecast::trees::{generators, RootedTree};
 
@@ -45,21 +45,32 @@ fn tournament_pipeline_with_bounds() {
     }
 }
 
-/// Observer asserting a per-round structural constraint on every tree.
+/// Probe asserting a per-round structural constraint on every tree.
 struct ShapeAsserter<F: Fn(&RootedTree)> {
     check: F,
     rounds: u64,
 }
 
-impl<F: Fn(&RootedTree)> Observer for ShapeAsserter<F> {
-    fn on_round(&mut self, tree: &RootedTree, _state: &BroadcastState) {
+impl<F: Fn(&RootedTree)> Probe<BroadcastState> for ShapeAsserter<F> {
+    fn on_round(&mut self, _faults: &RoundFaults, tree: &RootedTree, _state: &BroadcastState) {
         (self.check)(tree);
         self.rounds += 1;
     }
 
-    fn on_finish(&mut self, report: &RunReport) {
+    fn on_finish(&mut self, report: &WorkloadReport) {
         assert_eq!(report.rounds, self.rounds);
     }
+}
+
+/// A dense broadcast run of `source` with `probe` attached.
+fn broadcast_probed(
+    n: usize,
+    source: &mut impl TreeSource,
+    probe: &mut impl Probe<BroadcastState>,
+) {
+    let mut engine = DenseEngine::new(n, source, &Broadcast);
+    let cfg = SimulationConfig::for_n(n);
+    drive(&mut engine, &Broadcast, &mut NoFaults, cfg, false, probe);
 }
 
 #[test]
@@ -71,12 +82,7 @@ fn restricted_adversaries_honor_k_every_round() {
             rounds: 0,
         };
         let mut adv = GreedyAdversary::new(ExactLeafPool::new(k, 6, 9), SurvivalObjective);
-        simulate_observed(
-            n,
-            &mut adv,
-            SimulationConfig::for_n(n),
-            &mut [&mut leaves_check],
-        );
+        broadcast_probed(n, &mut adv, &mut leaves_check);
         assert!(leaves_check.rounds > 0);
 
         let mut inner_check = ShapeAsserter {
@@ -84,12 +90,7 @@ fn restricted_adversaries_honor_k_every_round() {
             rounds: 0,
         };
         let mut adv = GreedyAdversary::new(ExactInnerPool::new(k, 6, 9), SurvivalObjective);
-        simulate_observed(
-            n,
-            &mut adv,
-            SimulationConfig::for_n(n),
-            &mut [&mut inner_check],
-        );
+        broadcast_probed(n, &mut adv, &mut inner_check);
         assert!(inner_check.rounds > 0);
     }
 }
@@ -99,7 +100,7 @@ fn metrics_csv_shape_through_public_api() {
     let n = 10;
     let mut rec = MetricsRecorder::every_round();
     let mut src = StaticSource::new(generators::path(n));
-    simulate_observed(n, &mut src, SimulationConfig::for_n(n), &mut [&mut rec]);
+    broadcast_probed(n, &mut src, &mut rec);
     let csv = rec.to_csv();
     let lines: Vec<&str> = csv.lines().collect();
     assert_eq!(lines.len(), 1 + (n - 1), "header + one row per round");

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 
 use treecast::core::{
-    run_workload, run_workload_faulty, run_workload_faulty_traced, Broadcast, BroadcastState,
+    drive, run_workload, run_workload_faulty, Broadcast, BroadcastState, DenseEngine,
     FaultSchedule, Gossip, KBroadcast, NoFaults, RoundFaults, SeededFaults, SequenceSource,
     SimulationConfig, StaticSource, Workload,
 };
@@ -70,13 +70,13 @@ proptest! {
         let mut faulty_states = Vec::new();
         let mut all_quiet = true;
         let mut src = SequenceSource::new(trees.clone());
-        let faulty = run_workload_faulty_traced(
-            n,
-            &mut src,
+        let faulty = drive(
+            &mut DenseEngine::new(n, &mut src, workload.as_ref()),
             workload.as_ref(),
             &mut NoFaults,
             cfg,
-            |faults, _tree, state| {
+            true,
+            &mut |faults: &RoundFaults, _: &RootedTree, state: &BroadcastState| {
                 all_quiet &= faults.is_quiet();
                 faulty_states.push(state.product_matrix());
             },
@@ -115,25 +115,29 @@ proptest! {
             .with_root_changes(root);
         let mut original_states = Vec::new();
         let mut src = SequenceSource::new(trees.clone());
-        let original = run_workload_faulty_traced(
-            n,
-            &mut src,
+        let original = drive(
+            &mut DenseEngine::new(n, &mut src, workload.as_ref()),
             workload.as_ref(),
             &mut model,
             cfg,
-            |_, _, state| original_states.push(state.product_matrix()),
+            true,
+            &mut |_: &RoundFaults, _: &RootedTree, state: &BroadcastState| {
+                original_states.push(state.product_matrix());
+            },
         );
 
         let mut replay_states = Vec::new();
         let mut replay = FaultSchedule::replay(&original.fault_log);
         let mut src = SequenceSource::new(trees);
-        let rerun = run_workload_faulty_traced(
-            n,
-            &mut src,
+        let rerun = drive(
+            &mut DenseEngine::new(n, &mut src, workload.as_ref()),
             workload.as_ref(),
             &mut replay,
             cfg,
-            |_, _, state| replay_states.push(state.product_matrix()),
+            true,
+            &mut |_: &RoundFaults, _: &RootedTree, state: &BroadcastState| {
+                replay_states.push(state.product_matrix());
+            },
         );
 
         prop_assert_eq!(&replay_states, &original_states);

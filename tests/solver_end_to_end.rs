@@ -2,7 +2,9 @@
 //! schedules replay in the engine, pass the certificates, and match the
 //! theorem.
 
-use treecast::core::{bounds, simulate_observed, CertObserver, SequenceSource, SimulationConfig};
+use treecast::core::{
+    bounds, drive, Broadcast, CertObserver, DenseEngine, NoFaults, SequenceSource, SimulationConfig,
+};
 use treecast::solver::{solve, solve_with, verify_schedule, CanonMode, SolveOptions};
 
 #[test]
@@ -29,8 +31,9 @@ fn optimal_schedules_replay_and_certify() {
         // Replaying through the engine with full certificates on.
         let mut cert = CertObserver::full();
         let mut source = SequenceSource::new(r.schedule.clone());
-        let report =
-            simulate_observed(n, &mut source, SimulationConfig::for_n(n), &mut [&mut cert]);
+        let mut dense = DenseEngine::new(n, &mut source, &Broadcast);
+        let cfg = SimulationConfig::for_n(n);
+        let report = drive(&mut dense, &Broadcast, &mut NoFaults, cfg, false, &mut cert);
         assert!(cert.is_clean(), "n = {n}: {:?}", cert.violations());
         assert_eq!(report.broadcast_time, Some(r.t_star));
     }

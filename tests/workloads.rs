@@ -8,8 +8,8 @@ use rand::rngs::StdRng;
 
 use treecast::bitmatrix::BoolMatrix;
 use treecast::core::{
-    run_workload, simulate, Broadcast, BroadcastState, Gossip, KBroadcast, SequenceSource,
-    SimulationConfig, TrackedTokens, WorkloadOutcome,
+    run_workload, Broadcast, BroadcastState, Gossip, KBroadcast, SequenceSource, SimulationConfig,
+    TrackedTokens, WorkloadOutcome,
 };
 use treecast::trees::{generators, random, RootedTree};
 
@@ -43,8 +43,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Single-source broadcast through the `Workload` trait is
-    /// round-for-round identical to the pre-refactor engine path, and to
-    /// the classic `simulate` entry point.
+    /// round-for-round identical to the pre-refactor engine path, in both
+    /// its completion and its broadcast time.
     #[test]
     fn workload_broadcast_matches_pre_refactor_engine(seed in 0u64..1000, n in 2usize..9) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -53,15 +53,11 @@ proptest! {
 
         let (legacy_time, legacy_rounds) = pre_refactor_broadcast(n, &trees, config.max_rounds);
 
-        let mut source = SequenceSource::new(trees.clone());
+        let mut source = SequenceSource::new(trees);
         let report = run_workload(n, &mut source, &Broadcast, config);
         prop_assert_eq!(report.completion_time, legacy_time);
+        prop_assert_eq!(report.broadcast_time, legacy_time);
         prop_assert_eq!(report.rounds, legacy_rounds);
-
-        let mut source = SequenceSource::new(trees);
-        let classic = simulate(n, &mut source, config);
-        prop_assert_eq!(classic.broadcast_time, legacy_time);
-        prop_assert_eq!(classic.rounds, legacy_rounds);
     }
 
     /// The companion reduction: the gossip time of a sequence equals the
