@@ -13,8 +13,8 @@
 //! * **state** — any [`SearchState`]: the full [`BroadcastState`] for the
 //!   broadcast / `k`-broadcast / gossip family, or a
 //!   [`TrackedSearchState`] whose tracked holder rows step through the
-//!   batched `BoolMatrix::compose_prefix_into` kernel for `k`-source
-//!   workloads;
+//!   batched `BoolMatrix::gather_union_prefix` parent-array gather for
+//!   `k`-source workloads;
 //! * **objective** — any [`Objective`]; candidate rounds are ranked by
 //!   `(lookahead score, immediate score)`, so `width = 1` at `lookahead =
 //!   0` replays greedy descent step for step (for objectives whose score
@@ -24,7 +24,7 @@
 //!
 //! [`BeamOptions::lookahead`] adds a depth-`d` scorer: each candidate's
 //! successor is expanded `d` more rounds through the candidate pool
-//! (tracked states ride `compose_prefix_into` for every expansion) and
+//! (tracked states ride the parent-array gather for every expansion) and
 //! ranked by the best [`Objective::state_rank`] any continuation reaches —
 //! `d = 0` reproduces the pre-refactor one-step scorer exactly.
 

@@ -5,8 +5,8 @@
 //! single-source broadcast / `k`-broadcast / gossip the searched object is
 //! the full product graph ([`BroadcastState`]); for `k`-source broadcast
 //! only the `k` tracked holder rows matter, and the batched
-//! [`TrackedTokens`] state steps them through
-//! `BoolMatrix::compose_prefix_into` at a fraction of the cost.
+//! [`TrackedTokens`] state steps them along the round tree's parent array
+//! (`BoolMatrix::gather_union_prefix`) at a fraction of the cost.
 //!
 //! [`SearchState`] is the common denominator the search stack is written
 //! against: it can apply a round, expose the per-token holder-count vector
@@ -97,8 +97,8 @@ impl SearchState for BroadcastState {
 }
 
 /// The search state of a `k`-source workload: a batched [`TrackedTokens`]
-/// holder block (one row per tracked token, stepped through
-/// `BoolMatrix::compose_prefix_into`) plus the full [`BroadcastState`] kept
+/// holder block (one row per tracked token, stepped along the round
+/// tree's parent array) plus the full [`BroadcastState`] kept
 /// in lockstep so candidate pools see the interface they were built for —
 /// the same pairing `run_workload` maintains for tracked runs.
 ///
@@ -178,7 +178,7 @@ impl SearchState for TrackedSearchState {
 
     fn apply_tree(&mut self, tree: &RootedTree) {
         self.full.apply(tree);
-        // The tracked half steps through compose_prefix_into — the batched
+        // The tracked half steps by the parent-array gather — the batched
         // multi-row kernel the k-source engine path uses.
         self.tracked.apply(tree);
     }

@@ -337,6 +337,55 @@ impl BoolMatrix {
         }
     }
 
+    /// In-place gather along a node map on the first `rows` rows: bit `y`
+    /// of each row becomes `bit y ∨ bit src[y]` of that row as it was
+    /// before the call.
+    ///
+    /// This is one synchronous round along the forest `src[y] → y` (with
+    /// self-loops; `src[y] = y` marks a node with no in-edge) for rows in
+    /// *row view*, such as token holder sets: a row gains every node whose
+    /// round parent it contained. Each output word is assembled without
+    /// branches from 64 single-bit reads of the old row, which `buf`
+    /// holds; `buf` is resized to one row and can be reused across calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows > n`, `src.len() != n`, or some `src[y] >= n`.
+    pub fn gather_union_prefix(&mut self, rows: usize, src: &[usize], buf: &mut Vec<u64>) {
+        assert!(
+            rows <= self.n,
+            "row block {} out of range for n = {}",
+            rows,
+            self.n
+        );
+        assert_eq!(
+            src.len(),
+            self.n,
+            "gather map has {} entries but n = {}",
+            src.len(),
+            self.n
+        );
+        assert!(
+            src.iter().all(|&s| s < self.n),
+            "gather map points outside n = {}",
+            self.n
+        );
+        if rows == 0 {
+            return;
+        }
+        buf.resize(self.stride, 0);
+        for row in self.words.chunks_exact_mut(self.stride).take(rows) {
+            buf.copy_from_slice(row);
+            for (word, chunk) in row.iter_mut().zip(src.chunks(WORD_BITS)) {
+                let mut gathered = 0u64;
+                for (bit, &s) in chunk.iter().enumerate() {
+                    gathered |= (buf[s / WORD_BITS] >> (s % WORD_BITS) & 1) << bit;
+                }
+                *word |= gathered;
+            }
+        }
+    }
+
     /// Materializes column `y` as a [`BitSet`] (the in-neighborhood of `y`).
     ///
     /// # Panics
@@ -1345,6 +1394,57 @@ mod tests {
                 assert_eq!(out.row(x).to_bitset(), full.row(x).to_bitset());
             }
         }
+    }
+
+    #[test]
+    fn gather_union_prefix_is_the_forest_product() {
+        // Rows through the gather must equal their product with the
+        // forest matrix `I + {(src[y], y)}`; rows past the prefix and the
+        // tail bits must stay untouched.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut buf = Vec::new();
+        for n in [1usize, 5, 63, 64, 65, 130] {
+            let mut a = BoolMatrix::zeros(n);
+            for x in 0..n {
+                for y in 0..n {
+                    if next() % 5 == 0 {
+                        a.set(x, y, true);
+                    }
+                }
+            }
+            let src: Vec<usize> = (0..n)
+                .map(|y| match next() % 3 {
+                    0 => y,
+                    _ => (next() % n as u64) as usize,
+                })
+                .collect();
+            let mut forest = BoolMatrix::identity(n);
+            for (y, &s) in src.iter().enumerate() {
+                forest.set(s, y, true);
+            }
+            let full = a.compose(&forest);
+            for rows in [0usize, 1, n / 2, n] {
+                let mut got = a.clone();
+                got.gather_union_prefix(rows, &src, &mut buf);
+                got.debug_validate();
+                for x in 0..n {
+                    let want = if x < rows { full.row(x) } else { a.row(x) };
+                    assert_eq!(got.row(x), want, "n = {n}, rows = {rows}, row {x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "gather map points outside n = 4")]
+    fn gather_union_prefix_rejects_out_of_range_sources() {
+        BoolMatrix::identity(4).gather_union_prefix(1, &[0, 1, 2, 4], &mut Vec::new());
     }
 
     #[test]

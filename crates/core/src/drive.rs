@@ -7,7 +7,6 @@
 //! `EmulationEngine`. `drive` is generic over the engine and the
 //! [`Probe`], so the no-op probe `()` compiles away.
 
-use treecast_bitmatrix::BoolMatrix;
 use treecast_trees::RootedTree;
 
 use crate::engine::{SimulationConfig, TreeSource};
@@ -159,15 +158,14 @@ where
 
 /// The dense engine: the product graph `G(t)` as a [`BroadcastState`]
 /// (what state-reading adversaries see), plus a [`TrackedTokens`] state
-/// in lockstep for [`SourceSet::Nodes`] workloads. A quiet round takes
-/// the cheap tree stepping; a faulty one applies the round matrix with
-/// the offline nodes' tree edges dropped (self-loops kept), then the
-/// losses.
+/// in lockstep for [`SourceSet::Nodes`] workloads. Every round, quiet or
+/// faulty, steps both states along the round tree's parent array with
+/// the offline nodes' edges dropped (self-loops kept), then applies the
+/// losses; no round matrix is built.
 pub struct DenseEngine<'a, S: ?Sized> {
     source: &'a mut S,
     state: BroadcastState,
     tracked: Option<TrackedTokens>,
-    round_matrix: BoolMatrix,
     tree: Option<RootedTree>,
 }
 
@@ -185,7 +183,6 @@ impl<'a, S: TreeSource + ?Sized> DenseEngine<'a, S> {
                 SourceSet::All => None,
                 SourceSet::Nodes(sources) => Some(TrackedTokens::new(n, &sources)),
             },
-            round_matrix: BoolMatrix::zeros(n),
             tree: None,
         }
     }
@@ -199,31 +196,14 @@ impl<S: TreeSource + ?Sized> RoundEngine for DenseEngine<'_, S> {
         if let Some(r) = faults.root {
             tree = tree.rerooted(r);
         }
-        if faults.is_quiet() {
-            self.state.apply(&tree);
+        self.state.apply_round(&tree, &faults.offline);
+        if let Some(t) = self.tracked.as_mut() {
+            t.apply_round(&tree, &faults.offline);
+        }
+        for &y in &faults.losses {
+            self.state.forget(y);
             if let Some(t) = self.tracked.as_mut() {
-                t.apply(&tree);
-            }
-        } else {
-            let m = &mut self.round_matrix;
-            m.clear();
-            m.add_self_loops();
-            let is_offline = |v| faults.offline.binary_search(&v).is_ok();
-            for y in 0..self.state.n() {
-                match tree.parent(y) {
-                    Some(p) if !is_offline(p) && !is_offline(y) => m.set(p, y, true),
-                    _ => {}
-                }
-            }
-            self.state.apply_matrix(m);
-            if let Some(t) = self.tracked.as_mut() {
-                t.apply_matrix(m);
-            }
-            for &y in &faults.losses {
-                self.state.forget(y);
-                if let Some(t) = self.tracked.as_mut() {
-                    t.forget(y);
-                }
+                t.forget(y);
             }
         }
         Some((self.tree.insert(tree), &self.state))

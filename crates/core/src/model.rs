@@ -19,7 +19,9 @@
 //! ```
 //!
 //! which costs `O(n²/64)` machine words per round instead of the `O(n³/64)`
-//! of a full matrix product.
+//! of a full matrix product. A dropout round
+//! ([`BroadcastState::apply_round`]) only skips the unions whose edge has
+//! an offline end, so faulty rounds cost the same.
 
 use treecast_bitmatrix::{BitSet, BoolMatrix, RowRef};
 use treecast_trees::{NodeId, RootedTree};
@@ -208,8 +210,24 @@ impl BroadcastState {
 
     /// Number of *disseminated tokens*: nodes whose information has
     /// reached everyone — the progress measure of [`crate::Workload`].
+    ///
+    /// Counts [`BroadcastState::broadcast_witnesses`] one word column at a
+    /// time, without materializing the set: the dense engine calls this
+    /// every round, so it must not allocate.
     pub fn disseminated_count(&self) -> usize {
-        self.broadcast_witnesses().len()
+        let stride = self.heard.words_per_row();
+        (0..stride)
+            .map(|w| {
+                let mut meet = !0u64;
+                for &word in self.heard.as_words()[w..].iter().step_by(stride) {
+                    meet &= word;
+                    if meet == 0 {
+                        break;
+                    }
+                }
+                meet.count_ones() as usize
+            })
+            .sum()
     }
 
     /// Applies one synchronous round along `tree` (with implicit
@@ -219,6 +237,19 @@ impl BroadcastState {
     ///
     /// Panics if `tree.n() != self.n()`.
     pub fn apply(&mut self, tree: &RootedTree) {
+        self.apply_round(tree, &[]);
+    }
+
+    /// Applies one synchronous round along `tree` with the `offline` nodes
+    /// dropped out: a tree edge carries nothing when either end is
+    /// offline, self-loops stay. The round graph is a forest, so this is
+    /// `G(t+1) = G(t) ∘ (F + I)` without building `F`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tree.n() != self.n()`, or `offline` is not sorted
+    /// ascending or names a node `>= n`.
+    pub fn apply_round(&mut self, tree: &RootedTree, offline: &[NodeId]) {
         assert_eq!(
             tree.n(),
             self.n,
@@ -226,11 +257,12 @@ impl BroadcastState {
             tree.n(),
             self.n
         );
+        check_offline(offline, self.n);
         // Reverse BFS: every node is updated before its parent, so each
         // union reads the parent's *old* row — the synchronous semantics —
         // without cloning the state.
         for &y in tree.bfs().iter().rev() {
-            if let Some(p) = tree.parent(y) {
+            if let Some(p) = round_parent(tree.parent(y), y, offline) {
                 self.heard.union_rows(y, p);
             }
         }
@@ -293,6 +325,28 @@ impl BroadcastState {
     /// `y`) without recomputation.
     pub fn heard_matrix(&self) -> BoolMatrix {
         self.heard.clone()
+    }
+}
+
+/// `y`'s in-neighbour in the round forest: its tree `parent`, unless `y`
+/// or the parent is in the sorted `offline` set.
+#[inline]
+pub(crate) fn round_parent(
+    parent: Option<NodeId>,
+    y: NodeId,
+    offline: &[NodeId],
+) -> Option<NodeId> {
+    let p = parent?;
+    let is_offline = |v| offline.binary_search(&v).is_ok();
+    (offline.is_empty() || !is_offline(p) && !is_offline(y)).then_some(p)
+}
+
+/// Panics unless `offline` is sorted ascending and within `0..n`, as
+/// [`crate::RoundFaults::normalize`] leaves it.
+pub(crate) fn check_offline(offline: &[NodeId], n: usize) {
+    assert!(offline.is_sorted(), "offline set must be sorted ascending");
+    if let Some(&v) = offline.last() {
+        assert!(v < n, "offline node {v} out of range for n = {n}");
     }
 }
 

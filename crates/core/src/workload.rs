@@ -31,7 +31,7 @@ use treecast_trees::{NodeId, RootedTree};
 
 use crate::drive::{drive, DenseEngine};
 use crate::engine::{SimulationConfig, TreeSource};
-use crate::model::BroadcastState;
+use crate::model::{check_offline, round_parent, BroadcastState};
 use crate::scenario::NoFaults;
 
 /// Which nodes start with a token.
@@ -216,9 +216,11 @@ impl Workload for KSourceBroadcast {
 /// token `i` (owned by `sources[i]`), kept in the first `k` rows of one
 /// square [`BoolMatrix`].
 ///
-/// A round is one [`BoolMatrix::compose_prefix_into`] of the `k × n` row
-/// block with the round matrix — `k/n`-th of a full-state round, with no
-/// steady-state allocation. The dense engine still keeps a full
+/// A tree round is one [`BoolMatrix::gather_union_prefix`] of the `k` rows
+/// along the round's parent map: holder row `i` gains every node whose
+/// round parent holds token `i`. That is `k/n`-th of a full-state round,
+/// builds no round matrix and does not allocate once the retained
+/// buffers have grown. The dense engine still keeps a full
 /// [`BroadcastState`] in lockstep for state-reading adversaries, so the
 /// saving is the standalone stepping cost, not the engine's.
 #[derive(Debug, Clone)]
@@ -228,10 +230,14 @@ pub struct TrackedTokens {
     sources: Vec<NodeId>,
     /// Rows `0..sources.len()` are live holder sets; the rest stay zero.
     holders: BoolMatrix,
-    /// Retained double buffer for the compose output.
-    scratch: BoolMatrix,
-    /// Retained buffer for the round tree's matrix (`T + I`).
-    round_matrix: BoolMatrix,
+    /// Retained round buffer: each node's in-neighbour in the round
+    /// forest, or the node itself when it has none.
+    parent_map: Vec<NodeId>,
+    /// Retained gather buffer: one holder row as it was before the round.
+    old_row: Vec<u64>,
+    /// Double buffer for [`TrackedTokens::apply_matrix`], allocated on
+    /// first use.
+    scratch: Option<BoolMatrix>,
 }
 
 impl TrackedTokens {
@@ -253,8 +259,9 @@ impl TrackedTokens {
             round: 0,
             sources: sources.to_vec(),
             holders,
-            scratch: BoolMatrix::zeros(n),
-            round_matrix: BoolMatrix::zeros(n),
+            parent_map: Vec::new(),
+            old_row: Vec::new(),
+            scratch: None,
         }
     }
 
@@ -299,6 +306,18 @@ impl TrackedTokens {
     ///
     /// Panics if `tree.n() != self.n()`.
     pub fn apply(&mut self, tree: &RootedTree) {
+        self.apply_round(tree, &[]);
+    }
+
+    /// Applies one synchronous round along `tree` with the `offline` nodes
+    /// dropped out, mirroring [`BroadcastState::apply_round`]: a tree edge
+    /// carries nothing when either end is offline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tree.n() != self.n()`, or `offline` is not sorted
+    /// ascending or names a node `>= n`.
+    pub fn apply_round(&mut self, tree: &RootedTree, offline: &[NodeId]) {
         assert_eq!(
             tree.n(),
             self.n,
@@ -306,18 +325,19 @@ impl TrackedTokens {
             tree.n(),
             self.n
         );
-        self.round_matrix.clear();
-        self.round_matrix.add_self_loops();
-        for y in 0..self.n {
-            if let Some(p) = tree.parent(y) {
-                self.round_matrix.set(p, y, true);
-            }
-        }
-        self.step();
+        check_offline(offline, self.n);
+        self.parent_map.clear();
+        let parents = tree.parents().iter().enumerate();
+        self.parent_map
+            .extend(parents.map(|(y, &p)| round_parent(p, y, offline).unwrap_or(y)));
+        self.holders
+            .gather_union_prefix(self.sources.len(), &self.parent_map, &mut self.old_row);
+        self.round += 1;
     }
 
     /// Applies one synchronous round along an arbitrary directed graph
-    /// `m` (self-loops are **not** implied).
+    /// `m` (self-loops are **not** implied): the `k` holder rows through
+    /// [`BoolMatrix::compose_prefix_into`].
     ///
     /// # Panics
     ///
@@ -330,14 +350,12 @@ impl TrackedTokens {
             m.n(),
             self.n
         );
-        self.round_matrix.clone_from(m);
-        self.step();
-    }
-
-    fn step(&mut self) {
+        let next = self
+            .scratch
+            .get_or_insert_with(|| BoolMatrix::zeros(self.n));
         self.holders
-            .compose_prefix_into(self.sources.len(), &self.round_matrix, &mut self.scratch);
-        std::mem::swap(&mut self.holders, &mut self.scratch);
+            .compose_prefix_into(self.sources.len(), m, next);
+        std::mem::swap(&mut self.holders, next);
         self.round += 1;
     }
 

@@ -1,6 +1,9 @@
 //! Proves the zero-allocation contract of the flat-bitmatrix hot paths:
-//! steady-state `BoolMatrix::compose_into` and
-//! `BroadcastState::apply_matrix` perform no heap allocation per call.
+//! steady-state `BoolMatrix::compose_into`, `BroadcastState::apply_matrix`,
+//! the tree-native `apply_round` of `BroadcastState` and `TrackedTokens`
+//! (quiet and with dropouts), and the per-round
+//! `BroadcastState::disseminated_count` perform no heap allocation per
+//! call.
 //!
 //! A counting wrapper around the system allocator tallies every
 //! allocation; the file contains exactly one `#[test]` so no concurrent
@@ -10,7 +13,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use treecast_bitmatrix::{BoolMatrix, ComposePath};
-use treecast_core::BroadcastState;
+use treecast_core::{BroadcastState, TrackedTokens};
+use treecast_trees::generators;
 
 struct CountingAllocator;
 
@@ -119,7 +123,39 @@ fn steady_state_compose_and_apply_matrix_do_not_allocate() {
         "steady-state apply_matrix must reuse its scratch buffer"
     );
 
+    // apply_round: the full state needs no buffer at all; the tracked
+    // tokens grow their parent map and gather row on the first call and
+    // reuse them after. Quiet and dropout rounds alternate, and the
+    // dissemination count the dense engine queries every round is
+    // measured with them.
+    let tree = generators::caterpillar(n, 16);
+    let offline = [0, 5, 64, 200];
+    let mut tree_state = BroadcastState::new(n);
+    let mut tracked = TrackedTokens::new(n, &[0, 64, 128, 256]);
+    tracked.apply_round(&tree, &offline); // warm-up: buffers are grown here
+    let mut disseminated = 0;
+    let clean_round_window = (0..5)
+        .map(|_| {
+            let before = allocations();
+            for _ in 0..10 {
+                tree_state.apply(&tree);
+                tree_state.apply_round(&tree, &offline);
+                tracked.apply(&tree);
+                tracked.apply_round(&tree, &offline);
+                disseminated += tree_state.disseminated_count() + state.disseminated_count();
+            }
+            allocations() - before
+        })
+        .min()
+        .expect("five windows measured");
+    assert_eq!(
+        clean_round_window, 0,
+        "steady-state apply_round and disseminated_count must not allocate"
+    );
+
     // Keep the results observable so the loops cannot be optimized away.
     assert!(out.edge_count() > 0);
     assert!(state.edge_count() > 0);
+    assert!(disseminated > 0);
+    assert!(tracked.holders(0).len() > 1);
 }

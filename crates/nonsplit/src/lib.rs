@@ -356,7 +356,9 @@ impl MatrixSource for GreedyNonsplit {
 /// `k`-broadcast, gossip, and token-subset workloads all run through the
 /// same loop. [`SourceSet::All`] workloads step a full [`BroadcastState`];
 /// token-subset workloads additionally step a batched [`TrackedTokens`]
-/// state whose `k` holder rows ride `BoolMatrix::compose_prefix_into`.
+/// state whose `k` holder rows ride `BoolMatrix::compose_prefix_into`
+/// (nonsplit round graphs are not forests, so they stay on the matrix
+/// path).
 ///
 /// # Examples
 ///
