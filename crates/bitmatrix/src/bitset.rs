@@ -18,6 +18,43 @@ pub(crate) const fn words_for(nbits: usize) -> usize {
     nbits.div_ceil(WORD_BITS)
 }
 
+/// One word of a gather along a node map: bit `i` of the result is bit
+/// `src[i]` of the word-packed set `words` (least-significant bit =
+/// element 0). Assembled without branches from single-bit reads.
+///
+/// This is the kernel of a synchronous round along a forest for rows in
+/// *row view*: with `src[y]` the round parent of `y` (or `y` itself),
+/// word `w` of the next row is `words[w] | gather_word(words, chunk_w)`
+/// where `chunk_w` is the `w`-th 64-entry chunk of the map — see
+/// [`BoolMatrix::gather_union_prefix`](crate::BoolMatrix::gather_union_prefix).
+///
+/// # Examples
+///
+/// ```
+/// use treecast_bitmatrix::gather_word;
+///
+/// let words = [0b1010u64];
+/// assert_eq!(gather_word(&words, &[1, 0, 3, 3]), 0b1101);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `src` has more than 64 entries or names a bit past the end
+/// of `words`.
+#[inline]
+pub fn gather_word(words: &[u64], src: &[usize]) -> u64 {
+    assert!(
+        src.len() <= WORD_BITS,
+        "a gathered word holds at most 64 bits, got {}",
+        src.len()
+    );
+    let mut gathered = 0u64;
+    for (bit, &s) in src.iter().enumerate() {
+        gathered |= (words[s / WORD_BITS] >> (s % WORD_BITS) & 1) << bit;
+    }
+    gathered
+}
+
 /// A read-only, word-packed view of a set of bits over a fixed universe.
 ///
 /// Implemented by [`BitSet`] (owned storage), [`crate::RowRef`] /

@@ -147,6 +147,16 @@ impl HybridRow {
         matches!(self.repr, Repr::Dense(_))
     }
 
+    /// The dense storage words (least-significant bit = element 0, tail
+    /// bits past the universe zero), or `None` while the row is sparse.
+    #[inline]
+    pub fn dense_words(&self) -> Option<&[u64]> {
+        match &self.repr {
+            Repr::Sparse(_) => None,
+            Repr::Dense(b) => Some(b.words()),
+        }
+    }
+
     /// Tests membership: O(log threshold) sparse, O(1) dense.
     ///
     /// Out-of-universe queries return `false`, matching [`BitSet`].
@@ -435,6 +445,15 @@ mod tests {
         assert!(a.is_dense());
         assert_eq!(a.to_bitset(), expect);
         assert_eq!(a.len(), expect.len());
+    }
+
+    #[test]
+    fn dense_words_only_once_promoted() {
+        let n = 640;
+        let mut row = HybridRow::singleton(n, 70);
+        assert_eq!(row.dense_words(), None);
+        row.extend(0..=hybrid_threshold(n));
+        assert_eq!(row.dense_words(), Some(row.to_bitset().words()));
     }
 
     #[test]

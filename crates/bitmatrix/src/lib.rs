@@ -63,7 +63,7 @@ mod row;
 #[cfg(feature = "proptest")]
 pub mod strategies;
 
-pub use bitset::{BitSet, BitView, Iter, ParseBitSetError};
+pub use bitset::{gather_word, BitSet, BitView, Iter, ParseBitSetError};
 pub use hybrid::{hybrid_threshold, HybridIter, HybridRow};
 pub use matrix::{BoolMatrix, ComposePath, ParseMatrixError};
 pub use packed::{PackedMatrix, PACKED_MAX_N};

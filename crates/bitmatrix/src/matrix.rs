@@ -20,7 +20,7 @@ use core::ops::Mul;
 use core::str::FromStr;
 use std::collections::HashSet;
 
-use crate::bitset::{words_for, BitSet, BitView, WORD_BITS};
+use crate::bitset::{gather_word, words_for, BitSet, BitView, WORD_BITS};
 use crate::row::{RowMut, RowRef};
 
 /// Smallest `n` for which the auto-selected kernel shards rows across
@@ -344,9 +344,9 @@ impl BoolMatrix {
     /// This is one synchronous round along the forest `src[y] → y` (with
     /// self-loops; `src[y] = y` marks a node with no in-edge) for rows in
     /// *row view*, such as token holder sets: a row gains every node whose
-    /// round parent it contained. Each output word is assembled without
-    /// branches from 64 single-bit reads of the old row, which `buf`
-    /// holds; `buf` is resized to one row and can be reused across calls.
+    /// round parent it contained. Each output word is one [`gather_word`]
+    /// over the old row, which `buf` holds; `buf` is resized to one row
+    /// and can be reused across calls.
     ///
     /// # Panics
     ///
@@ -377,11 +377,7 @@ impl BoolMatrix {
         for row in self.words.chunks_exact_mut(self.stride).take(rows) {
             buf.copy_from_slice(row);
             for (word, chunk) in row.iter_mut().zip(src.chunks(WORD_BITS)) {
-                let mut gathered = 0u64;
-                for (bit, &s) in chunk.iter().enumerate() {
-                    gathered |= (buf[s / WORD_BITS] >> (s % WORD_BITS) & 1) << bit;
-                }
-                *word |= gathered;
+                *word |= gather_word(buf, chunk);
             }
         }
     }

@@ -14,6 +14,14 @@
 //! costs O(frontier). Holder sets are [`HybridRow`]s — sorted lists while
 //! small, dense words once promoted.
 //!
+//! When the whole tree changes ([`RoundDelta::All`], e.g. a fresh uniform
+//! tree every round) the candidate lists would be all `n` nodes per token,
+//! so such a round steps the tree directly instead: one O(n) pass builds
+//! the effective parent map (`y`'s parent if the edge carries, else `y`),
+//! then each token costs one 64-bits-per-word gather over its dense holder
+//! row — or only its holders' children while the row is sparse — plus a
+//! scan of the masked edges for the fault-deferred nodes.
+//!
 //! # Exactness and scale
 //!
 //! With [`SourceSet::All`] workloads all `n` tokens are tracked: exactly
@@ -26,11 +34,12 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use treecast_bitmatrix::{BitSet, HybridRow};
+use treecast_bitmatrix::{gather_word, BitSet, HybridRow};
 use treecast_trees::{random, NodeId, RootedTree};
 
 use crate::drive::{drive, RoundEngine};
 use crate::engine::{summarize, SequenceSource, SimulationConfig, StaticSource, TreeSource};
+use crate::model::{check_offline, round_parents_into};
 use crate::scenario::{FaultModel, NoFaults, RoundFaults};
 use crate::workload::{SourceSet, Workload, WorkloadProgress, WorkloadReport};
 
@@ -50,8 +59,9 @@ pub enum RoundDelta<'a> {
     /// (e.g. the nodes on a re-rooting path). May name nodes whose parent
     /// did not actually change; extra candidates are harmless.
     Changed(&'a [NodeId]),
-    /// Arbitrarily different tree: every node is a candidate. Always
-    /// sound, costs O(n) for the round.
+    /// Arbitrarily different tree (e.g. a fresh uniform draw). Always
+    /// sound. No candidate lists: one O(n) parent map per round, then one
+    /// word gather per dense token row (see [`FrontierState::apply_round`]).
     All,
 }
 
@@ -70,6 +80,64 @@ struct TokenFrontier {
     deferred: Vec<NodeId>,
     /// Cached `holders.is_full()`.
     full: bool,
+}
+
+impl TokenFrontier {
+    /// Resolves a [`RoundDelta::All`] round against the pre-round holder
+    /// set with no candidate list: pushes the nodes that receive the token
+    /// onto `fresh` and refills `deferred` with the fault-blocked ones.
+    /// `round_parents[y]` is `y`'s parent if that edge carries this round,
+    /// else `y` ([`round_parents_into`]).
+    fn step_whole_tree(
+        &mut self,
+        tree: &RootedTree,
+        round_parents: &[NodeId],
+        offline: &[NodeId],
+        fresh: &mut Vec<NodeId>,
+    ) {
+        let holders = &self.holders;
+        match holders.dense_words() {
+            // Dense: `y` is new iff it is not a holder but its round
+            // parent is — one gathered word per 64 nodes.
+            Some(words) => {
+                for (w, chunk) in round_parents.chunks(64).enumerate() {
+                    let mut new = gather_word(words, chunk) & !words[w];
+                    while new != 0 {
+                        fresh.push(w * 64 + new.trailing_zeros() as usize);
+                        new &= new - 1;
+                    }
+                }
+            }
+            // Sparse: only a holder's children can be new.
+            None => {
+                for h in holders.iter() {
+                    let kids = tree.children(h).iter().copied();
+                    fresh.extend(kids.filter(|&c| round_parents[c] == h && !holders.contains(c)));
+                }
+            }
+        }
+
+        // Deferred: the non-holders whose parent holds the token across a
+        // masked edge — an offline node itself, or an online child of an
+        // offline node. Repeated offline entries are skipped.
+        self.deferred.clear();
+        let is_offline = |v: NodeId| offline.binary_search(&v).is_ok();
+        for (i, &v) in offline.iter().enumerate() {
+            if i > 0 && offline[i - 1] == v {
+                continue;
+            }
+            if let Some(p) = tree.parent(v) {
+                if !holders.contains(v) && holders.contains(p) {
+                    self.deferred.push(v);
+                }
+            }
+            if holders.contains(v) {
+                let kids = tree.children(v).iter().copied();
+                self.deferred
+                    .extend(kids.filter(|&c| !is_offline(c) && !holders.contains(c)));
+            }
+        }
+    }
 }
 
 /// The frontier-sparse dissemination state: one [`HybridRow`] holder set
@@ -112,6 +180,9 @@ pub struct FrontierState {
     touched: Vec<NodeId>,
     /// Scratch: the round's candidate list.
     pending: Vec<NodeId>,
+    /// Scratch: a whole-tree round's effective parent map, shared by all
+    /// tokens.
+    round_parents: Vec<NodeId>,
 }
 
 impl FrontierState {
@@ -150,6 +221,7 @@ impl FrontierState {
             fresh: Vec::new(),
             touched: Vec::new(),
             pending: Vec::new(),
+            round_parents: Vec::new(),
         }
     }
 
@@ -172,6 +244,28 @@ impl FrontierState {
     /// Panics if `i` is not a tracked token.
     pub fn holders(&self, i: usize) -> &HybridRow {
         &self.tokens[i].holders
+    }
+
+    /// Token `i`'s frontier: the nodes that became holders in the last
+    /// applied round (before any round, the source), in no particular
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a tracked token.
+    pub fn frontier(&self, i: usize) -> &[NodeId] {
+        &self.tokens[i].frontier
+    }
+
+    /// The non-holders of token `i` that a fault (an offline endpoint or a
+    /// token loss) kept from it; they are re-examined every round until
+    /// resolved. In no particular order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a tracked token.
+    pub fn deferred(&self, i: usize) -> &[NodeId] {
+        &self.tokens[i].deferred
     }
 
     /// Tokens currently held by every node (maintained incrementally;
@@ -252,6 +346,17 @@ impl FrontierState {
     /// with the edges incident to the sorted `offline` nodes masked out —
     /// the frontier mirror of the dense engine's masked round matrix.
     ///
+    /// # Cost
+    ///
+    /// [`RoundDelta::Unchanged`] and [`RoundDelta::Changed`] rounds
+    /// examine O(candidates) nodes per token (below). A
+    /// [`RoundDelta::All`] round builds the effective parent map once
+    /// (O(n)) and then steps each token along the whole tree: a dense
+    /// holder row costs one word gather of n bits ([`gather_word`]), a
+    /// sparse one only its holders' children; either way the deferred
+    /// set comes from the masked edges alone (offline nodes and their
+    /// children).
+    ///
     /// # Correctness of the candidate set
     ///
     /// A node `y` can newly receive a token this round only if
@@ -264,14 +369,17 @@ impl FrontierState {
     /// holder (then `p` joined a later frontier — first case), or blocked
     /// by a fault and parked in `deferred`, where it stays until
     /// resolved. Fault-forgotten nodes re-enter through `deferred` too
-    /// ([`FrontierState::forget`]).
+    /// ([`FrontierState::forget`]). A whole-tree round needs no
+    /// candidates and leaves exactly the fault-blocked nodes deferred, so
+    /// the induction carries on from it.
     ///
     /// New holders are collected first and committed after the scan, so a
     /// token still travels exactly one hop per round.
     ///
     /// # Panics
     ///
-    /// Panics if `tree.n() != self.n()`.
+    /// Panics if `tree.n() != self.n()`, or `offline` is not sorted
+    /// ascending or names a node `>= n`.
     pub fn apply_round(&mut self, tree: &RootedTree, delta: RoundDelta<'_>, offline: &[NodeId]) {
         assert_eq!(
             tree.n(),
@@ -280,12 +388,12 @@ impl FrontierState {
             tree.n(),
             self.n
         );
-        debug_assert!(
-            offline.windows(2).all(|w| w[0] < w[1]),
-            "offline list must be sorted and deduplicated"
-        );
-        let n = self.n;
+        check_offline(offline, self.n);
         let is_offline = |v: NodeId| offline.binary_search(&v).is_ok();
+        let whole_tree = matches!(delta, RoundDelta::All);
+        if whole_tree && self.tokens.iter().any(|tok| !tok.full) {
+            round_parents_into(tree, offline, &mut self.round_parents);
+        }
         let mut seen = std::mem::replace(&mut self.seen, BitSet::new(0));
         let mut fresh = std::mem::take(&mut self.fresh);
         let mut touched = std::mem::take(&mut self.touched);
@@ -300,52 +408,48 @@ impl FrontierState {
                 tok.frontier.clear();
                 continue;
             }
-
-            // Phase 1: gather candidates. `RoundDelta::All` supersedes
-            // the incremental lists (and resolves any deferred node as a
-            // side effect of scanning everyone).
-            pending.clear();
-            match delta {
-                RoundDelta::All => {
-                    tok.deferred.clear();
-                    pending.extend(0..n);
-                }
-                _ => {
-                    pending.append(&mut tok.deferred);
-                    for &f in &tok.frontier {
-                        pending.extend_from_slice(tree.children(f));
-                    }
-                    if let RoundDelta::Changed(nodes) = delta {
-                        pending.extend_from_slice(nodes);
-                    }
-                }
-            }
-
-            // Phase 2: resolve against the *pre-round* holder set.
-            // `tok.deferred` is empty here and refills with this round's
-            // fault-blocked candidates.
             fresh.clear();
-            touched.clear();
-            for &y in &pending {
-                if seen.contains(y) {
-                    continue;
+            if whole_tree {
+                tok.step_whole_tree(tree, &self.round_parents, offline, &mut fresh);
+            } else {
+                // Phase 1: gather candidates.
+                pending.clear();
+                pending.append(&mut tok.deferred);
+                for &f in &tok.frontier {
+                    pending.extend_from_slice(tree.children(f));
                 }
-                seen.insert(y);
-                touched.push(y);
-                if tok.holders.contains(y) {
-                    continue;
+                if let RoundDelta::Changed(nodes) = delta {
+                    pending.extend_from_slice(nodes);
                 }
-                let Some(p) = tree.parent(y) else {
-                    continue;
-                };
-                if !tok.holders.contains(p) {
-                    continue;
+
+                // Phase 2: resolve against the *pre-round* holder set.
+                // `tok.deferred` is empty here and refills with this
+                // round's fault-blocked candidates.
+                touched.clear();
+                for &y in &pending {
+                    if seen.contains(y) {
+                        continue;
+                    }
+                    seen.insert(y);
+                    touched.push(y);
+                    if tok.holders.contains(y) {
+                        continue;
+                    }
+                    let Some(p) = tree.parent(y) else {
+                        continue;
+                    };
+                    if !tok.holders.contains(p) {
+                        continue;
+                    }
+                    if is_offline(y) || is_offline(p) {
+                        tok.deferred.push(y);
+                        continue;
+                    }
+                    fresh.push(y);
                 }
-                if is_offline(y) || is_offline(p) {
-                    tok.deferred.push(y);
-                    continue;
+                for &y in &touched {
+                    seen.remove(y);
                 }
-                fresh.push(y);
             }
 
             // Phase 3: commit. `fresh` becomes the next frontier; the old
@@ -354,9 +458,6 @@ impl FrontierState {
                 tok.holders.insert(y);
             }
             std::mem::swap(&mut tok.frontier, &mut fresh);
-            for &y in &touched {
-                seen.remove(y);
-            }
             if tok.holders.is_full() {
                 tok.full = true;
                 disseminated += 1;

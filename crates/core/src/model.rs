@@ -341,6 +341,15 @@ pub(crate) fn round_parent(
     (offline.is_empty() || !is_offline(p) && !is_offline(y)).then_some(p)
 }
 
+/// Fills `out` with the round forest as a node map: `out[y]` is `y`'s
+/// [`round_parent`] when that edge carries this round, else `y` itself —
+/// the gather map of [`gather_word`](treecast_bitmatrix::gather_word).
+pub(crate) fn round_parents_into(tree: &RootedTree, offline: &[NodeId], out: &mut Vec<NodeId>) {
+    out.clear();
+    let parents = tree.parents().iter().enumerate();
+    out.extend(parents.map(|(y, &p)| round_parent(p, y, offline).unwrap_or(y)));
+}
+
 /// Panics unless `offline` is sorted ascending and within `0..n`, as
 /// [`crate::RoundFaults::normalize`] leaves it.
 pub(crate) fn check_offline(offline: &[NodeId], n: usize) {

@@ -31,7 +31,7 @@ use treecast_trees::{NodeId, RootedTree};
 
 use crate::drive::{drive, DenseEngine};
 use crate::engine::{SimulationConfig, TreeSource};
-use crate::model::{check_offline, round_parent, BroadcastState};
+use crate::model::{check_offline, round_parents_into, BroadcastState};
 use crate::scenario::NoFaults;
 
 /// Which nodes start with a token.
@@ -326,10 +326,7 @@ impl TrackedTokens {
             self.n
         );
         check_offline(offline, self.n);
-        self.parent_map.clear();
-        let parents = tree.parents().iter().enumerate();
-        self.parent_map
-            .extend(parents.map(|(y, &p)| round_parent(p, y, offline).unwrap_or(y)));
+        round_parents_into(tree, offline, &mut self.parent_map);
         self.holders
             .gather_union_prefix(self.sources.len(), &self.parent_map, &mut self.old_row);
         self.round += 1;

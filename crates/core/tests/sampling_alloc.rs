@@ -1,7 +1,8 @@
 //! Proves the allocation contract of seeded tree sampling: once the tree's
 //! buffers have grown to `n`, `random::uniform_into` and the seeded
 //! `FrontierSource::next_round` (which samples into its retained tree)
-//! allocate zero bytes per call.
+//! allocate zero bytes per call — and so does a whole seeded frontier
+//! round, `next_round` plus `FrontierState::apply_round` over 16 tokens.
 //!
 //! A counting wrapper around the system allocator tallies every
 //! allocation and its size; the file contains exactly one `#[test]` so no
@@ -12,7 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use treecast_core::FrontierSource;
+use treecast_core::{FrontierSource, FrontierState};
 use treecast_trees::random;
 
 struct CountingAllocator;
@@ -106,5 +107,30 @@ fn steady_state_sampling_does_not_allocate() {
             "seeded next_round at n = {n} must sample into its retained tree"
         );
         assert!(leaves > 0);
+
+        // Seeded rounds on the frontier engine with k = 16 tokens (fewer
+        // below n = 16). One loss per round keeps the tokens stepping
+        // instead of idling once disseminated. The warm-up grows every
+        // buffer and promotes the holder rows.
+        let k = n.min(16);
+        let sources: Vec<usize> = (0..k).map(|i| i * n / k).collect();
+        let mut state = FrontierState::new(n, &sources);
+        let mut victim = 0;
+        let mut round = |state: &mut FrontierState| {
+            let r = source.next_round(n, None);
+            state.apply_round(r.tree, r.delta, &[]);
+            victim = (victim + 7919) % n;
+            state.forget(victim);
+        };
+        for _ in 0..64 {
+            round(&mut state);
+        }
+        let window = cleanest_window(|| round(&mut state));
+        assert_eq!(
+            window,
+            (0, 0),
+            "seeded frontier rounds at n = {n}, k = {k} must reuse their buffers"
+        );
+        assert!(state.round() > 64);
     }
 }
