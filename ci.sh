@@ -21,8 +21,11 @@
 # prints a per-step wall-time summary, and exits nonzero listing every
 # failed step. Everything runs offline: the rand/proptest/criterion
 # dependencies are vendored path crates (see vendor/).
+# Every bench gate writes one GateReport document (results/BENCH_<x>.json:
+# bench, exact cells, wall statistic, info rows; schema in
+# crates/bench/README.md) and compares it with `gate::check`.
 # TREECAST_BENCH_GATE=off skips the *timing* halves of the bench gates
-# (exact t*/round-count halves are always enforced).
+# (the exact halves and the wall-label match are always enforced).
 set -uo pipefail
 cd "$(dirname "$0")"
 
@@ -70,6 +73,9 @@ step_fmt() {
         # shellcheck disable=SC2086
         (cd "$shim" && cargo fmt $FMT_MODE) || return 1
     done
+    # The benchmark is a workspace of its own, so the root run skips it.
+    # shellcheck disable=SC2086
+    cargo fmt $FMT_MODE --manifest-path perfbench/Cargo.toml || return 1
 }
 
 step_docs() {
@@ -114,9 +120,10 @@ run_step "static analysis (L1-L6, allowlist ratchet)" \
     --rules all --check results/ANALYZE_baseline.json
 
 if [[ "$TIER" != quick ]]; then
-    # Each gate re-measures, writes results/BENCH_<x>.json and compares
-    # against the checked-in baseline: wall times at +25%, exact values
-    # (solver t*, workload round counts) with zero tolerance.
+    # Each gate re-measures, writes its GateReport to
+    # results/BENCH_<x>.json and runs `gate::check` against the checked-in
+    # baseline: the wall statistic at +25% (same label required), every
+    # baseline exact cell with zero tolerance.
     run_step "compose bench gate (n = 1024, +25%)" \
         cargo run --release -p treecast-bench --bin bench_compose -- \
         --check results/BENCH_compose_baseline.json

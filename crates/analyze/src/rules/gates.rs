@@ -6,7 +6,8 @@
 //!
 //! * a checked-in baseline `results/BENCH_<x>_baseline.json`,
 //! * an invocation of `bench_<x>` somewhere in `ci.sh`,
-//! * a schema row mentioning `BENCH_<x>.json` in `crates/bench/README.md`.
+//! * a row mentioning `BENCH_<x>.json` in `crates/bench/README.md`'s
+//!   gate table (every gate shares the one `GateReport` schema there).
 
 use std::fs;
 

@@ -1,7 +1,6 @@
-//! Shared pieces of the adversary-search benchmark report
-//! (`bench_adversary`): the deterministic beam-plan grid, the planning
-//! wall-time measurement, hand-rolled JSON rendering (no serde in the
-//! offline build), and the minimal parser the CI gate needs.
+//! Shared pieces of the adversary-search benchmark (`bench_adversary`):
+//! the deterministic beam-plan grid, the planning wall-time
+//! measurement, and the gate document.
 //!
 //! The gate has two halves, mirroring the solver and workload gates:
 //!
@@ -16,6 +15,7 @@
 
 use std::time::Instant;
 
+use serde::Serialize;
 use treecast_adversary::{
     beam_search_plan, beam_search_workload_plan, BeamOptions, MinDisseminated, StructuredPool,
     SurvivalObjective, TrackedSearchState,
@@ -25,12 +25,10 @@ use treecast_core::{
     SimulationConfig, Workload,
 };
 
-/// Allowed slowdown of the planning wall time against the checked-in
-/// baseline before `bench_adversary --check` fails, in percent.
-pub use crate::gate::REGRESSION_HEADROOM_PERCENT;
+use crate::gate::{rounds_cell, GateReport, Wall};
 
 /// One deterministic cell of the beam-plan grid.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct PlanRound {
     /// Workload name (`broadcast`, `k-broadcast(k=2)`, `gossip`, …).
     pub workload: String,
@@ -43,7 +41,7 @@ pub struct PlanRound {
     /// Network size.
     pub n: usize,
     /// Completion round of the replayed plan, or `None` when the capped
-    /// run did not complete (rendered as `-1`; the expected outcome for
+    /// run did not complete (exact cell `-1`; the expected outcome for
     /// the provably divergent variants).
     pub rounds: Option<u64>,
 }
@@ -198,97 +196,28 @@ pub fn measure_plan_wall(samples: usize) -> PlanWallMeasurement {
     }
 }
 
-/// Renders the two measurement halves as the `BENCH_adversary.json`
-/// document (line-oriented so [`parse_rounds`] / [`parse_ns_per_plan`]
-/// can read it back without a JSON dependency).
-pub fn render_report(rounds: &[PlanRound], wall: &PlanWallMeasurement) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"adversary\",\n");
-    out.push_str("  \"plans\": [\n");
-    for (i, r) in rounds.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"workload\": \"{}\",\n", r.workload));
-        out.push_str(&format!("      \"objective\": \"{}\",\n", r.objective));
-        out.push_str(&format!("      \"width\": {},\n", r.width));
-        out.push_str(&format!("      \"lookahead\": {},\n", r.lookahead));
-        out.push_str(&format!("      \"n\": {},\n", r.n));
-        out.push_str(&format!(
-            "      \"rounds\": {}\n",
-            r.rounds.map(|t| t as i64).unwrap_or(-1)
-        ));
-        out.push_str(if i + 1 == rounds.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
+/// The `BENCH_adversary.json` gate document: every plan cell's
+/// completion round is an exact cell; the wall is the planning call.
+pub fn gate_report(rounds: &[PlanRound], wall: &PlanWallMeasurement) -> GateReport {
+    GateReport {
+        bench: "adversary".into(),
+        exact: rounds
+            .iter()
+            .map(|r| {
+                let key = format!(
+                    "{}/{}/w={}/d={}/n={}",
+                    r.workload, r.objective, r.width, r.lookahead, r.n
+                );
+                (key, rounds_cell(r.rounds))
+            })
+            .collect(),
+        wall: Wall {
+            label: format!("survival beam plan n={} w={}", wall.n, wall.width),
+            value: wall.ns_per_plan,
+            unit: "ns/plan".into(),
+        },
+        info: rounds.to_value(),
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"plan_wall\": {\n");
-    out.push_str(&format!("    \"n\": {},\n", wall.n));
-    out.push_str(&format!("    \"width\": {},\n", wall.width));
-    out.push_str(&format!("    \"ns_per_plan\": {:.1}\n", wall.ns_per_plan));
-    out.push_str("  }\n}\n");
-    out
-}
-
-/// Cell key: `(workload, objective, width, lookahead, n)`.
-pub type PlanKey = (String, String, usize, u32, usize);
-
-/// Extracts every plan cell from a [`render_report`] document as
-/// `(key, rounds)` tuples (`-1` = did not complete).
-pub fn parse_rounds(report: &str) -> Vec<(PlanKey, i64)> {
-    let mut out = Vec::new();
-    let mut lines = report.lines();
-    while let Some(line) = lines.next() {
-        let Some(workload) = field_str(line, "workload") else {
-            continue;
-        };
-        let objective = lines.next().and_then(|l| field_str(l, "objective"));
-        let width = lines.next().and_then(|l| field_num(l, "width"));
-        let lookahead = lines.next().and_then(|l| field_num(l, "lookahead"));
-        let n = lines.next().and_then(|l| field_num(l, "n"));
-        let rounds = lines.next().and_then(|l| field_num(l, "rounds"));
-        if let (Some(objective), Some(width), Some(lookahead), Some(n), Some(rounds)) =
-            (objective, width, lookahead, n, rounds)
-        {
-            out.push((
-                (
-                    workload,
-                    objective,
-                    width as usize,
-                    lookahead as u32,
-                    n as usize,
-                ),
-                rounds,
-            ));
-        }
-    }
-    out
-}
-
-/// Extracts the planning `ns_per_plan` from a [`render_report`] document.
-pub fn parse_ns_per_plan(report: &str) -> Option<f64> {
-    report.lines().find_map(|line| {
-        line.trim()
-            .strip_prefix("\"ns_per_plan\": ")
-            .and_then(|v| v.trim_end_matches(',').parse().ok())
-    })
-}
-
-fn field_str(line: &str, key: &str) -> Option<String> {
-    line.trim()
-        .strip_prefix(&format!("\"{key}\": \""))
-        .map(|rest| {
-            rest.trim_end_matches("\",")
-                .trim_end_matches('"')
-                .to_string()
-        })
-}
-
-fn field_num(line: &str, key: &str) -> Option<i64> {
-    line.trim()
-        .strip_prefix(&format!("\"{key}\": "))
-        .and_then(|v| v.trim_end_matches(',').parse().ok())
 }
 
 #[cfg(test)]
@@ -326,29 +255,30 @@ mod tests {
     #[test]
     fn report_roundtrips_through_parser() {
         let (rounds, wall) = sample();
-        let doc = render_report(&rounds, &wall);
-        let parsed = parse_rounds(&doc);
-        assert_eq!(parsed.len(), 2);
+        let report = gate_report(&rounds, &wall);
         assert_eq!(
-            parsed[0],
-            (
-                ("broadcast".into(), "min-disseminated".into(), 8, 0, 12),
-                11
-            )
+            report.exact.0,
+            vec![
+                ("broadcast/min-disseminated/w=8/d=0/n=12".to_string(), 11),
+                ("gossip/min-disseminated/w=1/d=0/n=12".to_string(), -1),
+            ],
+            "capped runs are -1"
         );
-        assert_eq!(parsed[1].1, -1, "capped runs render as -1");
-        assert_eq!(parse_ns_per_plan(&doc), Some(123456.5));
+        assert_eq!(report.wall.label, "survival beam plan n=32 w=16");
+        assert_eq!(report.wall.value, 123456.5);
+        let back: GateReport =
+            serde::json::from_str(&serde::json::to_string_pretty(&report)).unwrap();
+        assert_eq!(back, report);
+        let info: Vec<PlanRound> = serde::Deserialize::from_value(&back.info).unwrap();
+        assert_eq!(info, rounds);
     }
 
     #[test]
     fn report_is_json_shaped() {
         let (rounds, wall) = sample();
-        let doc = render_report(&rounds, &wall);
-        assert!(doc.starts_with("{\n"));
-        assert!(doc.ends_with("}\n"));
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
-        assert!(!doc.contains(",\n  ]"));
-        assert!(!doc.contains(",\n    }"));
+        let doc = serde::json::to_string_pretty(&gate_report(&rounds, &wall));
+        assert!(doc.starts_with("{\n  \"bench\": \"adversary\",\n  \"exact\": {"));
+        assert!(doc.contains("\"unit\": \"ns/plan\""));
     }
 
     #[test]

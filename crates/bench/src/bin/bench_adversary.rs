@@ -13,14 +13,11 @@
 //! that is never skipped — or (b) planning is more than 25% slower
 //! (skippable via `TREECAST_BENCH_GATE=off` for unsuitable hosts).
 
-use treecast_bench::adversarybench::{
-    measure_plan_wall, measure_rounds, parse_ns_per_plan, parse_rounds, render_report,
-};
-use treecast_bench::gate::{check_arg, enforce_exact, enforce_wall};
+use treecast_bench::adversarybench::{gate_report, measure_plan_wall, measure_rounds};
+use treecast_bench::gate;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let check_baseline = check_arg(&args);
 
     println!("running the deterministic beam-plan grid...");
     let rounds = measure_rounds();
@@ -46,33 +43,5 @@ fn main() {
         wall.ns_per_plan / 1e6
     );
 
-    let report = render_report(&rounds, &wall);
-    let out_path = std::path::Path::new("results/BENCH_adversary.json");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write(out_path, &report).expect("write BENCH_adversary.json");
-    println!("wrote {}", out_path.display());
-
-    let Some(baseline_path) = check_baseline else {
-        return;
-    };
-    let baseline = std::fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-
-    // Half 1: exact round counts, never skipped.
-    let current = parse_rounds(&report);
-    enforce_exact(
-        &current,
-        &parse_rounds(&baseline),
-        &format!(
-            "gate ok: all {} plan round counts match the baseline exactly",
-            current.len()
-        ),
-    );
-
-    // Half 2: wall time, +25%, skippable.
-    let base_ns = parse_ns_per_plan(&baseline)
-        .unwrap_or_else(|| panic!("baseline {baseline_path} has no plan_wall entry"));
-    enforce_wall("planning", wall.ns_per_plan, base_ns, |ns| {
-        format!("{:.2} ms", ns / 1e6)
-    });
+    gate::finish(&gate_report(&rounds, &wall), &args);
 }

@@ -15,10 +15,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use treecast_bench::composebench::{
-    parse_ns_per_op, random_matrix, render_report, ComposeMeasurement,
-};
-use treecast_bench::gate::{best_ns, check_arg, enforce_wall};
+use treecast_bench::composebench::{gate_report, random_matrix, ComposeMeasurement};
+use treecast_bench::gate::{self, best_ns};
 use treecast_bitmatrix::BoolMatrix;
 
 /// Sizes measured; must stay in sync with `benches/compose.rs`.
@@ -37,7 +35,6 @@ const SEED_NS: [(usize, f64); 3] = [(64, 3834.0), (256, 39961.0), (1024, 904202.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let check_baseline = check_arg(&args);
 
     let mut rng = StdRng::seed_from_u64(1);
     let mut rows = Vec::new();
@@ -70,24 +67,5 @@ fn main() {
         );
     }
 
-    let report = render_report(DENSITY_PERCENT, &rows);
-    let out_path = std::path::Path::new("results/BENCH_compose.json");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write(out_path, &report).expect("write BENCH_compose.json");
-    println!("wrote {}", out_path.display());
-
-    if let Some(baseline_path) = check_baseline {
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let base_1024 = parse_ns_per_op(&baseline, 1024)
-            .unwrap_or_else(|| panic!("baseline {baseline_path} has no n = 1024 entry"));
-        let now_1024 = rows
-            .iter()
-            .find(|r| r.n == 1024)
-            .expect("1024 measured")
-            .ns_per_op;
-        enforce_wall("compose_into/1024", now_1024, base_1024, |ns| {
-            format!("{ns:.0} ns/op")
-        });
-    }
+    gate::finish(&gate_report(DENSITY_PERCENT, &rows), &args);
 }

@@ -22,10 +22,9 @@
 //! quick tier and skips the comparison.
 
 use treecast_bench::emulationbench::{
-    grid_ns_per_round, measure_gate_rows, parse_cells, parse_grid_ns_per_round, render_report,
-    PairedMeasurement, GATE_N, GATE_REPLICAS,
+    gate_report, grid_ns_per_round, measure_gate_rows, PairedMeasurement, GATE_N, GATE_REPLICAS,
 };
-use treecast_bench::gate::{check_arg, enforce_exact, enforce_wall};
+use treecast_bench::gate::{self, check_arg};
 
 fn print_rows(rows: &[PairedMeasurement]) {
     for r in rows {
@@ -51,8 +50,7 @@ fn print_rows(rows: &[PairedMeasurement]) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let check_baseline = check_arg(&args);
-    let smoke = args.iter().any(|a| a == "--smoke") && check_baseline.is_none();
+    let smoke = args.iter().any(|a| a == "--smoke") && check_arg(&args).is_none();
 
     println!(
         "emulation {} rows (n = {GATE_N}, {GATE_REPLICAS} emulated + {GATE_REPLICAS} model replicas each)...",
@@ -65,39 +63,5 @@ fn main() {
         grid_ns_per_round(&rows)
     );
 
-    let report = render_report(&rows);
-    let out_path = std::path::Path::new("results/BENCH_emulation.json");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write(out_path, &report).expect("write BENCH_emulation.json");
-    println!("wrote {}", out_path.display());
-
-    let Some(baseline_path) = check_baseline else {
-        return;
-    };
-    let baseline = std::fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-
-    // Half 1: exact integer statistics of every row, both sides, never
-    // skipped.
-    let current = parse_cells(&report);
-    enforce_exact(
-        &current,
-        &parse_cells(&baseline),
-        &format!(
-            "gate ok: all {} emulation estimator cells match the baseline exactly",
-            current.len()
-        ),
-    );
-
-    // Half 2: emulated wall per executed replica round over the whole
-    // grid, +25%, skippable.
-    let base_ns = parse_grid_ns_per_round(&baseline)
-        .unwrap_or_else(|| panic!("baseline {baseline_path} has no grid_ns_per_round"));
-    let now_ns = parse_grid_ns_per_round(&report).expect("the grid was just measured");
-    enforce_wall(
-        &format!("emulation grid n={GATE_N}"),
-        now_ns,
-        base_ns,
-        |ns| format!("{ns:.0} ns/replica-round"),
-    );
+    gate::finish(&gate_report(&rows), &args);
 }

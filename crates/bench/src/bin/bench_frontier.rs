@@ -20,10 +20,9 @@
 //! weakening the gate.
 
 use treecast_bench::frontierbench::{
-    measure_scale_rows, parse_ns_per_round, parse_rounds, render_report, ScaleMeasurement, GATE_N,
-    SCALE_N, SMOKE_N, SWEEP_K,
+    gate_report, measure_scale_rows, ScaleMeasurement, SCALE_N, SMOKE_N,
 };
-use treecast_bench::gate::{check_arg, enforce_exact, enforce_wall};
+use treecast_bench::gate;
 
 fn print_rows(rows: &[ScaleMeasurement]) {
     for r in rows {
@@ -46,7 +45,6 @@ fn print_rows(rows: &[ScaleMeasurement]) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let check_baseline = check_arg(&args);
     let scale = args.iter().any(|a| a == "--scale");
 
     println!("frontier smoke rows (n = {SMOKE_N})...");
@@ -60,42 +58,5 @@ fn main() {
         rows.extend(big);
     }
 
-    let report = render_report(&rows);
-    let out_path = std::path::Path::new("results/BENCH_frontier.json");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write(out_path, &report).expect("write BENCH_frontier.json");
-    println!("wrote {}", out_path.display());
-
-    let Some(baseline_path) = check_baseline else {
-        return;
-    };
-    let baseline = std::fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-
-    // Half 1: exact completion rounds, never skipped.
-    let current = parse_rounds(&report);
-    enforce_exact(
-        &current,
-        &parse_rounds(&baseline),
-        &format!(
-            "gate ok: all {} frontier round counts match the baseline exactly",
-            current.len()
-        ),
-    );
-
-    // Half 2: per-round wall of the seeded sweep at the gate size, +25%,
-    // skippable. The sweep (not the path run) is the gate row: its rounds
-    // are all-delta, so it covers the engine's full per-round machinery.
-    let gate_workload = format!("k-source-broadcast(k={SWEEP_K})");
-    let base_ns = parse_ns_per_round(&baseline, &gate_workload, GATE_N).unwrap_or_else(|| {
-        panic!("baseline {baseline_path} has no {gate_workload} row at n = {GATE_N}")
-    });
-    let now_ns = parse_ns_per_round(&report, &gate_workload, GATE_N)
-        .expect("the smoke sweep was just measured");
-    enforce_wall(
-        &format!("frontier sweep n={GATE_N}"),
-        now_ns,
-        base_ns,
-        |ns| format!("{:.2} ms/round", ns / 1e6),
-    );
+    gate::finish(&gate_report(&rows), &args);
 }

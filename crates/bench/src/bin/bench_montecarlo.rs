@@ -19,10 +19,9 @@
 //! `--check` implies the full grid; `--smoke` is for the quick tier and
 //! skips the comparison.
 
-use treecast_bench::gate::{check_arg, enforce_exact, enforce_wall};
+use treecast_bench::gate::{self, check_arg};
 use treecast_bench::montecarlobench::{
-    measure_gate_rows, parse_cells, parse_sweep_ns_per_round, render_report, sweep_ns_per_round,
-    CellMeasurement, GATE_N, GATE_REPLICAS,
+    gate_report, measure_gate_rows, sweep_ns_per_round, CellMeasurement, GATE_N, GATE_REPLICAS,
 };
 
 fn print_rows(rows: &[CellMeasurement]) {
@@ -50,8 +49,7 @@ fn print_rows(rows: &[CellMeasurement]) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let check_baseline = check_arg(&args);
-    let smoke = args.iter().any(|a| a == "--smoke") && check_baseline.is_none();
+    let smoke = args.iter().any(|a| a == "--smoke") && check_arg(&args).is_none();
 
     println!(
         "montecarlo {} cells (n = {GATE_N}, {GATE_REPLICAS} replicas each)...",
@@ -64,38 +62,5 @@ fn main() {
         sweep_ns_per_round(&rows)
     );
 
-    let report = render_report(&rows);
-    let out_path = std::path::Path::new("results/BENCH_montecarlo.json");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write(out_path, &report).expect("write BENCH_montecarlo.json");
-    println!("wrote {}", out_path.display());
-
-    let Some(baseline_path) = check_baseline else {
-        return;
-    };
-    let baseline = std::fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-
-    // Half 1: exact integer statistics of every cell, never skipped.
-    let current = parse_cells(&report);
-    enforce_exact(
-        &current,
-        &parse_cells(&baseline),
-        &format!(
-            "gate ok: all {} montecarlo estimator cells match the baseline exactly",
-            current.len()
-        ),
-    );
-
-    // Half 2: wall per executed replica round over the whole grid, +25%,
-    // skippable.
-    let base_ns = parse_sweep_ns_per_round(&baseline)
-        .unwrap_or_else(|| panic!("baseline {baseline_path} has no sweep_ns_per_round"));
-    let now_ns = parse_sweep_ns_per_round(&report).expect("the grid was just measured");
-    enforce_wall(
-        &format!("montecarlo grid n={GATE_N}"),
-        now_ns,
-        base_ns,
-        |ns| format!("{ns:.0} ns/replica-round"),
-    );
+    gate::finish(&gate_report(&rows), &args);
 }

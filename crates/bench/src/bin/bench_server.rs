@@ -18,8 +18,8 @@
 //! regresses more than 25% or the warm-over-cold speedup drops below 5×
 //! (both skippable via `TREECAST_BENCH_GATE=off`).
 
-use treecast_bench::gate::{check_arg, enforce_exact, enforce_wall, wall_gate_disabled};
-use treecast_bench::serverbench::{full_load, measure, smoke_load, ServerBenchReport, MIN_SPEEDUP};
+use treecast_bench::gate;
+use treecast_bench::serverbench::{full_load, measure, smoke_load, ServerBenchReport};
 
 fn print_report(report: &ServerBenchReport) {
     println!(
@@ -59,55 +59,19 @@ fn main() {
         println!("smoke ok");
         return;
     }
-    let check_baseline = check_arg(&args);
 
     println!("running the full server bench (n = {})...", full_load().n);
     let report = measure(&full_load());
     print_report(&report);
 
-    let out_path = std::path::Path::new("results/BENCH_server.json");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write(out_path, serde::json::to_string_pretty(&report) + "\n")
-        .expect("write BENCH_server.json");
-    println!("wrote {}", out_path.display());
-
-    let Some(baseline_path) = check_baseline else {
-        return;
-    };
-    let text = std::fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-    let baseline: ServerBenchReport = serde::json::from_str(&text)
-        .unwrap_or_else(|e| panic!("cannot parse baseline {baseline_path}: {e}"));
-
-    // Half 1: exact result/cache cells, never skipped.
-    let current = report.exact_cells();
-    enforce_exact(
-        &current,
-        &baseline.exact_cells(),
-        &format!(
-            "gate ok: all {} completion/cache cells match the baseline exactly",
-            current.len()
-        ),
-    );
-
-    // Half 2: wall time and the speedup floor, skippable.
-    enforce_wall(
-        "warm_serve",
-        report.warm_ns_per_request,
-        baseline.warm_ns_per_request,
-        |ns| format!("{ns:.0} ns/request"),
-    );
-    if wall_gate_disabled() {
-        println!("gate skipped: speedup floor (TREECAST_BENCH_GATE=off)");
-    } else {
-        assert!(
-            report.speedup >= MIN_SPEEDUP,
-            "warm-over-cold speedup {:.1}x fell below the {MIN_SPEEDUP}x floor",
-            report.speedup
-        );
-        println!(
-            "gate ok: speedup {:.1}x >= {MIN_SPEEDUP}x floor",
-            report.speedup
-        );
+    let current = report.gate_report();
+    gate::write(&current);
+    if let Some(baseline) = gate::baseline(&args) {
+        let mut verdict = gate::check(&current, &baseline);
+        // The speedup floor is a wall-half check: the switch skips it too.
+        if !gate::wall_gate_disabled() {
+            verdict.record(report.speedup_floor());
+        }
+        gate::enforce(&verdict);
     }
 }

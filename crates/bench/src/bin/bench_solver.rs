@@ -18,10 +18,8 @@
 
 use std::time::Instant;
 
-use treecast_bench::gate::{check_arg, enforce_exact, enforce_wall};
-use treecast_bench::solverbench::{
-    parse_solver_field, render_solver_report, SolverMeasurement, SOLVER_GATE_N,
-};
+use treecast_bench::gate;
+use treecast_bench::solverbench::{check_measured, gate_report, SolverMeasurement};
 use treecast_core::bounds;
 use treecast_solver::{solve_with, SolveOptions};
 
@@ -57,16 +55,18 @@ fn measure(n: usize, threads: usize) -> SolverMeasurement {
     SolverMeasurement {
         n,
         t_star: r.t_star,
+        lower_bound: bounds::lower_bound(n as u64),
+        upper_bound: bounds::upper_bound(n as u64),
         states: r.stats.states_explored,
         transitions: r.stats.transitions,
         wall_ms: best_ms,
+        threads,
     }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let check_baseline = check_arg(&args);
     let threads = args
         .iter()
         .position(|a| a == "--threads")
@@ -88,49 +88,12 @@ fn main() {
         rows.push(m);
     }
 
-    let report = render_solver_report(threads, &rows);
-    let out_path = std::path::Path::new("results/BENCH_solver.json");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write(out_path, &report).expect("write BENCH_solver.json");
-    println!("wrote {}", out_path.display());
-
-    let Some(baseline_path) = check_baseline else {
-        return;
-    };
-    let baseline = std::fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-
-    // Correctness gate first: every size present in both reports must have
-    // the same exact t* — a wrong optimum is never acceptable.
-    let current: Vec<(usize, i64)> = rows.iter().map(|m| (m.n, m.t_star as i64)).collect();
-    let base_t_stars: Vec<(usize, i64)> = rows
-        .iter()
-        .filter_map(|m| {
-            parse_solver_field(&baseline, m.n, "t_star").map(|t| (m.n, t.round() as i64))
-        })
-        .collect();
-    assert!(
-        !base_t_stars.is_empty(),
-        "baseline {baseline_path} has no t_star entries for any measured size — \
-         format drift would make this gate vacuous"
-    );
-    enforce_exact(
-        &current,
-        &base_t_stars,
-        &format!(
-            "gate ok: t* values match the baseline ({} sizes)",
-            base_t_stars.len()
-        ),
-    );
-
-    let base_ms = parse_solver_field(&baseline, SOLVER_GATE_N, "wall_ms")
-        .unwrap_or_else(|| panic!("baseline {baseline_path} has no n = {SOLVER_GATE_N} entry"));
-    let now_ms = rows
-        .iter()
-        .find(|r| r.n == SOLVER_GATE_N)
-        .expect("gate size measured")
-        .wall_ms;
-    enforce_wall(&format!("solve/{SOLVER_GATE_N}"), now_ms, base_ms, |ms| {
-        format!("{ms:.1} ms")
-    });
+    // Correctness rides along with the perf gate: every measured size
+    // must reproduce the baseline's exact t* — a wrong optimum is never
+    // acceptable.
+    let report = gate_report(&rows);
+    gate::write(&report);
+    if let Some(baseline) = gate::baseline(&args) {
+        gate::enforce(&check_measured(&report, &baseline));
+    }
 }

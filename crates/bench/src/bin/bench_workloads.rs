@@ -13,10 +13,9 @@
 //! never skipped — or (b) the tracked stepping is more than 25% slower
 //! (skippable via `TREECAST_BENCH_GATE=off` for unsuitable hosts).
 
-use treecast_bench::gate::{best_ns, check_arg, enforce_exact, enforce_wall};
+use treecast_bench::gate::{self, best_ns};
 use treecast_bench::workloadbench::{
-    measure_gossip_reduction, measure_rounds, parse_ns_per_round, parse_rounds, render_report,
-    TrackedStepMeasurement,
+    gate_report, measure_gossip_reduction, measure_rounds, TrackedStepMeasurement,
 };
 use treecast_core::TrackedTokens;
 use treecast_trees::generators;
@@ -49,7 +48,6 @@ fn measure_tracked_step() -> TrackedStepMeasurement {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let check_baseline = check_arg(&args);
 
     println!("running the deterministic workload grid...");
     let rounds = measure_rounds();
@@ -82,33 +80,5 @@ fn main() {
         reduction.speedup()
     );
 
-    let report = render_report(&rounds, &step, &reduction);
-    let out_path = std::path::Path::new("results/BENCH_workloads.json");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write(out_path, &report).expect("write BENCH_workloads.json");
-    println!("wrote {}", out_path.display());
-
-    let Some(baseline_path) = check_baseline else {
-        return;
-    };
-    let baseline = std::fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-
-    // Half 1: exact round counts, never skipped.
-    let current = parse_rounds(&report);
-    enforce_exact(
-        &current,
-        &parse_rounds(&baseline),
-        &format!(
-            "gate ok: all {} round counts match the baseline exactly",
-            current.len()
-        ),
-    );
-
-    // Half 2: wall time, +25%, skippable.
-    let base_ns = parse_ns_per_round(&baseline)
-        .unwrap_or_else(|| panic!("baseline {baseline_path} has no tracked_step entry"));
-    enforce_wall("tracked_step", step.ns_per_round, base_ns, |ns| {
-        format!("{ns:.0} ns/round")
-    });
+    gate::finish(&gate_report(&rounds, &step, &reduction), &args);
 }

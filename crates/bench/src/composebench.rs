@@ -1,15 +1,12 @@
-//! Shared pieces of the compose benchmark report: the workload
-//! generator, the measurement record, hand-rolled JSON rendering (no
-//! serde in the offline build), and the minimal parser the CI regression
-//! gate needs.
+//! Shared pieces of the compose benchmark: the workload generator, the
+//! measurement record, and the gate document.
 
 use rand::rngs::StdRng;
 use rand::Rng;
+use serde::Serialize;
 use treecast_bitmatrix::BoolMatrix;
 
-/// Allowed slowdown of `compose_into/1024` against the checked-in
-/// baseline before `bench_compose --check` fails, in percent.
-pub use crate::gate::REGRESSION_HEADROOM_PERCENT;
+use crate::gate::{ExactCells, GateReport, Wall};
 
 /// The measured workload: a reflexive matrix with roughly
 /// `density_percent`% of the off-diagonal entries set.
@@ -30,7 +27,7 @@ pub fn random_matrix(n: usize, density_percent: u32, rng: &mut StdRng) -> BoolMa
 }
 
 /// One (size, timing) row of the compose benchmark.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ComposeMeasurement {
     /// Number of nodes.
     pub n: usize,
@@ -45,62 +42,30 @@ pub struct ComposeMeasurement {
     pub speedup_vs_seed: f64,
 }
 
-/// Renders the measurement rows as the `BENCH_compose.json` document.
-///
-/// The format is intentionally line-oriented (one `"key": value` pair per
-/// line) so [`parse_ns_per_op`] can read it back without a JSON
-/// dependency.
-pub fn render_report(density_percent: u32, rows: &[ComposeMeasurement]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"compose_into\",\n");
-    out.push_str(&format!("  \"density_percent\": {density_percent},\n"));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"n\": {},\n", r.n));
-        out.push_str(&format!("      \"ns_per_op\": {:.1},\n", r.ns_per_op));
-        out.push_str(&format!(
-            "      \"edges_per_sec\": {:.0},\n",
-            r.edges_per_sec
-        ));
-        out.push_str(&format!(
-            "      \"seed_ns_per_op\": {:.1},\n",
-            r.seed_ns_per_op
-        ));
-        out.push_str(&format!(
-            "      \"speedup_vs_seed\": {:.2}\n",
-            r.speedup_vs_seed
-        ));
-        out.push_str(if i + 1 == rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
+/// The size whose `compose_into` time the CI gate compares.
+pub const GATE_N: usize = 1024;
 
-/// Extracts the `ns_per_op` recorded for size `n` from a
-/// [`render_report`]-formatted document.
+/// The `BENCH_compose.json` gate document: no exact cells (timing only);
+/// the wall is the [`GATE_N`] composition at `density_percent`.
 ///
-/// Scans for the `"n": <n>` line and reads the `"ns_per_op"` on the
-/// following line — enough structure for the CI gate without a JSON
-/// parser.
-pub fn parse_ns_per_op(report: &str, n: usize) -> Option<f64> {
-    let mut lines = report.lines();
-    let wanted = format!("\"n\": {n},");
-    while let Some(line) = lines.next() {
-        if line.trim() == wanted {
-            let value_line = lines.next()?;
-            let value = value_line
-                .trim()
-                .strip_prefix("\"ns_per_op\": ")?
-                .trim_end_matches(',');
-            return value.parse().ok();
-        }
+/// # Panics
+///
+/// If `rows` lack the [`GATE_N`] row.
+pub fn gate_report(density_percent: u32, rows: &[ComposeMeasurement]) -> GateReport {
+    let gated = rows
+        .iter()
+        .find(|r| r.n == GATE_N)
+        .expect("the gate size is measured");
+    GateReport {
+        bench: "compose".into(),
+        exact: ExactCells::default(),
+        wall: Wall {
+            label: format!("compose_into/{GATE_N} density={density_percent}%"),
+            value: gated.ns_per_op,
+            unit: "ns/op".into(),
+        },
+        info: rows.to_value(),
     }
-    None
 }
 
 #[cfg(test)]
@@ -128,21 +93,21 @@ mod tests {
 
     #[test]
     fn report_roundtrips_through_parser() {
-        let doc = render_report(10, &rows());
-        assert_eq!(parse_ns_per_op(&doc, 64), Some(700.0));
-        assert_eq!(parse_ns_per_op(&doc, 1024), Some(200_000.0));
-        assert_eq!(parse_ns_per_op(&doc, 256), None);
+        let report = gate_report(10, &rows());
+        assert!(report.exact.0.is_empty(), "timing only");
+        assert_eq!(report.wall.label, "compose_into/1024 density=10%");
+        assert_eq!(report.wall.value, 200_000.0);
+        let back: GateReport =
+            serde::json::from_str(&serde::json::to_string_pretty(&report)).unwrap();
+        assert_eq!(back, report);
+        let info: Vec<ComposeMeasurement> = serde::Deserialize::from_value(&back.info).unwrap();
+        assert_eq!(info, rows());
     }
 
     #[test]
     fn report_is_json_shaped() {
-        let doc = render_report(10, &rows());
-        assert!(doc.starts_with("{\n"));
-        assert!(doc.ends_with("}\n"));
+        let doc = serde::json::to_string_pretty(&gate_report(10, &rows()));
+        assert!(doc.starts_with("{\n  \"bench\": \"compose\",\n  \"exact\": {},"));
         assert_eq!(doc.matches("\"ns_per_op\"").count(), 2);
-        // Balanced braces, no trailing comma before a closing bracket.
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
-        assert!(!doc.contains(",\n  ]"));
-        assert!(!doc.contains(",\n    }"));
     }
 }

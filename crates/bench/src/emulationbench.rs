@@ -1,7 +1,5 @@
-//! Shared pieces of the emulation benchmark report (`bench_emulation`):
-//! paired emulated-vs-model estimator cells, hand-rolled JSON rendering
-//! (no serde in the offline build), and the minimal parsers the CI gate
-//! needs.
+//! Shared pieces of the emulation benchmark (`bench_emulation`): paired
+//! emulated-vs-model estimator cells and the gate document.
 //!
 //! Every gate row is a *paired* comparison: one [`EmulationSpec`] cell
 //! and its synchronous [`RunSpec`] twin share n, k, trees, faults,
@@ -28,8 +26,11 @@
 
 use std::time::Instant;
 
+use serde::Serialize;
 use treecast_emulation::{EmulationSpec, GossipKnobs};
 use treecast_montecarlo::{estimate, estimate_from, FaultSpec, RunSpec, TreeSpec};
+
+use crate::gate::{GateReport, Wall};
 
 /// Network size of every gated row: the montecarlo gate's size, so the
 /// model twins land in well-charted dense-engine territory.
@@ -68,7 +69,7 @@ pub fn gate_cocktail() -> FaultSpec {
 }
 
 /// One measured emulated-vs-model row.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct PairedMeasurement {
     /// Workload label (`k-source-broadcast(k=…)`), shared by both sides.
     pub workload: String,
@@ -252,136 +253,35 @@ pub fn grid_ns_per_round(rows: &[PairedMeasurement]) -> f64 {
     wall_ms * 1e6 / rounds.max(1) as f64
 }
 
-/// Renders the measurement rows as the `BENCH_emulation.json` document
-/// (line-oriented so [`parse_cells`] / [`parse_grid_ns_per_round`] can
-/// read it back without a JSON dependency).
+/// The `BENCH_emulation.json` gate document: both sides' `completed`,
+/// `censored` and `total_rounds` of every row are exact cells; the wall
+/// is [`grid_ns_per_round`].
 #[must_use]
-pub fn render_report(rows: &[PairedMeasurement]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"emulation\",\n");
-    out.push_str(&format!(
-        "  \"grid_ns_per_round\": {:.1},\n",
-        grid_ns_per_round(rows)
-    ));
-    out.push_str("  \"cells\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"workload\": \"{}\",\n", r.workload));
-        out.push_str(&format!("      \"source\": \"{}\",\n", r.source));
-        out.push_str(&format!("      \"faults\": \"{}\",\n", r.faults));
-        out.push_str(&format!("      \"n\": {},\n", r.n));
-        out.push_str(&format!("      \"replicas\": {},\n", r.replicas));
-        out.push_str(&format!("      \"budget\": {},\n", r.budget));
-        out.push_str(&format!("      \"emu_completed\": {},\n", r.emu_completed));
-        out.push_str(&format!("      \"emu_censored\": {},\n", r.emu_censored));
-        out.push_str(&format!(
-            "      \"emu_total_rounds\": {},\n",
-            r.emu_total_rounds
-        ));
-        out.push_str(&format!(
-            "      \"model_completed\": {},\n",
-            r.model_completed
-        ));
-        out.push_str(&format!(
-            "      \"model_censored\": {},\n",
-            r.model_censored
-        ));
-        out.push_str(&format!(
-            "      \"model_total_rounds\": {},\n",
-            r.model_total_rounds
-        ));
-        out.push_str(&format!("      \"emu_mean\": {:.3},\n", r.emu_mean));
-        out.push_str(&format!("      \"model_mean\": {:.3},\n", r.model_mean));
-        out.push_str(&format!("      \"ratio\": {:.4},\n", r.ratio));
-        out.push_str(&format!("      \"emu_wall_ms\": {:.3},\n", r.emu_wall_ms));
-        out.push_str(&format!(
-            "      \"model_wall_ms\": {:.3}\n",
-            r.model_wall_ms
-        ));
-        out.push_str(if i + 1 == rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
+pub fn gate_report(rows: &[PairedMeasurement]) -> GateReport {
+    GateReport {
+        bench: "emulation".into(),
+        exact: rows
+            .iter()
+            .flat_map(|r| {
+                let key =
+                    |stat| format!("{}/{}/{}/n={}/{stat}", r.workload, r.source, r.faults, r.n);
+                [
+                    (key("emu_completed"), r.emu_completed as i64),
+                    (key("emu_censored"), r.emu_censored as i64),
+                    (key("emu_total_rounds"), r.emu_total_rounds as i64),
+                    (key("model_completed"), r.model_completed as i64),
+                    (key("model_censored"), r.model_censored as i64),
+                    (key("model_total_rounds"), r.model_total_rounds as i64),
+                ]
+            })
+            .collect(),
+        wall: Wall {
+            label: format!("emulation grid n={GATE_N}"),
+            value: grid_ns_per_round(rows),
+            unit: "ns/replica-round".into(),
+        },
+        info: rows.to_value(),
     }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Extracts every row's exact integer statistics — both sides — from a
-/// [`render_report`] document as
-/// `((workload, source, faults, n, stat), value)` tuples, the
-/// exact-gate cells.
-#[must_use]
-pub fn parse_cells(report: &str) -> Vec<((String, String, String, usize, &'static str), i64)> {
-    let mut out = Vec::new();
-    let mut lines = report.lines();
-    while let Some(line) = lines.next() {
-        let Some(workload) = field_str(line, "workload") else {
-            continue;
-        };
-        let source = lines.next().and_then(|l| field_str(l, "source"));
-        let faults = lines.next().and_then(|l| field_str(l, "faults"));
-        let n = lines.next().and_then(|l| field_num(l, "n"));
-        let _replicas = lines.next();
-        let _budget = lines.next();
-        let stats: Vec<(&'static str, Option<i64>)> = [
-            "emu_completed",
-            "emu_censored",
-            "emu_total_rounds",
-            "model_completed",
-            "model_censored",
-            "model_total_rounds",
-        ]
-        .iter()
-        .map(|&stat| (stat, lines.next().and_then(|l| field_num(l, stat))))
-        .collect();
-        let (Some(source), Some(faults), Some(n)) = (source, faults, n) else {
-            continue;
-        };
-        for (stat, value) in stats {
-            if let Some(v) = value {
-                out.push((
-                    (
-                        workload.clone(),
-                        source.clone(),
-                        faults.clone(),
-                        n as usize,
-                        stat,
-                    ),
-                    v,
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// Extracts the `grid_ns_per_round` statistic from a [`render_report`]
-/// document — the wall-gate statistic.
-#[must_use]
-pub fn parse_grid_ns_per_round(report: &str) -> Option<f64> {
-    report.lines().find_map(|l| {
-        l.trim()
-            .strip_prefix("\"grid_ns_per_round\": ")
-            .and_then(|v| v.trim_end_matches(',').parse().ok())
-    })
-}
-
-fn field_str(line: &str, key: &str) -> Option<String> {
-    line.trim()
-        .strip_prefix(&format!("\"{key}\": \""))
-        .map(|rest| {
-            rest.trim_end_matches("\",")
-                .trim_end_matches('"')
-                .to_string()
-        })
-}
-
-fn field_num(line: &str, key: &str) -> Option<i64> {
-    line.trim()
-        .strip_prefix(&format!("\"{key}\": "))
-        .and_then(|v| v.trim_end_matches(',').parse().ok())
 }
 
 #[cfg(test)]
@@ -434,36 +334,31 @@ mod tests {
     #[test]
     fn report_roundtrips_through_parsers() {
         let rows = sample();
-        let doc = render_report(&rows);
-        let cells = parse_cells(&doc);
-        assert_eq!(cells.len(), 12, "six exact stats per row");
+        let report = gate_report(&rows);
+        assert_eq!(report.exact.0.len(), 12, "six exact stats per row");
         assert_eq!(
-            cells[0],
+            report.exact.0[0],
             (
-                (
-                    "k-source-broadcast(k=1)".into(),
-                    "emulated(static(path))".into(),
-                    "no-faults".into(),
-                    64,
-                    "emu_completed"
-                ),
+                "k-source-broadcast(k=1)/emulated(static(path))/no-faults/n=64/emu_completed"
+                    .to_string(),
                 24
             )
         );
-        assert_eq!(cells[5].0 .4, "model_total_rounds");
-        assert_eq!(cells[5].1, 24 * 63);
-        let ns = parse_grid_ns_per_round(&doc).expect("statistic present");
-        assert!((ns - grid_ns_per_round(&rows)).abs() < 0.1);
+        assert!(report.exact.0[5].0.ends_with("/model_total_rounds"));
+        assert_eq!(report.exact.0[5].1, 24 * 63);
+        assert_eq!(report.wall.value, grid_ns_per_round(&rows));
+        let back: GateReport =
+            serde::json::from_str(&serde::json::to_string_pretty(&report)).unwrap();
+        assert_eq!(back, report);
+        let info: Vec<PairedMeasurement> = serde::Deserialize::from_value(&back.info).unwrap();
+        assert_eq!(info, rows);
     }
 
     #[test]
     fn report_is_json_shaped() {
-        let doc = render_report(&sample());
-        assert!(doc.starts_with("{\n"));
-        assert!(doc.ends_with("}\n"));
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
-        assert!(!doc.contains(",\n  ]"));
-        assert!(!doc.contains(",\n    }"));
+        let doc = serde::json::to_string_pretty(&gate_report(&sample()));
+        assert!(doc.starts_with("{\n  \"bench\": \"emulation\",\n  \"exact\": {"));
+        assert!(doc.contains("\"ratio\": -1.0"), "undefined ratios stay -1");
     }
 
     #[test]

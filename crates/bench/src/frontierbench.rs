@@ -1,7 +1,6 @@
-//! Shared pieces of the frontier-engine benchmark report
-//! (`bench_frontier`): the scale-run measurements, peak-RSS readout,
-//! hand-rolled JSON rendering (no serde in the offline build), and the
-//! minimal parser the CI gate needs.
+//! Shared pieces of the frontier-engine benchmark (`bench_frontier`):
+//! the scale-run measurements, the peak-RSS readout, and the gate
+//! document.
 //!
 //! The gate has the standard two halves (see [`crate::gate`]):
 //!
@@ -14,15 +13,18 @@
 //!   at +25%, skippable via `TREECAST_BENCH_GATE=off`.
 //!
 //! The baseline records only the smoke sizes: the n = 10⁶ rows run in
-//! the release tier, where [`crate::gate::exact_gate`]'s
+//! the release tier, where [`crate::gate::check`]'s
 //! extra-current-cells allowance keeps them gate-exempt until a
 //! million-node baseline is recorded deliberately.
 
 use std::time::Instant;
 
+use serde::Serialize;
 use treecast_core::frontier::{run_workload_frontier, FrontierSource, FrontierState};
 use treecast_core::{KSourceBroadcast, SimulationConfig, Workload};
 use treecast_trees::generators;
+
+use crate::gate::{rounds_cell, GateReport, Wall};
 
 /// Smoke size: quick-tier CI territory (a second or two, debug build).
 pub const SMOKE_N: usize = 10_000;
@@ -45,7 +47,7 @@ pub const SWEEP_K: usize = 16;
 pub const SCALE_SEED: u64 = 0x5CA1E;
 
 /// One measured frontier run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ScaleMeasurement {
     /// Workload name (`broadcast`, `k-source-broadcast(k=16)`, …).
     pub workload: String,
@@ -54,7 +56,7 @@ pub struct ScaleMeasurement {
     /// Network size.
     pub n: usize,
     /// Completion round, or `None` if the capped run did not complete
-    /// (rendered as `-1`; never expected for these rows).
+    /// (exact cell `-1`; never expected for these rows).
     pub rounds: Option<u64>,
     /// Total run wall time, ms.
     pub wall_ms: f64,
@@ -156,95 +158,37 @@ pub fn measure_round_split(n: usize) -> RoundSplit {
     }
 }
 
-/// Renders the measurement rows as the `BENCH_frontier.json` document
-/// (line-oriented so [`parse_rounds`] / [`parse_ns_per_round`] can read
-/// it back without a JSON dependency).
-pub fn render_report(rows: &[ScaleMeasurement]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"frontier\",\n");
-    out.push_str("  \"runs\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"workload\": \"{}\",\n", r.workload));
-        out.push_str(&format!("      \"source\": \"{}\",\n", r.source));
-        out.push_str(&format!("      \"n\": {},\n", r.n));
-        out.push_str(&format!(
-            "      \"rounds\": {},\n",
-            r.rounds.map(|t| t as i64).unwrap_or(-1)
-        ));
-        out.push_str(&format!("      \"wall_ms\": {:.3},\n", r.wall_ms));
-        out.push_str(&format!("      \"ns_per_round\": {:.1},\n", r.ns_per_round));
-        out.push_str(&format!(
-            "      \"peak_rss_kb\": {}\n",
-            r.peak_rss_kb.map(|kb| kb as i64).unwrap_or(-1)
-        ));
-        out.push_str(if i + 1 == rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
+/// The `BENCH_frontier.json` gate document: every row's completion
+/// round is an exact cell; the wall is the per-round cost of the seeded
+/// sweep at [`GATE_N`]. The sweep (not the path run) is the gate row: its
+/// rounds are all-delta, so it covers the engine's full per-round
+/// machinery.
+///
+/// # Panics
+///
+/// If `rows` lack the sweep row at [`GATE_N`].
+pub fn gate_report(rows: &[ScaleMeasurement]) -> GateReport {
+    let sweep = format!("k-source-broadcast(k={SWEEP_K})");
+    let gated = rows
+        .iter()
+        .find(|r| r.workload == sweep && r.n == GATE_N)
+        .expect("the gated sweep row is measured");
+    GateReport {
+        bench: "frontier".into(),
+        exact: rows
+            .iter()
+            .map(|r| {
+                let key = format!("{}/{}/n={}", r.workload, r.source, r.n);
+                (key, rounds_cell(r.rounds))
+            })
+            .collect(),
+        wall: Wall {
+            label: format!("frontier sweep n={GATE_N}"),
+            value: gated.ns_per_round,
+            unit: "ns/round".into(),
+        },
+        info: rows.to_value(),
     }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Extracts every run's round count from a [`render_report`] document as
-/// `((workload, source, n), rounds)` tuples — the exact-gate cells.
-pub fn parse_rounds(report: &str) -> Vec<((String, String, usize), i64)> {
-    let mut out = Vec::new();
-    let mut lines = report.lines();
-    while let Some(line) = lines.next() {
-        let Some(workload) = field_str(line, "workload") else {
-            continue;
-        };
-        let source = lines.next().and_then(|l| field_str(l, "source"));
-        let n = lines.next().and_then(|l| field_num(l, "n"));
-        let rounds = lines.next().and_then(|l| field_num(l, "rounds"));
-        if let (Some(source), Some(n), Some(rounds)) = (source, n, rounds) {
-            out.push(((workload, source, n as usize), rounds));
-        }
-    }
-    out
-}
-
-/// Extracts the `ns_per_round` of the row matching `workload` and `n`
-/// from a [`render_report`] document — the wall-gate statistic.
-pub fn parse_ns_per_round(report: &str, workload: &str, n: usize) -> Option<f64> {
-    let mut lines = report.lines();
-    while let Some(line) = lines.next() {
-        let Some(w) = field_str(line, "workload") else {
-            continue;
-        };
-        let _source = lines.next();
-        let row_n = lines.next().and_then(|l| field_num(l, "n"));
-        if w != workload || row_n != Some(n as i64) {
-            continue;
-        }
-        let _rounds = lines.next();
-        let _wall = lines.next();
-        return lines.next().and_then(|l| {
-            l.trim()
-                .strip_prefix("\"ns_per_round\": ")
-                .and_then(|v| v.trim_end_matches(',').parse().ok())
-        });
-    }
-    None
-}
-
-fn field_str(line: &str, key: &str) -> Option<String> {
-    line.trim()
-        .strip_prefix(&format!("\"{key}\": \""))
-        .map(|rest| {
-            rest.trim_end_matches("\",")
-                .trim_end_matches('"')
-                .to_string()
-        })
-}
-
-fn field_num(line: &str, key: &str) -> Option<i64> {
-    line.trim()
-        .strip_prefix(&format!("\"{key}\": "))
-        .and_then(|v| v.trim_end_matches(',').parse().ok())
 }
 
 #[cfg(test)]
@@ -276,33 +220,33 @@ mod tests {
 
     #[test]
     fn report_roundtrips_through_parsers() {
-        let doc = render_report(&sample());
-        let rounds = parse_rounds(&doc);
-        assert_eq!(rounds.len(), 2);
+        let rows = sample();
+        let report = gate_report(&rows);
         assert_eq!(
-            rounds[0],
-            (("broadcast".into(), "static(path)".into(), 10_000), 9_999)
+            report.exact.0,
+            vec![
+                ("broadcast/static(path)/n=10000".to_string(), 9_999),
+                (
+                    "k-source-broadcast(k=16)/seeded-uniform(seed=379422)/n=10000".to_string(),
+                    21
+                ),
+            ]
         );
-        assert_eq!(rounds[1].1, 21);
-        assert_eq!(
-            parse_ns_per_round(&doc, "k-source-broadcast(k=16)", 10_000),
-            Some(142857.1)
-        );
-        assert_eq!(parse_ns_per_round(&doc, "broadcast", 10_000), Some(1250.0));
-        assert_eq!(parse_ns_per_round(&doc, "broadcast", 999), None);
+        assert_eq!(report.wall.value, 142857.1, "the sweep row is gated");
+        let back: GateReport =
+            serde::json::from_str(&serde::json::to_string_pretty(&report)).unwrap();
+        assert_eq!(back, report);
+        let info: Vec<ScaleMeasurement> = serde::Deserialize::from_value(&back.info).unwrap();
+        assert_eq!(info, rows);
     }
 
     #[test]
     fn report_is_json_shaped() {
-        let doc = render_report(&sample());
-        assert!(doc.starts_with("{\n"));
-        assert!(doc.ends_with("}\n"));
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
-        assert!(!doc.contains(",\n  ]"));
-        assert!(!doc.contains(",\n    }"));
+        let doc = serde::json::to_string_pretty(&gate_report(&sample()));
+        assert!(doc.starts_with("{\n  \"bench\": \"frontier\",\n  \"exact\": {"));
         assert!(
-            doc.contains("\"peak_rss_kb\": -1"),
-            "missing RSS renders -1"
+            doc.contains("\"peak_rss_kb\": null"),
+            "missing RSS renders null"
         );
     }
 

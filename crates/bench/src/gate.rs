@@ -1,25 +1,29 @@
-//! The shared CI-gate scaffolding of the bench binaries.
+//! The one gate document and comparison shared by every `bench_*` bin.
 //!
-//! Every `bench_*` bin implements the same two-half `--check <baseline>`
-//! protocol:
+//! Each bin measures, builds one [`GateReport`], writes it to
+//! `results/BENCH_<bench>.json` and, under `--check <baseline>`,
+//! compares it against the checked-in baseline with [`check`]:
 //!
-//! * **exact half** — deterministic keyed values (round counts, `t*`)
-//!   must match the checked-in baseline with zero tolerance; this half is
-//!   *never* skipped, because drift is a correctness failure;
-//! * **wall half** — a wall-time statistic may regress by at most
+//! * **exact half** — deterministic keyed integer cells (round counts,
+//!   `t*`, estimator counters) must match the baseline with zero
+//!   tolerance; this half is *never* skipped, because drift is a
+//!   correctness failure. Every baseline cell must be measured; extra
+//!   current cells pass (a bench adds rows before its baseline is
+//!   regenerated, and `bench_frontier --scale` adds rows the baseline
+//!   never gates);
+//! * **wall half** — one wall-time statistic may regress by at most
 //!   [`REGRESSION_HEADROOM_PERCENT`]; skippable via
-//!   `TREECAST_BENCH_GATE=off` for underpowered or loaded hosts.
+//!   `TREECAST_BENCH_GATE=off` for underpowered or loaded hosts. The
+//!   baseline must carry the same wall label, so a baseline recorded
+//!   for another shape fails instead of comparing unlike numbers.
 //!
-//! This module is that protocol, written once: argument parsing
-//! ([`check_arg`]), the exact comparison ([`exact_gate`]), the headroom
-//! check ([`wall_gate`]), the skip switch ([`wall_gate_disabled`]), and
-//! the shared anti-noise timing statistic ([`best_ns`]). The halves are
-//! pure (they return `Result` instead of exiting) so the pass/fail logic
-//! is unit-testable; bins print the messages and translate `Err` into a
-//! nonzero exit.
+//! [`check`] returns a [`Verdict`] instead of exiting, so the pass/fail
+//! logic is unit-testable; [`finish`] is the bins' shared epilogue that
+//! prints the verdict and exits nonzero on failure.
 
-use std::fmt::Debug;
 use std::time::Instant;
+
+use serde::{Deserialize, Error, Serialize, Value};
 
 /// Allowed slowdown of any gated wall-time statistic against its
 /// checked-in baseline, in percent.
@@ -27,6 +31,87 @@ pub const REGRESSION_HEADROOM_PERCENT: u32 = 25;
 
 /// The environment variable that disables the wall half of every gate.
 pub const GATE_ENV_VAR: &str = "TREECAST_BENCH_GATE";
+
+/// The document every bench writes to `results/BENCH_<bench>.json` —
+/// and every checked-in `results/BENCH_<bench>_baseline.json` is.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct GateReport {
+    /// The bench's name, the `<bench>` of its file name.
+    pub bench: String,
+    /// The exact half: deterministic cells, compared with zero tolerance.
+    pub exact: ExactCells,
+    /// The wall half: one timing statistic, compared at +25%.
+    pub wall: Wall,
+    /// The bench's own measurement rows (its derived row structs).
+    /// Informational: [`check`] never reads it.
+    pub info: Value,
+}
+
+/// The gated wall-time statistic of a [`GateReport`].
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct Wall {
+    /// What was timed, shape included (`compose_into/1024 density=10%`).
+    pub label: String,
+    /// The statistic, in `unit`.
+    pub value: f64,
+    /// The unit of `value` (`ns/round`, `ms`, …).
+    pub unit: String,
+}
+
+/// Keyed integer cells in measurement order, serialized as one JSON
+/// object `{"<key>": value, …}`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ExactCells(pub Vec<(String, i64)>);
+
+impl FromIterator<(String, i64)> for ExactCells {
+    fn from_iter<I: IntoIterator<Item = (String, i64)>>(cells: I) -> Self {
+        ExactCells(cells.into_iter().collect())
+    }
+}
+
+impl Serialize for ExactCells {
+    fn to_value(&self) -> Value {
+        Value::object(self.0.iter().map(|(key, v)| (key.clone(), v.to_value())))
+    }
+}
+
+impl Deserialize for ExactCells {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        match value {
+            Value::Object(pairs) => pairs
+                .iter()
+                .map(|(key, v)| Ok((key.clone(), i64::from_value(v)?)))
+                .collect(),
+            _ => Err(Error::msg("`exact` must be an object of integer cells")),
+        }
+    }
+}
+
+/// The exact cell of a possibly capped run: its completion round, or
+/// `-1` when the capped run did not complete.
+#[must_use]
+pub fn rounds_cell(rounds: Option<u64>) -> i64 {
+    rounds.map_or(-1, |t| t as i64)
+}
+
+/// What one [`check`] found: the lines to print and the failures.
+#[derive(Debug, Default, PartialEq)]
+pub struct Verdict {
+    /// "gate ok" and skip notes, printed to stdout.
+    pub passed: Vec<String>,
+    /// One message per failure, printed to stderr; any fails the gate.
+    pub failures: Vec<String>,
+}
+
+impl Verdict {
+    /// Files one pass/fail outcome.
+    pub fn record(&mut self, outcome: Result<String, String>) {
+        match outcome {
+            Ok(line) => self.passed.push(line),
+            Err(failure) => self.failures.push(failure),
+        }
+    }
+}
 
 /// Extracts the `--check <baseline>` argument pair.
 ///
@@ -53,21 +138,17 @@ pub fn wall_gate_disabled() -> bool {
 ///
 /// Returns the number of compared cells, or one message per mismatch /
 /// missing cell. Cells present in `current` but absent from the baseline
-/// are allowed (a new bench adds rows before its baseline is
-/// regenerated); the reverse is a failure, so a bench cannot silently
+/// are allowed; the reverse is a failure, so a bench cannot silently
 /// stop measuring a gated cell.
 ///
 /// # Errors
 ///
 /// One human-readable message per baseline cell that is missing from
 /// `current` or differs from it.
-pub fn exact_gate<K: Debug + PartialEq>(
-    current: &[(K, i64)],
-    baseline: &[(K, i64)],
-) -> Result<usize, Vec<String>> {
+fn exact_gate(current: &ExactCells, baseline: &ExactCells) -> Result<usize, Vec<String>> {
     let mut failures = Vec::new();
-    for (key, base) in baseline {
-        match current.iter().find(|(k, _)| k == key) {
+    for (key, base) in &baseline.0 {
+        match current.0.iter().find(|(k, _)| k == key) {
             Some((_, now)) if now == base => {}
             Some((_, now)) => failures.push(format!(
                 "MISMATCH: {key:?} measured {now}, baseline {base} \
@@ -77,77 +158,125 @@ pub fn exact_gate<K: Debug + PartialEq>(
         }
     }
     if failures.is_empty() {
-        Ok(baseline.len())
+        Ok(baseline.0.len())
     } else {
         Err(failures)
     }
 }
 
 /// The wall half: `now` may exceed `base` by at most
-/// [`REGRESSION_HEADROOM_PERCENT`]. Both values must share a unit; the
-/// caller-supplied `format` renders one value with that unit for the
-/// message (e.g. `|ns| format!("{ns:.0} ns/round")`).
+/// [`REGRESSION_HEADROOM_PERCENT`]; `base` is in `now`'s unit.
 ///
 /// Returns the "gate ok" line to print, or the regression report.
 ///
 /// # Errors
 ///
 /// The `REGRESSION: …` message when `now` is past the limit.
-pub fn wall_gate(
-    label: &str,
-    now: f64,
-    base: f64,
-    format: impl Fn(f64) -> String,
-) -> Result<String, String> {
+fn wall_gate(now: &Wall, base: f64) -> Result<String, String> {
     let limit = base * (100.0 + f64::from(REGRESSION_HEADROOM_PERCENT)) / 100.0;
-    if now > limit {
+    let show = |v: f64| format!("{v:.1} {}", now.unit);
+    if now.value > limit {
         Err(format!(
-            "REGRESSION: {label} took {}, baseline {} \
-             (+{REGRESSION_HEADROOM_PERCENT}% limit {})",
-            format(now),
-            format(base),
-            format(limit)
+            "REGRESSION: {} took {}, baseline {} (+{REGRESSION_HEADROOM_PERCENT}% limit {})",
+            now.label,
+            show(now.value),
+            show(base),
+            show(limit)
         ))
     } else {
         Ok(format!(
-            "gate ok: {label} {} within +{REGRESSION_HEADROOM_PERCENT}% of baseline {}",
-            format(now),
-            format(base)
+            "gate ok: {} {} within +{REGRESSION_HEADROOM_PERCENT}% of baseline {}",
+            now.label,
+            show(now.value),
+            show(base)
         ))
     }
 }
 
-/// Prints each failure of an [`exact_gate`] run and exits nonzero, or
-/// prints the given success line. The bins' shared exact-half epilogue.
-pub fn enforce_exact<K: Debug + PartialEq>(
-    current: &[(K, i64)],
-    baseline: &[(K, i64)],
-    success: &str,
-) {
-    match exact_gate(current, baseline) {
-        Ok(_) => println!("{success}"),
-        Err(failures) => {
-            for f in &failures {
-                eprintln!("{f}");
-            }
-            std::process::exit(1);
-        }
+/// Compares `current` against `baseline`: bench name and wall label
+/// must agree, then the exact half (always) and the wall half (unless
+/// [`wall_gate_disabled`]).
+pub fn check(current: &GateReport, baseline: &GateReport) -> Verdict {
+    let mut verdict = Verdict::default();
+    let same_shape = current.bench == baseline.bench
+        && current.wall.label == baseline.wall.label
+        && current.wall.unit == baseline.wall.unit;
+    if !same_shape {
+        verdict.failures.push(format!(
+            "MISMATCH: measured {} `{}` ({}), baseline {} `{}` ({}) — \
+             the baseline records another bench or shape",
+            current.bench,
+            current.wall.label,
+            current.wall.unit,
+            baseline.bench,
+            baseline.wall.label,
+            baseline.wall.unit
+        ));
+    }
+    match exact_gate(&current.exact, &baseline.exact) {
+        Ok(cells) => verdict.passed.push(format!(
+            "gate ok: all {cells} exact {} cells match the baseline",
+            current.bench
+        )),
+        Err(failures) => verdict.failures.extend(failures),
+    }
+    if wall_gate_disabled() {
+        verdict
+            .passed
+            .push(format!("{GATE_ENV_VAR}=off: skipping the wall-time gate"));
+    } else if same_shape {
+        verdict.record(wall_gate(&current.wall, baseline.wall.value));
+    }
+    verdict
+}
+
+/// Writes `report` to `results/BENCH_<bench>.json`.
+///
+/// # Panics
+///
+/// On an I/O failure.
+pub fn write(report: &GateReport) {
+    let path = format!("results/BENCH_{}.json", report.bench);
+    std::fs::create_dir_all("results").expect("create results dir");
+    std::fs::write(&path, serde::json::to_string_pretty(report) + "\n")
+        .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    println!("wrote {path}");
+}
+
+/// The `--check <baseline>` document, when one was asked for.
+///
+/// # Panics
+///
+/// If the baseline is unreadable or not a [`GateReport`].
+pub fn baseline(args: &[String]) -> Option<GateReport> {
+    let path = check_arg(args)?;
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
+    Some(
+        serde::json::from_str(&text)
+            .unwrap_or_else(|e| panic!("cannot parse baseline {path}: {e}")),
+    )
+}
+
+/// Prints `verdict` and exits nonzero if anything failed.
+pub fn enforce(verdict: &Verdict) {
+    for line in &verdict.passed {
+        println!("{line}");
+    }
+    for failure in &verdict.failures {
+        eprintln!("{failure}");
+    }
+    if !verdict.failures.is_empty() {
+        std::process::exit(1);
     }
 }
 
-/// Runs the wall half with the skip switch applied and exits nonzero on
-/// regression. The bins' shared wall-half epilogue.
-pub fn enforce_wall(label: &str, now: f64, base: f64, format: impl Fn(f64) -> String) {
-    if wall_gate_disabled() {
-        println!("{GATE_ENV_VAR}=off: skipping the wall-time gate");
-        return;
-    }
-    match wall_gate(label, now, base, format) {
-        Ok(line) => println!("{line}"),
-        Err(report) => {
-            eprintln!("{report}");
-            std::process::exit(1);
-        }
+/// The bins' shared epilogue: [`write()`] the report, then under
+/// `--check <baseline>` [`check`] it and [`enforce`] the verdict.
+pub fn finish(report: &GateReport, args: &[String]) {
+    write(report);
+    if let Some(baseline) = baseline(args) {
+        enforce(&check(report, &baseline));
     }
 }
 
@@ -187,6 +316,27 @@ pub fn best_ns<F: FnMut()>(mut f: F, samples: usize) -> f64 {
 mod tests {
     use super::*;
 
+    fn cells(pairs: &[(&str, i64)]) -> ExactCells {
+        pairs.iter().map(|&(k, v)| (k.to_string(), v)).collect()
+    }
+
+    fn wall(label: &str, value: f64) -> Wall {
+        Wall {
+            label: label.into(),
+            value,
+            unit: "ns".into(),
+        }
+    }
+
+    fn report(exact: &[(&str, i64)], label: &str) -> GateReport {
+        GateReport {
+            bench: "probe".into(),
+            exact: cells(exact),
+            wall: wall(label, 100.0),
+            info: Value::Null,
+        }
+    }
+
     #[test]
     fn check_arg_extracts_the_path() {
         let args: Vec<String> = ["--quick", "--check", "results/base.json"]
@@ -205,56 +355,82 @@ mod tests {
 
     #[test]
     fn exact_gate_passes_on_identical_cells() {
-        let cells = [(("broadcast", 16usize), 15i64), (("gossip", 16), -1)];
-        assert_eq!(exact_gate(&cells, &cells), Ok(2));
+        let exact = cells(&[("broadcast/n=16", 15), ("gossip/n=16", -1)]);
+        assert_eq!(exact_gate(&exact, &exact), Ok(2));
+        // The whole document: identical reports pass, and survive JSON.
+        let doc = report(&[("broadcast/n=16", 15), ("gossip/n=16", -1)], "x");
+        let text = serde::json::to_string_pretty(&doc);
+        let back: GateReport = serde::json::from_str(&text).unwrap();
+        assert_eq!(back, doc);
+        assert!(text.contains("\"exact\": {\n    \"broadcast/n=16\": 15,"));
+        let verdict = check(&doc, &back);
+        assert!(verdict.failures.is_empty(), "{verdict:?}");
+        assert!(verdict.passed[0].contains("all 2 exact probe cells"));
     }
 
     #[test]
     fn exact_gate_allows_extra_current_cells() {
-        let current = [(1, 10i64), (2, 20)];
-        let baseline = [(1, 10i64)];
+        let current = cells(&[("a", 10), ("b", 20)]);
+        let baseline = cells(&[("a", 10)]);
         assert_eq!(exact_gate(&current, &baseline), Ok(1));
+        let verdict = check(
+            &report(&[("a", 10), ("b", 20)], "x"),
+            &report(&[("a", 10)], "x"),
+        );
+        assert!(verdict.failures.is_empty(), "{verdict:?}");
     }
 
     #[test]
     fn exact_gate_reports_every_mismatch_and_missing_cell() {
-        let current = [(1, 10i64), (2, 99)];
-        let baseline = [(1, 10i64), (2, 20), (3, 30)];
+        let current = cells(&[("a", 10), ("b", 99)]);
+        let baseline = cells(&[("a", 10), ("b", 20), ("c", 30)]);
         let failures = exact_gate(&current, &baseline).unwrap_err();
         assert_eq!(failures.len(), 2);
         assert!(failures[0].contains("MISMATCH"));
         assert!(failures[0].contains("measured 99"));
         assert!(failures[1].contains("MISSING"));
+        // A baseline cell the current report lacks fails the document.
+        let verdict = check(
+            &report(&[("a", 10)], "x"),
+            &report(&[("a", 10), ("c", 30)], "x"),
+        );
+        assert_eq!(verdict.failures.len(), 1);
+        assert!(verdict.failures[0].contains("MISSING: baseline cell \"c\""));
     }
 
     #[test]
     fn exact_gate_has_zero_tolerance() {
         // Even an off-by-one on a single cell fails the gate.
-        let failures = exact_gate(&[(0, 101i64)], &[(0, 100i64)]).unwrap_err();
+        let failures = exact_gate(&cells(&[("x", 101)]), &cells(&[("x", 100)])).unwrap_err();
         assert_eq!(failures.len(), 1);
     }
 
     #[test]
     fn wall_gate_boundary_is_exactly_plus_25_percent() {
-        let fmt = |ns: f64| format!("{ns:.0} ns");
         // 125.0 is the limit itself: inside the gate.
-        assert!(wall_gate("x", 125.0, 100.0, fmt).is_ok());
+        assert!(wall_gate(&wall("x", 125.0), 100.0).is_ok());
         // Just past it: regression.
-        let report = wall_gate("x", 125.1, 100.0, fmt).unwrap_err();
+        let report = wall_gate(&wall("x", 125.1), 100.0).unwrap_err();
         assert!(report.contains("REGRESSION"));
         assert!(
-            report.contains("125 ns"),
+            report.contains("125.1 ns"),
             "formatted with the unit: {report}"
         );
         // Faster than baseline is always fine.
-        assert!(wall_gate("x", 10.0, 100.0, fmt).is_ok());
+        assert!(wall_gate(&wall("x", 10.0), 100.0).is_ok());
     }
 
     #[test]
     fn wall_gate_messages_carry_the_label() {
-        let ok = wall_gate("compose_into/1024", 100.0, 100.0, |v| format!("{v}")).unwrap();
+        let ok = wall_gate(&wall("compose_into/1024", 100.0), 100.0).unwrap();
         assert!(ok.contains("compose_into/1024"));
         assert!(ok.starts_with("gate ok"));
+        // A baseline recorded under another label fails, exact cells
+        // and all — whatever the wall switch says.
+        let verdict = check(&report(&[], "solve/6"), &report(&[], "solve/7"));
+        assert_eq!(verdict.failures.len(), 1, "{verdict:?}");
+        assert!(verdict.failures[0].contains("`solve/6`"));
+        assert!(verdict.failures[0].contains("`solve/7`"));
     }
 
     #[test]

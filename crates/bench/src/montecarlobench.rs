@@ -1,7 +1,5 @@
-//! Shared pieces of the Monte Carlo benchmark report
-//! (`bench_montecarlo`): the gated estimator cells, hand-rolled JSON
-//! rendering (no serde in the offline build), and the minimal parsers
-//! the CI gate needs.
+//! Shared pieces of the Monte Carlo benchmark (`bench_montecarlo`): the
+//! gated estimator cells and the gate document.
 //!
 //! The gate has the standard two halves (see [`crate::gate`]):
 //!
@@ -20,7 +18,10 @@
 
 use std::time::Instant;
 
+use serde::Serialize;
 use treecast_montecarlo::{estimate, FaultSpec, RunSpec, TreeSpec};
+
+use crate::gate::{GateReport, Wall};
 
 /// Network size of every gated cell: dense-engine territory, big enough
 /// that the loss transition is sharp.
@@ -48,7 +49,7 @@ pub const GATE_LOSS_GRID: [u32; 6] = [0, 2, 6, 10, 14, 20];
 pub const GATE_THREADS: usize = 4;
 
 /// One measured Monte Carlo cell.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct CellMeasurement {
     /// Workload label (`k-source-broadcast(k=…)`).
     pub workload: String,
@@ -182,115 +183,32 @@ pub fn sweep_ns_per_round(rows: &[CellMeasurement]) -> f64 {
     wall_ms * 1e6 / rounds.max(1) as f64
 }
 
-/// Renders the measurement rows as the `BENCH_montecarlo.json` document
-/// (line-oriented so [`parse_cells`] / [`parse_sweep_ns_per_round`] can
-/// read it back without a JSON dependency).
+/// The `BENCH_montecarlo.json` gate document: each cell's `completed`,
+/// `censored` and `total_rounds` are exact cells; the wall is
+/// [`sweep_ns_per_round`].
 #[must_use]
-pub fn render_report(rows: &[CellMeasurement]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"montecarlo\",\n");
-    out.push_str(&format!(
-        "  \"sweep_ns_per_round\": {:.1},\n",
-        sweep_ns_per_round(rows)
-    ));
-    out.push_str("  \"cells\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"workload\": \"{}\",\n", r.workload));
-        out.push_str(&format!("      \"source\": \"{}\",\n", r.source));
-        out.push_str(&format!("      \"faults\": \"{}\",\n", r.faults));
-        out.push_str(&format!("      \"n\": {},\n", r.n));
-        out.push_str(&format!("      \"replicas\": {},\n", r.replicas));
-        out.push_str(&format!("      \"budget\": {},\n", r.budget));
-        out.push_str(&format!("      \"completed\": {},\n", r.completed));
-        out.push_str(&format!("      \"censored\": {},\n", r.censored));
-        out.push_str(&format!("      \"total_rounds\": {},\n", r.total_rounds));
-        out.push_str(&format!("      \"mean\": {:.3},\n", r.mean));
-        out.push_str(&format!("      \"ci95\": {:.3},\n", r.ci95));
-        out.push_str(&format!("      \"p50\": {:.3},\n", r.p50));
-        out.push_str(&format!("      \"p90\": {:.3},\n", r.p90));
-        out.push_str(&format!("      \"stall_rate\": {:.4},\n", r.stall_rate));
-        out.push_str(&format!("      \"wall_ms\": {:.3}\n", r.wall_ms));
-        out.push_str(if i + 1 == rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
+pub fn gate_report(rows: &[CellMeasurement]) -> GateReport {
+    GateReport {
+        bench: "montecarlo".into(),
+        exact: rows
+            .iter()
+            .flat_map(|r| {
+                let key =
+                    |stat| format!("{}/{}/{}/n={}/{stat}", r.workload, r.source, r.faults, r.n);
+                [
+                    (key("completed"), r.completed as i64),
+                    (key("censored"), r.censored as i64),
+                    (key("total_rounds"), r.total_rounds as i64),
+                ]
+            })
+            .collect(),
+        wall: Wall {
+            label: format!("montecarlo grid n={GATE_N}"),
+            value: sweep_ns_per_round(rows),
+            unit: "ns/replica-round".into(),
+        },
+        info: rows.to_value(),
     }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Extracts every cell's exact integer statistics from a
-/// [`render_report`] document as
-/// `((workload, source, faults, n, stat), value)` tuples — the
-/// exact-gate cells.
-#[must_use]
-pub fn parse_cells(report: &str) -> Vec<((String, String, String, usize, &'static str), i64)> {
-    let mut out = Vec::new();
-    let mut lines = report.lines();
-    while let Some(line) = lines.next() {
-        let Some(workload) = field_str(line, "workload") else {
-            continue;
-        };
-        let source = lines.next().and_then(|l| field_str(l, "source"));
-        let faults = lines.next().and_then(|l| field_str(l, "faults"));
-        let n = lines.next().and_then(|l| field_num(l, "n"));
-        let _replicas = lines.next();
-        let _budget = lines.next();
-        let completed = lines.next().and_then(|l| field_num(l, "completed"));
-        let censored = lines.next().and_then(|l| field_num(l, "censored"));
-        let total = lines.next().and_then(|l| field_num(l, "total_rounds"));
-        let (Some(source), Some(faults), Some(n)) = (source, faults, n) else {
-            continue;
-        };
-        let key = |stat| {
-            (
-                workload.clone(),
-                source.clone(),
-                faults.clone(),
-                n as usize,
-                stat,
-            )
-        };
-        if let Some(v) = completed {
-            out.push((key("completed"), v));
-        }
-        if let Some(v) = censored {
-            out.push((key("censored"), v));
-        }
-        if let Some(v) = total {
-            out.push((key("total_rounds"), v));
-        }
-    }
-    out
-}
-
-/// Extracts the `sweep_ns_per_round` statistic from a [`render_report`]
-/// document — the wall-gate statistic.
-#[must_use]
-pub fn parse_sweep_ns_per_round(report: &str) -> Option<f64> {
-    report.lines().find_map(|l| {
-        l.trim()
-            .strip_prefix("\"sweep_ns_per_round\": ")
-            .and_then(|v| v.trim_end_matches(',').parse().ok())
-    })
-}
-
-fn field_str(line: &str, key: &str) -> Option<String> {
-    line.trim()
-        .strip_prefix(&format!("\"{key}\": \""))
-        .map(|rest| {
-            rest.trim_end_matches("\",")
-                .trim_end_matches('"')
-                .to_string()
-        })
-}
-
-fn field_num(line: &str, key: &str) -> Option<i64> {
-    line.trim()
-        .strip_prefix(&format!("\"{key}\": "))
-        .and_then(|v| v.trim_end_matches(',').parse().ok())
 }
 
 #[cfg(test)]
@@ -339,36 +257,30 @@ mod tests {
     #[test]
     fn report_roundtrips_through_parsers() {
         let rows = sample();
-        let doc = render_report(&rows);
-        let cells = parse_cells(&doc);
-        assert_eq!(cells.len(), 6, "three exact stats per row");
+        let report = gate_report(&rows);
+        assert_eq!(report.exact.0.len(), 6, "three exact stats per row");
         assert_eq!(
-            cells[0],
+            report.exact.0[0],
             (
-                (
-                    "k-source-broadcast(k=1)".into(),
-                    "static(path)".into(),
-                    "no-faults".into(),
-                    64,
-                    "completed"
-                ),
+                "k-source-broadcast(k=1)/static(path)/no-faults/n=64/completed".to_string(),
                 48
             )
         );
-        assert_eq!(cells[5].0 .4, "total_rounds");
-        assert_eq!(cells[5].1, 0);
-        let ns = parse_sweep_ns_per_round(&doc).expect("statistic present");
-        assert!((ns - sweep_ns_per_round(&rows)).abs() < 0.1);
+        assert!(report.exact.0[5].0.ends_with("/loss=80%/n=64/total_rounds"));
+        assert_eq!(report.exact.0[5].1, 0);
+        assert_eq!(report.wall.value, sweep_ns_per_round(&rows));
+        let back: GateReport =
+            serde::json::from_str(&serde::json::to_string_pretty(&report)).unwrap();
+        assert_eq!(back, report);
+        let info: Vec<CellMeasurement> = serde::Deserialize::from_value(&back.info).unwrap();
+        assert_eq!(info, rows);
     }
 
     #[test]
     fn report_is_json_shaped() {
-        let doc = render_report(&sample());
-        assert!(doc.starts_with("{\n"));
-        assert!(doc.ends_with("}\n"));
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
-        assert!(!doc.contains(",\n  ]"));
-        assert!(!doc.contains(",\n    }"));
+        let doc = serde::json::to_string_pretty(&gate_report(&sample()));
+        assert!(doc.starts_with("{\n  \"bench\": \"montecarlo\",\n  \"exact\": {"));
+        assert!(doc.contains("\"unit\": \"ns/replica-round\""));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Shared pieces of the server benchmark (`bench_server`): the fixed
-//! load shapes, the cold/warm measurement procedure, and the CI gate's
-//! cell extraction.
+//! load shapes, the cold/warm measurement procedure, and the gate
+//! document.
 //!
 //! The gate has the usual two halves:
 //!
@@ -21,7 +21,7 @@
 use treecast_client::{Client, LoadConfig, LoadGen, LoadReport};
 use treecast_server::{CacheConfig, Request, Response, ServerConfig, WorkloadSpec};
 
-pub use crate::gate::REGRESSION_HEADROOM_PERCENT;
+use crate::gate::{GateReport, Wall};
 
 /// The warm-over-cold throughput floor the full gate enforces.
 pub const MIN_SPEEDUP: f64 = 5.0;
@@ -65,11 +65,9 @@ pub fn cold_requests(load: &LoadConfig) -> usize {
     (load.requests / 20).max(50).min(load.requests)
 }
 
-/// The `results/BENCH_server.json` document.
+/// One server measurement: the `info` of `results/BENCH_server.json`.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ServerBenchReport {
-    /// Report discriminator (`"server"`).
-    pub bench: String,
     /// Load shape used.
     pub load: LoadConfig,
     /// Gossip completion round of each pool sequence, rank order
@@ -106,23 +104,54 @@ pub struct ServerBenchReport {
 }
 
 impl ServerBenchReport {
-    /// The zero-tolerance half of the gate as `(group, key) → value`
-    /// cells.
+    /// The `BENCH_server.json` gate document: per-rank completion rounds
+    /// and the warm cache counters are exact cells; the wall is the warm
+    /// ns/request.
     #[must_use]
-    pub fn exact_cells(&self) -> Vec<((String, String), i64)> {
-        let mut cells: Vec<((String, String), i64)> = self
+    pub fn gate_report(&self) -> GateReport {
+        let completion = self
             .completion_rounds
             .iter()
             .enumerate()
-            .map(|(rank, &rounds)| (("completion".into(), format!("rank{rank}")), rounds))
-            .collect();
-        cells.push((("cache".into(), "warm_hits".into()), self.warm_hits));
-        cells.push((("cache".into(), "warm_misses".into()), self.warm_misses));
-        cells.push((
-            ("cache".into(), "hit_rate_permille".into()),
-            self.warm_hit_rate_permille,
-        ));
-        cells
+            .map(|(rank, &rounds)| (format!("completion/rank{rank}"), rounds));
+        let cache = [
+            ("cache/warm_hits".to_string(), self.warm_hits),
+            ("cache/warm_misses".to_string(), self.warm_misses),
+            (
+                "cache/hit_rate_permille".to_string(),
+                self.warm_hit_rate_permille,
+            ),
+        ];
+        GateReport {
+            bench: "server".into(),
+            exact: completion.chain(cache).collect(),
+            wall: Wall {
+                label: format!("warm_serve n={}", self.load.n),
+                value: self.warm_ns_per_request,
+                unit: "ns/request".into(),
+            },
+            info: serde::Serialize::to_value(self),
+        }
+    }
+
+    /// The headline floor: warm serving must beat the uncached engine
+    /// by at least [`MIN_SPEEDUP`]×.
+    ///
+    /// # Errors
+    ///
+    /// The `REGRESSION: …` message when the speedup is below the floor.
+    pub fn speedup_floor(&self) -> Result<String, String> {
+        if self.speedup >= MIN_SPEEDUP {
+            Ok(format!(
+                "gate ok: speedup {:.1}x >= {MIN_SPEEDUP}x floor",
+                self.speedup
+            ))
+        } else {
+            Err(format!(
+                "REGRESSION: warm-over-cold speedup {:.1}x fell below the {MIN_SPEEDUP}x floor",
+                self.speedup
+            ))
+        }
     }
 }
 
@@ -206,7 +235,6 @@ fn report_from(
     let warm_ns = warm.elapsed_ns as f64 / warm.requests.max(1) as f64;
     let lookups = warm.hits + warm.misses;
     ServerBenchReport {
-        bench: "server".into(),
         load: load.clone(),
         completion_rounds,
         warm_hits: warm.hits as i64,
@@ -257,7 +285,7 @@ mod tests {
     fn exact_cells_are_deterministic_across_runs() {
         let a = measure(&smoke_load());
         let b = measure(&smoke_load());
-        assert_eq!(a.exact_cells(), b.exact_cells());
+        assert_eq!(a.gate_report().exact, b.gate_report().exact);
     }
 
     #[test]
@@ -266,6 +294,17 @@ mod tests {
         let text = serde::json::to_string_pretty(&report);
         let back: ServerBenchReport = serde::json::from_str(&text).unwrap();
         assert_eq!(back, report);
-        assert!(back.exact_cells().len() == report.load.pool_size + 3);
+        let gate = report.gate_report();
+        assert_eq!(gate.exact.0.len(), report.load.pool_size + 3);
+        assert_eq!(gate.info, serde::json::value_from_str(&text).unwrap());
+    }
+
+    #[test]
+    fn speedup_floor_is_five_x() {
+        let mut report = measure(&smoke_load());
+        report.speedup = MIN_SPEEDUP;
+        assert!(report.speedup_floor().is_ok());
+        report.speedup = MIN_SPEEDUP - 0.1;
+        assert!(report.speedup_floor().unwrap_err().contains("floor"));
     }
 }

@@ -1,25 +1,25 @@
-//! Shared pieces of the exact-solver benchmark report: the measurement
-//! record, hand-rolled JSON rendering (no serde in the offline build),
-//! and the minimal parser the CI regression gate needs — the solver
-//! sibling of [`crate::composebench`].
+//! Shared pieces of the exact-solver benchmark: the measurement record
+//! and the gate document — the solver sibling of [`crate::composebench`].
 
-use treecast_core::bounds;
+use serde::Serialize;
 
-/// Allowed slowdown of the gated solve against the checked-in baseline
-/// before `bench_solver --check` fails, in percent.
-pub use crate::gate::REGRESSION_HEADROOM_PERCENT as SOLVER_REGRESSION_HEADROOM_PERCENT;
+use crate::gate::{ExactCells, GateReport, Verdict, Wall};
 
 /// The size whose wall time the CI gate compares (largest quick size —
 /// big enough to be stable, small enough for every CI run).
 pub const SOLVER_GATE_N: usize = 6;
 
 /// One `(n, result, timing)` row of the solver benchmark.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SolverMeasurement {
     /// Number of processes.
     pub n: usize,
     /// The exact `t*(T_n)` the solve produced.
     pub t_star: u64,
+    /// `bounds::lower_bound(n)`, the Theorem 3.1 sandwich's floor.
+    pub lower_bound: u64,
+    /// `bounds::upper_bound(n)`, the sandwich's ceiling.
+    pub upper_bound: u64,
     /// Distinct canonical states explored.
     pub states: usize,
     /// Raw successor evaluations (realizable vectors emitted, pre
@@ -27,69 +27,61 @@ pub struct SolverMeasurement {
     pub transitions: u64,
     /// Best (minimum) wall time of one full solve, milliseconds.
     pub wall_ms: f64,
+    /// Solver threads (`--threads`; 0 = all available).
+    pub threads: usize,
 }
 
-/// Renders the measurement rows as the `BENCH_solver.json` document.
+/// The `BENCH_solver.json` gate document: each size's `t*` is an exact
+/// cell; the wall is the [`SOLVER_GATE_N`] solve.
 ///
-/// Line-oriented like the compose report (one `"key": value` pair per
-/// line) so [`parse_solver_field`] can read it back without a JSON
-/// dependency.
-pub fn render_solver_report(threads: usize, rows: &[SolverMeasurement]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"solver_exact\",\n");
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"n\": {},\n", r.n));
-        out.push_str(&format!("      \"t_star\": {},\n", r.t_star));
-        out.push_str(&format!("      \"lower_bound\": {},\n", lower(r.n)));
-        out.push_str(&format!("      \"upper_bound\": {},\n", upper(r.n)));
-        out.push_str(&format!("      \"states\": {},\n", r.states));
-        out.push_str(&format!("      \"transitions\": {},\n", r.transitions));
-        out.push_str(&format!("      \"wall_ms\": {:.3}\n", r.wall_ms));
-        out.push_str(if i + 1 == rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn lower(n: usize) -> u64 {
-    bounds::lower_bound(n as u64)
-}
-
-fn upper(n: usize) -> u64 {
-    bounds::upper_bound(n as u64)
-}
-
-/// Extracts one numeric field from the entry for size `n` in a
-/// [`render_solver_report`]-formatted document.
+/// # Panics
 ///
-/// Scans for the `"n": <n>` line and then for `"<field>"` within that
-/// entry — enough structure for the CI gate without a JSON parser.
-pub fn parse_solver_field(report: &str, n: usize, field: &str) -> Option<f64> {
-    let mut lines = report.lines();
-    let wanted = format!("\"n\": {n},");
-    let prefix = format!("\"{field}\": ");
-    for line in lines.by_ref() {
-        if line.trim() == wanted {
-            break;
-        }
+/// If `rows` lack the [`SOLVER_GATE_N`] row.
+pub fn gate_report(rows: &[SolverMeasurement]) -> GateReport {
+    let gated = rows
+        .iter()
+        .find(|r| r.n == SOLVER_GATE_N)
+        .expect("the gate size is measured");
+    GateReport {
+        bench: "solver".into(),
+        exact: rows
+            .iter()
+            .map(|r| (format!("t_star/n={}", r.n), r.t_star as i64))
+            .collect(),
+        wall: Wall {
+            label: format!("solve/{SOLVER_GATE_N}"),
+            value: gated.wall_ms,
+            unit: "ms".into(),
+        },
+        info: rows.to_value(),
     }
-    for line in lines {
-        let t = line.trim();
-        if t.starts_with('}') {
-            return None;
-        }
-        if let Some(value) = t.strip_prefix(&prefix) {
-            return value.trim_end_matches(',').parse().ok();
-        }
+}
+
+/// Gates `current` against the part of `baseline` it measured: `--quick`
+/// stops below the baseline's largest size, so only the sizes present in
+/// both are compared — and a baseline sharing none of them fails, since
+/// the exact half would be vacuous.
+pub fn check_measured(current: &GateReport, baseline: &GateReport) -> Verdict {
+    let measured: ExactCells = baseline
+        .exact
+        .0
+        .iter()
+        .filter(|(key, _)| current.exact.0.iter().any(|(k, _)| k == key))
+        .cloned()
+        .collect();
+    if measured.0.is_empty() {
+        return Verdict {
+            passed: Vec::new(),
+            failures: vec!["MISSING: the baseline has no t_star cell for any measured \
+                            size — the exact gate would be vacuous"
+                .into()],
+        };
     }
-    None
+    let scoped = GateReport {
+        exact: measured,
+        ..baseline.clone()
+    };
+    crate::gate::check(current, &scoped)
 }
 
 #[cfg(test)]
@@ -101,49 +93,80 @@ mod tests {
             SolverMeasurement {
                 n: 5,
                 t_star: 5,
+                lower_bound: 5,
+                upper_bound: 12,
                 states: 817,
                 transitions: 8161,
                 wall_ms: 3.5,
+                threads: 1,
             },
             SolverMeasurement {
                 n: 6,
                 t_star: 7,
+                lower_bound: 7,
+                upper_bound: 14,
                 states: 112_620,
                 transitions: 5_535_810,
                 wall_ms: 2040.0,
+                threads: 1,
             },
         ]
     }
 
     #[test]
     fn report_roundtrips_through_parser() {
-        let doc = render_solver_report(1, &rows());
-        assert_eq!(parse_solver_field(&doc, 5, "wall_ms"), Some(3.5));
-        assert_eq!(parse_solver_field(&doc, 6, "wall_ms"), Some(2040.0));
-        assert_eq!(parse_solver_field(&doc, 6, "t_star"), Some(7.0));
-        assert_eq!(parse_solver_field(&doc, 6, "states"), Some(112_620.0));
-        assert_eq!(parse_solver_field(&doc, 7, "wall_ms"), None);
-        assert_eq!(parse_solver_field(&doc, 5, "no_such_field"), None);
+        let report = gate_report(&rows());
+        assert_eq!(
+            report.exact.0,
+            vec![("t_star/n=5".to_string(), 5), ("t_star/n=6".to_string(), 7)]
+        );
+        assert_eq!(
+            (report.wall.value, report.wall.unit.as_str()),
+            (2040.0, "ms")
+        );
+        let back: GateReport =
+            serde::json::from_str(&serde::json::to_string_pretty(&report)).unwrap();
+        assert_eq!(back, report);
+        let info: Vec<SolverMeasurement> = serde::Deserialize::from_value(&back.info).unwrap();
+        assert_eq!(info, rows());
     }
 
     #[test]
     fn report_is_json_shaped() {
-        let doc = render_solver_report(4, &rows());
-        assert!(doc.starts_with("{\n"));
-        assert!(doc.ends_with("}\n"));
-        assert!(doc.contains("\"threads\": 4"));
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
-        assert!(!doc.contains(",\n  ]"));
-        assert!(!doc.contains(",\n    }"));
+        let doc = serde::json::to_string_pretty(&gate_report(&rows()));
+        assert!(doc.starts_with("{\n  \"bench\": \"solver\",\n  \"exact\": {"));
+        assert!(doc.contains("\"t_star/n=6\": 7"));
+        assert!(doc.contains("\"threads\": 1"));
+    }
+
+    #[test]
+    fn quick_check_gates_only_the_measured_sizes() {
+        // --quick measures fewer sizes than the baseline holds: only the
+        // shared sizes are gated, and a baseline sharing none fails.
+        let quick = gate_report(&rows()[1..]);
+        assert!(check_measured(&quick, &gate_report(&rows()))
+            .failures
+            .is_empty());
+        let mut disjoint = gate_report(&rows());
+        disjoint.exact = [("t_star/n=7".to_string(), 8)].into_iter().collect();
+        let verdict = check_measured(&quick, &disjoint);
+        assert_eq!(verdict.failures.len(), 1);
+        assert!(verdict.failures[0].contains("vacuous"));
     }
 
     #[test]
     fn report_embeds_the_theorem_bounds() {
-        let doc = render_solver_report(1, &rows());
-        assert_eq!(parse_solver_field(&doc, 6, "lower_bound"), Some(7.0));
+        let info = gate_report(&rows()).info;
+        let row = match &info {
+            serde::Value::Array(rows) => &rows[1],
+            other => panic!("info is the row table, got {other:?}"),
+        };
+        assert_eq!(row.field("lower_bound"), Ok(&serde::Value::Int(7)));
         assert_eq!(
-            parse_solver_field(&doc, 6, "upper_bound"),
-            Some(treecast_core::bounds::upper_bound(6) as f64)
+            row.field("upper_bound"),
+            Ok(&serde::Value::Int(
+                treecast_core::bounds::upper_bound(6).into()
+            ))
         );
     }
 }

@@ -1,7 +1,6 @@
-//! Shared pieces of the workload benchmark report (`bench_workloads`):
-//! the deterministic round-count grid, the batched-stepping wall-time
-//! measurement record, hand-rolled JSON rendering (no serde in the
-//! offline build), and the minimal parser the CI gate needs.
+//! Shared pieces of the workload benchmark (`bench_workloads`): the
+//! deterministic round-count grid, the batched-stepping wall-time
+//! measurement record, and the gate document.
 //!
 //! The gate has two halves, mirroring the solver gate:
 //!
@@ -15,6 +14,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use serde::{Serialize, Value};
 use treecast_adversary::{GreedyAdversary, MinDisseminated, StructuredPool};
 use treecast_core::{
     run_workload, Broadcast, Gossip, KBroadcast, KSourceBroadcast, SimulationConfig, StaticSource,
@@ -23,15 +23,13 @@ use treecast_core::{
 use treecast_nonsplit::{workload_time_nonsplit, PiecewiseNonsplit};
 use treecast_trees::generators;
 
-/// Allowed slowdown of the tracked-stepping wall time against the
-/// checked-in baseline before `bench_workloads --check` fails, in percent.
-pub use crate::gate::REGRESSION_HEADROOM_PERCENT;
+use crate::gate::{rounds_cell, GateReport, Wall};
 
 /// The deterministic round-count grid: network sizes.
 pub const GRID_NS: [usize; 3] = [16, 32, 64];
 
 /// One deterministic cell of the workload grid.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct WorkloadRound {
     /// Workload name (`broadcast`, `k-broadcast(k=2)`, `gossip`, …).
     pub workload: String,
@@ -40,7 +38,7 @@ pub struct WorkloadRound {
     /// Network size.
     pub n: usize,
     /// Completion round, or `None` when the capped run did not complete
-    /// (rendered as `-1`; the expected worst-case outcome for `k ≥ 2`
+    /// (exact cell `-1`; the expected worst-case outcome for `k ≥ 2`
     /// under tree adversaries).
     pub rounds: Option<u64>,
 }
@@ -63,7 +61,7 @@ pub struct TrackedStepMeasurement {
 /// ([`treecast_core::prefix::run_workload_prefixes`]) on the same
 /// schedule. Informational — the shared path's regression coverage is
 /// the server bench's wall gate.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct GossipReductionMeasurement {
     /// Network size.
     pub n: usize,
@@ -206,97 +204,33 @@ pub fn measure_rounds() -> Vec<WorkloadRound> {
     rows
 }
 
-/// Renders the measurement halves as the `BENCH_workloads.json` document
-/// (line-oriented so [`parse_rounds`] / [`parse_ns_per_round`] can read
-/// it back without a JSON dependency).
-pub fn render_report(
+/// The `BENCH_workloads.json` gate document: every grid cell's
+/// completion round is an exact cell; the wall is the tracked stepping.
+/// The gossip-reduction record rides along in `info`.
+pub fn gate_report(
     rounds: &[WorkloadRound],
     step: &TrackedStepMeasurement,
     reduction: &GossipReductionMeasurement,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"workloads\",\n");
-    out.push_str("  \"rounds\": [\n");
-    for (i, r) in rounds.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"workload\": \"{}\",\n", r.workload));
-        out.push_str(&format!("      \"adversary\": \"{}\",\n", r.adversary));
-        out.push_str(&format!("      \"n\": {},\n", r.n));
-        out.push_str(&format!(
-            "      \"rounds\": {}\n",
-            r.rounds.map(|t| t as i64).unwrap_or(-1)
-        ));
-        out.push_str(if i + 1 == rounds.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
+) -> GateReport {
+    GateReport {
+        bench: "workloads".into(),
+        exact: rounds
+            .iter()
+            .map(|r| {
+                let key = format!("{}/{}/n={}", r.workload, r.adversary, r.n);
+                (key, rounds_cell(r.rounds))
+            })
+            .collect(),
+        wall: Wall {
+            label: format!("tracked_step n={} k={}", step.n, step.k),
+            value: step.ns_per_round,
+            unit: "ns/round".into(),
+        },
+        info: Value::object([
+            ("rounds", rounds.to_value()),
+            ("gossip_reduction", reduction.to_value()),
+        ]),
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"tracked_step\": {\n");
-    out.push_str(&format!("    \"n\": {},\n", step.n));
-    out.push_str(&format!("    \"k\": {},\n", step.k));
-    out.push_str(&format!("    \"ns_per_round\": {:.1}\n", step.ns_per_round));
-    out.push_str("  },\n");
-    out.push_str("  \"gossip_reduction\": {\n");
-    out.push_str(&format!("    \"n\": {},\n", reduction.n));
-    out.push_str(&format!("    \"rounds\": {},\n", reduction.rounds));
-    out.push_str(&format!(
-        "    \"naive_total_ns\": {:.0},\n",
-        reduction.naive_total_ns
-    ));
-    out.push_str(&format!(
-        "    \"shared_total_ns\": {:.0},\n",
-        reduction.shared_total_ns
-    ));
-    out.push_str(&format!("    \"speedup\": {:.1}\n", reduction.speedup()));
-    out.push_str("  }\n}\n");
-    out
-}
-
-/// Extracts every round-count cell from a [`render_report`] document as
-/// `((workload, adversary, n), rounds)` tuples (`-1` = did not complete).
-pub fn parse_rounds(report: &str) -> Vec<((String, String, usize), i64)> {
-    let mut out = Vec::new();
-    let mut lines = report.lines();
-    while let Some(line) = lines.next() {
-        let Some(workload) = field_str(line, "workload") else {
-            continue;
-        };
-        let adversary = lines.next().and_then(|l| field_str(l, "adversary"));
-        let n = lines.next().and_then(|l| field_num(l, "n"));
-        let rounds = lines.next().and_then(|l| field_num(l, "rounds"));
-        if let (Some(adversary), Some(n), Some(rounds)) = (adversary, n, rounds) {
-            out.push(((workload, adversary, n as usize), rounds));
-        }
-    }
-    out
-}
-
-/// Extracts the tracked-stepping `ns_per_round` from a [`render_report`]
-/// document.
-pub fn parse_ns_per_round(report: &str) -> Option<f64> {
-    report.lines().find_map(|line| {
-        line.trim()
-            .strip_prefix("\"ns_per_round\": ")
-            .and_then(|v| v.trim_end_matches(',').parse().ok())
-    })
-}
-
-fn field_str(line: &str, key: &str) -> Option<String> {
-    line.trim()
-        .strip_prefix(&format!("\"{key}\": \""))
-        .map(|rest| {
-            rest.trim_end_matches("\",")
-                .trim_end_matches('"')
-                .to_string()
-        })
-}
-
-fn field_num(line: &str, key: &str) -> Option<i64> {
-    line.trim()
-        .strip_prefix(&format!("\"{key}\": "))
-        .and_then(|v| v.trim_end_matches(',').parse().ok())
 }
 
 #[cfg(test)]
@@ -340,28 +274,32 @@ mod tests {
     #[test]
     fn report_roundtrips_through_parser() {
         let (rounds, step, reduction) = sample();
-        let doc = render_report(&rounds, &step, &reduction);
-        let parsed = parse_rounds(&doc);
-        assert_eq!(parsed.len(), 2, "reduction fields must not parse as cells");
+        let report = gate_report(&rounds, &step, &reduction);
         assert_eq!(
-            parsed[0],
-            (("broadcast".into(), "static-path".into(), 16), 15)
+            report.exact.0,
+            vec![
+                ("broadcast/static-path/n=16".to_string(), 15),
+                ("gossip/static-path/n=16".to_string(), -1),
+            ],
+            "capped runs are -1; reduction fields are not cells"
         );
-        assert_eq!(parsed[1].1, -1, "capped runs render as -1");
-        assert_eq!(parse_ns_per_round(&doc), Some(1234.5));
-        assert!(doc.contains("\"naive_total_ns\": 500000000,"));
-        assert!(doc.contains("\"speedup\": 2000.0"));
+        assert_eq!(report.wall.label, "tracked_step n=1024 k=8");
+        assert_eq!(report.wall.value, 1234.5);
+        let back: GateReport =
+            serde::json::from_str(&serde::json::to_string_pretty(&report)).unwrap();
+        assert_eq!(back, report);
+        let info: Vec<WorkloadRound> =
+            serde::Deserialize::from_value(back.info.field("rounds").unwrap()).unwrap();
+        assert_eq!(info, rounds);
     }
 
     #[test]
     fn report_is_json_shaped() {
         let (rounds, step, reduction) = sample();
-        let doc = render_report(&rounds, &step, &reduction);
-        assert!(doc.starts_with("{\n"));
-        assert!(doc.ends_with("}\n"));
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
-        assert!(!doc.contains(",\n  ]"));
-        assert!(!doc.contains(",\n    }"));
+        let doc = serde::json::to_string_pretty(&gate_report(&rounds, &step, &reduction));
+        assert!(doc.starts_with("{\n  \"bench\": \"workloads\",\n  \"exact\": {"));
+        assert!(doc.contains("\"naive_total_ns\": 500000000.0,"));
+        assert!(doc.contains("\"rounds\": null"), "capped rows keep None");
     }
 
     #[test]

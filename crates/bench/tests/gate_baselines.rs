@@ -1,0 +1,76 @@
+//! The checked-in gate baselines are well-formed [`GateReport`]s that
+//! gate themselves, and their exact cells and wall values are pinned: a
+//! baseline refresh that drops a cell or moves a wall number shows up
+//! here, not as a silently weaker CI gate.
+
+use std::path::PathBuf;
+
+use treecast_bench::gate::{check, GateReport};
+
+/// `(bench, exact cells, wall value, wall unit)` of every baseline.
+const PINNED: [(&str, usize, f64, &str); 8] = [
+    ("adversary", 18, 4_688_225.0, "ns/plan"),
+    ("compose", 0, 194_585.8, "ns/op"),
+    ("emulation", 120, 33_550.1, "ns/replica-round"),
+    ("frontier", 2, 1_045_979.9, "ns/round"),
+    ("montecarlo", 30, 29_384.7, "ns/replica-round"),
+    ("server", 27, 132_334.630_1, "ns/request"),
+    ("solver", 6, 1_581.803, "ms"),
+    ("workloads", 42, 7_062.0, "ns/round"),
+];
+
+fn results_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
+}
+
+/// Every `BENCH_<bench>_baseline.json`, parsed, in file-name order.
+fn baselines() -> Vec<(String, GateReport)> {
+    let mut found: Vec<(String, GateReport)> = std::fs::read_dir(results_dir())
+        .expect("results/ exists")
+        .filter_map(|entry| {
+            let name = entry.ok()?.file_name().into_string().ok()?;
+            let bench = name
+                .strip_prefix("BENCH_")?
+                .strip_suffix("_baseline.json")?
+                .to_string();
+            let text = std::fs::read_to_string(results_dir().join(&name)).unwrap();
+            let report = serde::json::from_str(&text)
+                .unwrap_or_else(|e| panic!("{name} is not a GateReport: {e}"));
+            Some((bench, report))
+        })
+        .collect();
+    found.sort_by(|a, b| a.0.cmp(&b.0));
+    found
+}
+
+#[test]
+fn every_baseline_is_a_gate_report_named_after_its_file() {
+    let found = baselines();
+    let names: Vec<&str> = found.iter().map(|(bench, _)| bench.as_str()).collect();
+    let pinned: Vec<&str> = PINNED.iter().map(|p| p.0).collect();
+    assert_eq!(names, pinned, "one baseline per gated bench");
+    for (bench, report) in &found {
+        assert_eq!(&report.bench, bench, "`bench` must match the file name");
+    }
+}
+
+#[test]
+fn every_baseline_passes_its_own_gate() {
+    for (bench, report) in baselines() {
+        let verdict = check(&report, &report);
+        assert!(verdict.failures.is_empty(), "{bench}: {verdict:?}");
+    }
+}
+
+#[test]
+fn exact_cell_counts_and_wall_values_are_pinned() {
+    let found = baselines();
+    let mut total = 0;
+    for ((bench, report), &(_, cells, wall, unit)) in found.iter().zip(&PINNED) {
+        assert_eq!(report.exact.0.len(), cells, "{bench}: exact cell count");
+        assert_eq!(report.wall.value, wall, "{bench}: wall value");
+        assert_eq!(report.wall.unit, unit, "{bench}: wall unit");
+        total += report.exact.0.len();
+    }
+    assert_eq!(total, 245);
+}

@@ -18,6 +18,40 @@ pub(crate) const fn words_for(nbits: usize) -> usize {
     nbits.div_ceil(WORD_BITS)
 }
 
+/// Checks decoded storage against the masked-words invariant: `words`
+/// holds `rows` rows of `words_for(nbits)` words each, and every bit past
+/// `nbits` in a row's last word is clear. The trust boundary of the
+/// `Deserialize` impls, which must not build a value that miscounts or
+/// panics later.
+#[cfg(feature = "serde")]
+pub(crate) fn check_words(
+    what: &str,
+    nbits: usize,
+    rows: usize,
+    words: &[u64],
+) -> Result<(), serde::Error> {
+    let stride = words_for(nbits);
+    if rows.checked_mul(stride) != Some(words.len()) {
+        return Err(serde::Error::msg(format!(
+            "{what}: {} words for {rows} row(s) of {nbits} bits, expected {rows} × {stride}",
+            words.len()
+        )));
+    }
+    let rem = nbits % WORD_BITS;
+    if rem != 0 {
+        let tail = !((1u64 << rem) - 1);
+        if words
+            .chunks_exact(stride)
+            .any(|row| row[stride - 1] & tail != 0)
+        {
+            return Err(serde::Error::msg(format!(
+                "{what}: bits set past the {nbits}-bit universe"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// One word of a gather along a node map: bit `i` of the result is bit
 /// `src[i]` of the word-packed set `words` (least-significant bit =
 /// element 0). Assembled without branches from single-bit reads.
@@ -133,7 +167,7 @@ impl<V: BitView + ?Sized> BitView for &V {
 /// assert_eq!(reach.iter().collect::<Vec<_>>(), vec![0, 3, 7]);
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct BitSet {
     nbits: usize,
     words: Vec<u64>,
@@ -558,6 +592,16 @@ impl BitSet {
                 *last &= (1u64 << rem) - 1;
             }
         }
+    }
+}
+
+#[cfg(feature = "serde")]
+impl serde::Deserialize for BitSet {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let nbits: usize = serde::Deserialize::from_value(value.field("nbits")?)?;
+        let words: Vec<u64> = serde::Deserialize::from_value(value.field("words")?)?;
+        check_words("BitSet", nbits, 1, &words)?;
+        Ok(BitSet { nbits, words })
     }
 }
 

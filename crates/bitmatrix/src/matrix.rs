@@ -78,12 +78,29 @@ pub enum ComposePath {
 /// assert_eq!(product.first_full_row(), Some(0));
 /// ```
 #[derive(PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct BoolMatrix {
     n: usize,
     /// Words per row; `words.len() == n * stride`.
     stride: usize,
     words: Vec<u64>,
+}
+
+#[cfg(feature = "serde")]
+impl serde::Deserialize for BoolMatrix {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let n: usize = serde::Deserialize::from_value(value.field("n")?)?;
+        let stride: usize = serde::Deserialize::from_value(value.field("stride")?)?;
+        let words: Vec<u64> = serde::Deserialize::from_value(value.field("words")?)?;
+        if stride != words_for(n) {
+            return Err(serde::Error::msg(format!(
+                "BoolMatrix: stride {stride} for n = {n}, expected {}",
+                words_for(n)
+            )));
+        }
+        crate::bitset::check_words("BoolMatrix", n, n, &words)?;
+        Ok(BoolMatrix { n, stride, words })
+    }
 }
 
 impl Clone for BoolMatrix {
