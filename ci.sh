@@ -3,11 +3,12 @@
 #
 #   ./ci.sh [quick|full|release] [--fix]
 #
-#   quick    fmt check, release build, tests, bench smoke, frontier
-#            smoke (n = 10^4), server smoke (n = 64), montecarlo smoke
-#            (n = 64), emulation smoke (n = 64), static analysis (L1-L6
-#            + allowlist + baseline gate), docs (skips the bench
-#            regression gates and the --ignored tier)
+#   quick    fmt check, release build, tests, benchmark type-check,
+#            bench smoke, frontier smoke (n = 10^4), server smoke
+#            (n = 64), montecarlo smoke (n = 64), emulation smoke
+#            (n = 64), static analysis (L1-L6 + allowlist + baseline
+#            gate), docs (skips the bench regression gates and the
+#            --ignored tier)
 #   full     quick + the compose/solver/workloads/adversary/frontier/
 #            server/montecarlo/emulation bench gates, the release-mode
 #            differential/scenario proptests, the benchmark's build and
@@ -85,6 +86,11 @@ step_docs() {
 run_step "cargo fmt ${FMT_MODE:-(fix)}" step_fmt
 run_step "cargo build --release" cargo build --release
 run_step "cargo test -q" cargo test -q
+# The benchmark is a workspace of its own that calls the library APIs by
+# path; type-checking it here surfaces a library change that breaks it
+# without waiting for the full tier's build and smoke tests.
+run_step "benchmark type-check (perfbench, release)" \
+    cargo check --release --offline --manifest-path perfbench/Cargo.toml
 run_step "bench smoke (criterion test mode)" cargo test -q -p treecast-bench --benches
 # Frontier-engine smoke at n = 10^4 (release binary, ~1 s): proves the
 # sparse engine completes both scale workloads far above the dense
@@ -167,9 +173,9 @@ if [[ "$TIER" != quick ]]; then
     # and testing it here surfaces a library change that breaks it.
     run_step "benchmark build + smoke tests (perfbench, release)" \
         cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
-    # Concurrency-determinism audit: the five threaded subsystems
-    # (sharded compose, solver discovery, server worker pool, Monte
-    # Carlo replica pool, gossip-emulation replica pool) across
+    # Concurrency-determinism audit: the four threaded subsystems
+    # (solver discovery, server worker pool, Monte Carlo replica pool,
+    # gossip-emulation replica pool) across
     # {1,2,4,8} threads must be bit-identical, with the debug_validate
     # invariant checkers live — hence a DEBUG build, not --release.
     # Combined with --rules all so the checked-in results/ANALYZE.json

@@ -1,10 +1,8 @@
 //! The concurrency-determinism audit (`analyze --determinism`).
 //!
-//! The workspace has five threaded subsystems, and all five promise
+//! The workspace has four threaded subsystems, and all four promise
 //! *bit-identical* outputs regardless of thread count:
 //!
-//! * the row-sharded boolean composition kernel
-//!   ([`BoolMatrix::compose_into_sharded`]),
 //! * the solver's sharded layer expansion
 //!   ([`treecast_solver::SolveOptions::threads`]),
 //! * the server's worker pool
@@ -23,13 +21,11 @@
 //! between rounds.
 //!
 //! The audits also call the workspace's `debug_validate` invariant
-//! checkers ([`BoolMatrix::debug_validate`],
-//! [`FrontierState::debug_validate`],
+//! checkers ([`FrontierState::debug_validate`],
 //! [`treecast_server::PrefixCache::debug_validate`]) — their bodies are
 //! compiled only under `debug_assertions`, which is why ci.sh runs this
 //! pass in a debug build.
 
-use treecast_bitmatrix::BoolMatrix;
 use treecast_core::{FrontierSource, FrontierState, RoundFaults};
 use treecast_emulation::{EmulationSpec, GossipKnobs};
 use treecast_montecarlo::{
@@ -50,8 +46,8 @@ pub const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// One subsystem's verdict.
 #[derive(Debug, Clone)]
 pub struct SubsystemAudit {
-    /// Subsystem name (`compose`, `solver`, `server`, `montecarlo`,
-    /// `emulation`, `frontier-invariants`).
+    /// Subsystem name (`solver`, `server`, `montecarlo`, `emulation`,
+    /// `frontier-invariants`).
     pub name: &'static str,
     /// Thread counts exercised.
     pub threads: Vec<usize>,
@@ -80,13 +76,12 @@ pub struct DeterminismReport {
 }
 
 impl DeterminismReport {
-    /// Runs all six audits. Deterministic by construction — every input
+    /// Runs all five audits. Deterministic by construction — every input
     /// is seeded.
     #[must_use]
     pub fn run() -> Self {
         DeterminismReport {
             audits: vec![
-                audit_compose(),
                 audit_solver(),
                 audit_server(),
                 audit_montecarlo(),
@@ -166,62 +161,6 @@ fn splitmix64(mut x: u64) -> u64 {
 
 fn fold(acc: u64, x: u64) -> u64 {
     splitmix64(acc ^ x)
-}
-
-fn matrix_fingerprint(acc: u64, m: &BoolMatrix) -> u64 {
-    m.as_words()
-        .iter()
-        .fold(fold(acc, m.n() as u64), |a, &w| fold(a, w))
-}
-
-/// A seeded boolean matrix at roughly 1-in-8 density (sparse enough that
-/// the product of two is not all-ones, so mismatches would show).
-fn seeded_matrix(n: usize, seed: u64) -> BoolMatrix {
-    let mut m = BoolMatrix::zeros(n);
-    for x in 0..n {
-        for y in 0..n {
-            if splitmix64(seed ^ ((x * n + y) as u64)) & 0x7 == 0 {
-                m.set(x, y, true);
-            }
-        }
-    }
-    m
-}
-
-fn audit_compose() -> SubsystemAudit {
-    let mut mismatches = Vec::new();
-    let mut fingerprint = 0u64;
-    let mut cases = 0;
-    // 129 straddles a tile boundary; 512 spans several row shards.
-    for &n in &[129usize, 512] {
-        for seed in 1..=3u64 {
-            let a = seeded_matrix(n, seed);
-            let b = seeded_matrix(n, seed ^ 0xdead_beef);
-            let mut reference = BoolMatrix::zeros(n);
-            a.compose_into(&b, &mut reference);
-            reference.debug_validate();
-            fingerprint = matrix_fingerprint(fingerprint, &reference);
-            for &shards in &THREAD_COUNTS {
-                let mut sharded = BoolMatrix::zeros(n);
-                a.compose_into_sharded(&b, &mut sharded, shards);
-                sharded.debug_validate();
-                cases += 1;
-                if sharded != reference {
-                    mismatches.push(format!(
-                        "compose n={n} seed={seed} shards={shards}: product differs \
-                         from the serial reference"
-                    ));
-                }
-            }
-        }
-    }
-    SubsystemAudit {
-        name: "compose",
-        threads: THREAD_COUNTS.to_vec(),
-        cases,
-        fingerprint,
-        mismatches,
-    }
 }
 
 fn audit_solver() -> SubsystemAudit {
@@ -617,19 +556,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn seeded_matrices_are_deterministic_and_sparse() {
-        let a = seeded_matrix(64, 9);
-        let b = seeded_matrix(64, 9);
-        assert_eq!(a, b);
-        let ones: usize = (0..64).map(|x| a.row(x).len()).sum();
-        assert!(ones > 0 && ones < 64 * 32, "density off: {ones}");
-    }
-
-    #[test]
     fn json_cell_shape() {
         let report = DeterminismReport {
             audits: vec![SubsystemAudit {
-                name: "compose",
+                name: "solver",
                 threads: vec![1, 2],
                 cases: 2,
                 fingerprint: 0xabc,
@@ -642,13 +572,6 @@ mod tests {
         assert!(json.contains("\"fingerprint\": \"0000000000000abc\""));
         assert!(json.contains("a \\\"quoted\\\" mismatch"));
         assert!(report.render_text().contains("MISMATCH"));
-    }
-
-    #[test]
-    fn compose_audit_passes() {
-        let audit = audit_compose();
-        assert!(audit.passed(), "{:?}", audit.mismatches);
-        assert!(audit.cases > 0);
     }
 
     #[test]

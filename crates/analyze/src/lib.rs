@@ -24,7 +24,7 @@
 //!   exactly so they can only go down.
 //!
 //! * **The determinism audit** (`analyze --determinism`,
-//!   [`determinism`]) drives the three threaded subsystems across
+//!   [`determinism`]) drives the four threaded subsystems across
 //!   thread counts {1, 2, 4, 8} on seeded inputs and fails on any
 //!   deviation from the single-threaded reference, exercising the
 //!   workspace's `debug_validate` invariant checkers along the way.

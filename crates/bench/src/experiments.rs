@@ -15,8 +15,8 @@ use treecast_adversary::{
     SurvivalAdversary, SurvivalObjective, TournamentConfig,
 };
 use treecast_core::{
-    bounds, drive, run_workload, Broadcast, CertObserver, DenseEngine, MetricsRecorder, NoFaults,
-    SequenceSource, SimulationConfig, StaticSource, TreeSource,
+    bounds, drive, run_workload, Broadcast, BroadcastState, CertObserver, DenseEngine,
+    MetricsRecorder, NoFaults, SequenceSource, SimulationConfig, StaticSource, TreeSource,
 };
 use treecast_nonsplit as nonsplit;
 use treecast_trees::generators;
@@ -314,11 +314,11 @@ pub fn cfn(quick: bool) -> ExperimentOutput {
             all_nonsplit &= nonsplit::cfn_product_is_nonsplit(&trees);
             // How many random trees until the running product turns
             // nonsplit (typically far fewer than n − 1).
-            let mut acc = treecast_bitmatrix::BoolMatrix::identity(n);
+            let mut state = BroadcastState::new(n);
             let mut k = 0u64;
-            while !acc.is_nonsplit() {
+            while !state.product_matrix().is_nonsplit() {
                 let tr = nonsplit::random_tree_sequence(n, 1, &mut rng);
-                acc = acc.compose(&tr[0].to_matrix(true));
+                state.apply(&tr[0]);
                 k += 1;
             }
             to_nonsplit_total += k;

@@ -17,7 +17,7 @@
 //!   heard-from sets.
 //! * [`BoolMatrix`] — an `n×n` matrix in one contiguous row-major
 //!   `Vec<u64>` with the product ([`BoolMatrix::compose_into`] is the
-//!   allocation-free, cache-tiled, optionally parallel kernel), transpose,
+//!   allocation-free sparse or cache-tiled kernel), transpose,
 //!   weight profiles, and the broadcast/gossip/nonsplit predicates used
 //!   throughout the evaluation. Rows are borrowed out as
 //!   [`RowRef`]/[`RowMut`] views, interchangeable with [`BitSet`] through

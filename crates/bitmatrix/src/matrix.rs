@@ -23,37 +23,22 @@ use std::collections::HashSet;
 use crate::bitset::{gather_word, words_for, BitSet, BitView, WORD_BITS};
 use crate::row::{RowMut, RowRef};
 
-/// Smallest `n` for which the auto-selected kernel shards rows across
-/// threads (only when more than one hardware thread is available).
-///
-/// Re-measured 2026-08: the `thread::scope` + 2-spawn overhead of the
-/// row-sharded path is ~35 µs, while a dense tiled compose costs ~18 µs
-/// at `n = 512` and ~41 µs at `n = 1024` — so even a perfect two-way
-/// split cannot recoup the spawn cost below `n ≈ 1400`. The threshold
-/// therefore sits at 2048 (~177 µs tiled), the first measured size
-/// where sharding pays for itself. See `crates/bench/README.md`.
-const PARALLEL_MIN_N: usize = 2048;
-
 /// Kernel selector for [`BoolMatrix::compose_into_with`].
 ///
-/// [`ComposePath::Auto`] (the default used by [`BoolMatrix::compose_into`])
-/// picks the sparse path for tree-like inputs (≤ 2n edges), the parallel
-/// path for large matrices on multicore hosts, and the tiled serial path
-/// otherwise. The explicit variants exist for benchmarks and for the
-/// kernel-equivalence test suite; results are identical on every path.
+/// Two selectable kernels: [`ComposePath::Auto`] (the default used by
+/// [`BoolMatrix::compose_into`]) picks the sparse kernel for tree-like
+/// inputs (≤ 2n edges) and the tiled kernel otherwise. The explicit
+/// variants exist for benchmarks and for the kernel-equivalence test
+/// suite; results are identical on both kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ComposePath {
-    /// Choose a kernel from the left operand's density and the host's
-    /// parallelism.
+    /// Choose a kernel from the left operand's density.
     Auto,
     /// Row-by-row bit iteration — optimal when the left operand is a tree
     /// round (O(e · n/64) for `e` edges).
     Sparse,
     /// Cache-tiled over column-word blocks with register accumulators.
     Tiled,
-    /// The tiled kernel with rows sharded across `std::thread::scope`
-    /// workers.
-    Parallel,
 }
 
 /// A square boolean matrix over `n` nodes in flat word-packed storage.
@@ -460,8 +445,7 @@ impl BoolMatrix {
     ///
     /// The kernel is chosen automatically ([`ComposePath::Auto`]): a
     /// sparse fast path when `self` has at most `2n` edges (every tree
-    /// round qualifies), a row-sharded parallel path for large matrices on
-    /// multicore hosts, and a cache-tiled serial path otherwise.
+    /// round qualifies), and a cache-tiled path otherwise.
     ///
     /// # Panics
     ///
@@ -526,9 +510,9 @@ impl BoolMatrix {
             .map(|w| w.count_ones() as usize)
             .sum();
         if block_edges <= 2 * self.n {
-            compose_rows_sparse(self, other, 0, block);
+            compose_rows_sparse(self, other, block);
         } else {
-            compose_rows_tiled(self, other, 0, block);
+            compose_rows_tiled(self, other, block);
         }
     }
 
@@ -556,56 +540,16 @@ impl BoolMatrix {
         if self.n == 0 {
             return;
         }
-        let path = match path {
-            ComposePath::Auto => {
-                if self.has_at_most_edges(2 * self.n) {
-                    ComposePath::Sparse
-                } else if self.n >= PARALLEL_MIN_N && hardware_threads() > 1 {
-                    ComposePath::Parallel
-                } else {
-                    ComposePath::Tiled
-                }
-            }
-            explicit => explicit,
+        let sparse = match path {
+            ComposePath::Auto => self.has_at_most_edges(2 * self.n),
+            ComposePath::Sparse => true,
+            ComposePath::Tiled => false,
         };
-        match path {
-            ComposePath::Sparse => compose_rows_sparse(self, other, 0, &mut out.words),
-            ComposePath::Tiled => compose_rows_tiled(self, other, 0, &mut out.words),
-            ComposePath::Parallel => compose_parallel(self, other, &mut out.words),
-            ComposePath::Auto => unreachable!("Auto resolved above"),
+        if sparse {
+            compose_rows_sparse(self, other, &mut out.words);
+        } else {
+            compose_rows_tiled(self, other, &mut out.words);
         }
-    }
-
-    /// The row-sharded parallel kernel with an *explicit* shard count,
-    /// regardless of the host's parallelism: `shards` scoped workers
-    /// (clamped to `[1, n]`; 1 degenerates to the serial tiled kernel).
-    ///
-    /// This is the determinism auditor's entry point: the row partition
-    /// is a pure function of `(n, shards)` and every worker writes only
-    /// its own disjoint row chunk, so the result must be bit-identical
-    /// to the serial kernel for every shard count. `analyze
-    /// --determinism` asserts exactly that across shard counts
-    /// {1, 2, 4, 8}.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions of `self`, `other` and `out` differ.
-    pub fn compose_into_sharded(&self, other: &BoolMatrix, out: &mut BoolMatrix, shards: usize) {
-        assert_eq!(
-            self.n, other.n,
-            "matrix dimension mismatch: {} vs {}",
-            self.n, other.n
-        );
-        assert_eq!(
-            self.n, out.n,
-            "output matrix dimension mismatch: {} vs {}",
-            out.n, self.n
-        );
-        out.clear();
-        if self.n == 0 {
-            return;
-        }
-        compose_parallel_sharded(self, other, &mut out.words, shards);
     }
 
     /// Structural self-check: the shape and tail-mask invariants every
@@ -936,20 +880,13 @@ fn hitting_set_within(sets: &[BitSet], chosen: &mut BitSet, budget: usize) -> bo
     false
 }
 
-/// The number of hardware threads, 1 if unknown.
-fn hardware_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
 /// Sparse kernel: for each output row, OR together `other`'s rows at the
-/// set bits of `self`'s row. `out` holds rows `first_row ..` of the
+/// set bits of `self`'s row. `out` holds the leading rows of the
 /// product.
-fn compose_rows_sparse(a: &BoolMatrix, b: &BoolMatrix, first_row: usize, out: &mut [u64]) {
+fn compose_rows_sparse(a: &BoolMatrix, b: &BoolMatrix, out: &mut [u64]) {
     let stride = a.stride;
-    for (local_x, out_row) in out.chunks_exact_mut(stride).enumerate() {
-        let a_row = a.row_words(first_row + local_x);
+    for (x, out_row) in out.chunks_exact_mut(stride).enumerate() {
+        let a_row = a.row_words(x);
         for (wi, &aw) in a_row.iter().enumerate() {
             let mut bits = aw;
             while bits != 0 {
@@ -969,32 +906,32 @@ fn compose_rows_sparse(a: &BoolMatrix, b: &BoolMatrix, first_row: usize, out: &m
 /// cache-resident. Each pass runs at a fixed power-of-two width
 /// (16/8/4/2/1 words), so the inner OR loop unrolls and vectorizes at
 /// every matrix size, not just multiples of the largest tile.
-fn compose_rows_tiled(a: &BoolMatrix, b: &BoolMatrix, first_row: usize, out: &mut [u64]) {
+fn compose_rows_tiled(a: &BoolMatrix, b: &BoolMatrix, out: &mut [u64]) {
     let stride = a.stride;
     let mut col_word = 0usize;
     while col_word < stride {
         let remaining = stride - col_word;
         let tile = if remaining >= 16 {
-            tile_pass::<16>(a, b, first_row, col_word, out);
+            tile_pass::<16>(a, b, col_word, out);
             16
         } else if remaining >= 8 {
-            tile_pass::<8>(a, b, first_row, col_word, out);
+            tile_pass::<8>(a, b, col_word, out);
             8
         } else if remaining >= 4 {
-            tile_pass::<4>(a, b, first_row, col_word, out);
+            tile_pass::<4>(a, b, col_word, out);
             4
         } else if remaining >= 2 {
-            tile_pass::<2>(a, b, first_row, col_word, out);
+            tile_pass::<2>(a, b, col_word, out);
             2
         } else {
-            tile_pass::<1>(a, b, first_row, col_word, out);
+            tile_pass::<1>(a, b, col_word, out);
             1
         };
         col_word += tile;
     }
 }
 
-/// One tile pass of fixed width `T` words over rows `first_row ..`.
+/// One tile pass of fixed width `T` words over the rows `out` holds.
 ///
 /// The accumulator is a `[u64; T]` and every `other`-row segment is a
 /// `&[u64; T]`, so the OR loop is branch-free straight-line SIMD code.
@@ -1003,17 +940,11 @@ fn compose_rows_tiled(a: &BoolMatrix, b: &BoolMatrix, first_row: usize, out: &mu
 /// change it, and the rest of the row's source bits are skipped — the
 /// dominant saving on the dense, nearly-closed products that reflexive
 /// round sequences converge to.
-fn tile_pass<const T: usize>(
-    a: &BoolMatrix,
-    b: &BoolMatrix,
-    first_row: usize,
-    col_word: usize,
-    out: &mut [u64],
-) {
+fn tile_pass<const T: usize>(a: &BoolMatrix, b: &BoolMatrix, col_word: usize, out: &mut [u64]) {
     let stride = a.stride;
     let saturated = tile_saturation_mask::<T>(a, col_word);
-    for (local_x, out_row) in out.chunks_exact_mut(stride).enumerate() {
-        let a_row = a.row_words(first_row + local_x);
+    for (x, out_row) in out.chunks_exact_mut(stride).enumerate() {
+        let a_row = a.row_words(x);
         let mut acc = [0u64; T];
         'row: for (wi, &aw) in a_row.iter().enumerate() {
             let mut bits = aw;
@@ -1058,32 +989,6 @@ fn tile_saturation_mask<const T: usize>(a: &BoolMatrix, col_word: usize) -> [u64
         };
     }
     mask
-}
-
-/// Parallel kernel: shards output rows into contiguous chunks, one
-/// `std::thread::scope` worker per chunk, each running the tiled kernel
-/// over its rows. The shard count follows the host's parallelism (at
-/// least 2, so an explicit [`ComposePath::Parallel`] request exercises
-/// real sharding even on a single-core host).
-fn compose_parallel(a: &BoolMatrix, b: &BoolMatrix, out: &mut [u64]) {
-    compose_parallel_sharded(a, b, out, hardware_threads().max(2));
-}
-
-/// The row-sharding body with an explicit worker count. One shard
-/// degenerates to the serial tiled kernel (no scope, no spawn), which is
-/// the reference the determinism audit compares the sharded runs to.
-fn compose_parallel_sharded(a: &BoolMatrix, b: &BoolMatrix, out: &mut [u64], shards: usize) {
-    let shards = shards.clamp(1, a.n);
-    if shards == 1 {
-        compose_rows_tiled(a, b, 0, out);
-        return;
-    }
-    let rows_per_shard = a.n.div_ceil(shards);
-    std::thread::scope(|scope| {
-        for (i, chunk) in out.chunks_mut(rows_per_shard * a.stride).enumerate() {
-            scope.spawn(move || compose_rows_tiled(a, b, i * rows_per_shard, chunk));
-        }
-    });
 }
 
 impl Mul for &BoolMatrix {
@@ -1245,11 +1150,7 @@ mod tests {
             let expected = naive_compose(&a, &b);
             assert_eq!(a.compose(&b), expected, "n = {n}");
             // Every explicit kernel agrees with the reference.
-            for path in [
-                ComposePath::Sparse,
-                ComposePath::Tiled,
-                ComposePath::Parallel,
-            ] {
+            for path in [ComposePath::Sparse, ComposePath::Tiled] {
                 let mut out = BoolMatrix::ones(n); // stale contents must be overwritten
                 a.compose_into_with(&b, &mut out, path);
                 assert_eq!(out, expected, "n = {n}, path {path:?}");

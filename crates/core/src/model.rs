@@ -26,6 +26,8 @@
 use treecast_bitmatrix::{BitSet, BoolMatrix, RowRef};
 use treecast_trees::{NodeId, RootedTree};
 
+use crate::prefix::disseminated_mask;
+
 /// The evolving product graph `G(t)` of a broadcast run, in column view.
 ///
 /// The heard-from sets live in one flat [`BoolMatrix`] (row `y` = heard
@@ -183,16 +185,11 @@ impl BroadcastState {
     }
 
     /// All broadcast witnesses: nodes `x` present in **every** heard-from
-    /// set, i.e. `⋂_y heard[y]`. Bails out at the first empty meet, so
-    /// the rounds before broadcast stay cheap.
+    /// set, i.e. `⋂_y heard[y]` ([`disseminated_mask`], which bails out at
+    /// the first empty meet, so the rounds before broadcast stay cheap).
     pub fn broadcast_witnesses(&self) -> BitSet {
-        let mut acc = self.heard.row(0).to_bitset();
-        for y in 1..self.n {
-            if acc.is_empty() {
-                break;
-            }
-            acc.intersect_with(self.heard.row(y));
-        }
+        let mut acc = BitSet::new(self.n);
+        disseminated_mask(&self.heard, &mut acc);
         acc
     }
 
@@ -322,9 +319,9 @@ impl BroadcastState {
     }
 
     /// The transpose of the product graph (row `y` = heard-from set of
-    /// `y`) without recomputation.
-    pub fn heard_matrix(&self) -> BoolMatrix {
-        self.heard.clone()
+    /// `y`), borrowed from the state.
+    pub fn heard(&self) -> &BoolMatrix {
+        &self.heard
     }
 }
 
@@ -484,7 +481,7 @@ mod tests {
         for x in 0..6 {
             assert_eq!(s.reach_set(x), product.row(x));
         }
-        assert_eq!(s.heard_matrix(), product.transpose());
+        assert_eq!(s.heard(), &product.transpose());
         let rw = s.reach_weights();
         let pw = product.row_weights();
         assert_eq!(rw, pw);

@@ -9,10 +9,10 @@
 //! R(t+1) = A_{t+1}ᵀ ∘ R(t),
 //! ```
 //!
-//! whose left operand has at most `2n` edges (the sparse kernel of
-//! `BoolMatrix::compose_into`). So one composition per round serves every
-//! source: row `y` of `R(t)` is `y`'s heard-from set, and the AND of all
-//! rows is the disseminated-token mask.
+//! Row `y` of `R(t)` is `y`'s heard-from set, and `A_{t+1}ᵀ` has only the
+//! edges `y → y` and `y → parent(y)`, so that step is one
+//! [`BroadcastState`] round along the parent array. One such round serves
+//! every source, and the AND of all rows is the disseminated-token mask.
 //!
 //! A [`PrefixProvider`] streams the products — [`ComposedPrefixes`]
 //! directly, the server's cache from warm entries — and
@@ -24,6 +24,7 @@ use treecast_trees::RootedTree;
 
 use crate::drive::{drive, RoundEngine};
 use crate::engine::SimulationConfig;
+use crate::model::BroadcastState;
 use crate::scenario::{NoFaults, RoundFaults};
 use crate::workload::{SourceSet, Workload, WorkloadProgress, WorkloadReport};
 
@@ -58,7 +59,8 @@ pub trait PrefixProvider {
 }
 
 /// Computes the disseminated-token mask of a heard-view product: the AND
-/// of all rows (public for providers that memoize it).
+/// of all rows, stopping at the first empty meet (public for providers
+/// that memoize it).
 pub fn disseminated_mask(heard: &BoolMatrix, out: &mut BitSet) {
     let n = heard.n();
     assert_eq!(
@@ -71,25 +73,21 @@ pub fn disseminated_mask(heard: &BoolMatrix, out: &mut BitSet) {
     }
     out.copy_from(heard.row(0));
     for y in 1..n {
+        if out.is_empty() {
+            break;
+        }
         out.intersect_with(heard.row(y));
     }
 }
 
-/// The direct [`PrefixProvider`]: left-composes `R(t+1) = A_{t+1}ᵀ ∘ R(t)`
-/// over a tree sequence, repeating the last tree forever (as
+/// The direct [`PrefixProvider`]: steps `R(t+1) = A_{t+1}ᵀ ∘ R(t)` as one
+/// [`BroadcastState`] round per tree, repeating the last tree forever (as
 /// `SequenceSource` does), with no steady-state allocation.
 #[derive(Debug, Clone)]
 pub struct ComposedPrefixes {
-    n: usize,
-    round: u64,
     trees: Vec<RootedTree>,
     /// `R(t)`; starts as the identity (`R(0)`).
-    heard: BoolMatrix,
-    scratch: BoolMatrix,
-    /// Retained buffer for the transposed round matrix `A_tᵀ` (self-loops
-    /// plus one `child → parent` edge per non-root node — at most `2n`
-    /// edges, which keeps the composition on the sparse kernel).
-    round_t: BoolMatrix,
+    state: BroadcastState,
     mask: BitSet,
     label: String,
 }
@@ -109,12 +107,8 @@ impl ComposedPrefixes {
         }
         let label = format!("sequence(len={})", trees.len());
         ComposedPrefixes {
-            n,
-            round: 0,
             trees,
-            heard: BoolMatrix::identity(n),
-            scratch: BoolMatrix::zeros(n),
-            round_t: BoolMatrix::zeros(n),
+            state: BroadcastState::new(n),
             mask: BitSet::new(n),
             label,
         }
@@ -135,27 +129,18 @@ impl ComposedPrefixes {
 
 impl PrefixProvider for ComposedPrefixes {
     fn n(&self) -> usize {
-        self.n
+        self.state.n()
     }
 
     fn next_prefix(&mut self) -> Option<PrefixRound<'_>> {
-        let idx = (self.round as usize).min(self.trees.len() - 1);
+        let idx = (self.state.round() as usize).min(self.trees.len() - 1);
         let tree = &self.trees[idx];
-        self.round_t.clear();
-        self.round_t.add_self_loops();
-        for y in 0..self.n {
-            if let Some(p) = tree.parent(y) {
-                self.round_t.set(y, p, true);
-            }
-        }
-        self.round_t.compose_into(&self.heard, &mut self.scratch);
-        std::mem::swap(&mut self.heard, &mut self.scratch);
-        self.round += 1;
-        disseminated_mask(&self.heard, &mut self.mask);
+        self.state.apply(tree);
+        disseminated_mask(self.state.heard(), &mut self.mask);
         Some(PrefixRound {
-            round: self.round,
+            round: self.state.round(),
             tree,
-            heard: &self.heard,
+            heard: self.state.heard(),
             disseminated: &self.mask,
         })
     }
@@ -242,7 +227,7 @@ impl<P: PrefixProvider + ?Sized> RoundEngine for PrefixEngine<'_, P> {
 /// [`PrefixEngine`].
 ///
 /// The report equals a [`crate::run_workload`] run of the same schedule
-/// (`tests/prefix_differential.rs` pins this), at one shared composition
+/// (`tests/prefix_differential.rs` pins this), at one shared product step
 /// per round. `fault_log` is empty.
 ///
 /// # Examples

@@ -1,9 +1,9 @@
 //! Proves the zero-allocation contract of the flat-bitmatrix hot paths:
 //! steady-state `BoolMatrix::compose_into`, `BroadcastState::apply_matrix`,
 //! the tree-native `apply_round` of `BroadcastState` and `TrackedTokens`
-//! (quiet and with dropouts), and the per-round
-//! `BroadcastState::disseminated_count` perform no heap allocation per
-//! call.
+//! (quiet and with dropouts), the per-round
+//! `BroadcastState::disseminated_count`, and `ComposedPrefixes::next_prefix`
+//! perform no heap allocation per call.
 //!
 //! A counting wrapper around the system allocator tallies every
 //! allocation; the file contains exactly one `#[test]` so no concurrent
@@ -13,6 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use treecast_bitmatrix::{BoolMatrix, ComposePath};
+use treecast_core::prefix::{ComposedPrefixes, PrefixProvider};
 use treecast_core::{BroadcastState, TrackedTokens};
 use treecast_trees::generators;
 
@@ -153,9 +154,30 @@ fn steady_state_compose_and_apply_matrix_do_not_allocate() {
         "steady-state apply_round and disseminated_count must not allocate"
     );
 
+    // next_prefix: one state round plus the mask into retained buffers,
+    // first over the schedule, then on its repeat-last tail.
+    let mut prefixes = ComposedPrefixes::new(vec![generators::star(n), tree.clone()]);
+    let mut prefix_tokens = 0;
+    let clean_prefix_window = (0..5)
+        .map(|_| {
+            let before = allocations();
+            for _ in 0..10 {
+                let prefix = prefixes.next_prefix().expect("schedules repeat forever");
+                prefix_tokens += prefix.disseminated.len();
+            }
+            allocations() - before
+        })
+        .min()
+        .expect("five windows measured");
+    assert_eq!(
+        clean_prefix_window, 0,
+        "steady-state next_prefix must not allocate"
+    );
+
     // Keep the results observable so the loops cannot be optimized away.
     assert!(out.edge_count() > 0);
     assert!(state.edge_count() > 0);
     assert!(disseminated > 0);
+    assert!(prefix_tokens > 0);
     assert!(tracked.holders(0).len() > 1);
 }

@@ -78,7 +78,7 @@ fn check_state(n: usize, seed: u64, mode: u8, rounds: usize) -> Result<(), Strin
             tree_native.forget(lost);
             reference.forget(lost);
         }
-        tree_native.heard_matrix().debug_validate();
+        tree_native.heard().debug_validate();
         prop_assert_eq!(tree_native.round(), reference.round());
         prop_assert!(
             tree_native == reference,

@@ -34,7 +34,8 @@ use treecast_core::{Broadcast, BroadcastState, Gossip, Workload};
 use treecast_trees::{random, RootedTree};
 
 /// The product `T₁∘…∘T_k` of a tree sequence, self-loops included
-/// (Definition 2.1 iterated).
+/// (Definition 2.1 iterated), stepped as one [`BroadcastState`] round per
+/// tree.
 ///
 /// # Panics
 ///
@@ -44,19 +45,11 @@ pub fn product_of(trees: &[RootedTree]) -> BoolMatrix {
         !trees.is_empty(),
         "product of an empty sequence is undefined"
     );
-    // Ping-pong two buffers through the allocation-free kernel: the only
-    // per-round allocation left is the tree's own matrix. The swap parity
-    // is safe for any sequence length because `compose_into` fully
-    // overwrites its output (it clears `out` before composing), so the
-    // stale contents of the swapped-in scratch can never leak into a
-    // result — pinned by `product_parity_regression` below.
-    let mut acc = trees[0].to_matrix(true);
-    let mut scratch = BoolMatrix::zeros(acc.n());
-    for t in &trees[1..] {
-        acc.compose_into(&t.to_matrix(true), &mut scratch);
-        std::mem::swap(&mut acc, &mut scratch);
+    let mut state = BroadcastState::new(trees[0].n());
+    for t in trees {
+        state.apply(t);
     }
-    acc
+    state.product_matrix()
 }
 
 /// The Charron-Bost–Függer–Nowak lemma, executable: is the product of this
@@ -596,11 +589,7 @@ mod tests {
 
     #[test]
     fn product_parity_regression() {
-        // Audit of the acc/scratch ping-pong: after an even number of
-        // swaps the returned buffer started life as the scratch matrix, so
-        // a compose kernel that merely OR-ed into (instead of overwriting)
-        // its output would corrupt even-length products only. Pin odd and
-        // even sequence lengths of identical trees against a plain
+        // Odd and even sequence lengths of identical trees against a plain
         // allocating compose chain.
         let n = 6;
         for tree in [treegen::path(n), treegen::broom(n, 3), treegen::star(n)] {

@@ -88,7 +88,8 @@ pub struct Schedule {
     pub faults: Vec<RoundFaults>,
     /// The workload to measure.
     pub workload: WorkloadSpec,
-    /// Round cap; 0 means the engine default (`8n + 16`).
+    /// Round cap; 0 means the engine default (`8n + 16`). A cap past the
+    /// server's work budget for `n` is an error.
     pub rounds: u64,
 }
 
@@ -147,7 +148,8 @@ pub enum Request {
         tree_sequence: Vec<RootedTree>,
         /// The workload to measure.
         workload: WorkloadSpec,
-        /// Round cap; 0 means the engine default (`8n + 16`).
+        /// Round cap; 0 means the engine default (`8n + 16`). A cap past
+        /// the server's work budget for `n` is an error.
         rounds: u64,
     },
     /// Bit-identical replay of a recorded fault scenario (uncached — the
@@ -158,7 +160,7 @@ pub enum Request {
     },
     /// A beam-search adversary plan, replayed through the cache.
     AdversaryPlan {
-        /// Number of processes.
+        /// Number of processes (`2 ≤ n ≤ 64`).
         n: usize,
         /// Candidate pool.
         pool: PoolSpec,

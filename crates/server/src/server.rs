@@ -31,6 +31,15 @@ use crate::queue::JobQueue;
 /// past this they are a denial-of-service request, not a query.
 const EXHAUSTIVE_MAX_N: usize = 6;
 
+/// Largest `n` an [`Request::AdversaryPlan`] may search: every beam
+/// candidate holds an `n × n` state.
+const PLAN_MAX_N: usize = 64;
+
+/// The most work one run may ask for, in matrix words: its round cap
+/// times [`round_words`]. Admits the default `8n + 16` cap up to
+/// n ≈ 1200, and bounds any admitted run to a few seconds.
+const REQUEST_WORK_BUDGET: u64 = 1 << 28;
+
 /// Server geometry: worker threads and cache shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
@@ -143,14 +152,15 @@ impl Server {
                 rounds,
             } => {
                 let n = validate_sequence(tree_sequence)?;
+                let config = config_for(n, *rounds)?;
                 let workload = workload.workload(n)?;
                 let mut prefixes = CachedPrefixes::new(tree_sequence, &self.cache);
-                let report =
-                    run_workload_prefixes(&mut prefixes, &*workload, config_for(n, *rounds));
+                let report = run_workload_prefixes(&mut prefixes, &*workload, config);
                 Ok(Response::BroadcastTime { report })
             }
             Request::ScenarioReplay { schedule } => {
                 let n = validate_sequence(&schedule.trees)?;
+                let config = config_for(n, schedule.rounds)?;
                 let workload = schedule.workload.workload(n)?;
                 for (t, faults) in schedule.faults.iter().enumerate() {
                     faults
@@ -162,13 +172,7 @@ impl Server {
                 // `run_workload_faulty` call — never through the cache.
                 let mut source = SequenceSource::new(schedule.trees.clone());
                 let mut faults = FaultSchedule::replay(&schedule.faults);
-                let report = run_workload_faulty(
-                    n,
-                    &mut source,
-                    &*workload,
-                    &mut faults,
-                    config_for(n, schedule.rounds),
-                );
+                let report = run_workload_faulty(n, &mut source, &*workload, &mut faults, config);
                 Ok(Response::ScenarioReplay { report })
             }
             Request::AdversaryPlan {
@@ -179,8 +183,10 @@ impl Server {
                 workload,
             } => {
                 let n = *n;
-                if n < 2 {
-                    return Err("adversary planning needs n >= 2".into());
+                if !(2..=PLAN_MAX_N).contains(&n) {
+                    return Err(format!(
+                        "adversary planning needs 2 <= n <= {PLAN_MAX_N} (got n = {n})"
+                    ));
                 }
                 if *width == 0 {
                     return Err("beam width must be >= 1".into());
@@ -247,12 +253,27 @@ fn validate_sequence(trees: &[RootedTree]) -> Result<usize, String> {
     Ok(n)
 }
 
-fn config_for(n: usize, rounds: u64) -> SimulationConfig {
-    if rounds == 0 {
-        SimulationConfig::for_n(n)
-    } else {
-        SimulationConfig::for_n(n).with_max_rounds(rounds)
+/// The words one round on `n` nodes may touch: the `n × n` prefix step
+/// plus a per-round cost (a cache miss allocates, inserts and evicts)
+/// worth about 256 rows.
+fn round_words(n: usize) -> u64 {
+    (n as u64 + 256).saturating_mul(n.div_ceil(64) as u64)
+}
+
+/// The run's round cap (`0` = the engine default), rejected when it could
+/// exceed [`REQUEST_WORK_BUDGET`].
+fn config_for(n: usize, rounds: u64) -> Result<SimulationConfig, String> {
+    let config = match rounds {
+        0 => SimulationConfig::for_n(n),
+        cap => SimulationConfig::for_n(n).with_max_rounds(cap),
+    };
+    if config.max_rounds.saturating_mul(round_words(n)) > REQUEST_WORK_BUDGET {
+        return Err(format!(
+            "{} rounds at n = {n} exceed the request work budget",
+            config.max_rounds
+        ));
     }
+    Ok(config)
 }
 
 fn build_pool(spec: &PoolSpec, n: usize) -> Result<Box<dyn CandidateGen>, String> {
@@ -708,13 +729,64 @@ mod tests {
                 width: 0,
                 workload: WorkloadSpec::Broadcast,
             },
+            Request::AdversaryPlan {
+                n: 1_000_000,
+                pool: PoolSpec::Structured,
+                objective: ObjectiveSpec::MinNewEdges,
+                width: 1,
+                workload: WorkloadSpec::Broadcast,
+            },
+            // k ≥ 2 never completes on a static tree, so these used to
+            // step forever.
+            Request::BroadcastTime {
+                tree_sequence: vec![generators::path(8)],
+                workload: WorkloadSpec::KBroadcast { k: 2 },
+                rounds: u64::MAX,
+            },
+            Request::ScenarioReplay {
+                schedule: Schedule {
+                    trees: vec![generators::path(8)],
+                    faults: vec![],
+                    workload: WorkloadSpec::KBroadcast { k: 2 },
+                    rounds: u64::MAX,
+                },
+            },
         ];
+        let start = std::time::Instant::now();
         for (i, request) in bad.iter().enumerate() {
             assert!(
                 matches!(s.serve(request), Response::Error { .. }),
                 "request {i} must be rejected"
             );
         }
+        assert!(start.elapsed() < std::time::Duration::from_secs(1));
+        assert_eq!(s.stats().misses, 0, "no rejected request ran");
+    }
+
+    #[test]
+    fn requests_inside_the_work_budget_are_answered() {
+        let s = server(CacheConfig::default());
+        let max_rounds = REQUEST_WORK_BUDGET / round_words(8);
+        let request = |rounds| Request::BroadcastTime {
+            tree_sequence: vec![generators::path(8)],
+            workload: WorkloadSpec::Broadcast,
+            rounds,
+        };
+        let Response::BroadcastTime { report } = s.serve(&request(max_rounds)) else {
+            panic!("a cap at the budget is answered");
+        };
+        assert_eq!(report.completion_time, Some(7));
+        assert!(matches!(
+            s.serve(&request(max_rounds + 1)),
+            Response::Error { .. }
+        ));
+        // The default cap at the served benchmark size fits the budget.
+        let star = Request::BroadcastTime {
+            tree_sequence: vec![generators::star(1024)],
+            workload: WorkloadSpec::Broadcast,
+            rounds: 0,
+        };
+        assert!(matches!(s.serve(&star), Response::BroadcastTime { .. }));
     }
 
     #[test]

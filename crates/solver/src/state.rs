@@ -97,7 +97,7 @@ pub fn to_broadcast_state(state: u64, n: usize, round: u64) -> BroadcastState {
 ///
 /// Panics if `state.n() > 8`.
 pub fn from_broadcast_state(state: &BroadcastState) -> u64 {
-    PackedMatrix::from_matrix(&state.heard_matrix()).bits()
+    PackedMatrix::from_matrix(state.heard()).bits()
 }
 
 #[cfg(test)]

@@ -7,11 +7,17 @@
 //! Schedules are 1 to 2n random uniform trees, so most runs outlast their
 //! schedule and play the repeat-last-tree tail. Each completing case also
 //! reruns with a round cap one round short of completion.
+//!
+//! `ComposedPrefixes` and the dense engine step the same `BroadcastState`
+//! kernel, so at `n ≤ 16` each prefix is also checked against an
+//! independent oracle: `G(t)` composed from `to_matrix(true)` with
+//! `BoolMatrix::compose`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 
-use treecast::core::prefix::{run_workload_prefixes, ComposedPrefixes};
+use treecast::bitmatrix::BoolMatrix;
+use treecast::core::prefix::{run_workload_prefixes, ComposedPrefixes, PrefixProvider};
 use treecast::core::workload::SourceSet;
 use treecast::core::{
     run_workload, run_workload_frontier, Broadcast, FrontierSource, Gossip, KBroadcast,
@@ -69,6 +75,31 @@ fn assert_three_way(
     Ok(dense)
 }
 
+/// Steps `rounds` prefixes of `trees` and checks each against the
+/// composed oracle: `heard = G(t)ᵀ`, and the mask is the full rows of
+/// `G(t)`.
+fn assert_oracle(n: usize, trees: &[RootedTree], rounds: usize, ctx: &str) -> Result<(), String> {
+    let mut prefixes = ComposedPrefixes::new(trees.to_vec());
+    let mut product = BoolMatrix::identity(n);
+    for t in 1..=rounds {
+        let tree = &trees[(t - 1).min(trees.len() - 1)];
+        product = product.compose(&tree.to_matrix(true));
+        let prefix = prefixes.next_prefix().expect("schedules repeat forever");
+        prop_assert!(
+            prefix.tree == tree,
+            "{ctx}: round {t} played the wrong tree"
+        );
+        prop_assert_eq!(prefix.round, t as u64);
+        prop_assert!(
+            *prefix.heard == product.transpose(),
+            "{ctx}: round {t} heard view diverged from the composed oracle"
+        );
+        let full: Vec<usize> = (0..n).filter(|&x| product.row(x).is_full()).collect();
+        prop_assert_eq!(prefix.disseminated.iter().collect::<Vec<_>>(), full);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -82,6 +113,7 @@ proptest! {
         len_pick in 0usize..64,
         workload_idx in 0usize..4,
         k_pick in 0usize..64,
+        oracle_rounds in 0usize..48,
     ) {
         let n = SIZES[size_idx];
         let k = 1 + k_pick % n;
@@ -90,6 +122,10 @@ proptest! {
         let trees: Vec<RootedTree> = (0..len).map(|_| random::uniform(n, &mut rng)).collect();
         let workload = workload_by_index(workload_idx, n, k);
         let ctx = format!("n={n} seed={seed} len={len} wl={}", workload.name());
+
+        if n <= 16 {
+            assert_oracle(n, &trees, oracle_rounds, &ctx)?;
+        }
 
         let cfg = SimulationConfig::for_n(n);
         let full = assert_three_way(n, &trees, workload.as_ref(), cfg, &ctx)?;
