@@ -79,6 +79,11 @@ step_fmt() {
     cargo fmt $FMT_MODE --manifest-path perfbench/Cargo.toml || return 1
 }
 
+step_server_release() {
+    cargo test -q --release -p treecast --test server_differential &&
+        cargo test -q --release -p treecast-server
+}
+
 step_docs() {
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 }
@@ -164,9 +169,12 @@ if [[ "$TIER" != quick ]]; then
         cargo test -q --release --test frontier_differential --test edge_cases \
         --test prefix_differential
     # Cached server == uncached server == direct engine, across every
-    # workload, faults included (also in the debug tier-1 pass).
-    run_step "server differential tests (release)" \
-        cargo test -q --release -p treecast --test server_differential
+    # workload, faults included, plus the server crate's own tests (the
+    # miss-step oracle, the pinned fingerprints, the warm-round
+    # allocation window) in an optimized build (all also in the debug
+    # tier-1 pass).
+    run_step "server differential + server crate tests (release)" \
+        step_server_release
     # The benchmark (perfbench/, a workspace of its own) builds against
     # the library crates by path, and its smoke tests pin its traced
     # round loops to the library runners report for report. Building

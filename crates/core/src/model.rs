@@ -122,16 +122,33 @@ impl BroadcastState {
     /// Panics if `m` is not reflexive — product graphs of self-looped
     /// rounds always contain the diagonal.
     pub fn from_product_matrix(m: &BoolMatrix, round: u64) -> Self {
+        Self::from_heard(m.transpose(), round)
+    }
+
+    /// Resumes a state from its heard-view matrix (row `y` = heard set of
+    /// `y`, as [`BroadcastState::heard`] returns it), marking it as reached
+    /// at `round`. Takes the matrix by value, so no transpose or copy is
+    /// made; [`BroadcastState::into_heard`] is the inverse.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `heard` is not reflexive.
+    pub fn from_heard(heard: BoolMatrix, round: u64) -> Self {
         assert!(
-            m.is_reflexive(),
+            heard.is_reflexive(),
             "a product graph of self-looped rounds must be reflexive"
         );
         BroadcastState {
-            n: m.n(),
+            n: heard.n(),
             round,
-            heard: m.transpose(),
+            heard,
             scratch: None,
         }
+    }
+
+    /// Consumes the state, returning its heard-view matrix.
+    pub fn into_heard(self) -> BoolMatrix {
+        self.heard
     }
 
     /// Number of processes.
@@ -486,6 +503,26 @@ mod tests {
         let pw = product.row_weights();
         assert_eq!(rw, pw);
         assert_eq!(s.heard_weights(), product.col_weights());
+    }
+
+    #[test]
+    fn from_heard_resumes_where_into_heard_left_off() {
+        let trees = [generators::broom(6, 2), generators::path(6)];
+        let mut whole = BroadcastState::new(6);
+        let mut first = BroadcastState::new(6);
+        whole.apply(&trees[0]);
+        first.apply(&trees[0]);
+        whole.apply(&trees[1]);
+        let mut resumed = BroadcastState::from_heard(first.into_heard(), 1);
+        resumed.apply(&trees[1]);
+        assert_eq!(resumed, whole);
+        assert_eq!(resumed.into_heard(), *whole.heard());
+    }
+
+    #[test]
+    #[should_panic(expected = "must be reflexive")]
+    fn from_heard_rejects_a_missing_diagonal() {
+        let _ = BroadcastState::from_heard(BoolMatrix::zeros(3), 0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * **Entries** — an [`Arc`]`<`[`PrefixEntry`]`>` holding the heard-view
 //!   product `R(t)` *and* its memoized disseminated mask, so a warm
 //!   round costs a hash lookup plus one popcount instead of an
-//!   `O(n²/64)` composition and scan.
+//!   `O(n²/64)` tree step and scan.
 //! * **Eviction** — true LRU via an intrusive doubly-linked list over a
 //!   slot arena; every insert charges
 //!   `BoolMatrix::heap_bytes + BitSet::heap_bytes + ENTRY_OVERHEAD`
@@ -310,7 +310,7 @@ impl PrefixCache {
         }
     }
 
-    /// Inserts a freshly composed prefix product, evicting LRU entries
+    /// Inserts a freshly stepped prefix product, evicting LRU entries
     /// past the shard's byte budget.
     pub fn insert(&self, fingerprint: u64, round: u64, entry: Arc<PrefixEntry>) {
         let budget = self.budget_per_shard;
@@ -414,16 +414,6 @@ impl PrefixCache {
             }
         }
     }
-
-    /// Entries resident per shard — the shard-distribution observable.
-    #[must_use]
-    pub fn shard_sizes(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            // analyze: allow(panic): see `get` — a poisoned shard propagates.
-            .map(|s| s.lock().expect("cache shard poisoned").map.len())
-            .collect()
-    }
 }
 
 impl std::fmt::Debug for PrefixCache {
@@ -523,7 +513,11 @@ mod tests {
         for i in 0..256u64 {
             c.insert(splitmix64(i), 1, entry(4));
         }
-        let sizes = c.shard_sizes();
+        let sizes: Vec<usize> = c
+            .shards
+            .iter()
+            .map(|s| s.lock().unwrap().map.len())
+            .collect();
         assert_eq!(sizes.len(), 8);
         assert_eq!(sizes.iter().sum::<usize>(), 256);
         assert!(sizes.iter().all(|&s| s > 0), "empty shard: {sizes:?}");

@@ -5,9 +5,10 @@
 //! prefix products `G(t) = A₁ ∘ … ∘ A_t` of a tree schedule, and real
 //! query mixes (benchmark sweeps, adversary tournaments, regression
 //! gates) re-ask the same schedules constantly. This crate serves those
-//! questions from memoized products instead of recomposing them:
+//! questions from memoized products instead of recomputing them:
 //!
-//! * [`fingerprint`] — splitmix64-chained sequence fingerprints; prefixes
+//! * [`fingerprint`] — splitmix64-chained sequence fingerprints over
+//!   lane-parallel tree hashes; prefixes
 //!   sharing a stem share fingerprints up to the first differing round,
 //!   so cache sharing works *across* distinct schedules.
 //! * [`cache`] — [`PrefixCache`]: `(fingerprint, round) → Arc<PrefixEntry>`

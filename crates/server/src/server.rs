@@ -5,7 +5,7 @@
 //! the bench's exact cells come from this path); `serve_batch` fans a
 //! batch over `std::thread::scope` workers draining a shared
 //! [`JobQueue`]. All workers share one [`PrefixCache`], so a batch with
-//! repeated or stem-sharing schedules pays each prefix composition once
+//! repeated or stem-sharing schedules pays each prefix step once
 //! across the whole pool.
 
 use std::sync::{Arc, Mutex};
@@ -15,7 +15,6 @@ use treecast_adversary::{
     MinMaxReach, MinNearWinners, MinNewEdges, MinSumReach, SampledPool, SearchState,
     StructuredPool, TrackedSearchState,
 };
-use treecast_bitmatrix::BoolMatrix;
 use treecast_core::prefix::{run_workload_prefixes, PrefixProvider, PrefixRound};
 use treecast_core::{
     run_workload_faulty, BroadcastState, FaultSchedule, SequenceSource, SimulationConfig, Workload,
@@ -35,9 +34,10 @@ const EXHAUSTIVE_MAX_N: usize = 6;
 /// candidate holds an `n × n` state.
 const PLAN_MAX_N: usize = 64;
 
-/// The most work one run may ask for, in matrix words: its round cap
-/// times [`round_words`]. Admits the default `8n + 16` cap up to
-/// n ≈ 1200, and bounds any admitted run to a few seconds.
+/// The most work one request may ask for, in matrix words: a run's round
+/// cap times [`round_words`], or a plan's search (see [`build_pool`]).
+/// Admits the default `8n + 16` cap up to n ≈ 1200, and bounds any
+/// admitted request to a few seconds.
 const REQUEST_WORK_BUDGET: u64 = 1 << 28;
 
 /// Server geometry: worker threads and cache shape.
@@ -61,6 +61,7 @@ impl Default for ServerConfig {
 }
 
 /// The batched treecast query engine.
+#[derive(Debug)]
 pub struct Server {
     workers: usize,
     cache: PrefixCache,
@@ -192,8 +193,8 @@ impl Server {
                     return Err("beam width must be >= 1".into());
                 }
                 let executable = workload.workload(n)?;
-                let mut pool = build_pool(pool, n)?;
                 let options = BeamOptions::for_n(n).with_width(*width);
+                let mut pool = build_pool(pool, n, options)?;
                 // `k`-source workloads search over the batched tracked
                 // state; everything else over the full product state.
                 let schedule = match workload {
@@ -233,15 +234,6 @@ impl Server {
     }
 }
 
-impl std::fmt::Debug for Server {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Server")
-            .field("workers", &self.workers)
-            .field("cache", &self.cache)
-            .finish()
-    }
-}
-
 fn validate_sequence(trees: &[RootedTree]) -> Result<usize, String> {
     let Some(first) = trees.first() else {
         return Err("empty tree sequence".into());
@@ -276,24 +268,44 @@ fn config_for(n: usize, rounds: u64) -> Result<SimulationConfig, String> {
     Ok(config)
 }
 
-fn build_pool(spec: &PoolSpec, n: usize) -> Result<Box<dyn CandidateGen>, String> {
-    match spec {
-        PoolSpec::Structured => Ok(Box::new(StructuredPool::new())),
-        PoolSpec::Sampled { count, seed } => {
-            if *count == 0 {
-                return Err("sampled pool needs count >= 1".into());
-            }
-            Ok(Box::new(SampledPool::new(*count, *seed)))
+/// The plan's candidate pool, rejected when its search could exceed
+/// [`REQUEST_WORK_BUDGET`]: each of up to `max_rounds` generations steps
+/// `width × candidates` successor states worth [`round_words`] each. The
+/// check comes before the pool is built, so a rejected plan samples nothing.
+fn build_pool(
+    spec: &PoolSpec,
+    n: usize,
+    options: BeamOptions,
+) -> Result<Box<dyn CandidateGen>, String> {
+    let candidates = match spec {
+        // Four ordered paths, two brooms and two freeze-leader paths.
+        PoolSpec::Structured => 8,
+        PoolSpec::Sampled { count: 0, .. } => return Err("sampled pool needs count >= 1".into()),
+        PoolSpec::Sampled { count, .. } => *count as u64,
+        PoolSpec::Exhaustive if n > EXHAUSTIVE_MAX_N => {
+            return Err(format!(
+                "exhaustive pool is limited to n <= {EXHAUSTIVE_MAX_N} (got n = {n})"
+            ))
         }
-        PoolSpec::Exhaustive => {
-            if n > EXHAUSTIVE_MAX_N {
-                return Err(format!(
-                    "exhaustive pool is limited to n <= {EXHAUSTIVE_MAX_N} (got n = {n})"
-                ));
-            }
-            Ok(Box::new(ExhaustivePool::new(n)))
-        }
+        // Cayley: n^(n-1) rooted labelled trees.
+        PoolSpec::Exhaustive => (n as u64).pow(n as u32 - 1),
+    };
+    let work = (options.width as u64)
+        .saturating_mul(candidates)
+        .saturating_mul(options.max_rounds)
+        .saturating_mul(round_words(n));
+    if work > REQUEST_WORK_BUDGET {
+        return Err(format!(
+            "a width-{} plan over {candidates} candidates per round at n = {n} \
+             exceeds the request work budget",
+            options.width
+        ));
     }
+    Ok(match spec {
+        PoolSpec::Structured => Box::new(StructuredPool::new()),
+        PoolSpec::Sampled { count, seed } => Box::new(SampledPool::new(*count, *seed)),
+        PoolSpec::Exhaustive => Box::new(ExhaustivePool::new(n)),
+    })
 }
 
 /// The objective dispatch: `Objective<S>` is generic over the state, so
@@ -325,20 +337,18 @@ fn plan_with_objective<S: SearchState>(
 }
 
 /// A [`PrefixProvider`] that answers each round from the shared
-/// [`PrefixCache`] when warm, and composes + publishes the product when
+/// [`PrefixCache`] when warm, and steps + publishes the product when
 /// cold.
 ///
 /// The provider chains the sequence fingerprint incrementally
 /// (`fp_t = splitmix64(fp_{t-1} ^ tree_hash(A_t))`, with the last tree
 /// repeating per `SequenceSource` semantics), so schedules sharing a stem
 /// share cache entries up to the first differing round — a warm round is
-/// one shard lookup plus the memoized mask, never a composition.
+/// one shard lookup plus the memoized mask, never a product step.
 pub struct CachedPrefixes<'a> {
-    n: usize,
     round: u64,
-    /// Borrowed from the request — trees are never cloned on the serving
-    /// path (a `RootedTree` clone is `n` nested child-list allocations,
-    /// which would dwarf a warm round).
+    /// Borrowed from the request, never cloned: a warm round must not
+    /// copy its tree.
     trees: &'a [RootedTree],
     /// `tree_hash` of each tree, memoized lazily — a query that completes
     /// at round `t` never pays for hashing the trees past `t`.
@@ -346,13 +356,9 @@ pub struct CachedPrefixes<'a> {
     /// The chained fingerprint of the prefix served so far.
     fingerprint: u64,
     cache: &'a PrefixCache,
-    /// `R(round)`; `None` is the un-materialized identity `R(0)` (a
-    /// round-1 miss composes `A₁ᵀ ∘ I = A₁ᵀ` directly, so the warm path
-    /// never allocates an `n × n` identity).
+    /// The entry holding `R(round)`; `None` before round 1 (a round-1 miss
+    /// steps from a fresh identity state).
     current: Option<Arc<PrefixEntry>>,
-    /// Retained buffer for the transposed round matrix `A_tᵀ`.
-    round_t: BoolMatrix,
-    label: String,
 }
 
 impl<'a> CachedPrefixes<'a> {
@@ -363,35 +369,24 @@ impl<'a> CachedPrefixes<'a> {
     /// Panics if `trees` is empty or the trees disagree on `n`.
     pub fn new(trees: &'a [RootedTree], cache: &'a PrefixCache) -> Self {
         assert!(!trees.is_empty(), "need at least one tree");
-        let n = trees[0].n();
-        for t in trees {
-            assert_eq!(t.n(), n, "all trees must have the same node count");
-        }
-        let label = format!("sequence(len={})", trees.len());
+        assert!(
+            trees.iter().all(|t| t.n() == trees[0].n()),
+            "all trees must have the same node count"
+        );
         CachedPrefixes {
-            n,
             round: 0,
             tree_hashes: vec![None; trees.len()],
             trees,
             fingerprint: SEED,
             cache,
             current: None,
-            round_t: BoolMatrix::zeros(n),
-            label,
         }
-    }
-
-    /// Overrides the report label.
-    #[must_use]
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
-        self
     }
 }
 
 impl PrefixProvider for CachedPrefixes<'_> {
     fn n(&self) -> usize {
-        self.n
+        self.trees[0].n()
     }
 
     fn next_prefix(&mut self) -> Option<PrefixRound<'_>> {
@@ -402,26 +397,15 @@ impl PrefixProvider for CachedPrefixes<'_> {
         let entry = match self.cache.get(next_fp, next_round) {
             Some(entry) => entry,
             None => {
-                // Cold: one sparse left-composition A_{t+1}ᵀ ∘ R(t), then
-                // publish so every later query of this prefix is warm.
-                let tree = &self.trees[idx];
-                self.round_t.clear();
-                self.round_t.add_self_loops();
-                for y in 0..self.n {
-                    if let Some(p) = tree.parent(y) {
-                        self.round_t.set(y, p, true);
-                    }
-                }
-                let next = match &self.current {
-                    Some(prev) => {
-                        let mut next = BoolMatrix::zeros(self.n);
-                        self.round_t.compose_into(prev.heard(), &mut next);
-                        next
-                    }
-                    // Round 1 from the identity: A₁ᵀ ∘ I = A₁ᵀ.
-                    None => self.round_t.clone(),
+                // Cold: one tree step `R(t+1)[y] = R(t)[y] ∪ R(t)[parent(y)]`
+                // on a copy of `R(t)`, then publish so every later query of
+                // this prefix is warm.
+                let mut state = match &self.current {
+                    Some(prev) => BroadcastState::from_heard(prev.heard().clone(), self.round),
+                    None => BroadcastState::new(self.n()),
                 };
-                let entry = Arc::new(PrefixEntry::new(next));
+                state.apply(&self.trees[idx]);
+                let entry = Arc::new(PrefixEntry::new(state.into_heard()));
                 self.cache.insert(next_fp, next_round, Arc::clone(&entry));
                 entry
             }
@@ -438,16 +422,19 @@ impl PrefixProvider for CachedPrefixes<'_> {
     }
 
     fn name(&self) -> String {
-        self.label.clone()
+        format!("sequence(len={})", self.trees.len())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use treecast_bitmatrix::BoolMatrix;
     use treecast_core::prefix::ComposedPrefixes;
     use treecast_core::{run_workload, Gossip, KBroadcast, RoundFaults, SeededFaults};
-    use treecast_trees::generators;
+    use treecast_trees::{generators, random};
 
     use crate::api::Schedule;
 
@@ -539,6 +526,60 @@ mod tests {
                 let mut cached = CachedPrefixes::new(&trees, &cache);
                 let got = run_workload_prefixes(&mut cached, &Gossip, cfg);
                 assert_eq!(got, want, "pass {pass}");
+            }
+        }
+    }
+
+    /// The miss step before the tree-native one, kept as the oracle: the
+    /// transposed round matrix `A_tᵀ + I` left-composed onto `R(t-1)`,
+    /// from `R(0) = I`, with the last tree repeating.
+    fn reference_prefixes(trees: &[RootedTree], rounds: usize) -> Vec<BoolMatrix> {
+        let n = trees[0].n();
+        let mut round_t = BoolMatrix::zeros(n);
+        let mut current = BoolMatrix::identity(n);
+        (0..rounds)
+            .map(|t| {
+                let tree = &trees[t.min(trees.len() - 1)];
+                round_t.clear();
+                round_t.add_self_loops();
+                for y in 0..n {
+                    if let Some(p) = tree.parent(y) {
+                        round_t.set(y, p, true);
+                    }
+                }
+                let mut next = BoolMatrix::zeros(n);
+                round_t.compose_into(&current, &mut next);
+                current = next;
+                current.clone()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn miss_steps_match_the_round_matrix_composition() {
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        for n in [1, 63, 64, 65, 130] {
+            let trees: Vec<RootedTree> = (0..5).map(|_| random::uniform(n, &mut rng)).collect();
+            let rounds = 2 * trees.len();
+            let want = reference_prefixes(&trees, rounds);
+            for config in [CacheConfig::disabled(), CacheConfig::default()] {
+                let cache = PrefixCache::new(config);
+                // The second pass over a cache that keeps entries is all
+                // hits; over the disabled cache both passes are all misses.
+                for pass in 0..2 {
+                    let before = cache.stats();
+                    let mut prefixes = CachedPrefixes::new(&trees, &cache);
+                    for (t, want) in want.iter().enumerate() {
+                        let got = prefixes.next_prefix().expect("schedules repeat forever");
+                        assert_eq!(got.round, t as u64 + 1);
+                        assert_eq!(got.heard, want, "n = {n}, pass {pass}, round {}", t + 1);
+                    }
+                    let after = cache.stats();
+                    let warm = pass == 1 && config.byte_budget > 0;
+                    let (hits, misses) = if warm { (rounds, 0) } else { (0, rounds) };
+                    assert_eq!(after.hits - before.hits, hits as u64, "n = {n}");
+                    assert_eq!(after.misses - before.misses, misses as u64, "n = {n}");
+                }
             }
         }
     }
@@ -736,6 +777,28 @@ mod tests {
                 width: 1,
                 workload: WorkloadSpec::Broadcast,
             },
+            // A sampled pool this large used to overflow a capacity, and
+            // this wide a beam used to run for minutes.
+            Request::AdversaryPlan {
+                n: 8,
+                pool: PoolSpec::Sampled {
+                    count: usize::MAX,
+                    seed: 1,
+                },
+                objective: ObjectiveSpec::MinNewEdges,
+                width: 4,
+                workload: WorkloadSpec::Broadcast,
+            },
+            Request::AdversaryPlan {
+                n: 64,
+                pool: PoolSpec::Sampled {
+                    count: 4000,
+                    seed: 1,
+                },
+                objective: ObjectiveSpec::MinNewEdges,
+                width: 4000,
+                workload: WorkloadSpec::Broadcast,
+            },
             // k ≥ 2 never completes on a static tree, so these used to
             // step forever.
             Request::BroadcastTime {
@@ -787,6 +850,21 @@ mod tests {
             rounds: 0,
         };
         assert!(matches!(s.serve(&star), Response::BroadcastTime { .. }));
+    }
+
+    #[test]
+    fn plans_inside_the_work_budget_are_admitted() {
+        let admitted = |pool: PoolSpec, n: usize, width: usize| {
+            build_pool(&pool, n, BeamOptions::for_n(n).with_width(width)).is_ok()
+        };
+        // The plans the server tests and the determinism audit send.
+        assert!(admitted(PoolSpec::Structured, 8, 8));
+        assert!(admitted(PoolSpec::Sampled { count: 12, seed: 9 }, 6, 6));
+        assert!(admitted(PoolSpec::Sampled { count: 12, seed: 7 }, 6, 3));
+        // The default width over the structured pool at the largest n.
+        assert!(admitted(PoolSpec::Structured, PLAN_MAX_N, 48));
+        assert!(admitted(PoolSpec::Exhaustive, 5, 48));
+        assert!(!admitted(PoolSpec::Exhaustive, 6, 48));
     }
 
     #[test]
