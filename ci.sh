@@ -81,7 +81,8 @@ step_fmt() {
 
 step_server_release() {
     cargo test -q --release -p treecast --test server_differential &&
-        cargo test -q --release -p treecast-server
+        cargo test -q --release -p treecast-server &&
+        cargo test -q --release -p treecast-client
 }
 
 step_docs() {
@@ -171,9 +172,10 @@ if [[ "$TIER" != quick ]]; then
     # Cached server == uncached server == direct engine, across every
     # workload, faults included, plus the server crate's own tests (the
     # miss-step oracle, the pinned fingerprints, the warm-round
-    # allocation window) in an optimized build (all also in the debug
-    # tier-1 pass).
-    run_step "server differential + server crate tests (release)" \
+    # allocation window) and the load generator's, whose counters make
+    # bench_server's hit/miss exact cells, in an optimized build (all
+    # also in the debug tier-1 pass).
+    run_step "server differential + server and client crate tests (release)" \
         step_server_release
     # The benchmark (perfbench/, a workspace of its own) builds against
     # the library crates by path, and its smoke tests pin its traced
@@ -182,7 +184,7 @@ if [[ "$TIER" != quick ]]; then
     run_step "benchmark build + smoke tests (perfbench, release)" \
         cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
     # Concurrency-determinism audit: the four threaded subsystems
-    # (solver discovery, server worker pool, Monte Carlo replica pool,
+    # (solver discovery, server batch threads, Monte Carlo replica pool,
     # gossip-emulation replica pool) across
     # {1,2,4,8} threads must be bit-identical, with the debug_validate
     # invariant checkers live — hence a DEBUG build, not --release.

@@ -5,7 +5,7 @@
 //!
 //! * the solver's sharded layer expansion
 //!   ([`treecast_solver::SolveOptions::threads`]),
-//! * the server's worker pool
+//! * the server's batch threads
 //!   ([`treecast_server::Server::serve_batch`]),
 //! * the Monte Carlo replica pool
 //!   ([`treecast_montecarlo::estimate`]),

@@ -18,8 +18,8 @@
 //! ([`CacheConfig::disabled`]) serving the identical seeded request
 //! stream, so the ratio isolates exactly what the sharded cache buys.
 
-use treecast_client::{Client, LoadConfig, LoadGen, LoadReport};
-use treecast_server::{CacheConfig, Request, Response, ServerConfig, WorkloadSpec};
+use treecast_client::{LoadConfig, LoadGen, LoadReport};
+use treecast_server::{CacheConfig, Request, Response, Server, ServerConfig, WorkloadSpec};
 
 use crate::gate::{GateReport, Wall};
 
@@ -155,10 +155,10 @@ impl ServerBenchReport {
     }
 }
 
-/// Serves every pool sequence once through `client`, returning each
+/// Serves every pool sequence once on `server`, returning each
 /// rank's completion round (`-1` = cap). Doubles as the cache-priming
 /// pass: afterwards every prefix any stream request needs is resident.
-pub fn prime(client: &Client, gen: &LoadGen) -> Vec<i64> {
+pub fn prime(server: &Server, gen: &LoadGen) -> Vec<i64> {
     gen.pool()
         .iter()
         .map(|sequence| {
@@ -167,7 +167,7 @@ pub fn prime(client: &Client, gen: &LoadGen) -> Vec<i64> {
                 workload: gen.config().workload.clone(),
                 rounds: gen.config().rounds,
             };
-            match client.call(&request) {
+            match server.serve(&request) {
                 Response::BroadcastTime { report } => {
                     report.completion_time.map_or(-1, |t| t as i64)
                 }
@@ -187,35 +187,35 @@ pub fn measure(load: &LoadConfig) -> ServerBenchReport {
         requests: cold_count,
         ..load.clone()
     });
-    let cold_client = Client::new(ServerConfig {
+    let cold_server = Server::new(ServerConfig {
         workers: 1,
         cache: CacheConfig::disabled(),
     });
-    let cold = cold_gen.run_serial(&cold_client);
+    let cold = cold_gen.run_serial(&cold_server);
 
     // Warm: default cache, primed by the per-rank completion pass, then
     // the full stream single-threaded (the deterministic exact cells).
     let mut warm_gen = LoadGen::new(load.clone());
-    let warm_client = Client::new(ServerConfig {
+    let warm_server = Server::new(ServerConfig {
         workers: 1,
         cache: CacheConfig::default(),
     });
-    let completion_rounds = prime(&warm_client, &warm_gen);
-    let warm = warm_gen.run_serial(&warm_client);
+    let completion_rounds = prime(&warm_server, &warm_gen);
+    let warm = warm_gen.run_serial(&warm_server);
 
-    // Threaded: `serve_batch` over the worker pool on the warm cache.
+    // Threaded: `serve_batch` on several threads over a warm cache.
     let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let batch_client = Client::new(ServerConfig {
+    let batch_server = Server::new(ServerConfig {
         workers,
         cache: CacheConfig::default(),
     });
     let mut batch_gen = LoadGen::new(load.clone());
-    let _ = prime(&batch_client, &batch_gen);
+    let _ = prime(&batch_server, &batch_gen);
     // A modest batch: `serve_batch` needs the requests materialized up
     // front, and a big-`n` request is ~`seq_len` tree clones of memory.
     let batch = batch_gen.requests(load.requests.min(500));
     let start = std::time::Instant::now();
-    let responses = batch_client.call_batch(&batch);
+    let responses = batch_server.serve_batch(&batch);
     let batch_ns = start.elapsed().as_nanos().max(1) as f64;
     assert!(responses.iter().all(|r| r.report().is_some()));
     let threaded_qps = batch.len() as f64 / (batch_ns / 1e9);

@@ -1,20 +1,18 @@
-//! `treecast-client`: the in-process client and load generator for
-//! [`treecast_server`].
+//! `treecast-client`: the load generator for [`treecast_server`].
 //!
-//! * [`Client`] — owns a server, issues requests, captures per-request
-//!   wall time.
-//! * [`LoadGen`] — Zipf-skewed request streams over a seeded pool of
-//!   random tree sequences; [`LoadGen::run_serial`] produces a
-//!   [`LoadReport`] with qps, p50/p99/p999 latency, and cache hit rate.
+//! [`LoadGen`] draws Zipf-skewed request streams over a seeded pool of
+//! random tree sequences; [`LoadGen::run_serial`] serves one through a
+//! [`Server`](treecast_server::Server) and produces a [`LoadReport`] with
+//! qps, p50/p99/p999 latency, and cache hit rate.
 //!
-//! The `bench_server` binary in `treecast-bench` drives these against
+//! The `bench_server` binary in `treecast-bench` drives it against
 //! cached and uncached servers and gates the ratio in CI.
 //!
 //! # Examples
 //!
 //! ```
-//! use treecast_client::{Client, LoadConfig, LoadGen};
-//! use treecast_server::ServerConfig;
+//! use treecast_client::{LoadConfig, LoadGen};
+//! use treecast_server::{Server, ServerConfig};
 //!
 //! let mut gen = LoadGen::new(LoadConfig {
 //!     n: 16,
@@ -23,8 +21,8 @@
 //!     requests: 100,
 //!     ..LoadConfig::default()
 //! });
-//! let client = Client::new(ServerConfig::default());
-//! let report = gen.run_serial(&client);
+//! let server = Server::new(ServerConfig::default());
+//! let report = gen.run_serial(&server);
 //! assert_eq!(report.requests, 100);
 //! assert!(report.hit_rate > 0.0, "repeat asks run warm");
 //! ```
@@ -32,8 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod client;
 mod loadgen;
 
-pub use client::Client;
 pub use loadgen::{percentile, LoadConfig, LoadGen, LoadReport};

@@ -10,12 +10,12 @@
 //! on few fingerprints (cache-friendly), `s = 0` is uniform (adversarial
 //! for an LRU).
 
+use std::time::Instant;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use treecast_server::{Request, WorkloadSpec};
+use treecast_server::{Request, Server, WorkloadSpec};
 use treecast_trees::{random, RootedTree};
-
-use crate::client::Client;
 
 /// Load-generator shape: pool geometry, skew, and request count.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -183,20 +183,21 @@ impl LoadGen {
         (0..count).map(|_| self.sample_request()).collect()
     }
 
-    /// Issues `config.requests` requests serially through `client`,
-    /// capturing per-request latency; cache counters are reset at the
-    /// start so `hits`/`misses` cover exactly this run.
-    pub fn run_serial(&mut self, client: &Client) -> LoadReport {
+    /// Serves `config.requests` requests serially on `server`, capturing
+    /// per-request latency; `hits`/`misses` are the change in the
+    /// server's counters, so they cover exactly this run.
+    pub fn run_serial(&mut self, server: &Server) -> LoadReport {
         let count = self.config.requests;
-        client.server().cache().reset_counters();
-        let before = client.stats();
+        let before = server.stats();
         let mut latencies: Vec<u64> = Vec::with_capacity(count);
         // Requests are sampled one at a time — marshalling a big request
         // (cloning `seq_len` trees) happens outside the timed call, and
         // the run never holds more than one request in memory.
         for _ in 0..count {
             let request = self.sample_request();
-            let (response, ns) = client.call_timed(&request);
+            let start = Instant::now();
+            let response = server.serve(&request);
+            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             assert!(
                 response.report().is_some(),
                 "load generator produced an invalid request"
@@ -204,7 +205,7 @@ impl LoadGen {
             latencies.push(ns);
         }
         let elapsed_ns: u64 = latencies.iter().sum();
-        let after = client.stats();
+        let after = server.stats();
         latencies.sort_unstable();
         let hits = after.hits - before.hits;
         let misses = after.misses - before.misses;
@@ -250,6 +251,13 @@ pub fn percentile(sorted: &[u64], q: f64) -> u64 {
 mod tests {
     use super::*;
     use treecast_server::{CacheConfig, ServerConfig};
+
+    fn server() -> Server {
+        Server::new(ServerConfig {
+            workers: 1,
+            cache: CacheConfig::default(),
+        })
+    }
 
     fn small_config() -> LoadConfig {
         LoadConfig {
@@ -304,11 +312,7 @@ mod tests {
     #[test]
     fn serial_runs_report_latency_and_cache_outcomes() {
         let mut lg = LoadGen::new(small_config());
-        let client = Client::new(ServerConfig {
-            workers: 1,
-            cache: CacheConfig::default(),
-        });
-        let report = lg.run_serial(&client);
+        let report = lg.run_serial(&server());
         assert_eq!(report.requests, 200);
         assert!(report.qps > 0.0);
         assert!(report.p50_ns <= report.p99_ns && report.p99_ns <= report.p999_ns);
@@ -319,6 +323,23 @@ mod tests {
         let text = serde::json::to_string_pretty(&report);
         let back: LoadReport = serde::json::from_str(&text).unwrap();
         assert_eq!(back, report);
+    }
+
+    #[test]
+    fn consecutive_runs_count_only_their_own_lookups() {
+        let shared = server();
+        let mut lg = LoadGen::new(small_config());
+        let first = lg.run_serial(&shared);
+        // The second run's stream, replayed on a fresh server: a request
+        // looks the cache up once per round whether it hits or misses.
+        let mut replay = lg.clone();
+        let second = lg.run_serial(&shared);
+        let fresh = replay.run_serial(&server());
+        assert_eq!(second.hits + second.misses, fresh.hits + fresh.misses);
+        assert!(second.hits >= fresh.hits, "the shared server is warmer");
+        let total = shared.stats();
+        assert_eq!(total.hits, first.hits + second.hits);
+        assert_eq!(total.misses, first.misses + second.misses);
     }
 
     #[test]

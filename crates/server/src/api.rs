@@ -28,7 +28,7 @@ pub enum WorkloadSpec {
     Broadcast,
     /// `k` tokens disseminated.
     KBroadcast {
-        /// The dissemination threshold (`k ≥ 1`).
+        /// The dissemination threshold (`1 ≤ k ≤ n`).
         k: usize,
     },
     /// All tokens disseminated.
@@ -45,8 +45,8 @@ impl WorkloadSpec {
     ///
     /// # Errors
     ///
-    /// A message naming the invalid parameter (`k = 0`, duplicate or
-    /// out-of-range sources) — returned as [`Response::Error`] instead of
+    /// A message naming the invalid parameter (`k = 0`, `k > n`, duplicate
+    /// or out-of-range sources) — returned as [`Response::Error`] instead of
     /// panicking inside a worker thread.
     pub fn workload(&self, n: usize) -> Result<Box<dyn Workload + Send + Sync>, String> {
         match self {
@@ -54,6 +54,10 @@ impl WorkloadSpec {
             WorkloadSpec::KBroadcast { k } => {
                 if *k == 0 {
                     return Err("k-broadcast needs k >= 1".into());
+                }
+                // At most `n` tokens exist, so a larger `k` never completes.
+                if *k > n {
+                    return Err(format!("k-broadcast needs k <= n (got k = {k}, n = {n})"));
                 }
                 Ok(Box::new(KBroadcast::new(*k)))
             }

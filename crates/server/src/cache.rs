@@ -340,12 +340,6 @@ impl PrefixCache {
         }
     }
 
-    /// Resets the hit/miss counters (resident entries stay).
-    pub fn reset_counters(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-    }
-
     /// Checks the structural invariants of every shard; a noop in
     /// release builds.
     ///

@@ -1,5 +1,5 @@
-//! `treecast-server`: a batched treecast query engine — a std-threaded
-//! worker pool over a **sharded prefix-product cache**.
+//! `treecast-server`: a batched treecast query engine — std scoped
+//! threads over a **sharded prefix-product cache**.
 //!
 //! The paper's reductions funnel every dissemination question through the
 //! prefix products `G(t) = A₁ ∘ … ∘ A_t` of a tree schedule, and real
@@ -22,12 +22,13 @@
 //!   [`Request::AdversaryPlan`] (beam search, replayed through the
 //!   cache).
 //! * [`server`] — [`Server::serve`] (serial, deterministic) and
-//!   [`Server::serve_batch`]: `std::thread::scope` workers draining a
-//!   closeable MPMC [`queue::JobQueue`]; no async runtime anywhere.
+//!   [`Server::serve_batch`]: the calling thread plus `std::thread::scope`
+//!   helpers claiming request indices from one atomic counter; no async
+//!   runtime anywhere.
 //!
-//! The companion `treecast-client` crate layers an in-process client and
-//! a Zipf load generator on top; `bench_server` gates the warm/cold
-//! throughput ratio in CI.
+//! The companion `treecast-client` crate is a Zipf load generator that
+//! drives a [`Server`]; `bench_server` gates the warm/cold throughput
+//! ratio in CI.
 //!
 //! # Examples
 //!
@@ -54,7 +55,6 @@
 pub mod api;
 pub mod cache;
 pub mod fingerprint;
-pub mod queue;
 pub mod server;
 
 pub use api::{ObjectiveSpec, PlanReport, PoolSpec, Request, Response, Schedule, WorkloadSpec};

@@ -1,14 +1,15 @@
 //! The query engine: request validation, the cache-backed
-//! [`PrefixProvider`], and the scoped-thread worker pool.
+//! [`PrefixProvider`], and batch serving on scoped threads.
 //!
 //! `serve` answers one request on the calling thread (deterministic —
-//! the bench's exact cells come from this path); `serve_batch` fans a
-//! batch over `std::thread::scope` workers draining a shared
-//! [`JobQueue`]. All workers share one [`PrefixCache`], so a batch with
-//! repeated or stem-sharing schedules pays each prefix step once
-//! across the whole pool.
+//! the bench's exact cells come from this path); `serve_batch` has the
+//! calling thread and scoped helpers claim request indices from one
+//! shared counter. All threads share one [`PrefixCache`], so a batch
+//! with repeated or stem-sharing schedules pays each prefix step once
+//! across the whole batch.
 
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use treecast_adversary::{
     beam_search_workload_plan, BeamOptions, CandidateGen, ExhaustivePool, MinDisseminated,
@@ -24,7 +25,6 @@ use treecast_trees::RootedTree;
 use crate::api::{ObjectiveSpec, PlanReport, PoolSpec, Request, Response, WorkloadSpec};
 use crate::cache::{CacheConfig, CacheStats, PrefixCache, PrefixEntry};
 use crate::fingerprint::{chain, tree_hash, SEED};
-use crate::queue::JobQueue;
 
 /// Exhaustive pools enumerate all `n^(n-1)`-ish rooted trees per round;
 /// past this they are a denial-of-service request, not a query.
@@ -43,8 +43,8 @@ const REQUEST_WORK_BUDGET: u64 = 1 << 28;
 /// Server geometry: worker threads and cache shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Worker threads for [`Server::serve_batch`] (capped at the batch
-    /// size; 1 degenerates to serial serving).
+    /// Threads that answer a [`Server::serve_batch`], the calling thread
+    /// included (capped at the batch size; 1 serves the batch serially).
     pub workers: usize,
     /// Prefix-product cache geometry; [`CacheConfig::disabled`] is the
     /// uncached baseline.
@@ -104,45 +104,41 @@ impl Server {
         }
     }
 
-    /// Answers a batch over the worker pool, responses index-aligned
-    /// with the requests. The pool is `min(workers, batch len)` scoped
-    /// threads draining a shared FIFO; a single worker (or an empty
-    /// batch) short-circuits to the serial path.
+    /// Answers a batch, responses index-aligned with the requests. The
+    /// calling thread and `min(workers, batch len) − 1` scoped helpers
+    /// claim request indices from one shared counter, so a one-thread
+    /// batch spawns nothing. A helper's panic is re-raised on the caller.
     #[must_use]
     pub fn serve_batch(&self, requests: &[Request]) -> Vec<Response> {
-        let workers = self.workers.min(requests.len());
-        if workers <= 1 {
-            return requests.iter().map(|r| self.serve(r)).collect();
-        }
-        let queue: JobQueue<(usize, &Request)> = JobQueue::new();
-        let results: Vec<Mutex<Option<Response>>> =
-            requests.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| {
-                    while let Some((i, request)) = queue.pop() {
-                        let response = self.serve(request);
-                        // analyze: allow(panic): a poisoned slot means another
-                        // worker died mid-batch; propagate the abort.
-                        *results[i].lock().expect("result slot poisoned") = Some(response);
-                    }
-                });
+        // The counter only hands out indices; requests are shared
+        // read-only and answers come back through `join`, so `Relaxed`
+        // publishes nothing it would need to order.
+        let next = AtomicUsize::new(0);
+        let drain = || {
+            let mut answered = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(request) = requests.get(i) else {
+                    return answered;
+                };
+                answered.push((i, self.serve(request)));
             }
-            for job in requests.iter().enumerate() {
-                queue.push(job);
+        };
+        let threads = self.workers.min(requests.len());
+        let mut answered = std::thread::scope(|s| {
+            let helpers: Vec<_> = (1..threads).map(|_| s.spawn(drain)).collect();
+            let mut answered = drain();
+            for helper in helpers {
+                match helper.join() {
+                    Ok(part) => answered.extend(part),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
             }
-            queue.close();
+            answered
         });
-        results
-            .into_iter()
-            .map(|slot| {
-                // Both expects are worker-death signals: a poisoned slot or a
-                // missing answer means a worker panicked and the batch is lost.
-                slot.into_inner()
-                    .expect("result slot poisoned") // analyze: allow(panic): worker died mid-batch
-                    .expect("every job is answered") // analyze: allow(panic): worker died mid-batch
-            })
-            .collect()
+        // Every index below the batch length was claimed exactly once.
+        answered.sort_unstable_by_key(|&(i, _)| i);
+        answered.into_iter().map(|(_, response)| response).collect()
     }
 
     fn handle(&self, request: &Request) -> Result<Response, String> {
@@ -749,6 +745,20 @@ mod tests {
                 workload: WorkloadSpec::KBroadcast { k: 0 },
                 rounds: 0,
             },
+            // Only n tokens exist, so k = n + 1 used to step to the round
+            // cap, publishing a cache entry per round.
+            Request::BroadcastTime {
+                tree_sequence: rotating_stars(4),
+                workload: WorkloadSpec::KBroadcast { k: 5 },
+                rounds: 0,
+            },
+            Request::AdversaryPlan {
+                n: 6,
+                pool: PoolSpec::Structured,
+                objective: ObjectiveSpec::MinNewEdges,
+                width: 4,
+                workload: WorkloadSpec::KBroadcast { k: 7 },
+            },
             Request::AdversaryPlan {
                 n: 1,
                 pool: PoolSpec::Structured,
@@ -827,6 +837,28 @@ mod tests {
     }
 
     #[test]
+    fn k_broadcast_with_k_equal_to_n_is_gossip() {
+        let n = 6;
+        let s = server(CacheConfig::default());
+        let request = |workload| Request::BroadcastTime {
+            tree_sequence: rotating_stars(n),
+            workload,
+            rounds: 0,
+        };
+        let Response::BroadcastTime { report: k_n } =
+            s.serve(&request(WorkloadSpec::KBroadcast { k: n }))
+        else {
+            panic!("k = n is answered");
+        };
+        let Response::BroadcastTime { report: gossip } = s.serve(&request(WorkloadSpec::Gossip))
+        else {
+            panic!("gossip is answered");
+        };
+        assert!(k_n.completion_time.is_some());
+        assert_eq!(k_n.completion_time, gossip.completion_time);
+    }
+
+    #[test]
     fn requests_inside_the_work_budget_are_answered() {
         let s = server(CacheConfig::default());
         let max_rounds = REQUEST_WORK_BUDGET / round_words(8);
@@ -870,24 +902,36 @@ mod tests {
     #[test]
     fn batches_are_index_aligned_with_serial_serving() {
         let n = 7;
-        let requests: Vec<Request> = (1..=n)
-            .map(|k| Request::BroadcastTime {
-                tree_sequence: rotating_stars(n),
-                workload: WorkloadSpec::KBroadcast { k },
-                rounds: 0,
-            })
-            .chain(std::iter::once(Request::BroadcastTime {
-                tree_sequence: vec![],
-                workload: WorkloadSpec::Broadcast,
-                rounds: 0,
-            }))
-            .collect();
+        let valid = |i| Request::BroadcastTime {
+            tree_sequence: rotating_stars(n),
+            workload: WorkloadSpec::KBroadcast { k: i % n + 1 },
+            rounds: 0,
+        };
+        let invalid = Request::BroadcastTime {
+            tree_sequence: vec![],
+            workload: WorkloadSpec::Broadcast,
+            rounds: 0,
+        };
         let serial = server(CacheConfig::default());
-        let want: Vec<Response> = requests.iter().map(|r| serial.serve(r)).collect();
-        let threaded = server(CacheConfig::default());
-        let got = threaded.serve_batch(&requests);
-        assert_eq!(got, want);
-        assert!(matches!(got.last(), Some(Response::Error { .. })));
+        for len in [0, 1, 2, 3, 33] {
+            let mut requests: Vec<Request> = (0..len).map(valid).collect();
+            // An error request in the middle of every non-empty batch.
+            if let Some(middle) = requests.get_mut(len / 2) {
+                *middle = invalid.clone();
+            }
+            let want: Vec<Response> = requests.iter().map(|r| serial.serve(r)).collect();
+            for workers in [1, 2, 3, 8] {
+                let threaded = Server::new(ServerConfig {
+                    workers,
+                    cache: CacheConfig::default(),
+                });
+                let got = threaded.serve_batch(&requests);
+                assert_eq!(got, want, "len = {len}, workers = {workers}");
+                if len > 0 {
+                    assert!(matches!(got[len / 2], Response::Error { .. }));
+                }
+            }
+        }
     }
 
     #[test]
