@@ -10,9 +10,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use treecast_bench::composebench::random_matrix;
-use treecast_bitmatrix::{BoolMatrix, PackedMatrix};
+use treecast_bitmatrix::BoolMatrix;
 use treecast_core::BroadcastState;
 use treecast_nonsplit::generators as nonsplit_gen;
 use treecast_trees::random;
@@ -71,15 +71,6 @@ fn bench_compose_density(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_packed_compose(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(2);
-    let a = PackedMatrix::from_bits(8, rng.gen());
-    let b = PackedMatrix::from_bits(8, rng.gen());
-    c.bench_function("packed_compose_n8", |bencher| {
-        bencher.iter(|| a.compose(b));
-    });
-}
-
 fn bench_apply_tree(c: &mut Criterion) {
     let mut group = c.benchmark_group("state_apply_tree");
     let mut rng = StdRng::seed_from_u64(3);
@@ -129,7 +120,6 @@ criterion_group!(
     bench_compose,
     bench_compose_alloc,
     bench_compose_density,
-    bench_packed_compose,
     bench_apply_tree,
     bench_apply_matrix
 );

@@ -22,8 +22,6 @@
 //!   throughout the evaluation. Rows are borrowed out as
 //!   [`RowRef`]/[`RowMut`] views, interchangeable with [`BitSet`] through
 //!   the [`BitView`] trait.
-//! * [`PackedMatrix`] — an entire matrix in one `u64` for `n ≤ 8`, powering
-//!   the exact state-space solver.
 //! * [`HybridRow`] — a sparse-until-promoted row (sorted index list below a
 //!   per-universe threshold, dense words above) for the frontier engine's
 //!   million-node states.
@@ -57,7 +55,6 @@
 mod bitset;
 mod hybrid;
 mod matrix;
-mod packed;
 mod row;
 
 #[cfg(feature = "proptest")]
@@ -66,5 +63,4 @@ pub mod strategies;
 pub use bitset::{gather_word, BitSet, BitView, Iter, ParseBitSetError};
 pub use hybrid::{hybrid_threshold, HybridIter, HybridRow};
 pub use matrix::{BoolMatrix, ComposePath, ParseMatrixError};
-pub use packed::{PackedMatrix, PACKED_MAX_N};
 pub use row::{RowMut, RowRef};

@@ -1,4 +1,4 @@
-//! Proptest strategies for [`BitSet`], [`BoolMatrix`] and [`PackedMatrix`].
+//! Proptest strategies for [`BitSet`] and [`BoolMatrix`].
 //!
 //! Available behind the `proptest` feature so that downstream crates (and
 //! this workspace's own test suites) can generate structured random
@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 
-use crate::{BitSet, BoolMatrix, PackedMatrix};
+use crate::{BitSet, BoolMatrix};
 
 /// Strategy producing an arbitrary [`BitSet`] over a universe of size `n`.
 pub fn bitset(n: usize) -> impl Strategy<Value = BitSet> {
@@ -32,15 +32,6 @@ pub fn reflexive_matrix(n: usize) -> impl Strategy<Value = BoolMatrix> {
     })
 }
 
-/// Strategy producing an arbitrary [`PackedMatrix`] on `n ≤ 8` nodes.
-///
-/// # Panics
-///
-/// Panics if `n == 0` or `n > 8`.
-pub fn packed_matrix(n: usize) -> impl Strategy<Value = PackedMatrix> {
-    proptest::num::u64::ANY.prop_map(move |bits| PackedMatrix::from_bits(n, bits))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,11 +46,6 @@ mod tests {
         #[test]
         fn reflexive_strategy_is_reflexive(m in reflexive_matrix(9)) {
             prop_assert!(m.is_reflexive());
-        }
-
-        #[test]
-        fn packed_strategy_masks(m in packed_matrix(3)) {
-            prop_assert!(m.bits() < (1 << 9));
         }
     }
 }

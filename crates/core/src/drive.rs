@@ -7,14 +7,13 @@
 //! `EmulationEngine`. `drive` is generic over the engine and the
 //! [`Probe`], so the no-op probe `()` compiles away.
 
-use treecast_trees::RootedTree;
+use treecast_trees::{NodeId, RootedTree};
 
 use crate::engine::{SimulationConfig, TreeSource};
 use crate::model::BroadcastState;
 use crate::scenario::{FaultModel, RoundFaults};
 use crate::workload::{
-    full_state_progress, SourceSet, TrackedTokens, Workload, WorkloadOutcome, WorkloadProgress,
-    WorkloadReport,
+    full_state_progress, SourceSet, Workload, WorkloadOutcome, WorkloadProgress, WorkloadReport,
 };
 
 /// One way of stepping a round: a state plus the source that feeds it.
@@ -157,15 +156,17 @@ where
 }
 
 /// The dense engine: the product graph `G(t)` as a [`BroadcastState`]
-/// (what state-reading adversaries see), plus a [`TrackedTokens`] state
-/// in lockstep for [`SourceSet::Nodes`] workloads. Every round, quiet or
-/// faulty, steps both states along the round tree's parent array with
-/// the offline nodes' edges dropped (self-loops kept), then applies the
-/// losses; no round matrix is built.
+/// (what state-reading adversaries see). Every round, quiet or faulty,
+/// steps it along the round tree's parent array with the offline nodes'
+/// edges dropped (self-loops kept), then applies the losses; no round
+/// matrix is built. A [`SourceSet::Nodes`] workload's tokens are the
+/// product's columns at its sources, so their progress is read off the
+/// same state ([`BroadcastState::disseminated_among`]).
 pub struct DenseEngine<'a, S: ?Sized> {
     source: &'a mut S,
     state: BroadcastState,
-    tracked: Option<TrackedTokens>,
+    /// The tracked sources, or `None` for [`SourceSet::All`].
+    sources: Option<Vec<NodeId>>,
     tree: Option<RootedTree>,
 }
 
@@ -174,15 +175,24 @@ impl<'a, S: TreeSource + ?Sized> DenseEngine<'a, S> {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or a workload source is out of range.
+    /// Panics if `n == 0`, or the workload tracks no source or one out of
+    /// range.
     pub fn new<W: Workload + ?Sized>(n: usize, source: &'a mut S, workload: &W) -> Self {
+        let state = BroadcastState::new(n);
+        let sources = match workload.sources(n) {
+            SourceSet::All => None,
+            SourceSet::Nodes(sources) => {
+                assert!(!sources.is_empty(), "need at least one source");
+                for &s in &sources {
+                    assert!(s < n, "source {s} out of range for n = {n}");
+                }
+                Some(sources)
+            }
+        };
         DenseEngine {
             source,
-            state: BroadcastState::new(n),
-            tracked: match workload.sources(n) {
-                SourceSet::All => None,
-                SourceSet::Nodes(sources) => Some(TrackedTokens::new(n, &sources)),
-            },
+            state,
+            sources,
             tree: None,
         }
     }
@@ -197,27 +207,26 @@ impl<S: TreeSource + ?Sized> RoundEngine for DenseEngine<'_, S> {
             tree = tree.rerooted(r);
         }
         self.state.apply_round(&tree, &faults.offline);
-        if let Some(t) = self.tracked.as_mut() {
-            t.apply_round(&tree, &faults.offline);
-        }
         for &y in &faults.losses {
             self.state.forget(y);
-            if let Some(t) = self.tracked.as_mut() {
-                t.forget(y);
-            }
         }
         Some((self.tree.insert(tree), &self.state))
     }
 
     fn progress(&self) -> WorkloadProgress {
-        match &self.tracked {
-            Some(t) => t.progress(),
+        match &self.sources {
+            Some(sources) => WorkloadProgress {
+                n: self.state.n(),
+                round: self.state.round(),
+                tokens: sources.len(),
+                disseminated: self.state.disseminated_among(sources),
+            },
             None => full_state_progress(&self.state),
         }
     }
 
     fn any_disseminated(&self, progress: &WorkloadProgress) -> bool {
-        match self.tracked {
+        match self.sources {
             Some(_) => self.state.disseminated_count() >= 1,
             None => progress.disseminated >= 1,
         }

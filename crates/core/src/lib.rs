@@ -86,6 +86,9 @@ pub use scenario::{
     run_workload_faulty, FaultModel, FaultSchedule, NoFaults, RotatingRoot, RoundFaults,
     SeededFaults,
 };
+/// The token and reach sets of this crate's API, re-exported so the
+/// protocol layers above it name the same type.
+pub use treecast_bitmatrix::BitSet;
 pub use workload::{
     run_workload, Broadcast, Gossip, KBroadcast, KSourceBroadcast, SourceSet, TrackedTokens,
     Workload, WorkloadOutcome, WorkloadProgress, WorkloadReport,

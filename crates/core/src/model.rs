@@ -244,6 +244,29 @@ impl BroadcastState {
             .sum()
     }
 
+    /// Number of listed sources whose token has reached everyone: `x`
+    /// counts when it is in every heard-from set. Each source ANDs bit `x`
+    /// down word column `x / 64` and stops at the first zero, so, like
+    /// [`BroadcastState::disseminated_count`], this allocates nothing. A
+    /// source listed twice counts twice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a source is `>= n`.
+    pub fn disseminated_among(&self, sources: &[NodeId]) -> usize {
+        let stride = self.heard.words_per_row();
+        let words = self.heard.as_words();
+        let full = |&&x: &&NodeId| {
+            assert!(x < self.n, "source {x} out of range for n = {}", self.n);
+            let bit = 1u64 << (x % 64);
+            words[x / 64..]
+                .iter()
+                .step_by(stride)
+                .all(|&w| w & bit != 0)
+        };
+        sources.iter().filter(full).count()
+    }
+
     /// Applies one synchronous round along `tree` (with implicit
     /// self-loops): `G(t+1) = G(t) ∘ (tree + I)`.
     ///
@@ -434,6 +457,32 @@ mod tests {
                 "divergence after round {}",
                 i + 1
             );
+        }
+    }
+
+    #[test]
+    fn disseminated_among_reads_the_witness_columns() {
+        // Sources on both sides of a word boundary and at the last column
+        // (at n = 65 the last column is 64, listed twice): a star at each
+        // source in turn fills its column, and a loss empties every
+        // column but the victim's own.
+        for n in [65, 128, 129, 130] {
+            let sources = [0, 63, 64, n - 1];
+            let mut s = BroadcastState::new(n);
+            let check = |s: &BroadcastState, full: &[NodeId]| {
+                let witnesses = s.broadcast_witnesses();
+                let members = sources.iter().filter(|&&x| witnesses.contains(x));
+                let expect = sources.iter().filter(|x| full.contains(x));
+                assert_eq!(s.disseminated_among(&sources), members.count(), "n = {n}");
+                assert_eq!(s.disseminated_among(&sources), expect.count(), "n = {n}");
+            };
+            check(&s, &[]);
+            for (i, &c) in sources.iter().enumerate() {
+                s.apply(&generators::star_with_center(n, c));
+                check(&s, &sources[..=i]);
+            }
+            s.forget(64);
+            check(&s, &[64]);
         }
     }
 

@@ -9,7 +9,7 @@
 //! [`TREE_STREAM_TWEAK`], so replica `r` of a synchronous cell and of its
 //! emulated twin see identical streams: paired comparisons.
 
-use crate::scenario::{rate_label, FaultModel, RoundFaults, SeededFaults};
+use crate::scenario::{rate_label, FaultModel, RotatingRoot, RoundFaults, SeededFaults};
 
 /// The tree source a replica runs against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,10 +96,14 @@ impl FaultSpec {
     }
 
     /// Deterministic root rotation with the given period.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `period == 0`.
     #[must_use]
     pub fn rotation(period: u64) -> Self {
         FaultSpec {
-            rotation_period: Some(period),
+            rotation_period: Some(RotatingRoot::new(period).period),
             ..FaultSpec::default()
         }
     }
@@ -135,6 +139,10 @@ impl FaultSpec {
 
     /// Builds the per-replica fault model for `seed`: the seeded
     /// loss/dropout stream composed with the deterministic root rotation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rotation_period` is `Some(0)`.
     #[must_use]
     pub fn model(&self, seed: u64) -> impl FaultModel {
         let mut seeded = SeededFaults::new(seed);
@@ -147,31 +155,31 @@ impl FaultSpec {
         }
         SpecFaults {
             seeded,
-            rotation_period: self.rotation_period,
+            rotation: self.rotation_period.map(RotatingRoot::new),
         }
     }
 }
 
-/// [`SeededFaults`] composed with the deterministic root rotation —
-/// the loss/dropout stream stays seeded while the root walks the node
-/// ring with a fixed period (matching [`crate::RotatingRoot`]).
+/// [`SeededFaults`] composed with a [`RotatingRoot`] — the loss/dropout
+/// stream stays seeded while the root walks the node ring with a fixed
+/// period.
 struct SpecFaults {
     seeded: SeededFaults,
-    rotation_period: Option<u64>,
+    rotation: Option<RotatingRoot>,
 }
 
 impl FaultModel for SpecFaults {
     fn faults(&mut self, round: u64, n: usize) -> RoundFaults {
         let mut rf = self.seeded.faults(round, n);
-        if let Some(period) = self.rotation_period {
-            rf.root = Some((((round - 1) / period) % n as u64) as usize);
+        if let Some(rotation) = &mut self.rotation {
+            rf.root = rotation.faults(round, n).root;
         }
         rf
     }
 
     fn name(&self) -> String {
-        match self.rotation_period {
-            Some(period) => format!("{}+rotate({period})", self.seeded.name()),
+        match self.rotation {
+            Some(r) => format!("{}+rotate({})", self.seeded.name(), r.period),
             None => self.seeded.name(),
         }
     }
@@ -290,6 +298,33 @@ mod tests {
         for round in 1..=32 {
             assert_eq!(via_spec.faults(round, 12), direct.faults(round, 12));
         }
+    }
+
+    #[test]
+    fn spec_rotation_matches_rotating_root() {
+        let mut via_spec = FaultSpec::rotation(3).model(7);
+        let mut direct = RotatingRoot::new(3);
+        for round in 1..=20 {
+            assert_eq!(via_spec.faults(round, 5).root, direct.faults(round, 5).root);
+        }
+        let seeded = SeededFaults::new(7).name();
+        assert_eq!(via_spec.name(), format!("{seeded}+rotate(3)"));
+    }
+
+    #[test]
+    #[should_panic(expected = "rotation period must be positive")]
+    fn rotation_rejects_period_zero() {
+        let _ = FaultSpec::rotation(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "rotation period must be positive")]
+    fn model_rejects_period_zero() {
+        let spec = FaultSpec {
+            rotation_period: Some(0),
+            ..FaultSpec::none()
+        };
+        let _ = spec.model(1);
     }
 
     #[test]

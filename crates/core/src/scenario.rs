@@ -167,7 +167,7 @@ impl FaultModel for FaultSchedule {
 /// `((t − 1) / period) mod n`).
 #[derive(Debug, Clone, Copy)]
 pub struct RotatingRoot {
-    period: u64,
+    pub(crate) period: u64,
 }
 
 impl RotatingRoot {

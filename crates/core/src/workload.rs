@@ -220,9 +220,10 @@ impl Workload for KSourceBroadcast {
 /// along the round's parent map: holder row `i` gains every node whose
 /// round parent holds token `i`. That is `k/n`-th of a full-state round,
 /// builds no round matrix and does not allocate once the retained
-/// buffers have grown. The dense engine still keeps a full
-/// [`BroadcastState`] in lockstep for state-reading adversaries, so the
-/// saving is the standalone stepping cost, not the engine's.
+/// buffers have grown. The tracked adversary search and the nonsplit
+/// runs step it; the dense engine does not, as it keeps a full
+/// [`BroadcastState`] anyway and reads tracked tokens off its columns
+/// ([`BroadcastState::disseminated_among`]).
 #[derive(Debug, Clone)]
 pub struct TrackedTokens {
     n: usize,

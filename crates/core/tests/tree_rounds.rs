@@ -166,14 +166,26 @@ fn every_size_token_count_and_offline_mode() {
 
 /// `DenseEngine` under seeded loss, dropout and root changes equals a
 /// loop over `apply_matrix` of the masked matrices, round for round, for
-/// both the full state and the tracked tokens.
+/// both the full state and the tracked tokens. The explicit source lists
+/// put tracked columns at bit 63 and at bit 0 of a second word.
 #[test]
 fn dense_engine_under_seeded_faults_matches_the_matrix_loop() {
-    for (n, k, seed) in [(2, 1, 3u64), (63, 3, 5), (65, 64, 7), (130, 3, 11)] {
+    let cases = [
+        (2, evenly_spread(2, 1), 3u64),
+        (63, evenly_spread(63, 3), 5),
+        (65, evenly_spread(65, 64), 7),
+        (130, evenly_spread(130, 3), 11),
+        (1, vec![0], 13),
+        (64, vec![0, 63], 17),
+        (65, vec![63, 64], 19),
+        (129, vec![0, 63, 64, 128], 23),
+    ];
+    for (n, sources, seed) in cases {
+        let k = sources.len();
         let mut rng = StdRng::seed_from_u64(seed);
         let trees: Vec<RootedTree> = (0..60).map(|_| random::uniform(n, &mut rng)).collect();
         let mut source = SequenceSource::new(trees);
-        let workload = KSourceBroadcast::new(evenly_spread(n, k));
+        let workload = KSourceBroadcast::new(sources);
         let mut engine = DenseEngine::new(n, &mut source, &workload);
         let mut faults = SeededFaults::new(seed)
             .with_token_loss_permille(40)

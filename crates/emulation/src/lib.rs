@@ -47,6 +47,6 @@ pub mod protocol;
 pub mod runner;
 pub mod spec;
 
-pub use protocol::{EmulationState, GossipKnobs, QueueDiscipline, TokenSet};
+pub use protocol::{EmulationState, GossipKnobs, QueueDiscipline};
 pub use runner::{run_emulation, run_emulation_traced, EmulationEngine};
 pub use spec::{EmuSweepDim, EmulationSpec};

@@ -1,5 +1,6 @@
-//! The gossip protocol: token bitsets, per-peer FIFO message queues,
-//! scenario knobs, and the five-phase round step.
+//! The gossip protocol: per-peer FIFO message queues carrying
+//! [`BitSet`] token payloads, scenario knobs, and the five-phase round
+//! step.
 //!
 //! One [`EmulationState`] holds `n` peers; peer `v` starts holding only
 //! its own token `v`. Where the synchronous engines union whole
@@ -38,164 +39,8 @@
 use std::collections::VecDeque;
 
 use treecast_core::scenario::RoundFaults;
+use treecast_core::BitSet;
 use treecast_trees::{NodeId, RootedTree};
-
-/// A set of token ids over a fixed universe `0..n`, as a plain bitset.
-///
-/// This is the message payload type of the protocol: holdings
-/// snapshots, wants, grants. (It deliberately does not reuse
-/// `treecast-bitmatrix` rows — those are matrix-shaped and shared; a
-/// payload is owned, cloned into messages, and split by bandwidth
-/// caps.)
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TokenSet {
-    n: usize,
-    words: Vec<u64>,
-}
-
-impl TokenSet {
-    /// The empty set over universe `0..n`.
-    #[must_use]
-    pub fn empty(n: usize) -> Self {
-        TokenSet {
-            n,
-            words: vec![0; n.div_ceil(64)],
-        }
-    }
-
-    /// The singleton `{token}` over universe `0..n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `token >= n`.
-    #[must_use]
-    pub fn singleton(n: usize, token: usize) -> Self {
-        let mut set = TokenSet::empty(n);
-        set.insert(token);
-        set
-    }
-
-    /// Universe size.
-    #[must_use]
-    pub fn universe(&self) -> usize {
-        self.n
-    }
-
-    /// Number of tokens in the set.
-    #[must_use]
-    pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// `true` when no token is present.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Membership test.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `token` is outside the universe.
-    #[must_use]
-    pub fn contains(&self, token: usize) -> bool {
-        assert!(token < self.n, "token {token} outside universe {}", self.n);
-        self.words[token / 64] >> (token % 64) & 1 == 1
-    }
-
-    /// Inserts `token`; returns `true` if it was newly added.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `token` is outside the universe.
-    pub fn insert(&mut self, token: usize) -> bool {
-        assert!(token < self.n, "token {token} outside universe {}", self.n);
-        let word = &mut self.words[token / 64];
-        let mask = 1u64 << (token % 64);
-        let fresh = *word & mask == 0;
-        *word |= mask;
-        fresh
-    }
-
-    /// `self ∪= other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a universe mismatch.
-    pub fn union_with(&mut self, other: &TokenSet) {
-        assert_eq!(self.n, other.n, "token-universe mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
-    /// `self ∩= other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a universe mismatch.
-    pub fn intersect_with(&mut self, other: &TokenSet) {
-        assert_eq!(self.n, other.n, "token-universe mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-    }
-
-    /// Removes every token, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-    }
-
-    /// `self ∖= other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a universe mismatch.
-    pub fn subtract(&mut self, other: &TokenSet) {
-        assert_eq!(self.n, other.n, "token-universe mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= !b;
-        }
-    }
-
-    /// Removes and returns the `cap` lowest-numbered tokens (all of
-    /// them, if fewer are present) — how a bandwidth cap splits a
-    /// grant into the sent part and the re-queued remainder.
-    #[must_use]
-    pub fn take_first(&mut self, cap: usize) -> TokenSet {
-        let mut taken = TokenSet::empty(self.n);
-        let mut left = cap;
-        for (word, out) in self.words.iter_mut().zip(taken.words.iter_mut()) {
-            while left > 0 && *word != 0 {
-                let low = *word & word.wrapping_neg();
-                *word ^= low;
-                *out |= low;
-                left -= 1;
-            }
-            if left == 0 {
-                break;
-            }
-        }
-        taken
-    }
-
-    /// Iterates the tokens in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.words.len()).flat_map(move |wi| {
-            let mut word = self.words[wi];
-            std::iter::from_fn(move || {
-                if word == 0 {
-                    None
-                } else {
-                    let bit = word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    Some(wi * 64 + bit)
-                }
-            })
-        })
-    }
-}
 
 /// How a serving peer orders its request queue.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -298,30 +143,30 @@ impl GossipKnobs {
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Advert {
     from: NodeId,
-    have: TokenSet,
+    have: BitSet,
 }
 
 /// "Send me these tokens" — the reply to an advert.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Request {
     from: NodeId,
-    want: TokenSet,
+    want: BitSet,
 }
 
 /// One simulated peer: its token holdings plus one FIFO queue per
 /// message class.
 #[derive(Debug, Clone)]
 struct Peer {
-    holdings: TokenSet,
+    holdings: BitSet,
     adverts: VecDeque<Advert>,
     requests: VecDeque<Request>,
-    delivers: VecDeque<TokenSet>,
+    delivers: VecDeque<BitSet>,
 }
 
 impl Peer {
     fn new(n: usize, id: NodeId) -> Self {
         Peer {
-            holdings: TokenSet::singleton(n, id),
+            holdings: BitSet::singleton(n, id),
             adverts: VecDeque::new(),
             requests: VecDeque::new(),
             delivers: VecDeque::new(),
@@ -341,7 +186,7 @@ pub struct EmulationState {
     round: u64,
     /// Per-peer within-round request dedup scratch (cleared via
     /// `touched` after every request phase).
-    requested: Vec<TokenSet>,
+    requested: Vec<BitSet>,
     touched: Vec<NodeId>,
     /// Advert-phase scratch: one peer's online children.
     online: Vec<NodeId>,
@@ -362,7 +207,7 @@ impl EmulationState {
             holders: vec![1; n],
             disseminated: if n == 1 { 1 } else { 0 },
             round: 0,
-            requested: vec![TokenSet::empty(n); n],
+            requested: vec![BitSet::new(n); n],
             touched: Vec::new(),
             online: Vec::new(),
         }
@@ -386,7 +231,7 @@ impl EmulationState {
     ///
     /// Panics if `v >= n`.
     #[must_use]
-    pub fn holdings(&self, v: NodeId) -> &TokenSet {
+    pub fn holdings(&self, v: NodeId) -> &BitSet {
         &self.peers[v].holdings
     }
 
@@ -464,7 +309,7 @@ impl EmulationState {
             if online.is_empty() {
                 continue;
             }
-            let advert = |from: NodeId, have: &TokenSet| Advert {
+            let advert = |from: NodeId, have: &BitSet| Advert {
                 from,
                 have: have.clone(),
             };
@@ -507,8 +352,8 @@ impl EmulationState {
                     continue;
                 }
                 let mut want = ad.have;
-                want.subtract(&self.peers[y].holdings);
-                want.subtract(&self.requested[y]);
+                want.difference_with(&self.peers[y].holdings);
+                want.difference_with(&self.requested[y]);
                 if want.is_empty() {
                     continue;
                 }
@@ -529,7 +374,7 @@ impl EmulationState {
         // front so the transfer resumes next round. Wants the server
         // cannot supply are dropped — the requester re-requests on a
         // future advert.
-        let mut deliveries: Vec<(NodeId, TokenSet)> = Vec::new();
+        let mut deliveries: Vec<(NodeId, BitSet)> = Vec::new();
         for p in 0..n {
             if is_offline(p) {
                 continue;
@@ -542,7 +387,7 @@ impl EmulationState {
                 // Stable: equal-size wants keep their arrival order.
                 peer.requests
                     .make_contiguous()
-                    .sort_by_key(|r| r.want.count());
+                    .sort_by_key(|r| r.want.len());
             }
             let mut bw_left = bandwidth;
             let mut served = 0;
@@ -560,7 +405,7 @@ impl EmulationState {
                     continue;
                 }
                 let sent = grant.take_first(bw_left);
-                bw_left -= sent.count();
+                bw_left -= sent.len();
                 if !grant.is_empty() {
                     peer.requests.push_front(Request {
                         from: rq.from,
@@ -594,7 +439,7 @@ impl EmulationState {
         // queues; only the foreign-token memory is wiped (the exact
         // counterpart of the synchronous `forget`).
         for &v in &rf.losses {
-            let old = std::mem::replace(&mut self.peers[v].holdings, TokenSet::singleton(n, v));
+            let old = std::mem::replace(&mut self.peers[v].holdings, BitSet::singleton(n, v));
             for t in old.iter() {
                 if t == v {
                     continue;
@@ -617,51 +462,6 @@ mod tests {
 
     fn quiet() -> RoundFaults {
         RoundFaults::quiet()
-    }
-
-    #[test]
-    fn token_set_basics() {
-        let mut s = TokenSet::empty(130);
-        assert!(s.is_empty());
-        assert!(s.insert(0));
-        assert!(s.insert(129));
-        assert!(!s.insert(129), "second insert is not fresh");
-        assert!(s.contains(0) && s.contains(129) && !s.contains(64));
-        assert_eq!(s.count(), 2);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 129]);
-    }
-
-    #[test]
-    fn token_set_algebra() {
-        let mut a = TokenSet::empty(70);
-        let mut b = TokenSet::empty(70);
-        for t in [1, 3, 65] {
-            a.insert(t);
-        }
-        for t in [3, 65, 69] {
-            b.insert(t);
-        }
-        let mut both = a.clone();
-        both.intersect_with(&b);
-        assert_eq!(both.iter().collect::<Vec<_>>(), vec![3, 65]);
-        a.subtract(&b);
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![1]);
-        a.union_with(&b);
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 3, 65, 69]);
-    }
-
-    #[test]
-    fn take_first_splits_low_tokens_out() {
-        let mut s = TokenSet::empty(200);
-        for t in [5, 70, 140, 199] {
-            s.insert(t);
-        }
-        let taken = s.take_first(3);
-        assert_eq!(taken.iter().collect::<Vec<_>>(), vec![5, 70, 140]);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![199]);
-        let rest = s.take_first(10);
-        assert_eq!(rest.count(), 1);
-        assert!(s.is_empty());
     }
 
     #[test]
@@ -746,31 +546,38 @@ mod tests {
 
     #[test]
     fn partial_grants_requeue_at_the_front() {
-        // A two-token grant under bandwidth 1 is split: the low token
-        // goes out, the remainder resumes next round. Fanout 0 keeps
-        // the protocol otherwise silent so only the seeded request
-        // moves tokens.
-        let n = 4;
-        let tree = generators::path(n);
-        let mut emu = EmulationState::new(n);
-        for t in 1..n {
-            emu.peers[0].holdings.insert(t);
-            emu.holders[t] += 1;
+        // A grant over the bandwidth cap is split: the low tokens go
+        // out, the remainder resumes next round. Fanout 0 keeps the
+        // protocol otherwise silent so only the seeded request moves
+        // tokens. The second case splits a grant spanning four words.
+        fn check(n: usize, grant: &[usize], bandwidth: u32, first: &[usize], rest: &[usize]) {
+            let tree = generators::path(n);
+            let mut emu = EmulationState::new(n);
+            for t in 1..n {
+                emu.peers[0].holdings.insert(t);
+                emu.holders[t] += 1;
+            }
+            let want = BitSet::from_indices(n, grant.iter().copied());
+            emu.peers[0].requests.push_back(Request { from: 3, want });
+            let knobs = GossipKnobs::unconstrained()
+                .with_fanout(0)
+                .with_bandwidth(bandwidth);
+            emu.gossip_round(&tree, &quiet(), &knobs);
+            for &t in first {
+                assert!(emu.holdings(3).contains(t), "n={n}: low token {t} first");
+            }
+            for &t in rest {
+                assert!(!emu.holdings(3).contains(t), "n={n}: {t} deferred");
+            }
+            assert_eq!(emu.peers[0].requests.len(), 1, "n={n}: remainder re-queued");
+            emu.gossip_round(&tree, &quiet(), &knobs);
+            for &t in rest {
+                assert!(emu.holdings(3).contains(t), "n={n}: {t} resumed");
+            }
+            assert!(emu.peers[0].requests.is_empty(), "n={n}");
         }
-        let mut want = TokenSet::empty(n);
-        want.insert(1);
-        want.insert(2);
-        emu.peers[0].requests.push_back(Request { from: 3, want });
-        let knobs = GossipKnobs::unconstrained()
-            .with_fanout(0)
-            .with_bandwidth(1);
-        emu.gossip_round(&tree, &quiet(), &knobs);
-        assert!(emu.holdings(3).contains(1), "low token first");
-        assert!(!emu.holdings(3).contains(2), "remainder deferred");
-        assert_eq!(emu.peers[0].requests.len(), 1, "remainder re-queued");
-        emu.gossip_round(&tree, &quiet(), &knobs);
-        assert!(emu.holdings(3).contains(2), "transfer resumed");
-        assert!(emu.peers[0].requests.is_empty());
+        check(4, &[1, 2], 1, &[1], &[2]);
+        check(200, &[5, 70, 140, 199], 3, &[5, 70, 140], &[199]);
     }
 
     #[test]
@@ -784,9 +591,9 @@ mod tests {
         };
         rf.normalize(n);
         emu.gossip_round(&tree, &rf, &GossipKnobs::unconstrained());
-        assert_eq!(emu.holdings(1).count(), 1, "offline: no token in");
-        assert_eq!(emu.holdings(2).count(), 1, "offline parent: no token out");
-        assert_eq!(emu.holdings(3).count(), 2, "2 → 3 unaffected");
+        assert_eq!(emu.holdings(1).len(), 1, "offline: no token in");
+        assert_eq!(emu.holdings(2).len(), 1, "offline parent: no token out");
+        assert_eq!(emu.holdings(3).len(), 2, "2 → 3 unaffected");
         assert_eq!(
             emu.pending_messages(),
             0,

@@ -5,8 +5,6 @@
 //! `(x, y) ∈ G(t)`. Applying a rooted tree costs one shift+OR per edge,
 //! and the broadcast test is an AND-fold over rows.
 
-use treecast_bitmatrix::PackedMatrix;
-use treecast_core::BroadcastState;
 use treecast_trees::RootedTree;
 
 /// The identity state `G(0)`: every node has heard only from itself.
@@ -82,28 +80,21 @@ pub fn state_rows(state: u64, n: usize) -> [u64; 8] {
     rows
 }
 
-/// Converts a packed column-view state into a [`BroadcastState`] at the
-/// given round (for interop with the simulation engine).
-pub fn to_broadcast_state(state: u64, n: usize, round: u64) -> BroadcastState {
-    // Packed rows are heard-sets; BroadcastState::from_product_matrix wants
-    // the row view, i.e. the transpose of what we store.
-    let heard = PackedMatrix::from_bits(n, state).to_matrix();
-    BroadcastState::from_product_matrix(&heard.transpose(), round)
-}
-
-/// Converts a [`BroadcastState`] into the packed column view.
-///
-/// # Panics
-///
-/// Panics if `state.n() > 8`.
-pub fn from_broadcast_state(state: &BroadcastState) -> u64 {
-    PackedMatrix::from_matrix(state.heard()).bits()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use treecast_core::BroadcastState;
     use treecast_trees::generators;
+
+    /// Packs a model state's heard-rows into the column view.
+    fn pack(model: &BroadcastState) -> u64 {
+        let n = model.n();
+        let heard = model.heard();
+        (0..n)
+            .flat_map(|y| (0..n).map(move |x| (y, x)))
+            .filter(|&(y, x)| heard.get(y, x))
+            .fold(0u64, |acc, (y, x)| acc | 1u64 << (y * n + x))
+    }
 
     #[test]
     fn identity_state_bits() {
@@ -129,12 +120,7 @@ mod tests {
         for (i, t) in trees.iter().enumerate() {
             packed = apply_tree(packed, 5, &transition_edges(t));
             model.apply(t);
-            assert_eq!(
-                packed,
-                from_broadcast_state(&model),
-                "diverged after round {}",
-                i + 1
-            );
+            assert_eq!(packed, pack(&model), "diverged after round {}", i + 1);
             assert_eq!(
                 has_witness(packed, 5),
                 model.broadcast_witness().is_some(),
@@ -185,16 +171,6 @@ mod tests {
                 .fold(0u64, |acc, (y, &row)| acc | (row << (y * n)));
             assert_eq!(repacked, s);
         }
-    }
-
-    #[test]
-    fn roundtrip_broadcast_state() {
-        let n = 4;
-        let mut model = BroadcastState::new(n);
-        model.apply(&generators::broom(n, 2));
-        let packed = from_broadcast_state(&model);
-        let back = to_broadcast_state(packed, n, model.round());
-        assert_eq!(back, model);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use treecast_bitmatrix::{BoolMatrix, PackedMatrix};
+use treecast_bitmatrix::BoolMatrix;
 
 /// Index of a node in `{0, …, n−1}`.
 pub type NodeId = usize;
@@ -493,26 +493,6 @@ impl RootedTree {
         m
     }
 
-    /// The adjacency matrix in packed form, for `n ≤ 8`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > 8`.
-    pub fn to_packed(&self, self_loops: bool) -> PackedMatrix {
-        let n = self.n();
-        let mut m = if self_loops {
-            PackedMatrix::identity(n)
-        } else {
-            PackedMatrix::zeros(n)
-        };
-        for (c, &p) in self.parent.iter().enumerate() {
-            if let Some(p) = p {
-                m.set(p, c, true);
-            }
-        }
-        m
-    }
-
     /// Relabels nodes: node `v` becomes `perm[v]`.
     ///
     /// Used to turn structured tree families (brooms, caterpillars, …) into
@@ -750,7 +730,6 @@ mod tests {
         assert_eq!(m.edge_count(), 5);
         let bare = t.to_matrix(false);
         assert_eq!(bare.edge_count(), 2);
-        assert_eq!(t.to_packed(true).to_matrix(), m);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! callable. This pins the public API surface the README documents.
 
 use treecast::adversary::SurvivalAdversary;
-use treecast::bitmatrix::{BitSet, BoolMatrix, PackedMatrix};
+use treecast::bitmatrix::{BitSet, BoolMatrix};
 use treecast::core::{bounds, run_workload, Broadcast, BroadcastState, SimulationConfig};
 use treecast::nonsplit::cfn_product_is_nonsplit;
 use treecast::solver::{solve_with, CanonMode, SolveOptions};
@@ -14,7 +14,6 @@ fn bitmatrix_reexports_resolve() {
     let set = BitSet::new(4);
     assert_eq!(set.universe_size(), 4);
     assert!(BoolMatrix::identity(4).is_reflexive());
-    let _ = PackedMatrix::identity(4);
 }
 
 #[test]
