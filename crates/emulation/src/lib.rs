@@ -10,7 +10,8 @@
 //! completion time the resource limits add on top of the adversary.
 //!
 //! * [`protocol`] — `n` peers ([`EmulationState`]) exchanging adverts,
-//!   requests and deliveries through FIFO queues, under [`GossipKnobs`];
+//!   requests and deliveries through FIFO queues, under [`GossipKnobs`],
+//!   with every payload in one retained word arena;
 //! * [`runner`] — [`EmulationEngine`] and [`run_emulation`], the gossip
 //!   protocol on the core round driver;
 //! * [`spec`] — [`EmulationSpec`], a [`treecast_core::ReplicaSource`]

@@ -1,6 +1,6 @@
-//! The gossip protocol: per-peer FIFO message queues carrying
-//! [`BitSet`] token payloads, scenario knobs, and the five-phase round
-//! step.
+//! The gossip protocol: per-peer FIFO message queues whose token
+//! payloads live in one retained word arena, scenario knobs, and the
+//! five-phase round step.
 //!
 //! One [`EmulationState`] holds `n` peers; peer `v` starts holding only
 //! its own token `v`. Where the synchronous engines union whole
@@ -35,6 +35,19 @@
 //! adverts and requests genuinely persist in the FIFO queues across
 //! rounds and dissemination lags the synchronous model; the lag is what
 //! experiment E15 measures.
+//!
+//! # Payload arena
+//!
+//! A message payload is a token set over `{0, …, n−1}`: one slot of
+//! `⌈n/64⌉` words in a single retained arena, and the queues hold
+//! `(sender, slot)` pairs. A slot is taken when an advert copies its
+//! sender's holdings, and lives on as that advert's request (masked in
+//! place) and then as the grant (intersected in place). Splitting a
+//! grant at the bandwidth cap moves the sent prefix into a second slot.
+//! A slot returns to the free list when its message is dropped
+//! (offline advertiser or requester, empty want or grant) or delivered.
+//! Once the queues and the arena have grown to a run's peak backlog, a
+//! round allocates nothing (`tests/alloc_free.rs`).
 
 use std::collections::VecDeque;
 
@@ -139,39 +152,88 @@ impl GossipKnobs {
     }
 }
 
-/// "I hold these tokens" — sent parent → child along round-tree edges.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Advert {
+/// A queued message — an advert (peer → child) or a request (child →
+/// advertiser): who sent it, and the arena slot holding its token set.
+#[derive(Debug, Clone, Copy)]
+struct Msg {
     from: NodeId,
-    have: BitSet,
+    slot: usize,
 }
 
-/// "Send me these tokens" — the reply to an advert.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Request {
-    from: NodeId,
-    want: BitSet,
+/// Message payload storage: fixed `stride`-word slots in one retained
+/// word vector, recycled through a free list.
+#[derive(Debug, Clone)]
+struct Arena {
+    stride: usize,
+    words: Vec<u64>,
+    free: Vec<usize>,
+}
+
+impl Arena {
+    fn new(n: usize) -> Self {
+        Arena {
+            stride: n.div_ceil(64),
+            words: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// A slot with unspecified contents; the caller overwrites it.
+    fn take(&mut self) -> usize {
+        self.free.pop().unwrap_or_else(|| {
+            let slot = self.words.len() / self.stride;
+            self.words.resize(self.words.len() + self.stride, 0);
+            slot
+        })
+    }
+
+    fn release(&mut self, slot: usize) {
+        self.free.push(slot);
+    }
+
+    fn get(&self, slot: usize) -> &[u64] {
+        &self.words[slot * self.stride..][..self.stride]
+    }
+
+    fn get_mut(&mut self, slot: usize) -> &mut [u64] {
+        &mut self.words[slot * self.stride..][..self.stride]
+    }
+
+    /// Number of tokens in `slot`.
+    fn len(&self, slot: usize) -> usize {
+        self.get(slot).iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Moves the `cap` smallest tokens of `slot` (which holds more than
+    /// `cap`) into a fresh slot and returns it.
+    fn split_lowest(&mut self, slot: usize, mut cap: usize) -> usize {
+        let sent = self.take();
+        let (from, to) = (slot * self.stride, sent * self.stride);
+        for i in 0..self.stride {
+            let word = self.words[from + i];
+            let mut low = word;
+            if word.count_ones() as usize > cap {
+                low = 0;
+                for _ in 0..cap {
+                    let rest = word & !low;
+                    low |= rest & rest.wrapping_neg();
+                }
+            }
+            cap -= low.count_ones() as usize;
+            self.words[from + i] = word ^ low;
+            self.words[to + i] = low;
+        }
+        sent
+    }
 }
 
 /// One simulated peer: its token holdings plus one FIFO queue per
-/// message class.
+/// message class that can outlive a round.
 #[derive(Debug, Clone)]
 struct Peer {
     holdings: BitSet,
-    adverts: VecDeque<Advert>,
-    requests: VecDeque<Request>,
-    delivers: VecDeque<BitSet>,
-}
-
-impl Peer {
-    fn new(n: usize, id: NodeId) -> Self {
-        Peer {
-            holdings: BitSet::singleton(n, id),
-            adverts: VecDeque::new(),
-            requests: VecDeque::new(),
-            delivers: VecDeque::new(),
-        }
-    }
+    adverts: VecDeque<Msg>,
+    requests: VecDeque<Msg>,
 }
 
 /// The full network state of an emulation run: `n` peers, their queues,
@@ -184,12 +246,17 @@ pub struct EmulationState {
     /// Number of tokens with `holders == n`, maintained incrementally.
     disseminated: usize,
     round: u64,
-    /// Per-peer within-round request dedup scratch (cleared via
-    /// `touched` after every request phase).
-    requested: Vec<BitSet>,
-    touched: Vec<NodeId>,
+    /// Every queued message's payload.
+    arena: Arena,
+    /// Request-phase scratch: the tokens the current requester has
+    /// already asked for this round (zeroed after each requester that
+    /// used it).
+    requested: Vec<u64>,
     /// Advert-phase scratch: one peer's online children.
     online: Vec<NodeId>,
+    /// Serve-phase output, integrated and emptied in the same round:
+    /// `(recipient, slot)` per delivery.
+    deliveries: Vec<(NodeId, usize)>,
 }
 
 impl EmulationState {
@@ -202,14 +269,22 @@ impl EmulationState {
     #[must_use]
     pub fn new(n: usize) -> Self {
         assert!(n >= 1, "emulation needs at least one peer");
+        let arena = Arena::new(n);
         EmulationState {
-            peers: (0..n).map(|v| Peer::new(n, v)).collect(),
+            peers: (0..n)
+                .map(|v| Peer {
+                    holdings: BitSet::singleton(n, v),
+                    adverts: VecDeque::new(),
+                    requests: VecDeque::new(),
+                })
+                .collect(),
             holders: vec![1; n],
             disseminated: if n == 1 { 1 } else { 0 },
             round: 0,
-            requested: vec![BitSet::new(n); n],
-            touched: Vec::new(),
+            requested: vec![0; arena.stride],
+            arena,
             online: Vec::new(),
+            deliveries: Vec::new(),
         }
     }
 
@@ -263,14 +338,15 @@ impl EmulationState {
             .count()
     }
 
-    /// Total messages sitting in queues across all peers — zero at
-    /// every round boundary when the knobs are unconstrained, and the
-    /// direct reading of how far the asynchronous run lags.
+    /// Total messages (adverts and requests) sitting in queues across
+    /// all peers — zero at every round boundary when the knobs are
+    /// unconstrained, and the direct reading of how far the asynchronous
+    /// run lags.
     #[must_use]
     pub fn pending_messages(&self) -> usize {
         self.peers
             .iter()
-            .map(|p| p.adverts.len() + p.requests.len() + p.delivers.len())
+            .map(|p| p.adverts.len() + p.requests.len())
             .sum()
     }
 
@@ -295,10 +371,9 @@ impl EmulationState {
         let batch = knobs.batch.map_or(usize::MAX, |b| b as usize);
         let bandwidth = knobs.bandwidth.map_or(usize::MAX, |b| b as usize);
 
-        // Phase 1 — advert. Staged in ascending peer order, then
-        // appended to the destinations' queues: deterministic, and no
-        // aliasing between the senders we read and the queues we fill.
-        let mut outbox: Vec<(NodeId, Advert)> = Vec::new();
+        // Phase 1 — advert. Each advert copies its sender's holdings
+        // into a fresh slot. Phases 1 and 2 read no queue they append
+        // to, so appending in ascending sender order needs no staging.
         let mut online = std::mem::take(&mut self.online);
         for p in 0..n {
             if is_offline(p) {
@@ -306,75 +381,72 @@ impl EmulationState {
             }
             online.clear();
             online.extend(tree.children(p).iter().filter(|&&c| !is_offline(c)));
-            if online.is_empty() {
-                continue;
-            }
-            let advert = |from: NodeId, have: &BitSet| Advert {
-                from,
-                have: have.clone(),
-            };
-            if online.len() <= fanout {
-                for &c in &online {
-                    outbox.push((c, advert(p, &self.peers[p].holdings)));
-                }
+            // Capped: rotate the start child with the round index so
+            // every child is served within ⌈children/fanout⌉ rounds.
+            let (start, count) = if online.len() <= fanout {
+                (0, online.len())
             } else {
-                // Capped: rotate the start child with the round index so
-                // every child is served within ⌈children/fanout⌉ rounds.
-                let start = ((round_index - 1) as usize) % online.len();
-                for j in 0..fanout {
-                    let c = online[(start + j) % online.len()];
-                    outbox.push((c, advert(p, &self.peers[p].holdings)));
-                }
+                (((round_index - 1) as usize) % online.len(), fanout)
+            };
+            for j in 0..count {
+                let c = online[(start + j) % online.len()];
+                let slot = self.arena.take();
+                self.arena
+                    .get_mut(slot)
+                    .copy_from_slice(self.peers[p].holdings.words());
+                self.peers[c].adverts.push_back(Msg { from: p, slot });
             }
         }
         self.online = online;
-        for (dest, ad) in outbox {
-            self.peers[dest].adverts.push_back(ad);
-        }
 
-        // Phase 2 — request. A peer asks each advertiser for the offered
-        // tokens it misses; `requested` dedups within the round so two
-        // adverts never trigger two same-round requests for one token.
-        // Adverts from a now-offline peer are dropped (the connection is
-        // gone; the tokens will be re-advertised).
-        let mut requests: Vec<(NodeId, Request)> = Vec::new();
+        // Phase 2 — request. A peer masks each advert down to the
+        // offered tokens it misses and sends the slot back as its
+        // request; `requested` dedups within the round so two adverts
+        // never trigger two same-round requests for one token. Adverts
+        // from a now-offline peer are dropped (the connection is gone;
+        // the tokens will be re-advertised).
         for y in 0..n {
             if is_offline(y) {
                 continue;
             }
-            let mut processed = 0;
-            while processed < batch {
+            let mut used_dedup = false;
+            for _ in 0..batch {
                 let Some(ad) = self.peers[y].adverts.pop_front() else {
                     break;
                 };
-                processed += 1;
                 if is_offline(ad.from) {
+                    self.arena.release(ad.slot);
                     continue;
                 }
-                let mut want = ad.have;
-                want.difference_with(&self.peers[y].holdings);
-                want.difference_with(&self.requested[y]);
-                if want.is_empty() {
+                let mut any = 0;
+                let want = self.arena.get_mut(ad.slot);
+                let held = self.peers[y].holdings.words();
+                for ((w, h), r) in want.iter_mut().zip(held).zip(&mut self.requested) {
+                    *w &= !(h | *r);
+                    *r |= *w;
+                    any |= *w;
+                }
+                if any == 0 {
+                    self.arena.release(ad.slot);
                     continue;
                 }
-                self.requested[y].union_with(&want);
-                self.touched.push(y);
-                requests.push((ad.from, Request { from: y, want }));
+                used_dedup = true;
+                self.peers[ad.from].requests.push_back(Msg {
+                    from: y,
+                    slot: ad.slot,
+                });
+            }
+            if used_dedup {
+                self.requested.fill(0);
             }
         }
-        for (dest, rq) in requests {
-            self.peers[dest].requests.push_back(rq);
-        }
-        for y in self.touched.drain(..) {
-            self.requested[y].clear();
-        }
 
-        // Phase 3 — serve. Deliveries are staged (same reason as phase
-        // 1); a grant the bandwidth cap truncates is re-queued at the
-        // front so the transfer resumes next round. Wants the server
-        // cannot supply are dropped — the requester re-requests on a
-        // future advert.
-        let mut deliveries: Vec<(NodeId, BitSet)> = Vec::new();
+        // Phase 3 — serve. Deliveries are staged: a later server must
+        // still see this round's start-of-phase holdings. A grant the
+        // bandwidth cap truncates is split, and its remainder re-queued
+        // at the front so the transfer resumes next round. Wants the
+        // server cannot supply are dropped — the requester re-requests
+        // on a future advert.
         for p in 0..n {
             if is_offline(p) {
                 continue;
@@ -385,62 +457,68 @@ impl EmulationState {
             }
             if knobs.discipline == QueueDiscipline::SmallestFirst {
                 // Stable: equal-size wants keep their arrival order.
+                let arena = &self.arena;
                 peer.requests
                     .make_contiguous()
-                    .sort_by_key(|r| r.want.len());
+                    .sort_by_key(|rq| arena.len(rq.slot));
             }
             let mut bw_left = bandwidth;
-            let mut served = 0;
-            while served < batch && bw_left > 0 {
+            for _ in 0..batch {
+                if bw_left == 0 {
+                    break;
+                }
                 let Some(rq) = peer.requests.pop_front() else {
                     break;
                 };
-                served += 1;
                 if is_offline(rq.from) {
+                    self.arena.release(rq.slot);
                     continue;
                 }
-                let mut grant = rq.want;
-                grant.intersect_with(&peer.holdings);
-                if grant.is_empty() {
-                    continue;
+                let mut size = 0;
+                let grant = self.arena.get_mut(rq.slot);
+                for (g, h) in grant.iter_mut().zip(peer.holdings.words()) {
+                    *g &= h;
+                    size += g.count_ones() as usize;
                 }
-                let sent = grant.take_first(bw_left);
-                bw_left -= sent.len();
-                if !grant.is_empty() {
-                    peer.requests.push_front(Request {
-                        from: rq.from,
-                        want: grant,
-                    });
+                if size == 0 {
+                    self.arena.release(rq.slot);
+                } else if size <= bw_left {
+                    bw_left -= size;
+                    self.deliveries.push((rq.from, rq.slot));
+                } else {
+                    let sent = self.arena.split_lowest(rq.slot, bw_left);
+                    bw_left = 0;
+                    peer.requests.push_front(rq);
+                    self.deliveries.push((rq.from, sent));
                 }
-                deliveries.push((rq.from, sent));
             }
-        }
-        for (dest, tokens) in deliveries {
-            self.peers[dest].delivers.push_back(tokens);
         }
 
         // Phase 4 — integrate. Deliveries only ever target peers online
-        // in the round that staged them, and the deliver queue drains
-        // fully every round, so it never persists across rounds.
-        for v in 0..n {
-            while let Some(tokens) = self.peers[v].delivers.pop_front() {
-                for t in tokens.iter() {
-                    if self.peers[v].holdings.insert(t) {
-                        self.holders[t] += 1;
-                        if self.holders[t] as usize == n {
-                            self.disseminated += 1;
-                        }
+        // in the round that staged them, so none outlives the round.
+        for (v, slot) in self.deliveries.drain(..) {
+            let holdings = &mut self.peers[v].holdings;
+            for (i, &word) in self.arena.get(slot).iter().enumerate() {
+                let mut fresh = word & !holdings.words()[i];
+                while fresh != 0 {
+                    let t = i * 64 + fresh.trailing_zeros() as usize;
+                    fresh &= fresh - 1;
+                    holdings.insert(t);
+                    self.holders[t] += 1;
+                    if self.holders[t] as usize == n {
+                        self.disseminated += 1;
                     }
                 }
             }
+            self.arena.release(slot);
         }
 
         // Phase 5 — lose. The victim keeps its own token and its
         // queues; only the foreign-token memory is wiped (the exact
         // counterpart of the synchronous `forget`).
         for &v in &rf.losses {
-            let old = std::mem::replace(&mut self.peers[v].holdings, BitSet::singleton(n, v));
-            for t in old.iter() {
+            let holdings = &mut self.peers[v].holdings;
+            for t in holdings.iter() {
                 if t == v {
                     continue;
                 }
@@ -449,6 +527,8 @@ impl EmulationState {
                 }
                 self.holders[t] -= 1;
             }
+            holdings.clear();
+            holdings.insert(v);
         }
 
         self.round += 1;
@@ -462,6 +542,19 @@ mod tests {
 
     fn quiet() -> RoundFaults {
         RoundFaults::quiet()
+    }
+
+    /// A fresh slot holding `tokens`.
+    fn payload(emu: &mut EmulationState, tokens: &[usize]) -> usize {
+        let set = BitSet::from_indices(emu.n(), tokens.iter().copied());
+        let slot = emu.arena.take();
+        emu.arena.get_mut(slot).copy_from_slice(set.words());
+        slot
+    }
+
+    fn tokens(emu: &EmulationState, slot: usize) -> Vec<usize> {
+        let words = emu.arena.get(slot).to_vec();
+        BitSet::from_words(emu.n(), words).iter().collect()
     }
 
     #[test]
@@ -557,8 +650,8 @@ mod tests {
                 emu.peers[0].holdings.insert(t);
                 emu.holders[t] += 1;
             }
-            let want = BitSet::from_indices(n, grant.iter().copied());
-            emu.peers[0].requests.push_back(Request { from: 3, want });
+            let slot = payload(&mut emu, grant);
+            emu.peers[0].requests.push_back(Msg { from: 3, slot });
             let knobs = GossipKnobs::unconstrained()
                 .with_fanout(0)
                 .with_bandwidth(bandwidth);
@@ -570,6 +663,7 @@ mod tests {
                 assert!(!emu.holdings(3).contains(t), "n={n}: {t} deferred");
             }
             assert_eq!(emu.peers[0].requests.len(), 1, "n={n}: remainder re-queued");
+            assert_eq!(tokens(&emu, emu.peers[0].requests[0].slot), rest, "n={n}");
             emu.gossip_round(&tree, &quiet(), &knobs);
             for &t in rest {
                 assert!(emu.holdings(3).contains(t), "n={n}: {t} resumed");
@@ -578,6 +672,91 @@ mod tests {
         }
         check(4, &[1, 2], 1, &[1], &[2]);
         check(200, &[5, 70, 140, 199], 3, &[5, 70, 140], &[199]);
+        check(
+            200,
+            &[0, 1, 2, 3, 64, 65, 130],
+            5,
+            &[0, 1, 2, 3, 64],
+            &[65, 130],
+        );
+    }
+
+    #[test]
+    fn two_adverts_in_one_round_request_each_token_once() {
+        // Peer 3 holds two queued adverts that both offer token 1: it
+        // asks peer 1 for {1} and peer 2 only for {2}, so peer 2's one
+        // payload of bandwidth covers the whole request. Peer 4, the
+        // next requester, starts from a clean dedup set and still asks
+        // peer 1 for token 1 (left queued: peer 1's payload went to 3).
+        let n = 5;
+        let tree = generators::star(n);
+        let mut emu = EmulationState::new(n);
+        emu.peers[2].holdings.insert(1);
+        emu.holders[1] += 1;
+        for (to, from, offer) in [(3, 1, &[1][..]), (3, 2, &[1, 2]), (4, 1, &[1])] {
+            let slot = payload(&mut emu, offer);
+            emu.peers[to].adverts.push_back(Msg { from, slot });
+        }
+        let knobs = GossipKnobs::unconstrained()
+            .with_fanout(0)
+            .with_bandwidth(1);
+        emu.gossip_round(&tree, &quiet(), &knobs);
+        assert_eq!(emu.holdings(3).iter().collect::<Vec<_>>(), vec![1, 2, 3]);
+        assert!(
+            emu.peers[2].requests.is_empty(),
+            "peer 2 served all of {{2}}"
+        );
+        let left: Vec<_> = emu.peers[1].requests.iter().copied().collect();
+        assert_eq!(left.len(), 1);
+        assert_eq!(left[0].from, 4);
+        assert_eq!(tokens(&emu, left[0].slot), vec![1]);
+        assert_eq!(emu.pending_messages(), 1);
+    }
+
+    #[test]
+    fn every_queued_message_owns_exactly_one_slot() {
+        // Under caps, dropouts and losses, the arena's slots in use are
+        // exactly the queued messages' slots at every round boundary:
+        // no dropped or delivered message leaks its slot, and no two
+        // messages share one.
+        let n = 70;
+        for discipline in [QueueDiscipline::Fifo, QueueDiscipline::SmallestFirst] {
+            let knobs = GossipKnobs::unconstrained()
+                .with_bandwidth(2)
+                .with_fanout(3)
+                .with_batch(3)
+                .with_discipline(discipline);
+            let mut emu = EmulationState::new(n);
+            for r in 0..150 {
+                let tree = if r % 3 == 0 {
+                    generators::path(n)
+                } else {
+                    generators::star_with_center(n, (7 * r) % n)
+                };
+                let mut rf = RoundFaults {
+                    offline: vec![(11 * r) % n, (3 * r + 1) % n],
+                    losses: vec![(5 * r + 2) % n],
+                    ..RoundFaults::quiet()
+                };
+                rf.normalize(n);
+                emu.gossip_round(&tree, &rf, &knobs);
+                let mut slots: Vec<usize> = emu
+                    .peers
+                    .iter()
+                    .flat_map(|p| p.adverts.iter().chain(&p.requests).map(|m| m.slot))
+                    .collect();
+                slots.sort_unstable();
+                slots.dedup();
+                let in_use = emu.arena.words.len() / emu.arena.stride - emu.arena.free.len();
+                assert_eq!(
+                    slots.len(),
+                    emu.pending_messages(),
+                    "round {r}: shared slot"
+                );
+                assert_eq!(in_use, slots.len(), "round {r}: leaked slot");
+                assert!(emu.deliveries.is_empty());
+            }
+        }
     }
 
     #[test]

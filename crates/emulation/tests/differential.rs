@@ -9,8 +9,9 @@
 //!   families, up to n = 1024;
 //! * property tests: replaying an emulated run's fault log through
 //!   [`FaultSchedule::replay`] reproduces it bit-identically for
-//!   arbitrary seeds and knob settings, and quiet emulations agree with
-//!   the synchronous engine for arbitrary seeds;
+//!   arbitrary seeds (faults and seeded trees) and knob settings, and
+//!   quiet emulations agree with the synchronous engine for arbitrary
+//!   seeds;
 //! * constrained knobs only ever delay completion, never accelerate it
 //!   past the model.
 
@@ -223,6 +224,9 @@ fn knob_grid(which: u8) -> GossipKnobs {
     }
 }
 
+/// One emulated cell whose trees come from `seed`'s uniform stream, so
+/// a run and its replay see the same trees and only the fault model
+/// differs.
 fn run_emulated_cell(
     n: usize,
     seed: u64,
@@ -231,8 +235,7 @@ fn run_emulated_cell(
     budget: u64,
 ) -> WorkloadReport {
     let workload = KSourceBroadcast::evenly_spread(n, 2.min(n));
-    let mut source = StaticSource::new(generators::path(n));
-    let _ = seed;
+    let mut source = FrontierSource::seeded(n, seed).dense_twin(budget);
     run_emulation(
         n,
         &mut source,
