@@ -9,8 +9,8 @@
 #            (n = 64), static analysis (L1-L6 + allowlist + baseline
 #            gate), docs (skips the bench regression gates and the
 #            --ignored tier)
-#   full     quick + the compose/solver/workloads/adversary/frontier/
-#            server/montecarlo/emulation bench gates, the release-mode
+#   full     quick + the solver/workloads/adversary/frontier/server/
+#            montecarlo/emulation bench gates, the release-mode
 #            differential/scenario proptests, the benchmark's build and
 #            smoke tests, and the concurrency-determinism audit (debug
 #            build, threads 1/2/4/8) (default)
@@ -136,9 +136,6 @@ if [[ "$TIER" != quick ]]; then
     # results/BENCH_<x>.json and runs `gate::check` against the checked-in
     # baseline: the wall statistic at +25% (same label required), every
     # baseline exact cell with zero tolerance.
-    run_step "compose bench gate (n = 1024, +25%)" \
-        cargo run --release -p treecast-bench --bin bench_compose -- \
-        --check results/BENCH_compose_baseline.json
     run_step "solver bench gate (quick sizes, exact t* + n = 6 wall)" \
         cargo run --release -p treecast-bench --bin bench_solver -- \
         --quick --check results/BENCH_solver_baseline.json

@@ -12,9 +12,8 @@
 //!
 //! * **state** — any [`SearchState`]: the full [`BroadcastState`] for the
 //!   broadcast / `k`-broadcast / gossip family, or a
-//!   [`TrackedSearchState`] whose tracked holder rows step through the
-//!   batched `BoolMatrix::gather_union_prefix` parent-array gather for
-//!   `k`-source workloads;
+//!   [`TrackedSearchState`] — the same state scored on its `k` source
+//!   columns — for `k`-source workloads;
 //! * **objective** — any [`Objective`]; candidate rounds are ranked by
 //!   `(lookahead score, immediate score)`, so `width = 1` at `lookahead =
 //!   0` replays greedy descent step for step (for objectives whose score
@@ -23,8 +22,7 @@
 //!   which successor states are dead ends.
 //!
 //! [`BeamOptions::lookahead`] adds a depth-`d` scorer: each candidate's
-//! successor is expanded `d` more rounds through the candidate pool
-//! (tracked states ride the parent-array gather for every expansion) and
+//! successor is expanded `d` more rounds through the candidate pool and
 //! ranked by the best [`Objective::state_rank`] any continuation reaches —
 //! `d = 0` reproduces the pre-refactor one-step scorer exactly.
 
@@ -350,8 +348,8 @@ pub fn beam_search_plan<P: CandidateGen + ?Sized>(
 /// ([`BeamSearchAdversary::new`]); [`BeamSearchAdversary::for_workload`]
 /// plans against any [`Workload`] under any [`Objective`], picking the
 /// search state from the workload's [`SourceSet`]: all-source workloads
-/// plan over the full [`BroadcastState`], `k`-source workloads over the
-/// batched [`TrackedSearchState`].
+/// plan over the full [`BroadcastState`], `k`-source workloads over
+/// [`TrackedSearchState`].
 pub struct BeamSearchAdversary<P, O = SurvivalObjective, W = Broadcast> {
     pool: P,
     objective: O,
@@ -580,8 +578,8 @@ mod tests {
 
     #[test]
     fn tracked_beam_plans_k_source_workloads() {
-        // The k-source path plans over TrackedSearchState (batched holder
-        // rows); the plan must replay through run_workload and delay the
+        // The k-source path plans over TrackedSearchState (the full state
+        // scored on the source columns); the plan must replay through run_workload and delay the
         // tracked tokens at least as long as the static path delays them.
         let n = 8;
         let workload = KSourceBroadcast::evenly_spread(n, 2);

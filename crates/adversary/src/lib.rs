@@ -13,7 +13,7 @@
 //!   and [`CandidateGen`] pools, [`LookaheadAdversary`], and offline
 //!   [`beam_search_plan`] whose schedules replay as certified lower
 //!   bounds. The whole stack is generic over [`SearchState`] — the full
-//!   [`treecast_core::BroadcastState`] or the batched
+//!   [`treecast_core::BroadcastState`] or the `k`-source
 //!   [`TrackedSearchState`] — so [`beam_search_workload_plan`] hunts
 //!   worst cases for any [`treecast_core::Workload`] (`k`-broadcast,
 //!   gossip, `k`-source) with optional depth-`d` lookahead.

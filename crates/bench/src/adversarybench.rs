@@ -74,7 +74,7 @@ fn grid_workloads() -> Vec<Box<dyn Workload>> {
 
 /// Runs the full deterministic grid: the all-source workload lattice under
 /// `MinDisseminated` beams (both widths, plus one lookahead row), a
-/// survival-scored broadcast row, and a batched `k`-source row driving the
+/// survival-scored broadcast row, and a `k`-source row driving the
 /// `TrackedSearchState` path.
 pub fn measure_rounds() -> Vec<PlanRound> {
     let mut rows = Vec::new();
@@ -139,7 +139,7 @@ pub fn measure_rounds() -> Vec<PlanRound> {
             n,
             rounds: report.completion_time,
         });
-        // Batched k-source row: plans over TrackedSearchState.
+        // k-source row: plans over TrackedSearchState.
         let workload = KSourceBroadcast::evenly_spread(n, 2);
         let mut options = BeamOptions::for_n(n).with_width(4);
         options.max_rounds = cfg.max_rounds;

@@ -26,7 +26,7 @@ use treecast_solver::{solve_with, SolveOptions};
 fn measure(n: usize, threads: usize) -> SolverMeasurement {
     // Small sizes are noisy: repeat and keep the fastest run (background
     // load only ever slows a run down, so the minimum is the stable
-    // statistic — same reasoning as the compose gate).
+    // statistic — the same reasoning as `gate::best_ns`).
     let repeats = match n {
         0..=4 => 20,
         5 => 5,

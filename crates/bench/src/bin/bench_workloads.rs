@@ -1,6 +1,7 @@
 //! Workload-engine measurement harness: runs the deterministic
 //! `(workload × adversary × n)` grid, times the batched `TrackedTokens`
-//! stepping hot path, and emits `results/BENCH_workloads.json`.
+//! tree step (`BoolMatrix::gather_union_prefix`), and emits
+//! `results/BENCH_workloads.json`.
 //!
 //! ```text
 //! cargo run --release -p treecast-bench --bin bench_workloads
@@ -21,8 +22,7 @@ use treecast_core::TrackedTokens;
 use treecast_trees::generators;
 
 /// Tracked-stepping workload shape: `STEP_K` holder rows at `STEP_N`
-/// nodes, pre-warmed to the dense steady state where the tiled kernel
-/// carries the round.
+/// nodes, pre-warmed to the dense steady state.
 const STEP_N: usize = 1024;
 const STEP_K: usize = 8;
 
@@ -30,9 +30,9 @@ fn measure_tracked_step() -> TrackedStepMeasurement {
     let sources: Vec<usize> = (0..STEP_K).map(|i| i * STEP_N / STEP_K).collect();
     let mut state = TrackedTokens::new(STEP_N, &sources);
     // Warm into the dense regime: a few caterpillar rounds spread every
-    // token across most of the graph, after which each round is a dense
-    // k-row block through the tiled kernel (the steady state a long
-    // dissemination run spends nearly all its time in).
+    // token across most of the graph, after which each round gathers k
+    // dense holder rows (the steady state a long dissemination run
+    // spends nearly all its time in).
     let warm = generators::caterpillar(STEP_N, 8);
     for _ in 0..4 {
         state.apply(&warm);

@@ -794,8 +794,8 @@ pub fn variants_on(ns: &[usize], nonsplit_ns: &[usize]) -> ExperimentOutput {
     );
     out.notes.push(
         "c-nonsplit adversaries: every workload completes in a handful of rounds, and raising c \
-         (a tighter constraint) never slows dissemination; k-source rows ride the batched \
-         TrackedTokens state."
+         (a tighter constraint) never slows dissemination; k-source rows count the source \
+         columns of the one product state."
             .into(),
     );
     out
@@ -902,7 +902,7 @@ pub fn adversarial_variants_on(ns: &[usize], scenario_ns: &[usize]) -> Experimen
                 ]);
             }
         }
-        // Batched k-source row: the beam plans over TrackedSearchState.
+        // k-source row: the beam plans over TrackedSearchState.
         let workload = KSourceBroadcast::evenly_spread(n, 2);
         let mut adv = treecast_adversary::BeamSearchAdversary::for_workload(
             StructuredPool::new(),

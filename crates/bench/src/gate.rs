@@ -50,7 +50,7 @@ pub struct GateReport {
 /// The gated wall-time statistic of a [`GateReport`].
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Wall {
-    /// What was timed, shape included (`compose_into/1024 density=10%`).
+    /// What was timed, shape included (`tracked_step n=1024 k=8`).
     pub label: String,
     /// The statistic, in `unit`.
     pub value: f64,

@@ -9,7 +9,6 @@
 #![warn(missing_docs)]
 
 pub mod adversarybench;
-pub mod composebench;
 pub mod emulationbench;
 pub mod experiments;
 pub mod frontierbench;

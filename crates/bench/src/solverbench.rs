@@ -1,5 +1,5 @@
 //! Shared pieces of the exact-solver benchmark: the measurement record
-//! and the gate document — the solver sibling of [`crate::composebench`].
+//! and the gate document.
 
 use serde::Serialize;
 

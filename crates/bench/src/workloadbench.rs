@@ -9,8 +9,9 @@
 //!   drift against `results/BENCH_workloads_baseline.json` is a
 //!   correctness failure that is *never* skipped;
 //! * **wall time** — the `TrackedTokens` batched stepping throughput
-//!   (`BoolMatrix::compose_prefix_into` hot path) is gated at +25%,
-//!   skippable via `TREECAST_BENCH_GATE=off`.
+//!   (one `BoolMatrix::gather_union_prefix` of the holder rows along the
+//!   round's parent map) is gated at +25%, skippable via
+//!   `TREECAST_BENCH_GATE=off`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -48,7 +49,7 @@ pub struct WorkloadRound {
 pub struct TrackedStepMeasurement {
     /// Network size.
     pub n: usize,
-    /// Tracked tokens (holder rows composed per round).
+    /// Tracked tokens (holder rows gathered per round).
     pub k: usize,
     /// Best (minimum) ~1 ms-batch mean wall time of one round, ns.
     pub ns_per_round: f64,

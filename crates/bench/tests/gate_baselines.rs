@@ -8,9 +8,8 @@ use std::path::PathBuf;
 use treecast_bench::gate::{check, GateReport};
 
 /// `(bench, exact cells, wall value, wall unit)` of every baseline.
-const PINNED: [(&str, usize, f64, &str); 8] = [
+const PINNED: [(&str, usize, f64, &str); 7] = [
     ("adversary", 18, 4_688_225.0, "ns/plan"),
-    ("compose", 0, 194_585.8, "ns/op"),
     ("emulation", 120, 5_287.5, "ns/replica-round"),
     ("frontier", 2, 1_045_979.9, "ns/round"),
     ("montecarlo", 30, 29_384.7, "ns/replica-round"),

@@ -17,9 +17,10 @@
 //!   heard-from sets.
 //! * [`BoolMatrix`] — an `n×n` matrix in one contiguous row-major
 //!   `Vec<u64>` with the product ([`BoolMatrix::compose_into`] is the
-//!   allocation-free sparse or cache-tiled kernel), transpose,
-//!   weight profiles, and the broadcast/gossip/nonsplit predicates used
-//!   throughout the evaluation. Rows are borrowed out as
+//!   allocation-free row-union loop, kept as the oracle for the
+//!   tree-round steps that runs use instead),
+//!   transpose, weight profiles, and the broadcast/gossip/nonsplit
+//!   predicates used throughout the evaluation. Rows are borrowed out as
 //!   [`RowRef`]/[`RowMut`] views, interchangeable with [`BitSet`] through
 //!   the [`BitView`] trait.
 //! * [`HybridRow`] — a sparse-until-promoted row (sorted index list below a
@@ -62,5 +63,5 @@ pub mod strategies;
 
 pub use bitset::{gather_word, BitSet, BitView, Iter, ParseBitSetError};
 pub use hybrid::{hybrid_threshold, HybridIter, HybridRow};
-pub use matrix::{BoolMatrix, ComposePath, ParseMatrixError};
+pub use matrix::{BoolMatrix, ParseMatrixError};
 pub use row::{RowMut, RowRef};

@@ -23,24 +23,6 @@ use std::collections::HashSet;
 use crate::bitset::{gather_word, words_for, BitSet, BitView, WORD_BITS};
 use crate::row::{RowMut, RowRef};
 
-/// Kernel selector for [`BoolMatrix::compose_into_with`].
-///
-/// Two selectable kernels: [`ComposePath::Auto`] (the default used by
-/// [`BoolMatrix::compose_into`]) picks the sparse kernel for tree-like
-/// inputs (≤ 2n edges) and the tiled kernel otherwise. The explicit
-/// variants exist for benchmarks and for the kernel-equivalence test
-/// suite; results are identical on both kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ComposePath {
-    /// Choose a kernel from the left operand's density.
-    Auto,
-    /// Row-by-row bit iteration — optimal when the left operand is a tree
-    /// round (O(e · n/64) for `e` edges).
-    Sparse,
-    /// Cache-tiled over column-word blocks with register accumulators.
-    Tiled,
-}
-
 /// A square boolean matrix over `n` nodes in flat word-packed storage.
 ///
 /// Row `x` is the *out-neighborhood* (reach set) of node `x`: entry
@@ -441,11 +423,9 @@ impl BoolMatrix {
     }
 
     /// Allocation-free product: computes `self ∘ other` into `out`,
-    /// overwriting its previous contents and reusing its buffer.
-    ///
-    /// The kernel is chosen automatically ([`ComposePath::Auto`]): a
-    /// sparse fast path when `self` has at most `2n` edges (every tree
-    /// round qualifies), and a cache-tiled path otherwise.
+    /// overwriting its previous contents and reusing its buffer. Row `x`
+    /// of the product is the union of `other.row(z)` over every
+    /// `z ∈ self.row(x)`.
     ///
     /// # Panics
     ///
@@ -462,70 +442,6 @@ impl BoolMatrix {
     /// assert!(out.get(0, 2));
     /// ```
     pub fn compose_into(&self, other: &BoolMatrix, out: &mut BoolMatrix) {
-        self.compose_into_with(other, out, ComposePath::Auto);
-    }
-
-    /// Batched multi-row product: computes rows `0..rows` of
-    /// `self ∘ other` into the same rows of `out`, zeroing the rest.
-    ///
-    /// This is the round-application kernel for token-subset workloads
-    /// (`treecast-core`'s `TrackedTokens`): a `k`-broadcast run keeps one
-    /// holder row per token, so each round is a `k × n` row block composed
-    /// with the round's `n × n` matrix — `k/n`-th of the work of a full
-    /// product, running on the same sparse/tiled kernels as
-    /// [`BoolMatrix::compose_into`] (tiled once the block densifies, which
-    /// is the steady state of a dissemination run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions of `self`, `other` and `out` differ, or if
-    /// `rows > n`.
-    pub fn compose_prefix_into(&self, rows: usize, other: &BoolMatrix, out: &mut BoolMatrix) {
-        assert_eq!(
-            self.n, other.n,
-            "matrix dimension mismatch: {} vs {}",
-            self.n, other.n
-        );
-        assert_eq!(
-            self.n, out.n,
-            "output matrix dimension mismatch: {} vs {}",
-            out.n, self.n
-        );
-        assert!(
-            rows <= self.n,
-            "row block {} out of range for n = {}",
-            rows,
-            self.n
-        );
-        out.clear();
-        if self.n == 0 || rows == 0 {
-            return;
-        }
-        let block = &mut out.words[..rows * self.stride];
-        // Density heuristic over the block only: a thin block of sparse
-        // holder rows (early rounds) rides the sparse kernel, a saturated
-        // one the tiled kernel.
-        let block_edges: usize = self.words[..rows * self.stride]
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum();
-        if block_edges <= 2 * self.n {
-            compose_rows_sparse(self, other, block);
-        } else {
-            compose_rows_tiled(self, other, block);
-        }
-    }
-
-    /// [`BoolMatrix::compose_into`] with an explicit kernel choice.
-    ///
-    /// All paths produce identical results; see [`ComposePath`] for when
-    /// each is profitable. Exposed for benchmarking and for the
-    /// kernel-equivalence tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions of `self`, `other` and `out` differ.
-    pub fn compose_into_with(&self, other: &BoolMatrix, out: &mut BoolMatrix, path: ComposePath) {
         assert_eq!(
             self.n, other.n,
             "matrix dimension mismatch: {} vs {}",
@@ -537,18 +453,11 @@ impl BoolMatrix {
             out.n, self.n
         );
         out.clear();
-        if self.n == 0 {
-            return;
-        }
-        let sparse = match path {
-            ComposePath::Auto => self.has_at_most_edges(2 * self.n),
-            ComposePath::Sparse => true,
-            ComposePath::Tiled => false,
-        };
-        if sparse {
-            compose_rows_sparse(self, other, &mut out.words);
-        } else {
-            compose_rows_tiled(self, other, &mut out.words);
+        for x in 0..self.n {
+            let mut row = out.row_mut(x);
+            for z in self.row(x) {
+                row.union_with(other.row(z));
+            }
         }
     }
 
@@ -592,19 +501,6 @@ impl BoolMatrix {
                 }
             }
         }
-    }
-
-    /// Returns `true` if the matrix has at most `limit` set entries,
-    /// bailing out of the popcount scan as soon as the limit is exceeded.
-    fn has_at_most_edges(&self, limit: usize) -> bool {
-        let mut count = 0usize;
-        for &w in &self.words {
-            count += w.count_ones() as usize;
-            if count > limit {
-                return false;
-            }
-        }
-        true
     }
 
     /// In-place union: `self ← self ∪ other` (entry-wise OR).
@@ -692,11 +588,6 @@ impl BoolMatrix {
     #[inline]
     pub fn has_full_row(&self) -> bool {
         self.first_full_row().is_some()
-    }
-
-    /// All broadcast witnesses.
-    pub fn full_rows(&self) -> Vec<usize> {
-        (0..self.n).filter(|&x| self.row(x).is_full()).collect()
     }
 
     /// Returns `true` if every entry is set — the gossip condition
@@ -880,117 +771,6 @@ fn hitting_set_within(sets: &[BitSet], chosen: &mut BitSet, budget: usize) -> bo
     false
 }
 
-/// Sparse kernel: for each output row, OR together `other`'s rows at the
-/// set bits of `self`'s row. `out` holds the leading rows of the
-/// product.
-fn compose_rows_sparse(a: &BoolMatrix, b: &BoolMatrix, out: &mut [u64]) {
-    let stride = a.stride;
-    for (x, out_row) in out.chunks_exact_mut(stride).enumerate() {
-        let a_row = a.row_words(x);
-        for (wi, &aw) in a_row.iter().enumerate() {
-            let mut bits = aw;
-            while bits != 0 {
-                let z = wi * WORD_BITS + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                for (o, &w) in out_row.iter_mut().zip(b.row_words(z)) {
-                    *o |= w;
-                }
-            }
-        }
-    }
-}
-
-/// Tiled kernel: walks the output in blocks of up to 16 column words,
-/// accumulating each block in registers so every output
-/// word is written exactly once and `other`'s per-tile working set stays
-/// cache-resident. Each pass runs at a fixed power-of-two width
-/// (16/8/4/2/1 words), so the inner OR loop unrolls and vectorizes at
-/// every matrix size, not just multiples of the largest tile.
-fn compose_rows_tiled(a: &BoolMatrix, b: &BoolMatrix, out: &mut [u64]) {
-    let stride = a.stride;
-    let mut col_word = 0usize;
-    while col_word < stride {
-        let remaining = stride - col_word;
-        let tile = if remaining >= 16 {
-            tile_pass::<16>(a, b, col_word, out);
-            16
-        } else if remaining >= 8 {
-            tile_pass::<8>(a, b, col_word, out);
-            8
-        } else if remaining >= 4 {
-            tile_pass::<4>(a, b, col_word, out);
-            4
-        } else if remaining >= 2 {
-            tile_pass::<2>(a, b, col_word, out);
-            2
-        } else {
-            tile_pass::<1>(a, b, col_word, out);
-            1
-        };
-        col_word += tile;
-    }
-}
-
-/// One tile pass of fixed width `T` words over the rows `out` holds.
-///
-/// The accumulator is a `[u64; T]` and every `other`-row segment is a
-/// `&[u64; T]`, so the OR loop is branch-free straight-line SIMD code.
-/// `saturated` is the tile's all-ones pattern (tail-masked in the final
-/// column word): once the accumulator reaches it no further union can
-/// change it, and the rest of the row's source bits are skipped — the
-/// dominant saving on the dense, nearly-closed products that reflexive
-/// round sequences converge to.
-fn tile_pass<const T: usize>(a: &BoolMatrix, b: &BoolMatrix, col_word: usize, out: &mut [u64]) {
-    let stride = a.stride;
-    let saturated = tile_saturation_mask::<T>(a, col_word);
-    for (x, out_row) in out.chunks_exact_mut(stride).enumerate() {
-        let a_row = a.row_words(x);
-        let mut acc = [0u64; T];
-        'row: for (wi, &aw) in a_row.iter().enumerate() {
-            let mut bits = aw;
-            while bits != 0 {
-                let z = wi * WORD_BITS + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let base = z * stride + col_word;
-                // analyze: allow(panic): the slice is exactly T long by
-                // construction; try_into cannot fail on the hot path.
-                let seg: &[u64; T] = b.words[base..base + T]
-                    .try_into()
-                    .expect("tile segment has T words"); // analyze: allow(panic): see above
-                for i in 0..T {
-                    acc[i] |= seg[i];
-                }
-            }
-            if aw != 0 {
-                let mut missing = 0u64;
-                for i in 0..T {
-                    missing |= saturated[i] & !acc[i];
-                }
-                if missing == 0 {
-                    break 'row;
-                }
-            }
-        }
-        out_row[col_word..col_word + T].copy_from_slice(&acc);
-    }
-}
-
-/// The all-ones pattern of a `T`-word tile starting at `col_word`:
-/// `u64::MAX` everywhere except the matrix's final column word, which
-/// carries the tail mask.
-fn tile_saturation_mask<const T: usize>(a: &BoolMatrix, col_word: usize) -> [u64; T] {
-    let mut mask = [0u64; T];
-    let rem = a.n % WORD_BITS;
-    for (i, m) in mask.iter_mut().enumerate() {
-        *m = if col_word + i == a.stride - 1 && rem != 0 {
-            (1u64 << rem) - 1
-        } else {
-            u64::MAX
-        };
-    }
-    mask
-}
-
 impl Mul for &BoolMatrix {
     type Output = BoolMatrix;
 
@@ -1149,12 +929,9 @@ mod tests {
             }
             let expected = naive_compose(&a, &b);
             assert_eq!(a.compose(&b), expected, "n = {n}");
-            // Every explicit kernel agrees with the reference.
-            for path in [ComposePath::Sparse, ComposePath::Tiled] {
-                let mut out = BoolMatrix::ones(n); // stale contents must be overwritten
-                a.compose_into_with(&b, &mut out, path);
-                assert_eq!(out, expected, "n = {n}, path {path:?}");
-            }
+            let mut out = BoolMatrix::ones(n); // stale contents must be overwritten
+            a.compose_into(&b, &mut out);
+            assert_eq!(out, expected, "n = {n}");
         }
     }
 
@@ -1214,7 +991,6 @@ mod tests {
         m.set(1, 0, true);
         m.set(1, 2, true);
         assert_eq!(m.first_full_row(), Some(1));
-        assert_eq!(m.full_rows(), vec![1]);
         assert!(!m.is_all_ones());
         assert!(BoolMatrix::ones(3).is_all_ones());
     }
@@ -1247,67 +1023,6 @@ mod tests {
             star.set(0, leaf, true);
         }
         assert!(star.is_nonsplit());
-    }
-
-    #[test]
-    fn compose_prefix_matches_full_product() {
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for n in [1usize, 5, 64, 65, 130] {
-            let mut a = BoolMatrix::zeros(n);
-            let mut b = BoolMatrix::zeros(n);
-            for x in 0..n {
-                for y in 0..n {
-                    if next() % 4 == 0 {
-                        a.set(x, y, true);
-                    }
-                    if next() % 4 == 0 {
-                        b.set(x, y, true);
-                    }
-                }
-            }
-            let full = a.compose(&b);
-            for rows in [0usize, 1, 2, n / 2, n].into_iter().filter(|&r| r <= n) {
-                let mut out = BoolMatrix::ones(n); // stale bits must vanish
-                a.compose_prefix_into(rows, &b, &mut out);
-                for x in 0..n {
-                    let expected = if x < rows {
-                        full.row(x).to_bitset()
-                    } else {
-                        BitSet::new(n)
-                    };
-                    assert_eq!(
-                        out.row(x).to_bitset(),
-                        expected,
-                        "n = {n}, rows = {rows}, row {x}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn compose_prefix_picks_both_kernels() {
-        // A thin sparse block and a dense one must agree with the full
-        // product regardless of which kernel the density heuristic picks.
-        let n = 80;
-        let mut sparse = BoolMatrix::identity(n);
-        sparse.set(0, 7, true);
-        let dense = BoolMatrix::ones(n);
-        let b = BoolMatrix::from_edges(n, (0..n - 1).map(|i| (i, i + 1)));
-        for a in [&sparse, &dense] {
-            let mut out = BoolMatrix::zeros(n);
-            a.compose_prefix_into(3, &b, &mut out);
-            let full = a.compose(&b);
-            for x in 0..3 {
-                assert_eq!(out.row(x).to_bitset(), full.row(x).to_bitset());
-            }
-        }
     }
 
     #[test]
@@ -1359,14 +1074,6 @@ mod tests {
     #[should_panic(expected = "gather map points outside n = 4")]
     fn gather_union_prefix_rejects_out_of_range_sources() {
         BoolMatrix::identity(4).gather_union_prefix(1, &[0, 1, 2, 4], &mut Vec::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "row block 4 out of range")]
-    fn compose_prefix_rejects_oversized_block() {
-        let id = BoolMatrix::identity(3);
-        let mut out = BoolMatrix::zeros(3);
-        id.compose_prefix_into(4, &id.clone(), &mut out);
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Property tests for the `compose_into` kernel paths.
+//! Property tests for `BoolMatrix::compose_into`.
 //!
-//! Both explicit kernels (sparse, tiled) plus the auto selector
-//! must agree with the naive O(n³) reference product across word-boundary
-//! sizes (n ∈ {1, 63, 64, 65, 129}) and densities, and iterated
-//! self-composition must reach an idempotent fixpoint.
+//! The product must equal the naive O(n³) triple loop across
+//! word-boundary sizes (n ∈ {1, 63, 64, 65, 129}), densities and
+//! tree-shaped left operands, and iterated self-composition must reach an
+//! idempotent fixpoint.
 
 use proptest::prelude::*;
 use treecast_bitmatrix::strategies;
-use treecast_bitmatrix::{BoolMatrix, ComposePath};
+use treecast_bitmatrix::BoolMatrix;
 
 /// Word-boundary-straddling sizes: single word, word-1, word, word+1 and
 /// a two-words-plus-one size.
@@ -51,32 +51,27 @@ fn seeded_matrix(n: usize, seed: u64, density_pct: u64) -> BoolMatrix {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// All kernel paths equal the naive reference on every boundary size.
+    /// `compose_into` equals the naive reference on every boundary size.
     #[test]
     fn kernels_match_naive_reference(seed in proptest::num::u64::ANY, density in 0u64..=100) {
         for n in SIZES {
             let a = seeded_matrix(n, seed, density);
             let b = seeded_matrix(n, seed.rotate_left(17) ^ 0xD1CE, density);
-            let expected = naive_compose(&a, &b);
-            for path in [ComposePath::Auto, ComposePath::Sparse, ComposePath::Tiled] {
-                // Start from stale garbage to prove the kernel overwrites.
-                let mut out = BoolMatrix::ones(n);
-                a.compose_into_with(&b, &mut out, path);
-                out.debug_validate();
-                prop_assert!(
-                    out == expected,
-                    "kernel {:?} diverged at n = {} (density {}%)",
-                    path,
-                    n,
-                    density
-                );
-            }
+            // Start from stale garbage to prove the product overwrites.
+            let mut out = BoolMatrix::ones(n);
+            a.compose_into(&b, &mut out);
+            out.debug_validate();
+            prop_assert!(
+                out == naive_compose(&a, &b),
+                "diverged at n = {} (density {}%)",
+                n,
+                density
+            );
         }
     }
 
-    /// The sparse fast path on genuinely tree-shaped left operands (a
-    /// self-looped path has 2n − 1 ≤ 2n edges, so Auto takes it) matches
-    /// the reference.
+    /// Tree-shaped left operands (a self-looped path, the shape of a
+    /// round matrix) match the reference too.
     #[test]
     fn sparse_regime_matches_reference(seed in proptest::num::u64::ANY) {
         for n in SIZES {
@@ -89,13 +84,13 @@ proptest! {
             let mut out = BoolMatrix::zeros(n);
             path_round.compose_into(&b, &mut out);
             out.debug_validate();
-            prop_assert!(out == expected, "sparse regime diverged at n = {}", n);
+            prop_assert!(out == expected, "path round diverged at n = {}", n);
         }
     }
 
     /// Iterated self-composition of a reflexive matrix reaches a fixpoint
     /// with `P ∘ P = P` (the transitive closure; all-ones once the graph
-    /// is strongly connected), on every kernel path.
+    /// is strongly connected).
     #[test]
     fn reflexive_self_composition_reaches_idempotent_fixpoint(
         m in strategies::reflexive_matrix(65),
@@ -112,11 +107,9 @@ proptest! {
             }
             std::mem::swap(&mut p, &mut next);
         }
-        for path in [ComposePath::Sparse, ComposePath::Tiled] {
-            let mut square = BoolMatrix::zeros(n);
-            p.compose_into_with(&p, &mut square, path);
-            prop_assert!(square == p, "fixpoint not idempotent on {:?}", path);
-        }
+        let mut square = BoolMatrix::zeros(n);
+        p.compose_into(&p, &mut square);
+        prop_assert!(square == p, "fixpoint not idempotent");
         // A reflexive fixpoint with a full row is all-ones on that row's
         // strongly-reachable set; when some row is full, composing further
         // can never unset it.

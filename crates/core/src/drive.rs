@@ -13,7 +13,8 @@ use crate::engine::{SimulationConfig, TreeSource};
 use crate::model::BroadcastState;
 use crate::scenario::{FaultModel, RoundFaults};
 use crate::workload::{
-    full_state_progress, SourceSet, Workload, WorkloadOutcome, WorkloadProgress, WorkloadReport,
+    full_state_progress, tracked_progress, SourceSet, Workload, WorkloadOutcome, WorkloadProgress,
+    WorkloadReport,
 };
 
 /// One way of stepping a round: a state plus the source that feeds it.
@@ -215,12 +216,7 @@ impl<S: TreeSource + ?Sized> RoundEngine for DenseEngine<'_, S> {
 
     fn progress(&self) -> WorkloadProgress {
         match &self.sources {
-            Some(sources) => WorkloadProgress {
-                n: self.state.n(),
-                round: self.state.round(),
-                tokens: sources.len(),
-                disseminated: self.state.disseminated_among(sources),
-            },
+            Some(sources) => tracked_progress(&self.state, sources),
             None => full_state_progress(&self.state),
         }
     }

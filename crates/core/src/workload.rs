@@ -18,8 +18,8 @@
 //! * [`KBroadcast`] — `k` tokens; `k = 1` is broadcast;
 //! * [`Gossip`] — all `n` tokens (`G(t)` all-ones);
 //! * [`KSourceBroadcast`] — only `k` chosen tokens exist, all of which
-//!   must be disseminated, tracked in a batched `k × n` holder matrix
-//!   ([`TrackedTokens`]).
+//!   must be disseminated; token `s` is column `s` of the full state
+//!   ([`BroadcastState::disseminated_among`]).
 //!
 //! Under the unrestricted tree adversary only `k = 1` is guaranteed
 //! finite: the static path nests the heard-from sets after `n − 1` rounds
@@ -40,8 +40,8 @@ pub enum SourceSet {
     /// Every node is a source of its own token (the broadcast/gossip
     /// family; state = the full product graph).
     All,
-    /// Only these nodes are sources; the engine tracks one holder row per
-    /// token in a batched [`TrackedTokens`] state.
+    /// Only these nodes are sources; progress counts only their tokens
+    /// ([`BroadcastState::disseminated_among`]).
     Nodes(Vec<NodeId>),
 }
 
@@ -147,8 +147,7 @@ impl Workload for Gossip {
 /// Broadcast from `k` chosen sources: only the sources' tokens exist, and
 /// the run completes when all of them have been disseminated.
 ///
-/// Measured on a batched [`TrackedTokens`] state rather than the full
-/// `n × n` one.
+/// Progress reads only the sources' columns of the full state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KSourceBroadcast {
     sources: Vec<NodeId>,
@@ -220,10 +219,11 @@ impl Workload for KSourceBroadcast {
 /// along the round's parent map: holder row `i` gains every node whose
 /// round parent holds token `i`. That is `k/n`-th of a full-state round,
 /// builds no round matrix and does not allocate once the retained
-/// buffers have grown. The tracked adversary search and the nonsplit
-/// runs step it; the dense engine does not, as it keeps a full
-/// [`BroadcastState`] anyway and reads tracked tokens off its columns
-/// ([`BroadcastState::disseminated_among`]).
+/// buffers have grown. No library run steps it: the dense engine, the
+/// tracked adversary search and the nonsplit runs keep a full
+/// [`BroadcastState`] and read the tracked tokens off its columns
+/// ([`BroadcastState::disseminated_among`]). It stays as the independent
+/// reference those column reads are tested against.
 #[derive(Debug, Clone)]
 pub struct TrackedTokens {
     n: usize,
@@ -334,8 +334,9 @@ impl TrackedTokens {
     }
 
     /// Applies one synchronous round along an arbitrary directed graph
-    /// `m` (self-loops are **not** implied): the `k` holder rows through
-    /// [`BoolMatrix::compose_prefix_into`].
+    /// `m` (self-loops are **not** implied): holder row `i` becomes the
+    /// union of `m.row(p)` over its holders `p`, built in the retained
+    /// scratch rows.
     ///
     /// # Panics
     ///
@@ -351,8 +352,13 @@ impl TrackedTokens {
         let next = self
             .scratch
             .get_or_insert_with(|| BoolMatrix::zeros(self.n));
-        self.holders
-            .compose_prefix_into(self.sources.len(), m, next);
+        for i in 0..self.sources.len() {
+            let mut row = next.row_mut(i);
+            row.clear();
+            for p in self.holders.row(i) {
+                row.union_with(m.row(p));
+            }
+        }
         std::mem::swap(&mut self.holders, next);
         self.round += 1;
     }
@@ -395,6 +401,21 @@ pub fn full_state_progress(state: &BroadcastState) -> WorkloadProgress {
         round: state.round(),
         tokens: state.n(),
         disseminated: state.disseminated_count(),
+    }
+}
+
+/// The dissemination progress of a full [`BroadcastState`] on the tokens
+/// of `sources` only ([`SourceSet::Nodes`] semantics).
+///
+/// # Panics
+///
+/// Panics if a source is `>= n`.
+pub fn tracked_progress(state: &BroadcastState, sources: &[NodeId]) -> WorkloadProgress {
+    WorkloadProgress {
+        n: state.n(),
+        round: state.round(),
+        tokens: sources.len(),
+        disseminated: state.disseminated_among(sources),
     }
 }
 

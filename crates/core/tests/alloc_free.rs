@@ -1,7 +1,7 @@
 //! Proves the zero-allocation contract of the flat-bitmatrix hot paths:
-//! steady-state `BoolMatrix::compose_into`, `BroadcastState::apply_matrix`,
-//! the tree-native `apply_round` of `BroadcastState` and `TrackedTokens`
-//! (quiet and with dropouts), the per-round
+//! steady-state `BoolMatrix::compose_into`, the `apply_matrix` and the
+//! tree-native `apply_round` of `BroadcastState` and `TrackedTokens`
+//! (rounds quiet and with dropouts), the per-round
 //! `BroadcastState::disseminated_count`, and `ComposedPrefixes::next_prefix`
 //! perform no heap allocation per call.
 //!
@@ -12,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use treecast_bitmatrix::{BoolMatrix, ComposePath};
+use treecast_bitmatrix::BoolMatrix;
 use treecast_core::prefix::{ComposedPrefixes, PrefixProvider};
 use treecast_core::{BroadcastState, TrackedTokens};
 use treecast_trees::generators;
@@ -57,7 +57,7 @@ fn allocations() -> usize {
 
 #[test]
 fn steady_state_compose_and_apply_matrix_do_not_allocate() {
-    let n = 257; // straddles a word boundary, stride 5 → 4-word + 1-word tiles
+    let n = 257; // straddles a word boundary: stride 5, one bit in the last word
     let mut rng_state = 0x5EEDu64;
     let mut next = move || {
         rng_state ^= rng_state << 13;
@@ -80,19 +80,17 @@ fn steady_state_compose_and_apply_matrix_do_not_allocate() {
     let mut out = BoolMatrix::zeros(n);
     let sparse = BoolMatrix::from_edges(n, (1..n).map(|y| (y - 1, y)));
 
-    // compose_into with a caller-provided buffer: zero allocations on any
-    // serial kernel path, from the very first call. The harness's own
-    // threads may allocate concurrently, so measure several windows and
-    // require a clean one: a genuine per-call allocation would taint
-    // every window with at least 40 counts.
+    // compose_into with a caller-provided buffer: zero allocations, from
+    // the very first call, on dense and path-shaped left operands. The
+    // harness's own threads may allocate concurrently, so measure several
+    // windows and require a clean one: a genuine per-call allocation
+    // would taint every window with at least 20 counts.
     let clean_compose_window = (0..5)
         .map(|_| {
             let before = allocations();
             for _ in 0..10 {
-                a.compose_into(&b, &mut out); // auto (tiled here: a is dense)
-                sparse.compose_into(&b, &mut out); // auto -> sparse fast path
-                a.compose_into_with(&b, &mut out, ComposePath::Sparse);
-                a.compose_into_with(&b, &mut out, ComposePath::Tiled);
+                a.compose_into(&b, &mut out);
+                sparse.compose_into(&b, &mut out);
             }
             allocations() - before
         })
@@ -108,12 +106,15 @@ fn steady_state_compose_and_apply_matrix_do_not_allocate() {
     // information-preserving round.
     let round = &b;
     let mut state = BroadcastState::new(n);
+    let mut tracked_rows = TrackedTokens::new(n, &[0, 64, 128, 256]);
     state.apply_matrix(round); // warm-up: scratch buffer is created here
+    tracked_rows.apply_matrix(round);
     let clean_apply_window = (0..5)
         .map(|_| {
             let before = allocations();
             for _ in 0..10 {
                 state.apply_matrix(round);
+                tracked_rows.apply_matrix(round);
             }
             allocations() - before
         })
@@ -180,4 +181,5 @@ fn steady_state_compose_and_apply_matrix_do_not_allocate() {
     assert!(disseminated > 0);
     assert!(prefix_tokens > 0);
     assert!(tracked.holders(0).len() > 1);
+    assert!(tracked_rows.holders(0).len() > 1);
 }

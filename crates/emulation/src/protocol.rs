@@ -13,9 +13,9 @@
 //!    rotates with the round index, so no child starves under a cap);
 //! 2. **request** — every online peer works through its advert queue
 //!    (at most [`GossipKnobs::batch`] messages) and asks each
-//!    advertiser for the offered tokens it misses, deduplicated within
-//!    the round so two adverts never trigger two requests for one
-//!    token;
+//!    advertiser for the offered tokens it misses (one parent per tree
+//!    means at most one advert per round, so no two requests of one
+//!    round ask for the same token);
 //! 3. **serve** — every online peer answers its request queue (batch
 //!    cap again; at most [`GossipKnobs::bandwidth`] token payloads per
 //!    round; [`GossipKnobs::discipline`] picks the order), re-queueing
@@ -248,10 +248,6 @@ pub struct EmulationState {
     round: u64,
     /// Every queued message's payload.
     arena: Arena,
-    /// Request-phase scratch: the tokens the current requester has
-    /// already asked for this round (zeroed after each requester that
-    /// used it).
-    requested: Vec<u64>,
     /// Advert-phase scratch: one peer's online children.
     online: Vec<NodeId>,
     /// Serve-phase output, integrated and emptied in the same round:
@@ -281,7 +277,6 @@ impl EmulationState {
             holders: vec![1; n],
             disseminated: if n == 1 { 1 } else { 0 },
             round: 0,
-            requested: vec![0; arena.stride],
             arena,
             online: Vec::new(),
             deliveries: Vec::new(),
@@ -401,15 +396,15 @@ impl EmulationState {
 
         // Phase 2 — request. A peer masks each advert down to the
         // offered tokens it misses and sends the slot back as its
-        // request; `requested` dedups within the round so two adverts
-        // never trigger two same-round requests for one token. Adverts
-        // from a now-offline peer are dropped (the connection is gone;
-        // the tokens will be re-advertised).
+        // request. A peer has one parent per tree, so it gets at most one
+        // advert per round and, with `batch ≥ 1`, answers it in that
+        // round: no two requests of one round ask for the same token.
+        // Adverts from a now-offline peer are dropped (the connection is
+        // gone; the tokens will be re-advertised).
         for y in 0..n {
             if is_offline(y) {
                 continue;
             }
-            let mut used_dedup = false;
             for _ in 0..batch {
                 let Some(ad) = self.peers[y].adverts.pop_front() else {
                     break;
@@ -421,23 +416,18 @@ impl EmulationState {
                 let mut any = 0;
                 let want = self.arena.get_mut(ad.slot);
                 let held = self.peers[y].holdings.words();
-                for ((w, h), r) in want.iter_mut().zip(held).zip(&mut self.requested) {
-                    *w &= !(h | *r);
-                    *r |= *w;
+                for (w, h) in want.iter_mut().zip(held) {
+                    *w &= !h;
                     any |= *w;
                 }
                 if any == 0 {
                     self.arena.release(ad.slot);
                     continue;
                 }
-                used_dedup = true;
                 self.peers[ad.from].requests.push_back(Msg {
                     from: y,
                     slot: ad.slot,
                 });
-            }
-            if used_dedup {
-                self.requested.fill(0);
             }
         }
 
@@ -682,49 +672,23 @@ mod tests {
     }
 
     #[test]
-    fn two_adverts_in_one_round_request_each_token_once() {
-        // Peer 3 holds two queued adverts that both offer token 1: it
-        // asks peer 1 for {1} and peer 2 only for {2}, so peer 2's one
-        // payload of bandwidth covers the whole request. Peer 4, the
-        // next requester, starts from a clean dedup set and still asks
-        // peer 1 for token 1 (left queued: peer 1's payload went to 3).
-        let n = 5;
-        let tree = generators::star(n);
-        let mut emu = EmulationState::new(n);
-        emu.peers[2].holdings.insert(1);
-        emu.holders[1] += 1;
-        for (to, from, offer) in [(3, 1, &[1][..]), (3, 2, &[1, 2]), (4, 1, &[1])] {
-            let slot = payload(&mut emu, offer);
-            emu.peers[to].adverts.push_back(Msg { from, slot });
-        }
-        let knobs = GossipKnobs::unconstrained()
-            .with_fanout(0)
-            .with_bandwidth(1);
-        emu.gossip_round(&tree, &quiet(), &knobs);
-        assert_eq!(emu.holdings(3).iter().collect::<Vec<_>>(), vec![1, 2, 3]);
-        assert!(
-            emu.peers[2].requests.is_empty(),
-            "peer 2 served all of {{2}}"
-        );
-        let left: Vec<_> = emu.peers[1].requests.iter().copied().collect();
-        assert_eq!(left.len(), 1);
-        assert_eq!(left[0].from, 4);
-        assert_eq!(tokens(&emu, left[0].slot), vec![1]);
-        assert_eq!(emu.pending_messages(), 1);
-    }
-
-    #[test]
     fn every_queued_message_owns_exactly_one_slot() {
         // Under caps, dropouts and losses, the arena's slots in use are
         // exactly the queued messages' slots at every round boundary:
         // no dropped or delivered message leaks its slot, and no two
-        // messages share one.
+        // messages share one. With batch ≥ 1 no advert outlives its
+        // round: each peer gets at most one per round (one parent per
+        // tree) and answers it in the same round.
         let n = 70;
-        for discipline in [QueueDiscipline::Fifo, QueueDiscipline::SmallestFirst] {
+        for (discipline, batch) in [
+            (QueueDiscipline::Fifo, 3),
+            (QueueDiscipline::SmallestFirst, 3),
+            (QueueDiscipline::Fifo, 1),
+        ] {
             let knobs = GossipKnobs::unconstrained()
                 .with_bandwidth(2)
                 .with_fanout(3)
-                .with_batch(3)
+                .with_batch(batch)
                 .with_discipline(discipline);
             let mut emu = EmulationState::new(n);
             for r in 0..150 {
@@ -755,6 +719,10 @@ mod tests {
                 );
                 assert_eq!(in_use, slots.len(), "round {r}: leaked slot");
                 assert!(emu.deliveries.is_empty());
+                assert!(
+                    emu.peers.iter().all(|p| p.adverts.is_empty()),
+                    "round {r}: an advert outlived its round"
+                );
             }
         }
     }

@@ -29,7 +29,7 @@
 use rand::Rng;
 
 use treecast_bitmatrix::BoolMatrix;
-use treecast_core::workload::{full_state_progress, SourceSet, TrackedTokens};
+use treecast_core::workload::{full_state_progress, tracked_progress, SourceSet};
 use treecast_core::{Broadcast, BroadcastState, Gossip, Workload};
 use treecast_trees::{random, RootedTree};
 
@@ -347,11 +347,10 @@ impl MatrixSource for GreedyNonsplit {
 /// This is the dissemination measurement generalized over the
 /// [`Workload`] lattice: broadcast ([`treecast_core::Broadcast`]),
 /// `k`-broadcast, gossip, and token-subset workloads all run through the
-/// same loop. [`SourceSet::All`] workloads step a full [`BroadcastState`];
-/// token-subset workloads additionally step a batched [`TrackedTokens`]
-/// state whose `k` holder rows ride `BoolMatrix::compose_prefix_into`
-/// (nonsplit round graphs are not forests, so they stay on the matrix
-/// path).
+/// same loop, which steps one [`BroadcastState`] through
+/// [`BroadcastState::apply_matrix`] (nonsplit round graphs are not
+/// forests). Token-subset workloads count only their sources' columns
+/// ([`BroadcastState::disseminated_among`]).
 ///
 /// # Examples
 ///
@@ -381,13 +380,13 @@ where
     R: Rng + ?Sized,
 {
     let mut state = BroadcastState::new(n);
-    let mut tracked = match workload.sources(n) {
+    let sources = match workload.sources(n) {
         SourceSet::All => None,
-        SourceSet::Nodes(sources) => Some(TrackedTokens::new(n, &sources)),
+        SourceSet::Nodes(sources) => Some(sources),
     };
     loop {
-        let progress = match &tracked {
-            Some(t) => t.progress(),
+        let progress = match &sources {
+            Some(sources) => tracked_progress(&state, sources),
             None => full_state_progress(&state),
         };
         if workload.is_complete(&progress) {
@@ -399,9 +398,6 @@ where
         let m = source.next_matrix(&state, rng);
         debug_assert!(m.is_nonsplit(), "source must produce nonsplit rounds");
         state.apply_matrix(&m);
-        if let Some(t) = tracked.as_mut() {
-            t.apply_matrix(&m);
-        }
     }
 }
 
@@ -697,5 +693,57 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(99);
         let gossip = gossip_time_nonsplit(n, &mut RandomNonsplit, 500, &mut rng).unwrap();
         assert!(tracked <= gossip, "3 tokens ({tracked}) vs all ({gossip})");
+    }
+
+    /// A k-source run timed by a separately stepped holder-row state: the
+    /// source reads the full state, but completion comes from a
+    /// `TrackedTokens` through `apply_matrix`, whose rows must equal the
+    /// full state's source columns after every round.
+    fn k_source_time_by_holder_rows<S: MatrixSource>(
+        n: usize,
+        workload: &treecast_core::KSourceBroadcast,
+        source: &mut S,
+        cap: u64,
+        rng: &mut StdRng,
+    ) -> Option<u64> {
+        let mut state = BroadcastState::new(n);
+        let mut oracle = treecast_core::TrackedTokens::new(n, workload.sources());
+        loop {
+            for (i, &s) in workload.sources().iter().enumerate() {
+                assert_eq!(oracle.holders(i).to_bitset(), state.reach_set(s));
+            }
+            let progress = oracle.progress();
+            if workload.is_complete(&progress) {
+                return Some(progress.round);
+            }
+            if state.round() >= cap {
+                return None;
+            }
+            let m = source.next_matrix(&state, rng);
+            state.apply_matrix(&m);
+            oracle.apply_matrix(&m);
+        }
+    }
+
+    #[test]
+    fn k_source_time_matches_the_holder_row_oracle() {
+        fn check<S: MatrixSource>(make: impl Fn() -> S, name: &str) {
+            for n in [5usize, 12, 64, 65] {
+                for k in [1usize, 3] {
+                    let workload = treecast_core::KSourceBroadcast::evenly_spread(n, k);
+                    for seed in 0..3 {
+                        let mut rng = StdRng::seed_from_u64(seed);
+                        let got = workload_time_nonsplit(n, &workload, &mut make(), 200, &mut rng);
+                        let mut rng = StdRng::seed_from_u64(seed);
+                        let want =
+                            k_source_time_by_holder_rows(n, &workload, &mut make(), 200, &mut rng);
+                        assert_eq!(got, want, "{name}, n = {n}, k = {k}, seed {seed}");
+                    }
+                }
+            }
+        }
+        check(|| RandomNonsplit, "random");
+        check(|| PiecewiseNonsplit::new(3), "piecewise(c=3)");
+        check(|| GreedyNonsplit { pool: 3 }, "greedy(pool=3)");
     }
 }

@@ -17,7 +17,6 @@
 //! * [`pruefer`] — the Prüfer bijection itself.
 //! * [`enumerate`] — exhaustive enumeration of `T_n` for `n ≤ 8` (the
 //!   exact solver's substrate).
-//! * [`canonical`] — AHU codes for unlabeled-rooted-tree isomorphism.
 //!
 //! # Examples
 //!
@@ -34,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod arborescence;
-pub mod canonical;
 pub mod enumerate;
 pub mod generators;
 pub mod pruefer;
