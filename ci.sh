@@ -3,12 +3,12 @@
 #
 #   ./ci.sh [quick|full|release] [--fix]
 #
-#   quick    fmt check, release build, tests, benchmark type-check,
-#            bench smoke, frontier smoke (n = 10^4), server smoke
-#            (n = 64), montecarlo smoke (n = 64), emulation smoke
-#            (n = 64), static analysis (L1-L6 + allowlist + baseline
-#            gate), docs (skips the bench regression gates and the
-#            --ignored tier)
+#   quick    fmt check, clippy (-D warnings), release build, tests,
+#            benchmark type-check, bench smoke, frontier smoke
+#            (n = 10^4), server smoke (n = 64), montecarlo smoke
+#            (n = 64), emulation smoke (n = 64), static analysis (L1-L6
+#            + allowlist + baseline gate), docs (skips the bench
+#            regression gates and the --ignored tier)
 #   full     quick + the solver/workloads/adversary/frontier/server/
 #            montecarlo/emulation bench gates, the release-mode
 #            differential/scenario proptests, the benchmark's build and
@@ -90,6 +90,10 @@ step_docs() {
 }
 
 run_step "cargo fmt ${FMT_MODE:-(fix)}" step_fmt
+# Every target, warnings as errors. The allowed lints and the reasons for
+# them live in the workspace lint table of the root Cargo.toml.
+run_step "cargo clippy (warnings are errors)" \
+    cargo clippy --workspace --all-targets -- -D warnings
 run_step "cargo build --release" cargo build --release
 run_step "cargo test -q" cargo test -q
 # The benchmark is a workspace of its own that calls the library APIs by

@@ -7,34 +7,35 @@
 //! beam result a *certified achievable lower bound* on the workload's
 //! worst-case completion time.
 //!
-//! Since the workload-aware refactor the planner is generic along three
-//! axes:
+//! The planner searches one state, the [`BroadcastState`], and is
+//! generic along two axes:
 //!
-//! * **state** — any [`SearchState`]: the full [`BroadcastState`] for the
-//!   broadcast / `k`-broadcast / gossip family, or a
-//!   [`TrackedSearchState`] — the same state scored on its `k` source
-//!   columns — for `k`-source workloads;
-//! * **objective** — any [`Objective`]; candidate rounds are ranked by
+//! * **objective** — any [`Objective`], reading each state through
+//!   [`Tokens`] on the workload's sources; candidate rounds are ranked by
 //!   `(lookahead score, immediate score)`, so `width = 1` at `lookahead =
 //!   0` replays greedy descent step for step (for objectives whose score
 //!   is dominated by workload completion);
-//! * **workload** — any [`Workload`]; its termination predicate decides
-//!   which successor states are dead ends.
+//! * **workload** — any [`Workload`]: its [`SourceSet`] names the token
+//!   columns the objective and the progress summary read (every column
+//!   for the broadcast / `k`-broadcast / gossip family, the `k` source
+//!   columns for `k`-source workloads), and its termination predicate
+//!   decides which successor states are dead ends.
 //!
 //! [`BeamOptions::lookahead`] adds a depth-`d` scorer: each candidate's
 //! successor is expanded `d` more rounds through the candidate pool and
 //! ranked by the best [`Objective::state_rank`] any continuation reaches —
 //! `d = 0` reproduces the pre-refactor one-step scorer exactly.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{hash_map, HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
 use treecast_core::{Broadcast, BroadcastState, SequenceSource, SourceSet, TreeSource, Workload};
 use treecast_trees::RootedTree;
 
 use crate::candidates::CandidateGen;
-use crate::objectives::Objective;
-use crate::search_state::{SearchState, TrackedSearchState};
+use crate::objectives::{Objective, Tokens};
 use crate::survival::SurvivalObjective;
 
 /// Beam search configuration.
@@ -115,47 +116,58 @@ fn collect_schedule(link: &Option<Rc<Link>>) -> Vec<RootedTree> {
     out
 }
 
-struct Entry<S> {
-    state: S,
+struct Entry {
+    state: BroadcastState,
     schedule: Option<Rc<Link>>,
     key: ScoreKey,
     fingerprint: u64,
 }
 
-/// Best [`Objective::state_rank`] reachable from `state` in `depth` more
-/// rounds; workload-complete states are dead lines and rank worst.
-fn lookahead_rank<S, P, O, W>(
-    state: &S,
+/// A dedup fingerprint: equal states fingerprint equally.
+fn fingerprint(state: &BroadcastState) -> u64 {
+    let mut h = DefaultHasher::new();
+    for y in 0..state.n() {
+        state.heard_set(y).words().hash(&mut h);
+    }
+    h.finish()
+}
+
+/// Best [`Objective::state_rank`] reachable from `tokens`' state in
+/// `depth` more rounds; workload-complete states are dead lines and rank
+/// worst.
+pub(crate) fn lookahead_rank<P, O, W>(
+    tokens: Tokens<'_>,
     pool: &mut P,
     objective: &O,
     workload: &W,
     depth: u32,
 ) -> u64
 where
-    S: SearchState,
     P: CandidateGen + ?Sized,
-    O: Objective<S> + ?Sized,
+    O: Objective + ?Sized,
     W: Workload + ?Sized,
 {
-    if workload.is_complete(&state.progress()) {
+    if workload.is_complete(&tokens.progress()) {
         return u64::MAX;
     }
     if depth == 0 {
-        return objective.state_rank(state);
+        return objective.state_rank(tokens);
     }
+    let state = tokens.state();
     let mut best = u64::MAX;
     // One probe per recursion level, reused across the candidates of that
     // level (mirrors the main loop's clone_from buffer reuse).
     let mut next = state.clone();
-    for tree in pool.candidates(state.full_view()) {
+    for tree in pool.candidates(state) {
         next.clone_from(state);
-        next.apply_tree(&tree);
-        best = best.min(lookahead_rank(&next, pool, objective, workload, depth - 1));
+        next.apply(&tree);
+        let next = Tokens::new(&next, tokens.sources());
+        best = best.min(lookahead_rank(next, pool, objective, workload, depth - 1));
     }
     best
 }
 
-/// Plans a schedule from `start` that keeps `workload` incomplete as long
+/// Plans an `n`-process schedule that keeps `workload` incomplete as long
 /// as the beam can manage, then ends with one forced round.
 ///
 /// Replayed from a fresh state, the schedule completes the workload at
@@ -170,18 +182,22 @@ where
 /// one (true for the completion-dominated measures [`crate::MinMaxReach`]
 /// and [`crate::MinDisseminated`]).
 ///
+/// # Panics
+///
+/// Panics if `options.width == 0`.
+///
 /// # Examples
 ///
 /// ```
 /// use treecast_adversary::{beam_search_workload_plan, BeamOptions, MinDisseminated,
 ///     StructuredPool};
-/// use treecast_core::{run_workload, BroadcastState, KBroadcast, SequenceSource,
-///     SimulationConfig, WorkloadOutcome};
+/// use treecast_core::{run_workload, KBroadcast, SequenceSource, SimulationConfig,
+///     WorkloadOutcome};
 ///
 /// // A 2-broadcast beam stalls the run for the whole planning horizon.
 /// let n = 8;
 /// let plan = beam_search_workload_plan(
-///     &BroadcastState::new(n),
+///     n,
 ///     &mut StructuredPool::new(),
 ///     &MinDisseminated::default(),
 ///     &KBroadcast::new(2),
@@ -191,33 +207,35 @@ where
 /// let report = run_workload(n, &mut replay, &KBroadcast::new(2), SimulationConfig::for_n(n));
 /// assert_eq!(report.outcome, WorkloadOutcome::RoundLimit);
 /// ```
-pub fn beam_search_workload_plan<S, P, O, W>(
-    start: &S,
+pub fn beam_search_workload_plan<P, O, W>(
+    n: usize,
     pool: &mut P,
     objective: &O,
     workload: &W,
     options: BeamOptions,
 ) -> Vec<RootedTree>
 where
-    S: SearchState,
     P: CandidateGen + ?Sized,
-    O: Objective<S> + ?Sized,
+    O: Objective + ?Sized,
     W: Workload + ?Sized,
 {
-    if workload.is_complete(&start.progress()) {
+    assert!(options.width > 0, "beam width must be positive");
+    let source_set = workload.sources(n);
+    let sources = match &source_set {
+        SourceSet::All => None,
+        SourceSet::Nodes(nodes) => Some(nodes.as_slice()),
+    };
+    let start = BroadcastState::new(n);
+    if workload.is_complete(&Tokens::new(&start, sources).progress()) {
         // Already complete (n == 1, or a vacuous threshold): an empty
         // schedule is not allowed by SequenceSource, so emit one tree.
-        return pool
-            .candidates(start.full_view())
-            .into_iter()
-            .take(1)
-            .collect();
+        return pool.candidates(&start).into_iter().take(1).collect();
     }
     let mut beam = vec![Entry {
-        state: start.clone(),
+        fingerprint: fingerprint(&start),
+        state: start,
         schedule: None,
         key: (0, 0),
-        fingerprint: start.fingerprint(),
     }];
     // The best workload-completing move seen in the current generation;
     // only used when no successor survives. Ties keep the first seen
@@ -229,10 +247,10 @@ where
     // One probe state reused for every candidate expansion: `clone_from`
     // recycles flat buffers where the state supports it, so only
     // candidates that survive the witness check pay a full clone.
-    let mut probe = start.clone();
+    let mut probe = BroadcastState::new(n);
 
     for _round in 0..options.max_rounds {
-        let mut next: Vec<Entry<S>> = Vec::new();
+        let mut next: Vec<Entry> = Vec::new();
         // Best key pushed so far per state fingerprint: a candidate whose
         // state is already represented at an equal-or-better key would be
         // dropped by the post-sort dedup anyway (equal keys keep the first
@@ -241,11 +259,13 @@ where
         // this the planner's main allocation saver.
         let mut best_pushed: HashMap<u64, ScoreKey> = HashMap::new();
         for entry in &beam {
-            for tree in pool.candidates(entry.state.full_view()) {
+            let before = Tokens::new(&entry.state, sources);
+            for tree in pool.candidates(&entry.state) {
                 probe.clone_from(&entry.state);
-                probe.apply_tree(&tree);
-                let immediate = objective.score_state(&entry.state, &tree, &probe);
-                if workload.is_complete(&probe.progress()) {
+                probe.apply(&tree);
+                let after = Tokens::new(&probe, sources);
+                let immediate = objective.score_state(before, &tree, after);
+                if workload.is_complete(&after.progress()) {
                     let key = (u64::MAX, immediate);
                     if best_full.as_ref().map(|(k, _)| key < *k).unwrap_or(true) {
                         best_full = Some((key, extend(&entry.schedule, tree)));
@@ -255,10 +275,10 @@ where
                 let future = if options.lookahead == 0 {
                     0
                 } else {
-                    lookahead_rank(&probe, pool, objective, workload, options.lookahead)
+                    lookahead_rank(after, pool, objective, workload, options.lookahead)
                 };
                 let key = (future, immediate);
-                let fingerprint = probe.fingerprint();
+                let fingerprint = fingerprint(&probe);
                 match best_pushed.entry(fingerprint) {
                     hash_map::Entry::Occupied(mut seen) if *seen.get() > key => {
                         seen.insert(key);
@@ -300,7 +320,7 @@ where
     // Cap hit with survivors: append one closing candidate so the schedule
     // is replayable end-to-end (may not complete instantly; the engine's
     // repeat-last semantics finishes or caps the run).
-    if let Some(t) = pool.candidates(best.state.full_view()).into_iter().next() {
+    if let Some(t) = pool.candidates(&best.state).into_iter().next() {
         schedule.push(t);
     }
     schedule
@@ -332,13 +352,7 @@ pub fn beam_search_plan<P: CandidateGen + ?Sized>(
     pool: &mut P,
     options: BeamOptions,
 ) -> Vec<RootedTree> {
-    beam_search_workload_plan(
-        &BroadcastState::new(n),
-        pool,
-        &SurvivalObjective,
-        &Broadcast,
-        options,
-    )
+    beam_search_workload_plan(n, pool, &SurvivalObjective, &Broadcast, options)
 }
 
 /// [`TreeSource`] wrapper that lazily beam-plans on first use and then
@@ -346,10 +360,8 @@ pub fn beam_search_plan<P: CandidateGen + ?Sized>(
 ///
 /// The default type parameters recover the classic broadcast beam
 /// ([`BeamSearchAdversary::new`]); [`BeamSearchAdversary::for_workload`]
-/// plans against any [`Workload`] under any [`Objective`], picking the
-/// search state from the workload's [`SourceSet`]: all-source workloads
-/// plan over the full [`BroadcastState`], `k`-source workloads over
-/// [`TrackedSearchState`].
+/// plans against any [`Workload`] under any [`Objective`], which reads
+/// the workload's source columns ([`beam_search_workload_plan`]).
 pub struct BeamSearchAdversary<P, O = SurvivalObjective, W = Broadcast> {
     pool: P,
     objective: O,
@@ -399,7 +411,7 @@ impl<P: CandidateGen, O, W: Workload> BeamSearchAdversary<P, O, W> {
 impl<P, O, W> TreeSource for BeamSearchAdversary<P, O, W>
 where
     P: CandidateGen,
-    O: Objective<BroadcastState> + Objective<TrackedSearchState>,
+    O: Objective,
     W: Workload,
 {
     fn next_tree(&mut self, state: &BroadcastState) -> RootedTree {
@@ -408,22 +420,13 @@ where
             let options = BeamOptions::for_n(n)
                 .with_width(self.width)
                 .with_lookahead(self.lookahead);
-            let plan = match self.workload.sources(n) {
-                SourceSet::All => beam_search_workload_plan(
-                    &BroadcastState::new(n),
-                    &mut self.pool,
-                    &self.objective,
-                    &self.workload,
-                    options,
-                ),
-                SourceSet::Nodes(sources) => beam_search_workload_plan(
-                    &TrackedSearchState::new(n, &sources),
-                    &mut self.pool,
-                    &self.objective,
-                    &self.workload,
-                    options,
-                ),
-            };
+            let plan = beam_search_workload_plan(
+                n,
+                &mut self.pool,
+                &self.objective,
+                &self.workload,
+                options,
+            );
             self.replay = Some(SequenceSource::new(plan));
         }
         self.replay
@@ -562,7 +565,7 @@ mod tests {
         // at least as long as the broadcast bound it contains.
         let n = 8;
         let plan = beam_search_workload_plan(
-            &BroadcastState::new(n),
+            n,
             &mut StructuredPool::new(),
             &MinDisseminated::default(),
             &Gossip,
@@ -578,9 +581,9 @@ mod tests {
 
     #[test]
     fn tracked_beam_plans_k_source_workloads() {
-        // The k-source path plans over TrackedSearchState (the full state
-        // scored on the source columns); the plan must replay through run_workload and delay the
-        // tracked tokens at least as long as the static path delays them.
+        // A k-source plan scores the state on its source columns; the plan
+        // must replay through run_workload and delay the tracked tokens at
+        // least as long as the static path delays them.
         let n = 8;
         let workload = KSourceBroadcast::evenly_spread(n, 2);
         let mut adv = BeamSearchAdversary::for_workload(
@@ -595,6 +598,32 @@ mod tests {
             Some(t) => assert!(t >= (n as u64) - 1, "beam must not beat the path: {t}"),
             None => assert_eq!(report.outcome, WorkloadOutcome::RoundLimit),
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "beam width must be positive")]
+    fn zero_width_is_rejected_at_the_planner() {
+        // `width` is a public field, so `with_width`'s check can be
+        // bypassed; the planner must still name the bad option.
+        let n = 8;
+        let mut options = BeamOptions::for_n(n);
+        options.width = 0;
+        beam_search_workload_plan(
+            n,
+            &mut StructuredPool::new(),
+            &MinMaxReach,
+            &Broadcast,
+            options,
+        );
+    }
+
+    #[test]
+    fn fingerprints_separate_states() {
+        let mut a = BroadcastState::new(5);
+        let b = a.clone();
+        assert_eq!(fingerprint(&a), fingerprint(&b));
+        a.apply(&treecast_trees::generators::path(5));
+        assert_ne!(fingerprint(&a), fingerprint(&b));
     }
 
     #[test]

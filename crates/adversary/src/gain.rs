@@ -23,7 +23,7 @@ pub fn edge_weights(state: &BroadcastState, cost: &dyn Fn(NodeId) -> i64) -> Vec
             }
             diff.copy_from(state.heard_set(p));
             diff.difference_with(state.heard_set(y));
-            w[p][y] = diff.iter().map(|x| cost(x)).sum();
+            w[p][y] = diff.iter().map(cost).sum();
         }
     }
     w

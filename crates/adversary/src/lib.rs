@@ -12,11 +12,12 @@
 //! * **Search-based** — [`GreedyAdversary`] over pluggable [`Objective`]s
 //!   and [`CandidateGen`] pools, [`LookaheadAdversary`], and offline
 //!   [`beam_search_plan`] whose schedules replay as certified lower
-//!   bounds. The whole stack is generic over [`SearchState`] — the full
-//!   [`treecast_core::BroadcastState`] or the `k`-source
-//!   [`TrackedSearchState`] — so [`beam_search_workload_plan`] hunts
-//!   worst cases for any [`treecast_core::Workload`] (`k`-broadcast,
-//!   gossip, `k`-source) with optional depth-`d` lookahead.
+//!   bounds. The stack searches one state, the
+//!   [`treecast_core::BroadcastState`], and scores it through [`Tokens`]:
+//!   the columns of the workload's sources (every column, or the `k`
+//!   source columns). So [`beam_search_workload_plan`] hunts worst cases
+//!   for any [`treecast_core::Workload`] (`k`-broadcast, gossip,
+//!   `k`-source) with optional depth-`d` lookahead.
 //! * **Restricted** — [`ExactLeafPool`] / [`ExactInnerPool`] reproduce the
 //!   Zeiner–Schwarz–Schmid `k`-leaves / `k`-inner-nodes adversaries
 //!   (Figure 1's restricted rows).
@@ -46,7 +47,6 @@ mod beam;
 mod candidates;
 pub mod gain;
 mod objectives;
-mod search_state;
 mod strategies;
 mod survival;
 pub mod tournament;
@@ -57,9 +57,8 @@ pub use candidates::{
     SampledPool, StructuredPool,
 };
 pub use objectives::{
-    MinDisseminated, MinMaxReach, MinNearWinners, MinNewEdges, MinSumReach, Objective,
+    MinDisseminated, MinMaxReach, MinNearWinners, MinNewEdges, MinSumReach, Objective, Tokens,
 };
-pub use search_state::{SearchState, TrackedSearchState};
 pub use strategies::{
     FamilyRandomAdversary, FreezeLeaderAdversary, GreedyAdversary, LookaheadAdversary,
     UniformRandomAdversary,

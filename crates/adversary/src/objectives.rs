@@ -6,38 +6,147 @@
 //! analysis tracks, and comparing them head-to-head is the objective
 //! ablation (experiment E10).
 //!
-//! Since the workload-aware search refactor every objective is generic
-//! over [`SearchState`]: scored against a [`BroadcastState`] it reads the
-//! full reach-weight vector (every node's token), scored against a
-//! [`crate::TrackedSearchState`] it reads only the tracked tokens' holder
-//! counts — the same formula, applied to exactly the tokens the workload
-//! cares about. All five measures are pure functions of the per-token
+//! Objectives read the one search state, a [`BroadcastState`], through
+//! [`Tokens`]: the columns of the heard matrix the workload's
+//! [`SourceSet`](treecast_core::SourceSet) names. For the broadcast /
+//! `k`-broadcast / gossip family that is every column (the reach
+//! weights); for a `k`-source workload it is the `k` source columns —
+//! the same formula, applied to exactly the tokens the workload cares
+//! about. All five measures are pure functions of the per-token
 //! holder-count vector the candidate round would leave.
 
 use treecast_bitmatrix::BitSet;
-use treecast_core::BroadcastState;
-use treecast_trees::RootedTree;
+use treecast_core::workload::{full_state_progress, tracked_progress};
+use treecast_core::{BroadcastState, WorkloadProgress};
+use treecast_trees::{NodeId, RootedTree};
 
-use crate::search_state::SearchState;
+/// A [`BroadcastState`] read through a workload's sources: token `s` is
+/// held by exactly the nodes whose heard-from set contains `s`, so its
+/// holder count is the weight of column `s` of the heard matrix.
+///
+/// `sources == None` reads every node's token
+/// ([`SourceSet::All`](treecast_core::SourceSet::All)); `Some(sources)`
+/// reads only those columns, in token order
+/// ([`SourceSet::Nodes`](treecast_core::SourceSet::Nodes)).
+#[derive(Debug, Clone, Copy)]
+pub struct Tokens<'a> {
+    state: &'a BroadcastState,
+    sources: Option<&'a [NodeId]>,
+}
+
+impl<'a> Tokens<'a> {
+    /// Every node's token (the broadcast / `k`-broadcast / gossip family).
+    pub fn all(state: &'a BroadcastState) -> Self {
+        Tokens {
+            state,
+            sources: None,
+        }
+    }
+
+    /// The tokens `sources` names, in order (a `k`-source workload);
+    /// `None` reads every token. Every source must be `< n`
+    /// ([`Tokens::progress`] panics otherwise).
+    pub fn new(state: &'a BroadcastState, sources: Option<&'a [NodeId]>) -> Self {
+        Tokens { state, sources }
+    }
+
+    /// The full product-graph state candidate pools and structural
+    /// heuristics read.
+    pub fn state(&self) -> &'a BroadcastState {
+        self.state
+    }
+
+    /// The tracked sources, or `None` when every node's token counts.
+    pub(crate) fn sources(&self) -> Option<&'a [NodeId]> {
+        self.sources
+    }
+
+    /// Number of processes.
+    pub fn n(&self) -> usize {
+        self.state.n()
+    }
+
+    /// The progress summary workload termination predicates consume.
+    pub fn progress(&self) -> WorkloadProgress {
+        match self.sources {
+            None => full_state_progress(self.state),
+            Some(sources) => tracked_progress(self.state, sources),
+        }
+    }
+
+    /// Holder count of every token (for all tokens, the reach weights).
+    pub fn weights(&self) -> Vec<usize> {
+        let Some(sources) = self.sources else {
+            return self.state.reach_weights();
+        };
+        // Count bit `s` down word column `s / 64` of the heard matrix.
+        let heard = self.state.heard();
+        let stride = heard.words_per_row();
+        sources
+            .iter()
+            .map(|&s| {
+                let bit = 1u64 << (s % 64);
+                heard.as_words()[s / 64..]
+                    .iter()
+                    .step_by(stride)
+                    .filter(|&&w| w & bit != 0)
+                    .count()
+            })
+            .collect()
+    }
+
+    /// The holder-count vector after hypothetically playing `tree`,
+    /// computed without cloning the state: token `x` reaches `y` when
+    /// `x ∈ heard[parent(y)] \ heard[y]`.
+    pub fn weights_after(&self, tree: &RootedTree) -> Vec<usize> {
+        let state = self.state;
+        let mut weights = self.weights();
+        match self.sources {
+            None => {
+                let mut fresh = BitSet::new(state.n());
+                for y in 0..state.n() {
+                    if let Some(p) = tree.parent(y) {
+                        fresh.copy_from(state.heard_set(p));
+                        fresh.difference_with(state.heard_set(y));
+                        for x in &fresh {
+                            weights[x] += 1;
+                        }
+                    }
+                }
+            }
+            Some(sources) => {
+                for y in 0..state.n() {
+                    if let Some(p) = tree.parent(y) {
+                        let (parent, own) = (state.heard_set(p), state.heard_set(y));
+                        for (w, &s) in weights.iter_mut().zip(sources) {
+                            if parent.contains(s) && !own.contains(s) {
+                                *w += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        weights
+    }
+}
 
 /// Scores candidate trees; smaller = slower progress = better for the
 /// adversary.
 ///
-/// The default state parameter keeps the classic single-source API
-/// (`Objective` ≡ `Objective<BroadcastState>`); the search stack calls the
-/// generic form. [`Objective::score`] must not mutate anything;
+/// [`Objective::score`] must not mutate anything;
 /// [`Objective::score_state`] is the same value computed from an
 /// already-applied successor (the beam search has one in hand), and
 /// [`Objective::state_rank`] is the tree-free leaf heuristic lookahead
 /// search bottoms out on.
-pub trait Objective<S: SearchState = BroadcastState> {
-    /// The score of playing `tree` in `state`.
-    fn score(&self, state: &S, tree: &RootedTree) -> u64;
+pub trait Objective {
+    /// The score of playing `tree` in `tokens`' state.
+    fn score(&self, tokens: Tokens<'_>, tree: &RootedTree) -> u64;
 
     /// The score of the round that turned `before` into `after` via
     /// `tree`. Must equal `self.score(before, tree)`; override when the
     /// successor state makes it cheaper to compute.
-    fn score_state(&self, before: &S, tree: &RootedTree, after: &S) -> u64 {
+    fn score_state(&self, before: Tokens<'_>, tree: &RootedTree, after: Tokens<'_>) -> u64 {
         let _ = after;
         self.score(before, tree)
     }
@@ -45,8 +154,8 @@ pub trait Objective<S: SearchState = BroadcastState> {
     /// Tree-free rank of a state (smaller = safer for the adversary) —
     /// the leaf heuristic of depth-limited lookahead. The default is the
     /// lexicographic `(max holder count, total holder count)` pair.
-    fn state_rank(&self, state: &S) -> u64 {
-        let (max, sum) = weight_stats(&state.token_weights());
+    fn state_rank(&self, tokens: Tokens<'_>) -> u64 {
+        let (max, sum) = weight_stats(&tokens.weights());
         (max << 32) | sum
     }
 
@@ -63,21 +172,21 @@ fn weight_stats(weights: &[usize]) -> (u64, u64) {
 
 /// Counts the edges the product graph would gain:
 /// `Σ_y |heard[parent(y)] \ heard[y]|` — the paper's strict-progress
-/// quantity, greedily kept at its floor of 1. On a tracked state the sum
-/// runs over the tracked tokens only.
+/// quantity, greedily kept at its floor of 1. On tracked sources the sum
+/// runs over their tokens only.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MinNewEdges;
 
-impl<S: SearchState> Objective<S> for MinNewEdges {
-    fn score(&self, state: &S, tree: &RootedTree) -> u64 {
-        let (_, before) = weight_stats(&state.token_weights());
-        let (_, after) = weight_stats(&state.token_weights_after(tree));
+impl Objective for MinNewEdges {
+    fn score(&self, tokens: Tokens<'_>, tree: &RootedTree) -> u64 {
+        let (_, before) = weight_stats(&tokens.weights());
+        let (_, after) = weight_stats(&tokens.weights_after(tree));
         after - before
     }
 
-    fn score_state(&self, before: &S, _tree: &RootedTree, after: &S) -> u64 {
-        let (_, b) = weight_stats(&before.token_weights());
-        let (_, a) = weight_stats(&after.token_weights());
+    fn score_state(&self, before: Tokens<'_>, _tree: &RootedTree, after: Tokens<'_>) -> u64 {
+        let (_, b) = weight_stats(&before.weights());
+        let (_, a) = weight_stats(&after.weights());
         a - b
     }
 
@@ -101,15 +210,15 @@ impl MinMaxReach {
     }
 }
 
-impl<S: SearchState> Objective<S> for MinMaxReach {
-    fn score(&self, state: &S, tree: &RootedTree) -> u64 {
-        let (_, before) = weight_stats(&state.token_weights());
-        Self::pack(before, &state.token_weights_after(tree))
+impl Objective for MinMaxReach {
+    fn score(&self, tokens: Tokens<'_>, tree: &RootedTree) -> u64 {
+        let (_, before) = weight_stats(&tokens.weights());
+        Self::pack(before, &tokens.weights_after(tree))
     }
 
-    fn score_state(&self, before: &S, _tree: &RootedTree, after: &S) -> u64 {
-        let (_, b) = weight_stats(&before.token_weights());
-        Self::pack(b, &after.token_weights())
+    fn score_state(&self, before: Tokens<'_>, _tree: &RootedTree, after: Tokens<'_>) -> u64 {
+        let (_, b) = weight_stats(&before.weights());
+        Self::pack(b, &after.weights())
     }
 
     fn name(&self) -> &'static str {
@@ -129,15 +238,15 @@ impl MinSumReach {
     }
 }
 
-impl<S: SearchState> Objective<S> for MinSumReach {
-    fn score(&self, state: &S, tree: &RootedTree) -> u64 {
-        let (_, before) = weight_stats(&state.token_weights());
-        Self::pack(before, &state.token_weights_after(tree))
+impl Objective for MinSumReach {
+    fn score(&self, tokens: Tokens<'_>, tree: &RootedTree) -> u64 {
+        let (_, before) = weight_stats(&tokens.weights());
+        Self::pack(before, &tokens.weights_after(tree))
     }
 
-    fn score_state(&self, before: &S, _tree: &RootedTree, after: &S) -> u64 {
-        let (_, b) = weight_stats(&before.token_weights());
-        Self::pack(b, &after.token_weights())
+    fn score_state(&self, before: Tokens<'_>, _tree: &RootedTree, after: Tokens<'_>) -> u64 {
+        let (_, b) = weight_stats(&before.weights());
+        Self::pack(b, &after.weights())
     }
 
     fn name(&self) -> &'static str {
@@ -171,13 +280,13 @@ impl MinNearWinners {
     }
 }
 
-impl<S: SearchState> Objective<S> for MinNearWinners {
-    fn score(&self, state: &S, tree: &RootedTree) -> u64 {
-        self.pack(state.n(), &state.token_weights_after(tree))
+impl Objective for MinNearWinners {
+    fn score(&self, tokens: Tokens<'_>, tree: &RootedTree) -> u64 {
+        self.pack(tokens.n(), &tokens.weights_after(tree))
     }
 
-    fn score_state(&self, before: &S, _tree: &RootedTree, after: &S) -> u64 {
-        self.pack(before.n(), &after.token_weights())
+    fn score_state(&self, before: Tokens<'_>, _tree: &RootedTree, after: Tokens<'_>) -> u64 {
+        self.pack(before.n(), &after.weights())
     }
 
     fn name(&self) -> &'static str {
@@ -226,13 +335,13 @@ impl MinDisseminated {
     }
 }
 
-impl<S: SearchState> Objective<S> for MinDisseminated {
-    fn score(&self, state: &S, tree: &RootedTree) -> u64 {
-        self.pack(state.n(), &state.token_weights_after(tree))
+impl Objective for MinDisseminated {
+    fn score(&self, tokens: Tokens<'_>, tree: &RootedTree) -> u64 {
+        self.pack(tokens.n(), &tokens.weights_after(tree))
     }
 
-    fn score_state(&self, before: &S, _tree: &RootedTree, after: &S) -> u64 {
-        self.pack(before.n(), &after.token_weights())
+    fn score_state(&self, before: Tokens<'_>, _tree: &RootedTree, after: Tokens<'_>) -> u64 {
+        self.pack(before.n(), &after.weights())
     }
 
     fn name(&self) -> &'static str {
@@ -240,30 +349,13 @@ impl<S: SearchState> Objective<S> for MinDisseminated {
     }
 }
 
-/// The reach-weight vector after hypothetically playing `tree`, computed
-/// without cloning the whole state: node `x` is gained by `y` iff
-/// `x ∈ heard[parent(y)] \ heard[y]`.
-pub(crate) fn reach_weights_after(state: &BroadcastState, tree: &RootedTree) -> Vec<usize> {
-    let n = state.n();
-    let mut weights = state.reach_weights();
-    let mut fresh = BitSet::new(n);
-    for y in 0..n {
-        if let Some(p) = tree.parent(y) {
-            fresh.copy_from(state.heard_set(p));
-            fresh.difference_with(state.heard_set(y));
-            for x in &fresh {
-                weights[x] += 1;
-            }
-        }
-    }
-    weights
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search_state::TrackedSearchState;
-    use treecast_trees::generators;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use treecast_core::TrackedTokens;
+    use treecast_trees::{generators, random};
 
     fn state_after(trees: &[RootedTree], n: usize) -> BroadcastState {
         let mut s = BroadcastState::new(n);
@@ -283,7 +375,7 @@ mod tests {
             generators::caterpillar(n, 2),
             generators::spider(n, 3),
         ] {
-            let predicted = reach_weights_after(&state, &tree);
+            let predicted = Tokens::all(&state).weights_after(&tree);
             let mut applied = state.clone();
             applied.apply(&tree);
             assert_eq!(predicted, applied.reach_weights(), "tree {tree}");
@@ -295,7 +387,7 @@ mod tests {
         let n = 5;
         let state = state_after(&[generators::star(n)], n);
         for tree in [generators::path(n), generators::broom(n, 2)] {
-            let score = MinNewEdges.score(&state, &tree);
+            let score = MinNewEdges.score(Tokens::all(&state), &tree);
             let mut applied = state.clone();
             applied.apply(&tree);
             assert_eq!(
@@ -313,11 +405,11 @@ mod tests {
         let n = 7;
         let state = BroadcastState::new(n);
         assert_eq!(
-            MinNewEdges.score(&state, &generators::path(n)),
+            MinNewEdges.score(Tokens::all(&state), &generators::path(n)),
             (n - 1) as u64
         );
         assert_eq!(
-            MinNewEdges.score(&state, &generators::star(n)),
+            MinNewEdges.score(Tokens::all(&state), &generators::star(n)),
             (n - 1) as u64
         );
     }
@@ -328,8 +420,8 @@ mod tests {
         // everyone at reach 2.
         let n = 6;
         let state = BroadcastState::new(n);
-        let star = MinMaxReach.score(&state, &generators::star(n));
-        let path = MinMaxReach.score(&state, &generators::path(n));
+        let star = MinMaxReach.score(Tokens::all(&state), &generators::star(n));
+        let path = MinMaxReach.score(Tokens::all(&state), &generators::path(n));
         assert!(path < star, "path {path} should beat star {star}");
     }
 
@@ -338,18 +430,18 @@ mod tests {
         let n = 4;
         // Two rounds of path: root reaches 3 of 4 — near-winner at slack 2.
         let state = state_after(&[generators::path(n), generators::path(n)], n);
-        let score = MinNearWinners { slack: 2 }.score(&state, &generators::path(n));
+        let score = MinNearWinners { slack: 2 }.score(Tokens::all(&state), &generators::path(n));
         assert!(score >> 48 >= 1, "root must count as near winner");
     }
 
     #[test]
     fn names_are_distinct() {
         let names = [
-            Objective::<BroadcastState>::name(&MinNewEdges),
-            Objective::<BroadcastState>::name(&MinMaxReach),
-            Objective::<BroadcastState>::name(&MinSumReach),
-            Objective::<BroadcastState>::name(&MinNearWinners::default()),
-            Objective::<BroadcastState>::name(&MinDisseminated::default()),
+            MinNewEdges.name(),
+            MinMaxReach.name(),
+            MinSumReach.name(),
+            MinNearWinners::default().name(),
+            MinDisseminated::default().name(),
         ];
         let set: std::collections::HashSet<_> = names.iter().collect();
         assert_eq!(set.len(), names.len());
@@ -362,8 +454,8 @@ mod tests {
         // second path round disseminates nothing, while a star centered on
         // the root floods token 0 to everyone.
         let state = state_after(&[generators::path(n)], n);
-        let path = MinDisseminated::default().score(&state, &generators::path(n));
-        let star = MinDisseminated::default().score(&state, &generators::star(n));
+        let path = MinDisseminated::default().score(Tokens::all(&state), &generators::path(n));
+        let star = MinDisseminated::default().score(Tokens::all(&state), &generators::star(n));
         assert_eq!(path >> 52, 0, "path round must not disseminate a token");
         assert!(star >> 52 >= 1, "star must disseminate the center's token");
         assert!(path < star, "the adversary prefers the stall");
@@ -393,52 +485,144 @@ mod tests {
         // The successor-based form must compute the identical value —
         // this is what lets the beam score its probes without re-predicting.
         let n = 6;
-        let full = state_after(&[generators::path(n)], n);
-        let mut tracked = TrackedSearchState::new(n, &[0, 3]);
-        tracked.apply_tree(&generators::path(n));
-        for tree in [
-            generators::path(n),
-            generators::star(n),
-            generators::broom(n, 2),
-        ] {
-            macro_rules! check {
-                ($obj:expr) => {{
-                    let mut after = full.clone();
-                    after.apply(&tree);
+        let state = state_after(&[generators::path(n)], n);
+        for sources in [None, Some(&[0, 3][..])] {
+            let before = Tokens::new(&state, sources);
+            for tree in [
+                generators::path(n),
+                generators::star(n),
+                generators::broom(n, 2),
+            ] {
+                let mut applied = state.clone();
+                applied.apply(&tree);
+                let after = Tokens::new(&applied, sources);
+                let objectives: [&dyn Objective; 5] = [
+                    &MinNewEdges,
+                    &MinMaxReach,
+                    &MinSumReach,
+                    &MinNearWinners::default(),
+                    &MinDisseminated::default(),
+                ];
+                for objective in objectives {
                     assert_eq!(
-                        $obj.score(&full, &tree),
-                        $obj.score_state(&full, &tree, &after),
-                        "full-state {} on {tree}",
-                        Objective::<BroadcastState>::name(&$obj)
+                        objective.score(before, &tree),
+                        objective.score_state(before, &tree, after),
+                        "{} over {sources:?} on {tree}",
+                        objective.name()
                     );
-                    let mut t_after = tracked.clone();
-                    t_after.apply_tree(&tree);
-                    assert_eq!(
-                        $obj.score(&tracked, &tree),
-                        $obj.score_state(&tracked, &tree, &t_after),
-                        "tracked {} on {tree}",
-                        Objective::<BroadcastState>::name(&$obj)
-                    );
-                }};
+                }
             }
-            check!(MinNewEdges);
-            check!(MinMaxReach);
-            check!(MinSumReach);
-            check!(MinNearWinners::default());
-            check!(MinDisseminated::default());
         }
     }
 
     #[test]
     fn tracked_scores_ignore_untracked_tokens() {
-        // Disseminating an untracked token is free on a tracked state but
-        // costly on the full state: the tracked objective must not see it.
+        // Disseminating an untracked token is free on tracked sources but
+        // costly on all tokens: the tracked objective must not see it.
         let n = 5;
-        let mut tracked = TrackedSearchState::new(n, &[2]);
-        tracked.apply_tree(&generators::path(n));
+        let state = state_after(&[generators::path(n)], n);
         // A star centered at node 0 floods token 0 — untracked.
         let star0 = generators::star(n);
-        let score = MinDisseminated::default().score(&tracked, &star0);
+        let score = MinDisseminated::default().score(Tokens::new(&state, Some(&[2])), &star0);
         assert_eq!(score >> 52, 0, "untracked token 0 must not count as full");
+    }
+
+    #[test]
+    fn all_token_weights_are_reach_weights() {
+        let mut s = BroadcastState::new(6);
+        s.apply(&generators::path(6));
+        let tokens = Tokens::all(&s);
+        assert_eq!(tokens.weights(), s.reach_weights());
+        assert_eq!(tokens.n(), 6);
+        assert_eq!(tokens.progress().round, 1);
+    }
+
+    #[test]
+    fn tracked_predicted_weights_match_application() {
+        let n = 7;
+        let sources = [0usize, 3, 5];
+        let state = state_after(&[generators::broom(n, 2)], n);
+        for tree in [
+            generators::path(n),
+            generators::star(n),
+            generators::caterpillar(n, 3),
+        ] {
+            let predicted = Tokens::new(&state, Some(&sources)).weights_after(&tree);
+            let mut applied = state.clone();
+            applied.apply(&tree);
+            assert_eq!(
+                predicted,
+                Tokens::new(&applied, Some(&sources)).weights(),
+                "tree {tree}"
+            );
+        }
+    }
+
+    #[test]
+    fn tracked_tokens_stay_in_lockstep() {
+        // Token i's holders are the reach set of sources[i] in the full
+        // state, as a separately stepped holder-row state has them.
+        let n = 6;
+        let sources = [1usize, 4];
+        let mut state = BroadcastState::new(n);
+        let mut oracle = TrackedTokens::new(n, &sources);
+        for tree in [generators::path(n), generators::star_with_center(n, 2)] {
+            state.apply(&tree);
+            oracle.apply(&tree);
+        }
+        for (i, &src) in sources.iter().enumerate() {
+            assert_eq!(oracle.holders(i).to_bitset(), state.reach_set(src));
+        }
+        let progress = Tokens::new(&state, Some(&sources)).progress();
+        assert_eq!(progress.tokens, 2);
+        assert_eq!(progress.round, 2);
+    }
+
+    #[test]
+    fn tracked_weights_match_the_holder_row_oracle() {
+        // Seeded trees (with a static path every third round, so tokens
+        // stay in flight), word-boundary sizes and 1, 3 or 8 sources:
+        // after every round the column reads equal a TrackedTokens run,
+        // and so does the prediction for the next tree. At n = 1 only
+        // one distinct source exists.
+        for n in [1usize, 63, 64, 65, 130] {
+            for k in [1usize, 3, 8] {
+                let mut rng = StdRng::seed_from_u64((n * 31 + k) as u64);
+                let mut sources: Vec<NodeId> = Vec::new();
+                while sources.len() < k.min(n) {
+                    let s = rng.gen_range(0..n);
+                    if !sources.contains(&s) {
+                        sources.push(s);
+                    }
+                }
+                let mut state = BroadcastState::new(n);
+                let mut oracle = TrackedTokens::new(n, &sources);
+                let oracle_weights = |o: &TrackedTokens| -> Vec<usize> {
+                    (0..sources.len()).map(|i| o.holders(i).len()).collect()
+                };
+                let mut tree = random::uniform(n, &mut rng);
+                for round in 1..=2 * n.min(40) {
+                    let next = if round % 3 == 0 {
+                        generators::path(n)
+                    } else {
+                        random::uniform(n, &mut rng)
+                    };
+                    state.apply(&tree);
+                    oracle.apply(&tree);
+                    let tokens = Tokens::new(&state, Some(&sources));
+                    let at = format!("n = {n}, k = {k}, round {round}");
+                    assert_eq!(tokens.progress(), oracle.progress(), "{at}");
+                    assert_eq!(tokens.weights(), oracle_weights(&oracle), "{at}");
+                    let mut stepped = oracle.clone();
+                    stepped.apply(&next);
+                    assert_eq!(
+                        tokens.weights_after(&next),
+                        oracle_weights(&stepped),
+                        "{at}: prediction"
+                    );
+                    tree = next;
+                }
+            }
+        }
     }
 }

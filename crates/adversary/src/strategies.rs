@@ -4,11 +4,12 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use treecast_core::{BroadcastState, TreeSource};
+use treecast_core::{Broadcast, BroadcastState, TreeSource};
 use treecast_trees::{generators, random, RootedTree};
 
+use crate::beam::lookahead_rank;
 use crate::candidates::CandidateGen;
-use crate::objectives::Objective;
+use crate::objectives::{Objective, Tokens};
 
 /// Plays a fresh uniform random rooted tree every round — the natural
 /// "chaos" baseline (weak: random trees flood quickly).
@@ -113,7 +114,7 @@ impl<P: CandidateGen, O: Objective> TreeSource for GreedyAdversary<P, O> {
         let candidates = self.pool.candidates(state);
         candidates
             .into_iter()
-            .map(|t| (self.objective.score(state, &t), t))
+            .map(|t| (self.objective.score(Tokens::all(state), &t), t))
             .min_by_key(|(score, _)| *score)
             .map(|(_, t)| t)
             // analyze: allow(panic): the pool contract guarantees at least one candidate tree
@@ -126,8 +127,9 @@ impl<P: CandidateGen, O: Objective> TreeSource for GreedyAdversary<P, O> {
 }
 
 /// Depth-limited search adversary: evaluates each candidate by the best
-/// delaying line of play `depth` rounds deep, scoring leaves with an
-/// objective. `depth = 1` degenerates to [`GreedyAdversary`].
+/// delaying line of play `depth` rounds deep, scoring leaves with the
+/// objective's [`Objective::state_rank`] (the beam planner's lookahead
+/// scorer). `depth = 1` degenerates to [`GreedyAdversary`].
 #[derive(Debug)]
 pub struct LookaheadAdversary<P, O> {
     pool: P,
@@ -152,29 +154,6 @@ impl<P: CandidateGen, O: Objective> LookaheadAdversary<P, O> {
             depth,
         }
     }
-
-    /// Best (lowest) achievable leaf score from `state` in `depth` more
-    /// rounds; broadcast states are infinitely bad for the adversary.
-    fn eval(&mut self, state: &BroadcastState, depth: u32) -> u64 {
-        if state.broadcast_witness().is_some() {
-            return u64::MAX;
-        }
-        if depth == 0 {
-            // Leaf heuristic: fewer near-winners / lower max reach.
-            let reach = state.reach_weights();
-            let max = reach.iter().copied().max().unwrap_or(0) as u64;
-            let sum: u64 = reach.iter().map(|&w| w as u64).sum();
-            return (max << 32) | sum;
-        }
-        let candidates = self.pool.candidates(state);
-        let mut best = u64::MAX;
-        for t in candidates {
-            let mut next = state.clone();
-            next.apply(&t);
-            best = best.min(self.eval(&next, depth - 1));
-        }
-        best
-    }
 }
 
 impl<P: CandidateGen, O: Objective> TreeSource for LookaheadAdversary<P, O> {
@@ -182,10 +161,16 @@ impl<P: CandidateGen, O: Objective> TreeSource for LookaheadAdversary<P, O> {
         let candidates = self.pool.candidates(state);
         let mut best: Option<(u64, u64, RootedTree)> = None;
         for t in candidates {
-            let immediate = self.objective.score(state, &t);
+            let immediate = self.objective.score(Tokens::all(state), &t);
             let mut next = state.clone();
             next.apply(&t);
-            let future = self.eval(&next, self.depth - 1);
+            let future = lookahead_rank(
+                Tokens::all(&next),
+                &mut self.pool,
+                &self.objective,
+                &Broadcast,
+                self.depth - 1,
+            );
             let key = (future, immediate);
             if best
                 .as_ref()

@@ -23,34 +23,33 @@ use treecast_trees::{generators, NodeId, RootedTree};
 
 use crate::candidates::CandidateGen;
 use crate::gain::{deficits, edge_weights, missing_node, token_moves};
-use crate::objectives::Objective;
-use crate::search_state::SearchState;
+use crate::objectives::{Objective, Tokens};
 
 /// Scores the *state after* playing a candidate, lexicographically:
 /// broadcast ≫ conflicting deficit-1 missing nodes ≫ number of deficit-1
 /// tokens ≫ number of deficit ≤ 2 tokens ≫ max reach ≫ edges.
 ///
 /// Lower is better for the adversary; this is the one-step proxy for
-/// "rounds of survival left". The objective is workload-generic like the
-/// rest of the family, but it always ranks the **full** product view
-/// ([`SearchState::full_view`]) — forced-root conflicts are a property of
-/// the whole heard-set matrix, not of any token subset.
+/// "rounds of survival left". Unlike the rest of the family it ignores
+/// which tokens the workload tracks and always ranks the **whole** state
+/// ([`Tokens::state`]) — forced-root conflicts are a property of the
+/// whole heard-set matrix, not of any token subset.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SurvivalObjective;
 
-impl<S: SearchState> Objective<S> for SurvivalObjective {
-    fn score(&self, state: &S, tree: &RootedTree) -> u64 {
-        let mut after = state.full_view().clone();
+impl Objective for SurvivalObjective {
+    fn score(&self, tokens: Tokens<'_>, tree: &RootedTree) -> u64 {
+        let mut after = tokens.state().clone();
         after.apply(tree);
         survival_rank(&after)
     }
 
-    fn score_state(&self, _before: &S, _tree: &RootedTree, after: &S) -> u64 {
-        survival_rank(after.full_view())
+    fn score_state(&self, _before: Tokens<'_>, _tree: &RootedTree, after: Tokens<'_>) -> u64 {
+        survival_rank(after.state())
     }
 
-    fn state_rank(&self, state: &S) -> u64 {
-        survival_rank(state.full_view())
+    fn state_rank(&self, tokens: Tokens<'_>) -> u64 {
+        survival_rank(tokens.state())
     }
 
     fn name(&self) -> &'static str {
@@ -63,7 +62,7 @@ impl<S: SearchState> Objective<S> for SurvivalObjective {
 pub fn survival_rank(state: &BroadcastState) -> u64 {
     let n = state.n();
     let d = deficits(state);
-    if d.iter().any(|&x| x == 0) {
+    if d.contains(&0) {
         return u64::MAX;
     }
     let mut missing: Vec<NodeId> = Vec::new();
@@ -276,7 +275,7 @@ impl TreeSource for SurvivalAdversary {
         let candidates = self.pool.candidates(state);
         candidates
             .into_iter()
-            .map(|t| (SurvivalObjective.score(state, &t), t))
+            .map(|t| (SurvivalObjective.score(Tokens::all(state), &t), t))
             .min_by_key(|(score, _)| *score)
             .map(|(_, t)| t)
             // analyze: allow(panic): Edmonds always yields an arborescence on a complete digraph
@@ -354,10 +353,7 @@ mod tests {
 
     #[test]
     fn objective_name() {
-        assert_eq!(
-            Objective::<BroadcastState>::name(&SurvivalObjective),
-            "survival"
-        );
+        assert_eq!(SurvivalObjective.name(), "survival");
     }
 
     #[test]
@@ -368,10 +364,14 @@ mod tests {
         let tree = generators::broom(n, 2);
         let mut after = state.clone();
         after.apply(&tree);
+        let (before, after) = (Tokens::all(&state), Tokens::all(&after));
         assert_eq!(
-            SurvivalObjective.score(&state, &tree),
-            SurvivalObjective.score_state(&state, &tree, &after)
+            SurvivalObjective.score(before, &tree),
+            SurvivalObjective.score_state(before, &tree, after)
         );
-        assert_eq!(SurvivalObjective.state_rank(&after), survival_rank(&after));
+        assert_eq!(
+            SurvivalObjective.state_rank(after),
+            survival_rank(after.state())
+        );
     }
 }

@@ -418,6 +418,43 @@ mod tests {
     }
 
     #[test]
+    fn lookahead_lineup_entry_is_golden() {
+        // Pins the exact trajectory of the lineup's lookahead entry: its
+        // leaf scores and candidate order decide every cell below.
+        let entry = standard_lineup()
+            .entries
+            .into_iter()
+            .find(|(name, _)| name == "lookahead-2/max-reach")
+            .expect("the lineup has a lookahead entry");
+        let lineup = Lineup {
+            entries: vec![entry],
+        };
+        let ns: Vec<usize> = (2..=12).collect();
+        let config = TournamentConfig {
+            threads: 1,
+            ..Default::default()
+        };
+        let times: Vec<u64> = run_tournament(&lineup, &ns, config)
+            .iter()
+            .map(|r| r.broadcast_time)
+            .collect();
+        assert_eq!(times, vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]);
+        // The played trees themselves, at one size: the lookahead finds
+        // no line that beats repeating the identity-order path.
+        let n = 7;
+        let (_, factory) = &lineup.entries[0];
+        let mut adversary = factory(n, 0);
+        let mut state = treecast_core::BroadcastState::new(n);
+        let mut played = Vec::new();
+        while state.broadcast_witness().is_none() {
+            let tree = adversary.next_tree(&state);
+            state.apply(&tree);
+            played.push(tree);
+        }
+        assert_eq!(played, vec![generators::path(n); n - 1]);
+    }
+
+    #[test]
     fn standard_lineup_is_rich() {
         let lineup = standard_lineup();
         assert!(lineup.len() >= 10);

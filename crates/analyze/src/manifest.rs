@@ -109,13 +109,11 @@ pub fn parse(text: &str) -> Manifest {
                     line: lineno,
                 });
             }
-            SectionKind::DepDetail => {
-                // Body of `[dependencies.foo]`: attach `optional` to the
-                // dependency the header declared.
-                if key == "optional" && value == "true" {
-                    if let Some(d) = m.deps.last_mut() {
-                        d.optional = true;
-                    }
+            // Body of `[dependencies.foo]`: attach `optional` to the
+            // dependency the header declared.
+            SectionKind::DepDetail if key == "optional" && value == "true" => {
+                if let Some(d) = m.deps.last_mut() {
+                    d.optional = true;
                 }
             }
             _ => {}

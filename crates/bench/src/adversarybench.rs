@@ -18,10 +18,10 @@ use std::time::Instant;
 use serde::Serialize;
 use treecast_adversary::{
     beam_search_plan, beam_search_workload_plan, BeamOptions, MinDisseminated, StructuredPool,
-    SurvivalObjective, TrackedSearchState,
+    SurvivalObjective,
 };
 use treecast_core::{
-    run_workload, Broadcast, BroadcastState, Gossip, KBroadcast, KSourceBroadcast, SequenceSource,
+    run_workload, Broadcast, Gossip, KBroadcast, KSourceBroadcast, SequenceSource,
     SimulationConfig, Workload,
 };
 
@@ -74,8 +74,8 @@ fn grid_workloads() -> Vec<Box<dyn Workload>> {
 
 /// Runs the full deterministic grid: the all-source workload lattice under
 /// `MinDisseminated` beams (both widths, plus one lookahead row), a
-/// survival-scored broadcast row, and a `k`-source row driving the
-/// `TrackedSearchState` path.
+/// survival-scored broadcast row, and a `k`-source row whose beam scores
+/// the state on its two source columns.
 pub fn measure_rounds() -> Vec<PlanRound> {
     let mut rows = Vec::new();
     for &n in &GRID_NS {
@@ -85,7 +85,7 @@ pub fn measure_rounds() -> Vec<PlanRound> {
                 let mut options = BeamOptions::for_n(n).with_width(width);
                 options.max_rounds = cfg.max_rounds;
                 let plan = beam_search_workload_plan(
-                    &BroadcastState::new(n),
+                    n,
                     &mut StructuredPool::new(),
                     &MinDisseminated::default(),
                     workload.as_ref(),
@@ -107,7 +107,7 @@ pub fn measure_rounds() -> Vec<PlanRound> {
         let mut options = BeamOptions::for_n(n).with_width(4).with_lookahead(1);
         options.max_rounds = cfg.max_rounds;
         let plan = beam_search_workload_plan(
-            &BroadcastState::new(n),
+            n,
             &mut StructuredPool::new(),
             &MinDisseminated::default(),
             &Broadcast,
@@ -139,12 +139,12 @@ pub fn measure_rounds() -> Vec<PlanRound> {
             n,
             rounds: report.completion_time,
         });
-        // k-source row: plans over TrackedSearchState.
+        // k-source row: the beam reads the source columns of its states.
         let workload = KSourceBroadcast::evenly_spread(n, 2);
         let mut options = BeamOptions::for_n(n).with_width(4);
         options.max_rounds = cfg.max_rounds;
         let plan = beam_search_workload_plan(
-            &TrackedSearchState::new(n, workload.sources()),
+            n,
             &mut StructuredPool::new(),
             &MinDisseminated::default(),
             &workload,
@@ -179,7 +179,7 @@ pub fn measure_plan_wall(samples: usize) -> PlanWallMeasurement {
     for _ in 0..samples {
         let started = Instant::now();
         let plan = beam_search_workload_plan(
-            &BroadcastState::new(WALL_N),
+            WALL_N,
             &mut StructuredPool::new(),
             &SurvivalObjective,
             &Broadcast,
@@ -288,7 +288,7 @@ mod tests {
         let run = || {
             let n = 12;
             let plan = beam_search_workload_plan(
-                &BroadcastState::new(n),
+                n,
                 &mut StructuredPool::new(),
                 &MinDisseminated::default(),
                 &KBroadcast::new(2),

@@ -816,9 +816,9 @@ pub fn adversarial_variants(quick: bool) -> ExperimentOutput {
 pub fn adversarial_variants_on(ns: &[usize], scenario_ns: &[usize]) -> ExperimentOutput {
     use treecast_adversary::{beam_search_workload_plan, MinDisseminated};
     use treecast_core::{
-        run_workload, run_workload_faulty, Broadcast as BroadcastWorkload, BroadcastState,
-        FaultModel, FaultSchedule, Gossip as GossipWorkload, KBroadcast, KSourceBroadcast,
-        NoFaults, RotatingRoot, SeededFaults, Workload, WorkloadOutcome, WorkloadReport,
+        run_workload, run_workload_faulty, Broadcast as BroadcastWorkload, FaultModel,
+        FaultSchedule, Gossip as GossipWorkload, KBroadcast, KSourceBroadcast, NoFaults,
+        RotatingRoot, SeededFaults, Workload, WorkloadOutcome, WorkloadReport,
     };
 
     let mut out = ExperimentOutput::new(
@@ -865,7 +865,7 @@ pub fn adversarial_variants_on(ns: &[usize], scenario_ns: &[usize]) -> Experimen
                     .with_lookahead(depth);
                 options.max_rounds = cfg.max_rounds;
                 let plan = beam_search_workload_plan(
-                    &BroadcastState::new(n),
+                    n,
                     &mut StructuredPool::new(),
                     &MinDisseminated::default(),
                     workload.as_ref(),
@@ -902,7 +902,7 @@ pub fn adversarial_variants_on(ns: &[usize], scenario_ns: &[usize]) -> Experimen
                 ]);
             }
         }
-        // k-source row: the beam plans over TrackedSearchState.
+        // k-source row: the beam reads the source columns of its states.
         let workload = KSourceBroadcast::evenly_spread(n, 2);
         let mut adv = treecast_adversary::BeamSearchAdversary::for_workload(
             StructuredPool::new(),

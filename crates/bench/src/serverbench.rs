@@ -239,11 +239,7 @@ fn report_from(
         completion_rounds,
         warm_hits: warm.hits as i64,
         warm_misses: warm.misses as i64,
-        warm_hit_rate_permille: if lookups == 0 {
-            0
-        } else {
-            (warm.hits * 1000 / lookups) as i64
-        },
+        warm_hit_rate_permille: (warm.hits * 1000).checked_div(lookups).unwrap_or(0) as i64,
         cold_requests: cold.requests,
         cold_ns_per_request: cold_ns,
         warm_ns_per_request: warm_ns,

@@ -440,7 +440,7 @@ mod tests {
         let mut b = HybridRow::new(n);
         b.extend((0..t).map(|i| i * 2 + 1));
         let mut expect = a.to_bitset();
-        expect.union_with(&b.to_bitset());
+        expect.union_with(b.to_bitset());
         a.union_with(&b);
         assert!(a.is_dense());
         assert_eq!(a.to_bitset(), expect);

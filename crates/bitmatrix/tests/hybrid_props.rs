@@ -39,7 +39,7 @@ proptest! {
     fn promotion_happens_exactly_at_threshold(seed in proptest::num::u64::ANY) {
         for n in UNIVERSES {
             let t = hybrid_threshold(n);
-            prop_assert!(t + 1 <= n, "universes chosen above the clamp floor");
+            prop_assert!(t < n, "universes chosen above the clamp floor");
             for count in [t - 1, t, t + 1] {
                 let elems = distinct_elems(n, seed, count);
                 let mut row = HybridRow::new(n);
@@ -112,7 +112,7 @@ proptest! {
             b.extend(right.iter().copied());
 
             let mut expect = BitSet::from_indices(n, left.iter().copied());
-            expect.union_with(&BitSet::from_indices(n, right.iter().copied()));
+            expect.union_with(BitSet::from_indices(n, right.iter().copied()));
 
             a.union_with(&b);
             prop_assert_eq!(a.len(), expect.len());

@@ -160,7 +160,7 @@ impl Probe<BroadcastState> for MetricsRecorder {
             // First sighting: baseline is the identity state's n edges.
             self.last_edges = state.n();
         }
-        if state.round() % self.every == 0 {
+        if state.round().is_multiple_of(self.every) {
             self.sample(tree, state);
         }
     }

@@ -320,7 +320,7 @@ impl SeededFaults {
     fn chance(&mut self, permille: u32) -> bool {
         if permille == 0 {
             false
-        } else if permille % 10 == 0 {
+        } else if permille.is_multiple_of(10) {
             self.rng.gen_ratio(permille / 10, 100)
         } else {
             self.rng.gen_ratio(permille, 1000)
@@ -331,7 +331,7 @@ impl SeededFaults {
 /// `5%` for whole percents, `5‰` otherwise (shared with
 /// [`crate::replica::FaultSpec`]).
 pub(crate) fn rate_label(permille: u32) -> String {
-    if permille % 10 == 0 {
+    if permille.is_multiple_of(10) {
         format!("{}%", permille / 10)
     } else {
         format!("{permille}‰")

@@ -44,17 +44,18 @@ fn sources(n: usize, tree_seed: u64, budget: u64) -> Vec<(&'static str, Box<dyn 
 /// Runs the same (source, workload, faults) cell through the
 /// unconstrained emulation and the dense synchronous engine, comparing
 /// the *full* per-round evolution: normalized faults and every peer's
-/// holdings against every node's heard-from row.
-fn assert_round_for_round(
+/// holdings against every node's heard-from row. Each side draws its
+/// faults from its own `faults()` instance.
+fn assert_round_for_round<F: treecast_core::FaultModel>(
     n: usize,
     label: &str,
     mut emu_source: Box<dyn TreeSource>,
     mut sync_source: Box<dyn TreeSource>,
     workload: &dyn Workload,
-    mut emu_faults: impl treecast_core::FaultModel,
-    mut sync_faults: impl treecast_core::FaultModel,
+    faults: impl Fn() -> F,
     config: SimulationConfig,
 ) {
+    let (mut emu_faults, mut sync_faults) = (faults(), faults());
     let mut emu_rounds: Vec<Vec<Vec<usize>>> = Vec::new();
     let emulated = run_emulation_traced(
         n,
@@ -103,8 +104,7 @@ fn quiet_emulation_is_the_synchronous_model_round_for_round() {
                 emu_src,
                 sync_src,
                 &KSourceBroadcast::evenly_spread(n, 1.max(n / 3)),
-                NoFaults,
-                NoFaults,
+                || NoFaults,
                 config,
             );
         }
@@ -134,8 +134,7 @@ fn faulty_emulation_is_the_synchronous_model_round_for_round() {
                 emu_src,
                 sync_src,
                 &Gossip,
-                cocktail(),
-                cocktail(),
+                cocktail,
                 config,
             );
         }

@@ -14,6 +14,9 @@
 //! Everything here derives the vendored `serde` shim, so requests and
 //! responses cross a wire (or land in bench artifacts) as JSON.
 
+use treecast_adversary::{
+    MinDisseminated, MinMaxReach, MinNearWinners, MinNewEdges, MinSumReach, Objective,
+};
 use treecast_core::scenario::RoundFaults;
 use treecast_core::workload::{
     Broadcast, Gossip, KBroadcast, KSourceBroadcast, Workload, WorkloadReport,
@@ -129,16 +132,22 @@ pub enum ObjectiveSpec {
 }
 
 impl ObjectiveSpec {
-    /// The report label.
+    /// The objective the spec names, with its default parameters.
+    #[must_use]
+    pub fn objective(&self) -> Box<dyn Objective + Send + Sync> {
+        match self {
+            ObjectiveSpec::MinNewEdges => Box::new(MinNewEdges),
+            ObjectiveSpec::MinMaxReach => Box::new(MinMaxReach),
+            ObjectiveSpec::MinSumReach => Box::new(MinSumReach),
+            ObjectiveSpec::MinNearWinners => Box::new(MinNearWinners::default()),
+            ObjectiveSpec::MinDisseminated => Box::new(MinDisseminated::default()),
+        }
+    }
+
+    /// The report label: the objective's own name.
     #[must_use]
     pub fn name(&self) -> &'static str {
-        match self {
-            ObjectiveSpec::MinNewEdges => "min-new-edges",
-            ObjectiveSpec::MinMaxReach => "min-max-reach",
-            ObjectiveSpec::MinSumReach => "min-sum-reach",
-            ObjectiveSpec::MinNearWinners => "min-near-winners",
-            ObjectiveSpec::MinDisseminated => "min-disseminated",
-        }
+        self.objective().name()
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! The cache keys every prefix product by `(fingerprint, round)`, where
 //! the fingerprint of a prefix `A₁, …, A_t` is a splitmix64 chain over
-//! the trees' structural hashes — the same finalizer family as
-//! `SearchState::fingerprint` and the solver's state table, chained so
+//! the trees' structural hashes — the same finalizer family as the
+//! solver's state table, chained so
 //! that prefixes sharing a stem share their fingerprints up to the first
 //! differing round:
 //!

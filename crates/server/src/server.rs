@@ -12,17 +12,16 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use treecast_adversary::{
-    beam_search_workload_plan, BeamOptions, CandidateGen, ExhaustivePool, MinDisseminated,
-    MinMaxReach, MinNearWinners, MinNewEdges, MinSumReach, SampledPool, SearchState,
-    StructuredPool, TrackedSearchState,
+    beam_search_workload_plan, BeamOptions, CandidateGen, ExhaustivePool, SampledPool,
+    StructuredPool,
 };
 use treecast_core::prefix::{run_workload_prefixes, PrefixProvider, PrefixRound};
 use treecast_core::{
-    run_workload_faulty, BroadcastState, FaultSchedule, SequenceSource, SimulationConfig, Workload,
+    run_workload_faulty, BroadcastState, FaultSchedule, SequenceSource, SimulationConfig,
 };
 use treecast_trees::RootedTree;
 
-use crate::api::{ObjectiveSpec, PlanReport, PoolSpec, Request, Response, WorkloadSpec};
+use crate::api::{PlanReport, PoolSpec, Request, Response};
 use crate::cache::{CacheConfig, CacheStats, PrefixCache, PrefixEntry};
 use crate::fingerprint::{chain, tree_hash, SEED};
 
@@ -191,24 +190,13 @@ impl Server {
                 let executable = workload.workload(n)?;
                 let options = BeamOptions::for_n(n).with_width(*width);
                 let mut pool = build_pool(pool, n, options)?;
-                // `k`-source workloads search over the batched tracked
-                // state; everything else over the full product state.
-                let schedule = match workload {
-                    WorkloadSpec::KSourceBroadcast { sources } => plan_with_objective(
-                        &TrackedSearchState::new(n, sources),
-                        &mut *pool,
-                        *objective,
-                        &*executable,
-                        options,
-                    ),
-                    _ => plan_with_objective(
-                        &BroadcastState::new(n),
-                        &mut *pool,
-                        *objective,
-                        &*executable,
-                        options,
-                    ),
-                };
+                let schedule = beam_search_workload_plan(
+                    n,
+                    &mut *pool,
+                    &*objective.objective(),
+                    &*executable,
+                    options,
+                );
                 if schedule.is_empty() {
                     return Err("planner returned an empty schedule".into());
                 }
@@ -302,34 +290,6 @@ fn build_pool(
         PoolSpec::Sampled { count, seed } => Box::new(SampledPool::new(*count, *seed)),
         PoolSpec::Exhaustive => Box::new(ExhaustivePool::new(n)),
     })
-}
-
-/// The objective dispatch: `Objective<S>` is generic over the state, so
-/// the spec fans out to concrete objective values here.
-fn plan_with_objective<S: SearchState>(
-    start: &S,
-    pool: &mut dyn CandidateGen,
-    objective: ObjectiveSpec,
-    workload: &(dyn Workload + Send + Sync),
-    options: BeamOptions,
-) -> Vec<RootedTree> {
-    match objective {
-        ObjectiveSpec::MinNewEdges => {
-            beam_search_workload_plan(start, pool, &MinNewEdges, workload, options)
-        }
-        ObjectiveSpec::MinMaxReach => {
-            beam_search_workload_plan(start, pool, &MinMaxReach, workload, options)
-        }
-        ObjectiveSpec::MinSumReach => {
-            beam_search_workload_plan(start, pool, &MinSumReach, workload, options)
-        }
-        ObjectiveSpec::MinNearWinners => {
-            beam_search_workload_plan(start, pool, &MinNearWinners::default(), workload, options)
-        }
-        ObjectiveSpec::MinDisseminated => {
-            beam_search_workload_plan(start, pool, &MinDisseminated::default(), workload, options)
-        }
-    }
 }
 
 /// A [`PrefixProvider`] that answers each round from the shared
@@ -427,12 +387,16 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use treecast_adversary::{
+        MinDisseminated, MinMaxReach, MinNearWinners, MinNewEdges, MinSumReach, Objective,
+    };
     use treecast_bitmatrix::BoolMatrix;
     use treecast_core::prefix::ComposedPrefixes;
+    use treecast_core::Workload;
     use treecast_core::{run_workload, Gossip, KBroadcast, RoundFaults, SeededFaults};
     use treecast_trees::{generators, random};
 
-    use crate::api::Schedule;
+    use crate::api::{ObjectiveSpec, Schedule, WorkloadSpec};
 
     fn rotating_stars(n: usize) -> Vec<RootedTree> {
         (0..n).map(|c| generators::star_with_center(n, c)).collect()
@@ -709,6 +673,74 @@ mod tests {
         // least as slow as the static path's n − 1.
         assert!(t >= n as u64 - 1, "plan completed suspiciously fast: {t}");
         assert!(report.replay.fault_log.is_empty());
+    }
+
+    /// The plan a direct library call makes for `spec` over the
+    /// structured pool: the server must answer with exactly this schedule.
+    fn library_plan(
+        n: usize,
+        spec: ObjectiveSpec,
+        workload: &(dyn Workload + Send + Sync),
+        width: usize,
+    ) -> Vec<RootedTree> {
+        let objective: &dyn Objective = match spec {
+            ObjectiveSpec::MinNewEdges => &MinNewEdges,
+            ObjectiveSpec::MinMaxReach => &MinMaxReach,
+            ObjectiveSpec::MinSumReach => &MinSumReach,
+            ObjectiveSpec::MinNearWinners => &MinNearWinners { slack: 2 },
+            ObjectiveSpec::MinDisseminated => &MinDisseminated { slack: 2 },
+        };
+        let options = BeamOptions::for_n(n).with_width(width);
+        beam_search_workload_plan(n, &mut StructuredPool::new(), objective, workload, options)
+    }
+
+    #[test]
+    fn plans_match_the_library_planner_on_every_workload() {
+        let n = 8;
+        let width = 4;
+        let s = server(CacheConfig::default());
+        let objectives = [
+            ObjectiveSpec::MinNewEdges,
+            ObjectiveSpec::MinMaxReach,
+            ObjectiveSpec::MinSumReach,
+            ObjectiveSpec::MinNearWinners,
+            ObjectiveSpec::MinDisseminated,
+        ];
+        let workloads = [
+            WorkloadSpec::Broadcast,
+            WorkloadSpec::KBroadcast { k: 2 },
+            WorkloadSpec::KSourceBroadcast {
+                sources: vec![0, n / 2],
+            },
+        ];
+        for objective in objectives {
+            for spec in &workloads {
+                let request = Request::AdversaryPlan {
+                    n,
+                    pool: PoolSpec::Structured,
+                    objective,
+                    width,
+                    workload: spec.clone(),
+                };
+                let Response::AdversaryPlan { report } = s.serve(&request) else {
+                    panic!("expected a plan response");
+                };
+                let at = format!("{} on {spec:?}", objective.name());
+                let workload = spec.workload(n).unwrap();
+                assert_eq!(
+                    report.schedule,
+                    library_plan(n, objective, &*workload, width),
+                    "{at}"
+                );
+                // A completing plan completes on its last tree; a capped
+                // one runs the replay to the engine's round cap.
+                let rounds = match report.replay.completion_time {
+                    Some(_) => report.schedule.len() as u64,
+                    None => SimulationConfig::for_n(n).max_rounds,
+                };
+                assert_eq!(report.replay.rounds, rounds, "{at}");
+            }
+        }
     }
 
     #[test]

@@ -299,7 +299,7 @@ mod tests {
     #[test]
     fn matches_brute_force_on_random_instances() {
         // Deterministic xorshift so the test is reproducible without rand.
-        let mut state = 0x1234_5678_9ABC_DEFu64;
+        let mut state = 0x0123_4567_89AB_CDEF_u64;
         let mut next = || {
             state ^= state << 13;
             state ^= state >> 7;

@@ -10,8 +10,8 @@ use treecast::adversary::{
     beam_search_workload_plan, BeamOptions, MinDisseminated, StructuredPool,
 };
 use treecast::core::{
-    run_workload_faulty, Broadcast, BroadcastState, FaultModel, FaultSchedule, Gossip, NoFaults,
-    RotatingRoot, SeededFaults, SequenceSource, SimulationConfig, StaticSource, Workload,
+    run_workload_faulty, Broadcast, FaultModel, FaultSchedule, Gossip, NoFaults, RotatingRoot,
+    SeededFaults, SequenceSource, SimulationConfig, StaticSource, Workload,
 };
 use treecast::trees::generators;
 
@@ -67,7 +67,7 @@ fn main() {
     let mut options = BeamOptions::for_n(n).with_width(4);
     options.max_rounds = cfg.max_rounds;
     let plan = beam_search_workload_plan(
-        &BroadcastState::new(n),
+        n,
         &mut StructuredPool::new(),
         &MinDisseminated::default(),
         &Gossip,

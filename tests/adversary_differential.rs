@@ -22,7 +22,7 @@ use proptest::prelude::*;
 
 use treecast::adversary::{
     beam_search_plan, beam_search_workload_plan, survival_rank, ArborescencePool, BeamOptions,
-    CandidateGen, GreedyAdversary, MinDisseminated, MinMaxReach, Objective, StructuredPool,
+    CandidateGen, GreedyAdversary, MinDisseminated, MinMaxReach, Objective, StructuredPool, Tokens,
 };
 use treecast::core::{
     bounds, run_workload, Broadcast, BroadcastState, Gossip, KBroadcast, SequenceSource,
@@ -62,7 +62,7 @@ fn beam_time(
     let mut options = BeamOptions::for_n(n).with_width(width);
     options.max_rounds = cfg.max_rounds;
     let plan = beam_search_workload_plan(
-        &BroadcastState::new(n),
+        n,
         &mut StructuredPool::new(),
         &MinDisseminated::default(),
         workload,
@@ -114,7 +114,7 @@ proptest! {
         let mut options = BeamOptions::for_n(n).with_width(1);
         options.max_rounds = cfg.max_rounds;
         let plan = beam_search_workload_plan(
-            &BroadcastState::new(n),
+            n,
             &mut StructuredPool::new(),
             &MinDisseminated::default(),
             workload.as_ref(),
@@ -144,7 +144,7 @@ proptest! {
             let greedy_choice = pool
                 .candidates(&state)
                 .into_iter()
-                .map(|t| (objective.score(&state, &t), t))
+                .map(|t| (objective.score(Tokens::all(&state), &t), t))
                 .min_by_key(|(s, _)| *s)
                 .map(|(_, t)| t)
                 .expect("structured pool is non-empty");
@@ -174,7 +174,7 @@ proptest! {
         let mut options = BeamOptions::for_n(n).with_width(1);
         options.max_rounds = cfg.max_rounds;
         let plan = beam_search_workload_plan(
-            &BroadcastState::new(n),
+            n,
             &mut StructuredPool::new(),
             &MinMaxReach,
             &Broadcast,
@@ -189,7 +189,7 @@ proptest! {
             let greedy_choice = pool
                 .candidates(&state)
                 .into_iter()
-                .map(|t| (MinMaxReach.score(&state, &t), t))
+                .map(|t| (MinMaxReach.score(Tokens::all(&state), &t), t))
                 .min_by_key(|(s, _)| *s)
                 .map(|(_, t)| t)
                 .expect("structured pool is non-empty");
@@ -331,7 +331,7 @@ fn lookahead_beam_stays_sandwiched() {
     for n in 2..=6usize {
         for depth in [1u32, 2] {
             let plan = beam_search_workload_plan(
-                &BroadcastState::new(n),
+                n,
                 &mut StructuredPool::new(),
                 &MinDisseminated::default(),
                 &Broadcast,

@@ -16,8 +16,7 @@ use treecast::adversary::{
     beam_search_workload_plan, BeamOptions, MinDisseminated, StructuredPool,
 };
 use treecast::core::{
-    run_workload, Broadcast, BroadcastState, Gossip, KBroadcast, SequenceSource, SimulationConfig,
-    Workload,
+    run_workload, Broadcast, Gossip, KBroadcast, SequenceSource, SimulationConfig, Workload,
 };
 
 /// The E10 scenario table's workloads at size `n`.
@@ -37,7 +36,7 @@ fn beam_time(n: usize, workload: &dyn Workload, width: usize) -> Option<u64> {
     let mut options = BeamOptions::for_n(n).with_width(width);
     options.max_rounds = cfg.max_rounds;
     let plan = beam_search_workload_plan(
-        &BroadcastState::new(n),
+        n,
         &mut StructuredPool::new(),
         &MinDisseminated::default(),
         workload,
