@@ -427,37 +427,6 @@ impl BitSet {
         }
     }
 
-    /// Removes and returns the `cap` smallest elements (all of them, if
-    /// fewer are present), popping the lowest set bits word by word.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use treecast_bitmatrix::BitSet;
-    /// let mut s = BitSet::from_indices(130, [3, 64, 129]);
-    /// let low = s.take_first(2);
-    /// assert_eq!(low.iter().collect::<Vec<_>>(), vec![3, 64]);
-    /// assert_eq!(s.iter().collect::<Vec<_>>(), vec![129]);
-    /// ```
-    #[inline]
-    #[must_use]
-    pub fn take_first(&mut self, cap: usize) -> BitSet {
-        let mut taken = BitSet::new(self.nbits);
-        let mut left = cap;
-        for (word, out) in self.words.iter_mut().zip(taken.words.iter_mut()) {
-            while left > 0 && *word != 0 {
-                let low = *word & word.wrapping_neg();
-                *word ^= low;
-                *out |= low;
-                left -= 1;
-            }
-            if left == 0 {
-                break;
-            }
-        }
-        taken
-    }
-
     /// In-place symmetric difference: `self ← self △ other`.
     ///
     /// # Panics
@@ -906,38 +875,6 @@ mod tests {
         let mut d = a.clone();
         d.difference_with(&b);
         assert_eq!(d.iter().collect::<Vec<_>>(), vec![1, 7]);
-    }
-
-    #[test]
-    fn take_first_splits_low_tokens_out() {
-        let mut s = BitSet::from_indices(200, [5, 70, 140, 199]);
-        let taken = s.take_first(3);
-        assert_eq!(taken.iter().collect::<Vec<_>>(), vec![5, 70, 140]);
-        assert_eq!(taken.universe_size(), 200);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![199]);
-        let rest = s.take_first(10);
-        assert_eq!(rest.len(), 1);
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn take_first_with_cap_zero_takes_nothing() {
-        let mut s = BitSet::from_indices(130, [0, 63, 64, 129]);
-        let taken = s.take_first(0);
-        assert!(taken.is_empty());
-        assert_eq!(taken.universe_size(), 130);
-        assert_eq!(s.len(), 4);
-    }
-
-    #[test]
-    fn take_first_with_cap_at_least_len_takes_everything() {
-        for cap in [4, 5, usize::MAX] {
-            let mut s = BitSet::from_indices(130, [0, 63, 64, 129]);
-            let whole = s.clone();
-            let taken = s.take_first(cap);
-            assert_eq!(taken, whole, "cap {cap}");
-            assert!(s.is_empty(), "cap {cap}");
-        }
     }
 
     #[test]

@@ -19,8 +19,11 @@
 //! so such a round steps the tree directly instead: one O(n) pass builds
 //! the effective parent map (`y`'s parent if the edge carries, else `y`),
 //! then each token costs one 64-bits-per-word gather over its dense holder
-//! row — or only its holders' children while the row is sparse — plus a
-//! scan of the masked edges for the fault-deferred nodes.
+//! row, and up to 64 sparse rows share one more pass over the map (a bit
+//! per token on each holder), plus a scan of the masked edges for the
+//! fault-deferred nodes. None of that reads the tree's children index, so
+//! a freshly sampled tree never builds one unless a fault masks an edge
+//! or more than 64 rows are sparse.
 //!
 //! # Exactness and scale
 //!
@@ -88,11 +91,15 @@ impl TokenFrontier {
     /// onto `fresh` and refills `deferred` with the fault-blocked ones.
     /// `round_parents[y]` is `y`'s parent if that edge carries this round,
     /// else `y` ([`round_parents_into`]).
+    ///
+    /// A sparse row that [`step_sparse_rows`] already stepped (`marked`)
+    /// holds its new holders in `frontier`; they move to `fresh` here.
     fn step_whole_tree(
         &mut self,
         tree: &RootedTree,
         round_parents: &[NodeId],
         offline: &[NodeId],
+        marked: bool,
         fresh: &mut Vec<NodeId>,
     ) {
         let holders = &self.holders;
@@ -108,7 +115,9 @@ impl TokenFrontier {
                     }
                 }
             }
-            // Sparse: only a holder's children can be new.
+            None if marked => std::mem::swap(fresh, &mut self.frontier),
+            // Sparse, in a round with too many sparse rows to share one
+            // pass: only a holder's children can be new.
             None => {
                 for h in holders.iter() {
                     let kids = tree.children(h).iter().copied();
@@ -136,6 +145,56 @@ impl TokenFrontier {
                 self.deferred
                     .extend(kids.filter(|&c| !is_offline(c) && !holders.contains(c)));
             }
+        }
+    }
+}
+
+/// The most sparse rows one [`step_sparse_rows`] pass serves: one bit of a
+/// node's mark word each.
+const MARK_BITS: usize = u64::BITS as usize;
+
+/// Steps the sparse rows `marked` (at most [`MARK_BITS`] unfinished
+/// tokens) of a whole-tree round in one shared O(n) pass over the
+/// effective parent map, reading no children index: bit `b` of `marks[v]`
+/// says that `v` holds token `marked[b]`, so `y` receives exactly the
+/// tokens in `marks[round_parents[y]] & !marks[y]`. Each token's new
+/// holders land in its `frontier`, in ascending node order. `holding`
+/// has the bit of every marked node, so the pass reads a mark word only
+/// behind a set bit: n/8 bytes of random reads instead of 8n. `marks`
+/// and `holding` are all zero before and after (clearing costs
+/// O(holders)).
+fn step_sparse_rows(
+    tokens: &mut [TokenFrontier],
+    marked: &[usize],
+    round_parents: &[NodeId],
+    marks: &mut Vec<u64>,
+    holding: &mut BitSet,
+) {
+    marks.resize(round_parents.len(), 0);
+    for (bit, &i) in marked.iter().enumerate() {
+        let tok = &mut tokens[i];
+        tok.frontier.clear();
+        for h in tok.holders.iter() {
+            marks[h] |= 1 << bit;
+            holding.insert(h);
+        }
+    }
+    for (y, &p) in round_parents.iter().enumerate() {
+        if !holding.contains(p) {
+            continue;
+        }
+        let mut new = marks[p] & !marks[y];
+        while new != 0 {
+            tokens[marked[new.trailing_zeros() as usize]]
+                .frontier
+                .push(y);
+            new &= new - 1;
+        }
+    }
+    for &i in marked {
+        for h in tokens[i].holders.iter() {
+            marks[h] = 0;
+            holding.remove(h);
         }
     }
 }
@@ -171,8 +230,10 @@ pub struct FrontierState {
     tokens: Vec<TokenFrontier>,
     /// Tokens currently held by everyone (kept incrementally).
     disseminated: usize,
-    /// Per-round candidate dedup bits, cleared via `touched` so clearing
-    /// costs O(candidates), not O(n/64).
+    /// Per-round scratch bits, clear between rounds: the candidate dedup
+    /// of a delta round, cleared via `touched` so clearing costs
+    /// O(candidates), not O(n/64); in a whole-tree round, the nodes that
+    /// hold a sparse row's token ([`step_sparse_rows`]).
     seen: BitSet,
     /// Scratch: nodes accepted this round (the next frontier).
     fresh: Vec<NodeId>,
@@ -183,6 +244,12 @@ pub struct FrontierState {
     /// Scratch: a whole-tree round's effective parent map, shared by all
     /// tokens.
     round_parents: Vec<NodeId>,
+    /// Scratch: per-node token bits of a whole-tree round's sparse rows
+    /// ([`step_sparse_rows`]); all zero between rounds.
+    marks: Vec<u64>,
+    /// Scratch: the tokens whose rows `marks` carries, bit `b` ↔ token
+    /// `marked[b]`.
+    marked: Vec<usize>,
 }
 
 impl FrontierState {
@@ -222,6 +289,8 @@ impl FrontierState {
             touched: Vec::new(),
             pending: Vec::new(),
             round_parents: Vec::new(),
+            marks: Vec::new(),
+            marked: Vec::new(),
         }
     }
 
@@ -339,6 +408,10 @@ impl FrontierState {
                 self.seen.is_empty(),
                 "seen dedup bits not scrubbed between rounds"
             );
+            assert!(
+                self.marks.iter().all(|&m| m == 0),
+                "sparse-row marks not scrubbed between rounds"
+            );
         }
     }
 
@@ -352,10 +425,12 @@ impl FrontierState {
     /// examine O(candidates) nodes per token (below). A
     /// [`RoundDelta::All`] round builds the effective parent map once
     /// (O(n)) and then steps each token along the whole tree: a dense
-    /// holder row costs one word gather of n bits ([`gather_word`]), a
-    /// sparse one only its holders' children; either way the deferred
-    /// set comes from the masked edges alone (offline nodes and their
-    /// children).
+    /// holder row costs one word gather of n bits ([`gather_word`]); the
+    /// sparse rows share one more O(n) pass over the map while there are
+    /// at most 64 of them, and otherwise each walks its holders'
+    /// children. Either way the deferred set comes from the masked edges
+    /// alone (offline nodes and their children). Only the children walks
+    /// and a non-empty `offline` set read `tree`'s children index.
     ///
     /// # Correctness of the candidate set
     ///
@@ -391,9 +466,25 @@ impl FrontierState {
         check_offline(offline, self.n);
         let is_offline = |v: NodeId| offline.binary_search(&v).is_ok();
         let whole_tree = matches!(delta, RoundDelta::All);
+        self.marked.clear();
         if whole_tree && self.tokens.iter().any(|tok| !tok.full) {
             round_parents_into(tree, offline, &mut self.round_parents);
+            let sparse_rows = self.tokens.iter().enumerate();
+            let sparse_rows = sparse_rows.filter(|(_, tok)| !tok.full && tok.holders.is_sparse());
+            self.marked.extend(sparse_rows.map(|(i, _)| i));
+            if self.marked.len() > MARK_BITS {
+                self.marked.clear();
+            } else if !self.marked.is_empty() {
+                step_sparse_rows(
+                    &mut self.tokens,
+                    &self.marked,
+                    &self.round_parents,
+                    &mut self.marks,
+                    &mut self.seen,
+                );
+            }
         }
+        let shared_pass = !self.marked.is_empty();
         let mut seen = std::mem::replace(&mut self.seen, BitSet::new(0));
         let mut fresh = std::mem::take(&mut self.fresh);
         let mut touched = std::mem::take(&mut self.touched);
@@ -410,7 +501,8 @@ impl FrontierState {
             }
             fresh.clear();
             if whole_tree {
-                tok.step_whole_tree(tree, &self.round_parents, offline, &mut fresh);
+                let marked = shared_pass && tok.holders.is_sparse();
+                tok.step_whole_tree(tree, &self.round_parents, offline, marked, &mut fresh);
             } else {
                 // Phase 1: gather candidates.
                 pending.clear();
@@ -655,17 +747,22 @@ impl FrontierSource {
     pub fn next_round(&mut self, n: usize, reroot: Option<NodeId>) -> FrontierRound<'_> {
         let first = self.rounds_started == 0;
         self.rounds_started += 1;
-        let same_base = match &mut self.kind {
+        // Between two rounds over the same base, parents can differ only
+        // on the previous and current reroot paths. A new base invalidates
+        // everything. The first round needs no delta at all (the initial
+        // frontier *is* the source set), except that a freshly drawn tree
+        // is cheaper stepped whole: that reads no children index.
+        let use_all = match &mut self.kind {
             SourceKind::Static(tree) => {
                 assert_eq!(tree.n(), n, "source tree size mismatch");
-                !first
+                false
             }
             SourceKind::Sequence(trees) => {
                 let idx = ((self.rounds_started - 1) as usize).min(trees.len() - 1);
                 assert_eq!(trees[idx].n(), n, "source tree size mismatch");
-                let same = !first && idx == self.seq_idx;
+                let new_base = !first && idx != self.seq_idx;
                 self.seq_idx = idx;
-                same
+                new_base
             }
             SourceKind::Seeded { seed, n: sn } => {
                 assert_eq!(*sn, n, "seeded source built for a different n");
@@ -674,23 +771,18 @@ impl FrontierSource {
                     Some(tree) => random::uniform_into(tree, n, rng),
                     None => self.current = Some(random::uniform(n, rng)),
                 }
-                false
+                true
             }
         };
 
         // Nodes whose parent this round's reroot changes, in base-tree
-        // coordinates. The first round needs no delta at all (the initial
-        // frontier *is* the source set), but feeding the reroot path is
-        // harmless and keeps the cases uniform.
+        // coordinates. In a first round over a fixed base, feeding the
+        // reroot path is harmless and keeps the cases uniform.
         let curr_path: Vec<NodeId> = match reroot {
             Some(r) => self.base().path_to_root(r),
             None => Vec::new(),
         };
 
-        // Between two rounds over the same base, parents can differ only
-        // on the previous and current reroot paths. A new base invalidates
-        // everything.
-        let use_all = !first && !same_base;
         self.changed_buf.clear();
         if !use_all {
             self.changed_buf.extend_from_slice(&self.prev_reroot_path);

@@ -1,8 +1,9 @@
 //! Proves the allocation contract of seeded tree sampling: once the tree's
 //! buffers have grown to `n`, `random::uniform_into` and the seeded
 //! `FrontierSource::next_round` (which samples into its retained tree)
-//! allocate zero bytes per call — and so does a whole seeded frontier
-//! round, `next_round` plus `FrontierState::apply_round` over 16 tokens.
+//! allocate zero bytes per call, a lazy children-index build after the
+//! draw included — and so does a whole seeded frontier round,
+//! `next_round` plus `FrontierState::apply_round` over 16 tokens.
 //!
 //! A counting wrapper around the system allocator tallies every
 //! allocation and its size; the file contains exactly one `#[test]` so no
@@ -97,6 +98,8 @@ fn steady_state_sampling_does_not_allocate() {
 
         let mut source = FrontierSource::seeded(n, 7);
         source.next_round(n, None); // warm-up: the retained tree is built here
+                                    // `leaf_count` builds each drawn tree's children index lazily,
+                                    // into the buffers the previous tree's index left behind.
         let mut leaves = 0;
         let window = cleanest_window(|| {
             leaves += source.next_round(n, None).tree.leaf_count();

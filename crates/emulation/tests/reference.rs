@@ -26,6 +26,49 @@ use treecast_core::{
 use treecast_emulation::{run_emulation_traced, EmulationState, GossipKnobs, QueueDiscipline};
 use treecast_trees::{generators, NodeId, RootedTree};
 
+/// Removes and returns the `cap` smallest elements of `set` (all of
+/// them, if fewer are present): the reference's truncated grant.
+fn take_first(set: &mut BitSet, cap: usize) -> BitSet {
+    let mut taken = BitSet::new(set.universe_size());
+    for v in set.iter().take(cap).collect::<Vec<_>>() {
+        set.remove(v);
+        taken.insert(v);
+    }
+    taken
+}
+
+#[test]
+fn take_first_splits_low_tokens_out() {
+    let mut s = BitSet::from_indices(200, [5, 70, 140, 199]);
+    let taken = take_first(&mut s, 3);
+    assert_eq!(taken.iter().collect::<Vec<_>>(), vec![5, 70, 140]);
+    assert_eq!(taken.universe_size(), 200);
+    assert_eq!(s.iter().collect::<Vec<_>>(), vec![199]);
+    let rest = take_first(&mut s, 10);
+    assert_eq!(rest.len(), 1);
+    assert!(s.is_empty());
+}
+
+#[test]
+fn take_first_with_cap_zero_takes_nothing() {
+    let mut s = BitSet::from_indices(130, [0, 63, 64, 129]);
+    let taken = take_first(&mut s, 0);
+    assert!(taken.is_empty());
+    assert_eq!(taken.universe_size(), 130);
+    assert_eq!(s.len(), 4);
+}
+
+#[test]
+fn take_first_with_cap_at_least_len_takes_everything() {
+    for cap in [4, 5, usize::MAX] {
+        let mut s = BitSet::from_indices(130, [0, 63, 64, 129]);
+        let whole = s.clone();
+        let taken = take_first(&mut s, cap);
+        assert_eq!(taken, whole, "cap {cap}");
+        assert!(s.is_empty(), "cap {cap}");
+    }
+}
+
 /// "I hold these tokens" — sent parent → child along round-tree edges.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Advert {
@@ -210,7 +253,7 @@ impl Reference {
                 if grant.is_empty() {
                     continue;
                 }
-                let sent = grant.take_first(bw_left);
+                let sent = take_first(&mut grant, bw_left);
                 bw_left -= sent.len();
                 if !grant.is_empty() {
                     peer.requests.push_front(Request {

@@ -80,6 +80,7 @@ fn for_each_edge(seq: &[NodeId], degree: &mut [u32], mut edge: impl FnMut(NodeId
 /// neighbor, which roots the tree at `n − 1`; flipping the path from
 /// `root` up to `n − 1` then moves the root. `parent` must be all `None`
 /// and `degree` is scratch; both have length `n = seq.len() + 2`.
+/// Returns `root`, so a caller needs no scan for the `None` entry.
 ///
 /// # Panics
 ///
@@ -89,9 +90,10 @@ pub(crate) fn decode_parents_into(
     root: NodeId,
     degree: &mut [u32],
     parent: &mut [Option<NodeId>],
-) {
+) -> NodeId {
     for_each_edge(seq, degree, |leaf, s| parent[leaf] = Some(s));
     reroot_parents(parent, root);
+    root
 }
 
 /// Encodes the undirected skeleton of a labeled tree as its Prüfer

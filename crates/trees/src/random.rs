@@ -40,7 +40,9 @@ pub fn uniform<R: Rng + ?Sized>(n: usize, rng: &mut R) -> RootedTree {
 /// on `n` nodes, drawing another allocates nothing.
 ///
 /// The Prüfer sequence is drawn into the tree's own scratch space and
-/// decoded straight into its parent array.
+/// decoded straight into its parent array. A decoded sequence is a tree by
+/// construction, so the children index is not built here but on the first
+/// read of it (see [`RootedTree`]).
 ///
 /// # Panics
 ///
@@ -61,19 +63,18 @@ pub fn uniform<R: Rng + ?Sized>(n: usize, rng: &mut R) -> RootedTree {
 /// ```
 pub fn uniform_into<R: Rng + ?Sized>(tree: &mut RootedTree, n: usize, rng: &mut R) {
     assert!(n > 0, "tree needs at least one node");
-    let filled = tree.refill(n, |parent, degree, scratch| {
+    tree.refill(n, |parent, degree, scratch| {
         // A single node has no sequence and no root to draw.
-        if n >= 2 {
-            let seq = &mut scratch[..n - 2];
-            for s in seq.iter_mut() {
-                *s = rng.gen_range(0..n);
-            }
-            let root = rng.gen_range(0..n);
-            pruefer::decode_parents_into(seq, root, degree, parent);
+        if n < 2 {
+            return 0;
         }
+        let seq = &mut scratch[..n - 2];
+        for s in seq.iter_mut() {
+            *s = rng.gen_range(0..n);
+        }
+        let root = rng.gen_range(0..n);
+        pruefer::decode_parents_into(seq, root, degree, parent)
     });
-    // analyze: allow(panic): Pruefer decode is total on sequences drawn from 0..n
-    filled.expect("Prüfer decode always yields a tree");
 }
 
 /// A random recursive tree: node `v` (in a random insertion order) attaches

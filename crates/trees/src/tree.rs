@@ -1,6 +1,8 @@
 //! The rooted labeled tree type and its validation.
 
 use core::fmt;
+use core::hash::{Hash, Hasher};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use treecast_bitmatrix::BoolMatrix;
 
@@ -70,12 +72,30 @@ impl std::error::Error for TreeError {}
 /// the adversary picks some `RootedTree`, the model adds a self-loop at
 /// every node, and information propagates along `parent → child` edges.
 ///
-/// The representation is a validated parent array plus a compressed
-/// sparse row (CSR) index: one flat children array cut by per-node
-/// offsets, the depths, and the breadth-first order that filled them. A
-/// tree is five flat vectors, so cloning one costs five copies and
-/// resampling into an existing tree ([`crate::random::uniform_into`])
+/// The representation is a parent array and its root, plus a derived
+/// compressed sparse row (CSR) index: one flat children array cut by
+/// per-node offsets, the depths, and the breadth-first order that filled
+/// them.
+///
+/// # When the index is built
+///
+/// [`RootedTree::from_parents`], [`RootedTree::from_edges`] and
+/// deserialization build the index eagerly: its BFS is their cycle check.
+/// A tree drawn by [`crate::random::uniform_into`] (and so
+/// [`crate::random::uniform`]) is a tree by construction and starts
+/// without one. Its index is built on the first call of a reader of the
+/// index — [`children`](Self::children), [`depth`](Self::depth),
+/// [`height`](Self::height), [`is_leaf`](Self::is_leaf),
+/// [`leaves`](Self::leaves), [`bfs`](Self::bfs) and everything built on
+/// them (leaf and inner counts, `subtree_*`, `is_path`, `is_star`,
+/// `shape`). [`root`](Self::root), [`parent`](Self::parent),
+/// [`parents`](Self::parents), [`path_to_root`](Self::path_to_root) and
+/// [`to_matrix`](Self::to_matrix) read the parent array alone. A refill
+/// drops the index and keeps its buffers, so a lazy build after one
 /// allocates nothing.
+///
+/// Equality and hashing compare the parent array and root only; the
+/// index is derived data. A clone shares a built index.
 ///
 /// # Examples
 ///
@@ -89,10 +109,22 @@ impl std::error::Error for TreeError {}
 /// assert_eq!(t.leaves(), vec![1]);
 /// # Ok::<(), treecast_trees::TreeError>(())
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct RootedTree {
     root: NodeId,
     parent: Vec<Option<NodeId>>,
+    /// The children index, depths and BFS order, once built. Clones
+    /// share it, so cloning a tree copies only its parent array.
+    index: OnceLock<Arc<Index>>,
+    /// The buffers of the last dropped index that no clone shared,
+    /// reused by the next build and, in a refill, as the Prüfer decoder's
+    /// scratch. Never shared, so `Arc::make_mut` on it never copies.
+    /// Locked once per lazy build.
+    spare: Mutex<Option<Arc<Index>>>,
+}
+
+/// The derived part of a [`RootedTree`].
+#[derive(Clone, Default)]
+struct Index {
     /// `children[child_offsets[v]..child_offsets[v + 1]]` are the children
     /// of `v`, in increasing node order. Offsets and depths are `u32`
     /// (trees stay below 2³² nodes), which halves the index's memory
@@ -102,6 +134,68 @@ pub struct RootedTree {
     depth: Vec<u32>,
     /// Nodes in breadth-first order from the root.
     bfs: Vec<NodeId>,
+}
+
+impl Index {
+    /// Fills the index of the tree `(parent, root)`, reusing this index's
+    /// buffers. Each node has at most one parent, so the BFS needs no
+    /// visited set. It is also the acyclicity check: returns the smallest
+    /// node it never reaches, which is on or behind a cycle.
+    fn fill(&mut self, parent: &[Option<NodeId>], root: NodeId) -> Option<NodeId> {
+        let n = parent.len();
+        // Counting sort of the nodes by parent. Scanning the nodes in
+        // increasing order keeps each child list sorted. `depth` holds the
+        // write cursors until the BFS overwrites it.
+        self.child_offsets.clear();
+        self.child_offsets.resize(n + 1, 0);
+        for &p in parent.iter().flatten() {
+            self.child_offsets[p + 1] += 1;
+        }
+        for v in 0..n {
+            self.child_offsets[v + 1] += self.child_offsets[v];
+        }
+        self.depth.clear();
+        self.depth.extend_from_slice(&self.child_offsets[..n]);
+        // The sort below writes every slot, so stale entries are harmless.
+        self.children.resize(n - 1, 0);
+        for (c, &p) in parent.iter().enumerate() {
+            if let Some(p) = p {
+                self.children[self.depth[p] as usize] = c;
+                self.depth[p] += 1;
+            }
+        }
+
+        self.depth.fill(u32::MAX);
+        self.depth[root] = 0;
+        self.bfs.clear();
+        self.bfs.reserve(n);
+        self.bfs.push(root);
+        let mut head = 0;
+        while let Some(&v) = self.bfs.get(head) {
+            head += 1;
+            let d = self.depth[v] + 1;
+            for &c in &self.children[self.child_range(v)] {
+                self.depth[c] = d;
+                self.bfs.push(c);
+            }
+        }
+        self.depth.iter().position(|&d| d == u32::MAX)
+    }
+
+    #[inline]
+    fn child_range(&self, v: NodeId) -> std::ops::Range<usize> {
+        self.child_offsets[v] as usize..self.child_offsets[v + 1] as usize
+    }
+
+    #[inline]
+    fn children(&self, v: NodeId) -> &[NodeId] {
+        &self.children[self.child_range(v)]
+    }
+
+    #[inline]
+    fn is_leaf(&self, v: NodeId) -> bool {
+        self.child_offsets[v] == self.child_offsets[v + 1]
+    }
 }
 
 /// The root of a parent array: its unique `None` entry, after checking
@@ -149,7 +243,8 @@ pub(crate) fn reroot_parents(parent: &mut [Option<NodeId>], new_root: NodeId) {
 
 impl RootedTree {
     /// Builds a tree from a parent array; the unique `None` entry is the
-    /// root.
+    /// root. This is the validating boundary: it builds the index eagerly,
+    /// because the index's BFS is the cycle check.
     ///
     /// # Errors
     ///
@@ -157,11 +252,17 @@ impl RootedTree {
     /// `None` entries, names an out-of-range parent, or contains a cycle.
     /// A cycle is reported at the smallest node the root cannot reach.
     pub fn from_parents(parent: Vec<Option<NodeId>>) -> Result<Self, TreeError> {
-        let mut tree = RootedTree::unfilled();
-        tree.root = find_root(&parent)?;
-        tree.parent = parent;
-        tree.index()?;
-        Ok(tree)
+        let root = find_root(&parent)?;
+        let mut index = Index::default();
+        if let Some(node) = index.fill(&parent, root) {
+            return Err(TreeError::Cyclic { node });
+        }
+        Ok(RootedTree {
+            root,
+            parent,
+            index: OnceLock::from(Arc::new(index)),
+            spare: Mutex::default(),
+        })
     }
 
     /// A tree with no nodes and no buffers, valid only as the target of a
@@ -170,82 +271,58 @@ impl RootedTree {
         RootedTree {
             root: 0,
             parent: Vec::new(),
-            child_offsets: Vec::new(),
-            children: Vec::new(),
-            depth: Vec::new(),
-            bfs: Vec::new(),
+            index: OnceLock::new(),
+            spare: Mutex::default(),
         }
     }
 
-    /// Overwrites this tree with one on `n` nodes, reusing its buffers.
+    /// Overwrites this tree with one on `n` nodes, reusing its buffers,
+    /// and drops its index (keeping the buffers for the next build).
     /// `fill` gets the parent array, all `None`, and two scratch slices of
-    /// length `n`; it must leave a valid parent array behind. Once the
-    /// buffers have grown to `n`, this allocates nothing.
-    ///
-    /// # Errors
-    ///
-    /// As [`RootedTree::from_parents`]. After an error the tree must be
-    /// refilled before it is read again.
+    /// length `n`; it must leave a valid tree behind and return its root.
+    /// The fill is trusted: nothing is validated outside debug builds.
+    /// Once the buffers have grown to `n`, this allocates nothing.
     pub(crate) fn refill(
         &mut self,
         n: usize,
-        fill: impl FnOnce(&mut [Option<NodeId>], &mut [u32], &mut [NodeId]),
-    ) -> Result<(), TreeError> {
+        fill: impl FnOnce(&mut [Option<NodeId>], &mut [u32], &mut [NodeId]) -> NodeId,
+    ) {
+        let spare = self.spare.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if let Some(mut built) = self.index.take() {
+            // A clone still sharing the index keeps its buffers.
+            if Arc::get_mut(&mut built).is_some() {
+                *spare = Some(built);
+            }
+        }
+        let spare = Arc::make_mut(spare.get_or_insert_default());
         self.parent.clear();
         self.parent.resize(n, None);
-        self.depth.resize(n, 0);
-        self.children.resize(n, 0);
-        fill(&mut self.parent, &mut self.depth, &mut self.children);
-        self.root = find_root(&self.parent)?;
-        self.index()
+        spare.depth.resize(n, 0);
+        spare.children.resize(n, 0);
+        self.root = fill(&mut self.parent, &mut spare.depth, &mut spare.children);
+        debug_assert_eq!(find_root(&self.parent), Ok(self.root), "refill root");
     }
 
-    /// Fills the CSR children index, the depths and the BFS order from the
-    /// parent array and root. Each node has at most one parent, so the BFS
-    /// needs no visited set. It is also the acyclicity check: the nodes it
-    /// never reaches are exactly those on or behind a cycle.
-    fn index(&mut self) -> Result<(), TreeError> {
-        let n = self.parent.len();
-        // Counting sort of the nodes by parent. Scanning the nodes in
-        // increasing order keeps each child list sorted. `depth` holds the
-        // write cursors until the BFS overwrites it.
-        self.child_offsets.clear();
-        self.child_offsets.resize(n + 1, 0);
-        for &p in self.parent.iter().flatten() {
-            self.child_offsets[p + 1] += 1;
-        }
-        for v in 0..n {
-            self.child_offsets[v + 1] += self.child_offsets[v];
-        }
-        self.depth.clear();
-        self.depth.extend_from_slice(&self.child_offsets[..n]);
-        // The sort below writes every slot, so stale entries are harmless.
-        self.children.resize(n - 1, 0);
-        for (c, &p) in self.parent.iter().enumerate() {
-            if let Some(p) = p {
-                self.children[self.depth[p] as usize] = c;
-                self.depth[p] += 1;
-            }
-        }
+    /// The index, built on first use from the spare buffers.
+    fn index(&self) -> &Index {
+        self.index.get_or_init(|| {
+            let spare = self
+                .spare
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take();
+            let mut index = spare.unwrap_or_default();
+            let unreached = Arc::make_mut(&mut index).fill(&self.parent, self.root);
+            debug_assert_eq!(unreached, None, "a trusted fill left a cycle");
+            index
+        })
+    }
 
-        self.depth.fill(u32::MAX);
-        self.depth[self.root] = 0;
-        self.bfs.clear();
-        self.bfs.reserve(n);
-        self.bfs.push(self.root);
-        let mut head = 0;
-        while let Some(&v) = self.bfs.get(head) {
-            head += 1;
-            let d = self.depth[v] + 1;
-            for &c in &self.children[self.child_range(v)] {
-                self.depth[c] = d;
-                self.bfs.push(c);
-            }
-        }
-        match self.depth.iter().position(|&d| d == u32::MAX) {
-            Some(node) => Err(TreeError::Cyclic { node }),
-            None => Ok(()),
-        }
+    /// Whether the children index has been built. Only tests that pin
+    /// when the lazy build happens need this.
+    #[doc(hidden)]
+    pub fn is_indexed(&self) -> bool {
+        self.index.get().is_some()
     }
 
     /// Builds a tree from `(parent, child)` edges.
@@ -334,12 +411,7 @@ impl RootedTree {
     /// Panics if `v >= n`.
     #[inline]
     pub fn children(&self, v: NodeId) -> &[NodeId] {
-        &self.children[self.child_range(v)]
-    }
-
-    #[inline]
-    fn child_range(&self, v: NodeId) -> std::ops::Range<usize> {
-        self.child_offsets[v] as usize..self.child_offsets[v + 1] as usize
+        self.index().children(v)
     }
 
     /// The depth of `v` (root has depth 0).
@@ -349,12 +421,12 @@ impl RootedTree {
     /// Panics if `v >= n`.
     #[inline]
     pub fn depth(&self, v: NodeId) -> usize {
-        self.depth[v] as usize
+        self.index().depth[v] as usize
     }
 
     /// The height of the tree: the maximum depth.
     pub fn height(&self) -> usize {
-        self.depth.iter().copied().max().unwrap_or(0) as usize
+        self.index().depth.iter().copied().max().unwrap_or(0) as usize
     }
 
     /// Returns `true` if `v` has no children.
@@ -362,7 +434,7 @@ impl RootedTree {
     /// A single-node tree's root is a leaf.
     #[inline]
     pub fn is_leaf(&self, v: NodeId) -> bool {
-        self.child_offsets[v] == self.child_offsets[v + 1]
+        self.index().is_leaf(v)
     }
 
     /// Returns `true` if `v` has at least one child.
@@ -406,14 +478,14 @@ impl RootedTree {
     /// # Ok::<(), treecast_trees::TreeError>(())
     /// ```
     pub fn bfs_order(&self) -> Vec<NodeId> {
-        self.bfs.clone()
+        self.bfs().to_vec()
     }
 
     /// [`RootedTree::bfs_order`], borrowed: the order is computed once,
-    /// when the tree is built.
+    /// with the index.
     #[inline]
     pub fn bfs(&self) -> &[NodeId] {
-        &self.bfs
+        &self.index().bfs
     }
 
     /// Nodes on the path from `v` up to and including the root.
@@ -562,6 +634,32 @@ impl RootedTree {
                 .max()
                 .unwrap_or(0),
         }
+    }
+}
+
+impl Clone for RootedTree {
+    fn clone(&self) -> Self {
+        RootedTree {
+            root: self.root,
+            parent: self.parent.clone(),
+            index: self.index.clone(),
+            spare: Mutex::default(),
+        }
+    }
+}
+
+impl PartialEq for RootedTree {
+    fn eq(&self, other: &Self) -> bool {
+        self.root == other.root && self.parent == other.parent
+    }
+}
+
+impl Eq for RootedTree {}
+
+impl Hash for RootedTree {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.root.hash(state);
+        self.parent.hash(state);
     }
 }
 

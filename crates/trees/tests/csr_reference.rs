@@ -2,7 +2,9 @@
 //! replaced (nested children vectors, a per-node path walk for depths and
 //! cycles, a queue-based BFS): same parents, same children in the same
 //! order, same depths and BFS order, and on invalid arrays the same
-//! `TreeError`, variant and node.
+//! `TreeError`, variant and node. Also pins the lazy index of a drawn
+//! tree: a refill drops it, a read rebuilds the current tree's, and
+//! equality, hashing and cloning do not depend on whether it is built.
 
 use std::collections::VecDeque;
 
@@ -161,5 +163,76 @@ fn hand_picked_invalid_arrays() {
     ];
     for parent in cases {
         check(parent).unwrap();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `uniform_into` leaves the children index unbuilt, and the index a
+    /// later read builds is that of the new parent array, never a stale
+    /// one from before the refill. A clone taken before the refill, which
+    /// shares the old index, keeps it intact.
+    #[test]
+    fn a_refill_never_serves_a_stale_index(
+        n in 1usize..40,
+        m in 1usize..40,
+        seed in 0u64..1_000_000,
+        keep_clone in 0u8..2,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut tree = random::uniform(n, &mut rng);
+        prop_assert!(!tree.is_indexed());
+        tree.height(); // builds the index of the first tree
+        prop_assert!(tree.is_indexed());
+        let old = (keep_clone == 1).then(|| tree.clone());
+        random::uniform_into(&mut tree, m, &mut rng);
+        if let Some(old) = old {
+            let want = RootedTree::from_parents(old.parents().to_vec()).unwrap();
+            for v in 0..n {
+                prop_assert_eq!(old.children(v), want.children(v));
+            }
+            prop_assert_eq!(old.bfs(), want.bfs());
+        }
+        prop_assert!(!tree.is_indexed(), "a refill drops the index");
+        let fresh = RootedTree::from_parents(tree.parents().to_vec()).unwrap();
+        prop_assert_eq!(tree.root(), fresh.root());
+        for v in 0..m {
+            prop_assert_eq!(tree.children(v), fresh.children(v));
+            prop_assert_eq!(tree.depth(v), fresh.depth(v));
+        }
+        prop_assert_eq!(tree.bfs(), fresh.bfs());
+    }
+}
+
+fn hash_of(tree: &RootedTree) -> u64 {
+    use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+    BuildHasherDefault::<DefaultHasher>::default().hash_one(tree)
+}
+
+#[test]
+fn the_index_takes_no_part_in_equality_or_hashing() {
+    let mut rng = StdRng::seed_from_u64(0x1D_E7);
+    for n in [1usize, 2, 3, 17, 200] {
+        let drawn = random::uniform(n, &mut rng);
+        let built = RootedTree::from_parents(drawn.parents().to_vec()).unwrap();
+        assert!(!drawn.is_indexed() && built.is_indexed(), "n = {n}");
+        assert_eq!(drawn, built, "n = {n}: unindexed == indexed");
+        assert_eq!(hash_of(&drawn), hash_of(&built), "n = {n}: hashes");
+
+        let (unindexed_clone, indexed_clone) = (drawn.clone(), built.clone());
+        assert!(!unindexed_clone.is_indexed(), "n = {n}");
+        assert!(
+            indexed_clone.is_indexed(),
+            "n = {n}: a clone carries the index"
+        );
+        assert_eq!(unindexed_clone, indexed_clone, "n = {n}: clones");
+        assert_eq!(hash_of(&unindexed_clone), hash_of(&built), "n = {n}");
+        assert_eq!(indexed_clone.bfs(), built.bfs(), "n = {n}");
+
+        drawn.leaf_count(); // builds the drawn tree's index lazily
+        assert!(drawn.is_indexed(), "n = {n}");
+        assert_eq!(drawn, unindexed_clone, "n = {n}: building changes nothing");
+        assert_eq!(hash_of(&drawn), hash_of(&unindexed_clone), "n = {n}");
     }
 }
