@@ -40,9 +40,6 @@
 //! assert!(t <= bounds::upper_bound(n as u64));
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod beam;
 mod candidates;
 pub mod gain;

@@ -2,7 +2,7 @@
 //! determinism audit.
 //!
 //! ```text
-//! analyze [--root DIR] [--rules all|L1,L3,…] [--determinism]
+//! analyze [--root DIR] [--rules all|L1,L2,…] [--determinism]
 //!         [--allowlist FILE] [--json FILE] [--check FILE]
 //!         [--write-baseline FILE]
 //! ```
@@ -65,7 +65,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 } else {
                     for code in spec.split(',') {
                         let rule = RuleId::from_code(code.trim())
-                            .ok_or_else(|| format!("unknown rule `{code}` (want L1…L6)"))?;
+                            .ok_or_else(|| format!("unknown rule `{code}` (want L1, L2 or L4)"))?;
                         if !opts.rules.contains(&rule) {
                             opts.rules.push(rule);
                         }

@@ -7,8 +7,7 @@
 //! * a flat [`Tok`] stream (identifiers, literals, single-character
 //!   punctuation, doc comments) with 1-based line numbers, and
 //! * a per-line table of ordinary comments ([`LexFile::comments`]), which
-//!   is where the `// analyze: allow(panic)` and `// SAFETY:`
-//!   annotations live.
+//!   is where the `// analyze: allow(panic)` annotations live.
 //!
 //! It understands the lexical constructs that break naive `grep`-style
 //! scanning: nested block comments, string escapes, raw strings

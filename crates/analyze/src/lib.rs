@@ -6,16 +6,19 @@
 //! * **The lexical pass** (`analyze --rules all`) walks every crate in
 //!   the workspace with a hand-rolled lexer ([`lexer`]) and manifest
 //!   reader ([`manifest`]) — no `syn`, no `toml`, no dependencies — and
-//!   enforces six structural rules ([`rules`]):
+//!   enforces three structural rules ([`rules`]):
 //!
 //!   | code | rule |
 //!   |------|------|
-//!   | L1 | crate-layering DAG (manifests *and* `treecast_*` usage) |
+//!   | L1 | crate-layering DAG; every member sets `[lints] workspace = true` |
 //!   | L2 | panic policy in library code |
-//!   | L3 | unsafe hygiene (`forbid(unsafe_code)`, `SAFETY:` notes) |
 //!   | L4 | bench-gate coverage (baseline + ci.sh + README row) |
-//!   | L5 | cfg/feature hygiene |
-//!   | L6 | doc coverage of public items |
+//!
+//!   The retired codes L3 (unsafe hygiene), L5 (cfg/feature hygiene)
+//!   and L6 (doc coverage) are lints now: `unsafe_code`,
+//!   `unsafe_op_in_unsafe_fn`, `unexpected_cfgs`, `missing_docs` and
+//!   clippy's `undocumented_unsafe_blocks`, set once in the root
+//!   manifest's `[workspace.lints]` table.
 //!
 //!   Findings print as `path:line: [L2 panic-policy] …` and land in
 //!   `results/ANALYZE.json` ([`report`]). Pre-existing findings are
@@ -28,9 +31,6 @@
 //!   thread counts {1, 2, 4, 8} on seeded inputs and fails on any
 //!   deviation from the single-threaded reference, exercising the
 //!   workspace's `debug_validate` invariant checkers along the way.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod determinism;
 pub mod lexer;

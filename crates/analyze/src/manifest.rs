@@ -4,21 +4,15 @@
 //! Understood: `[section]` / `[section.key]` headers, `key = "string"`,
 //! `key = true/false`, `key = { inline = "table", … }`, and multi-line
 //! arrays (ignored except for detecting their extent). That covers what
-//! the rules need: the package name, the declared `[features]`, and the
-//! dependency names of every dependency section (with `optional = true`
-//! detection for implicit features).
+//! the rules need: the package name, the dependency names of every
+//! dependency section, and whether `[lints]` inherits the workspace
+//! table.
 
 /// One dependency entry.
 #[derive(Debug, Clone)]
 pub struct Dep {
     /// Dependency name as written (dashes kept).
     pub name: String,
-    /// `true` when declared with `optional = true` (such a dependency
-    /// implicitly declares a feature of the same name unless referenced
-    /// only via `dep:` syntax — close enough for the L5 audit).
-    pub optional: bool,
-    /// `true` when the entry sits in `[dev-dependencies]`.
-    pub dev: bool,
     /// 1-based line of the declaration.
     pub line: usize,
 }
@@ -28,28 +22,11 @@ pub struct Dep {
 pub struct Manifest {
     /// `package.name`, empty for a virtual (workspace-only) manifest.
     pub package_name: String,
-    /// Keys of `[features]`, with their declaration lines.
-    pub features: Vec<(String, usize)>,
     /// All dependencies across `[dependencies]`, `[dev-dependencies]`
     /// and `[build-dependencies]` (target-specific sections included).
     pub deps: Vec<Dep>,
-}
-
-impl Manifest {
-    /// `true` when `name` is usable inside `#[cfg(feature = "…")]` for
-    /// this crate: an explicit `[features]` key or an implicit
-    /// optional-dependency feature.
-    #[must_use]
-    pub fn declares_feature(&self, name: &str) -> bool {
-        self.features.iter().any(|(f, _)| f == name)
-            || self.deps.iter().any(|d| d.optional && d.name == name)
-    }
-
-    /// The dependency entry named `name`, if any.
-    #[must_use]
-    pub fn dep(&self, name: &str) -> Option<&Dep> {
-        self.deps.iter().find(|d| d.name == name)
-    }
+    /// `true` when the manifest sets `[lints] workspace = true`.
+    pub inherits_workspace_lints: bool,
 }
 
 /// Parses the supported subset of `text`. Unknown constructs are skipped
@@ -76,12 +53,8 @@ pub fn parse(text: &str) -> Manifest {
             // `[dependencies.foo]` / `[target.'cfg(x)'.dependencies.foo]`
             // declare the dependency `foo` directly from the header.
             if let Some(dep_name) = dep_from_section_header(&section) {
-                // `optional = true` inside the section body is handled
-                // by the key scan below (section context retained).
                 m.deps.push(Dep {
                     name: dep_name,
-                    optional: false,
-                    dev: section.contains("dev-dependencies"),
                     line: lineno,
                 });
             }
@@ -93,52 +66,21 @@ pub fn parse(text: &str) -> Manifest {
         if value.starts_with('[') && !value.ends_with(']') {
             in_array = true;
         }
-        match section_kind(&section) {
-            SectionKind::Package if key == "name" => {
+        match section.as_str() {
+            "package" if key == "name" => {
                 m.package_name = string_value(value).unwrap_or_default();
             }
-            SectionKind::Features => {
-                m.features.push((key.to_string(), lineno));
-            }
-            SectionKind::Deps { dev } => {
-                let optional = value.contains("optional") && value.contains("true");
+            "dependencies" | "dev-dependencies" | "build-dependencies" => {
                 m.deps.push(Dep {
                     name: key.to_string(),
-                    optional,
-                    dev,
                     line: lineno,
                 });
             }
-            // Body of `[dependencies.foo]`: attach `optional` to the
-            // dependency the header declared.
-            SectionKind::DepDetail if key == "optional" && value == "true" => {
-                if let Some(d) = m.deps.last_mut() {
-                    d.optional = true;
-                }
-            }
+            "lints" if key == "workspace" => m.inherits_workspace_lints = value == "true",
             _ => {}
         }
     }
     m
-}
-
-enum SectionKind {
-    Package,
-    Features,
-    Deps { dev: bool },
-    DepDetail,
-    Other,
-}
-
-fn section_kind(section: &str) -> SectionKind {
-    match section {
-        "package" => SectionKind::Package,
-        "features" => SectionKind::Features,
-        "dependencies" | "build-dependencies" => SectionKind::Deps { dev: false },
-        "dev-dependencies" => SectionKind::Deps { dev: true },
-        _ if dep_from_section_header(section).is_some() => SectionKind::DepDetail,
-        _ => SectionKind::Other,
-    }
 }
 
 /// `dependencies.foo` → `Some("foo")`, also for dev/build/target forms.
@@ -210,42 +152,39 @@ proptest = { workspace = true }
 
 [features]
 serde = ["dep:serde"]
-extra = []
+
+[lints]
+workspace = true
 "#;
 
     #[test]
     fn parses_the_manifest_subset() {
         let m = parse(SAMPLE);
         assert_eq!(m.package_name, "treecast-sample");
-        let features: Vec<_> = m.features.iter().map(|(f, _)| f.as_str()).collect();
-        assert_eq!(features, vec!["serde", "extra"]);
-        assert!(m.dep("treecast-core").is_some());
-        assert!(!m.dep("treecast-core").unwrap().optional);
-        assert!(m.dep("serde").unwrap().optional);
-        assert!(m.dep("treecast-trees").unwrap().optional);
-        assert!(m.dep("proptest").unwrap().dev);
-        assert!(!m.dep("treecast-core").unwrap().dev);
-    }
-
-    #[test]
-    fn feature_declarations_cover_optional_deps() {
-        let m = parse(SAMPLE);
-        assert!(m.declares_feature("serde"));
-        assert!(m.declares_feature("extra"));
-        assert!(
-            m.declares_feature("treecast-trees"),
-            "implicit optional-dep feature"
+        let deps: Vec<_> = m.deps.iter().map(|d| (d.name.as_str(), d.line)).collect();
+        assert_eq!(
+            deps,
+            vec![
+                ("treecast-core", 7),
+                ("serde", 8),
+                ("treecast-trees", 10),
+                ("proptest", 15)
+            ]
         );
-        assert!(!m.declares_feature("proptest"), "dev-deps are not features");
-        assert!(!m.declares_feature("nope"));
+        assert!(m.inherits_workspace_lints);
+        let bare = parse("[package]\nname = \"x\"\n\n[lints.clippy]\nworkspace = true\n");
+        assert!(
+            !bare.inherits_workspace_lints,
+            "only `[lints]` itself counts"
+        );
     }
 
     #[test]
     fn multiline_arrays_are_skipped() {
         let m = parse(
-            "[package]\nname = \"x\"\nexclude = [\n  \"a\",\n  \"b\",\n]\n\n[features]\nf = []\n",
+            "[package]\nname = \"x\"\nexclude = [\n  \"a\",\n  \"b\",\n]\n\n[lints]\nworkspace = true\n",
         );
         assert_eq!(m.package_name, "x");
-        assert!(m.declares_feature("f"));
+        assert!(m.inherits_workspace_lints);
     }
 }

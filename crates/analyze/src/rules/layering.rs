@@ -8,21 +8,21 @@
 //! ```
 //!
 //! [`DAG`] records each crate's *direct* upstream edges; a crate may
-//! depend (in `Cargo.toml`, any section) and `use` (in source) exactly
-//! the crates in the transitive closure of its edges. Everything else is
-//! a finding:
+//! depend (in `Cargo.toml`, any section) on exactly the crates in the
+//! transitive closure of its edges. Source needs no check of its own:
+//! rustc rejects a `treecast_*` path without a manifest dependency behind
+//! it (E0433). Everything else is a finding:
 //!
+//! * a workspace member whose manifest does not set `[lints] workspace =
+//!   true` (it would escape the root `[workspace.lints]` table),
 //! * a `treecast-*` crate absent from the table (new crates must
 //!   register — see CONTRIBUTING.md),
 //! * a manifest dependency outside the closure (a layering violation),
-//! * a `treecast_*` path used in source without a manifest dependency
-//!   (an undeclared-dependency skip),
 //! * a cycle in the declared table itself (cannot happen without editing
 //!   this file, but the check keeps the table honest).
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::lexer::TokKind;
 use crate::rules::{Finding, RuleId};
 use crate::workspace::Workspace;
 
@@ -142,6 +142,18 @@ pub fn check(ws: &Workspace) -> Vec<Finding> {
         ));
     }
     for krate in &ws.crates {
+        if !krate.manifest.inherits_workspace_lints {
+            findings.push(Finding::new(
+                RuleId::Layering,
+                &krate.manifest_rel_path,
+                0,
+                format!(
+                    "`{}` does not set `[lints] workspace = true` — every workspace \
+                     member inherits the root `[workspace.lints]` table",
+                    krate.name
+                ),
+            ));
+        }
         if !krate.name.starts_with("treecast") {
             continue;
         }
@@ -158,7 +170,7 @@ pub fn check(ws: &Workspace) -> Vec<Finding> {
             ));
             continue;
         };
-        // Manifest side: every treecast dependency must be in the closure.
+        // Every treecast dependency must be in the closure.
         for dep in &krate.manifest.deps {
             if !dep.name.starts_with("treecast") || dep.name == krate.name {
                 continue;
@@ -175,38 +187,6 @@ pub fn check(ws: &Workspace) -> Vec<Finding> {
                         allowed.iter().collect::<Vec<_>>()
                     ),
                 ));
-            }
-        }
-        // Source side: every `treecast_*` path must have a manifest
-        // dependency behind it (no skipping layers through re-exports of
-        // a crate you never declared).
-        let self_ident = krate.name.replace('-', "_");
-        for file in &krate.files {
-            let mut reported: BTreeSet<&str> = BTreeSet::new();
-            for tok in &file.lex.tokens {
-                if tok.kind != TokKind::Ident {
-                    continue;
-                }
-                if tok.text != "treecast" && !tok.text.starts_with("treecast_") {
-                    continue;
-                }
-                if tok.text == self_ident || reported.contains(tok.text.as_str()) {
-                    continue;
-                }
-                let dep_name = tok.text.replace('_', "-");
-                if krate.manifest.dep(&dep_name).is_none() {
-                    reported.insert(tok.text.as_str());
-                    findings.push(Finding::new(
-                        RuleId::Layering,
-                        &file.rel_path,
-                        tok.line,
-                        format!(
-                            "`{}` uses `{}` without declaring `{}` in {} — layering \
-                             skips must go through a declared dependency",
-                            krate.name, tok.text, dep_name, krate.manifest_rel_path
-                        ),
-                    ));
-                }
             }
         }
     }

@@ -3,56 +3,39 @@
 //!
 //! Each rule is a pure function from the lexed [`Workspace`] to a list
 //! of [`Finding`]s. Rules are independently toggleable from the CLI
-//! (`--rules L1,L3`); `--rules all` runs every one.
+//! (`--rules L1,L4`); `--rules all` runs every one.
 
 use crate::lexer::{LexFile, Tok, TokKind};
 use crate::workspace::Workspace;
 
-pub mod docs;
-pub mod features;
 pub mod gates;
 pub mod layering;
 pub mod panics;
-pub mod unsafety;
 
-/// The six workspace rules.
+/// The three workspace rules. The codes L3, L5 and L6 are retired: the
+/// root manifest's `[workspace.lints]` table enforces them through rustc
+/// and clippy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
-    /// L1 — crate-layering DAG (manifest deps and `treecast_*` usage).
+    /// L1 — crate-layering DAG and `[lints] workspace = true` per member.
     Layering,
     /// L2 — panic policy (`unwrap`/`expect`/`panic!` in library code).
     PanicPolicy,
-    /// L3 — unsafe hygiene (`#![forbid(unsafe_code)]`, `SAFETY:` notes).
-    UnsafeHygiene,
     /// L4 — bench-gate coverage (baseline JSON + ci.sh + README row).
     GateCoverage,
-    /// L5 — cfg/feature hygiene (`feature = "…"` names a declared one).
-    FeatureHygiene,
-    /// L6 — doc coverage of public items in library code.
-    DocCoverage,
 }
 
 impl RuleId {
     /// All rules, in code order.
-    pub const ALL: [RuleId; 6] = [
-        RuleId::Layering,
-        RuleId::PanicPolicy,
-        RuleId::UnsafeHygiene,
-        RuleId::GateCoverage,
-        RuleId::FeatureHygiene,
-        RuleId::DocCoverage,
-    ];
+    pub const ALL: [RuleId; 3] = [RuleId::Layering, RuleId::PanicPolicy, RuleId::GateCoverage];
 
-    /// The short code (`L1` … `L6`).
+    /// The short code (`L1`, `L2`, `L4`).
     #[must_use]
     pub fn code(self) -> &'static str {
         match self {
             RuleId::Layering => "L1",
             RuleId::PanicPolicy => "L2",
-            RuleId::UnsafeHygiene => "L3",
             RuleId::GateCoverage => "L4",
-            RuleId::FeatureHygiene => "L5",
-            RuleId::DocCoverage => "L6",
         }
     }
 
@@ -62,14 +45,11 @@ impl RuleId {
         match self {
             RuleId::Layering => "layering",
             RuleId::PanicPolicy => "panic-policy",
-            RuleId::UnsafeHygiene => "unsafe-hygiene",
             RuleId::GateCoverage => "gate-coverage",
-            RuleId::FeatureHygiene => "cfg-feature-hygiene",
-            RuleId::DocCoverage => "doc-coverage",
         }
     }
 
-    /// Parses `L1`…`L6` (case-insensitive).
+    /// Parses `L1`, `L2` or `L4` (case-insensitive).
     #[must_use]
     pub fn from_code(code: &str) -> Option<RuleId> {
         RuleId::ALL
@@ -83,10 +63,7 @@ impl RuleId {
         match self {
             RuleId::Layering => layering::check(ws),
             RuleId::PanicPolicy => panics::check(ws),
-            RuleId::UnsafeHygiene => unsafety::check(ws),
             RuleId::GateCoverage => gates::check(ws),
-            RuleId::FeatureHygiene => features::check(ws),
-            RuleId::DocCoverage => docs::check(ws),
         }
     }
 }

@@ -33,15 +33,6 @@ pub enum FileKind {
     Example,
 }
 
-impl FileKind {
-    /// `true` for test/bench/example support code, where the panic
-    /// policy does not apply.
-    #[must_use]
-    pub fn is_support(self) -> bool {
-        !matches!(self, FileKind::LibSrc)
-    }
-}
-
 /// One lexed source file.
 #[derive(Debug)]
 pub struct SourceFile {
@@ -49,8 +40,6 @@ pub struct SourceFile {
     pub rel_path: String,
     /// Directory classification.
     pub kind: FileKind,
-    /// Raw text.
-    pub text: String,
     /// The token stream and comment table.
     pub lex: LexFile,
 }
@@ -123,12 +112,6 @@ impl Workspace {
         }
         Ok(Workspace { root, crates })
     }
-
-    /// The crate named `name`, if discovered.
-    #[must_use]
-    pub fn crate_named(&self, name: &str) -> Option<&CrateInfo> {
-        self.crates.iter().find(|c| c.name == name)
-    }
 }
 
 fn load_crate(root: &Path, dir: &Path, manifest: Manifest) -> Result<CrateInfo, String> {
@@ -185,12 +168,10 @@ fn collect_rs(
         } else if file_name.ends_with(".rs") {
             let text = fs::read_to_string(&path)
                 .map_err(|e| format!("unreadable {}: {e}", path.display()))?;
-            let lex = lexer::lex(&text);
             out.push(SourceFile {
                 rel_path: rel_to(root, &path),
                 kind,
-                text,
-                lex,
+                lex: lexer::lex(&text),
             });
         }
     }

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Trees layer: may use the bitmatrix layer below it.
 
 /// Re-wrap a word.

@@ -1,7 +1,2 @@
-#![forbid(unsafe_code)]
-//! Base layer that illegally reaches up into core.
-
-/// Uses a crate outside the declared manifest closure, too.
-pub fn bad() {
-    treecast_solver::poke();
-}
+//! Base layer that illegally reaches up into core, and whose manifest
+//! opts out of the workspace lint table.

@@ -1,2 +1,1 @@
-#![forbid(unsafe_code)]
 //! A crate that never registered in the layering DAG.

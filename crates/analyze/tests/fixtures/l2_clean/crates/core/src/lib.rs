@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Library code under the panic policy.
 
 /// Annotated sites and test-module sites are fine.

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Library code violating the panic policy.
 
 /// A naked unwrap.

@@ -1,2 +1,1 @@
-#![forbid(unsafe_code)]
 //! Bench harness.

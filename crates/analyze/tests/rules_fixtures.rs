@@ -1,4 +1,4 @@
-//! Fixture-driven rule tests: every rule L1–L6 is demonstrated by a
+//! Fixture-driven rule tests: every rule (L1, L2, L4) is demonstrated by a
 //! mini-workspace pair under `tests/fixtures/` — a clean variant the
 //! rule must accept and a dirty variant it must reject, with the
 //! expected diagnostics pinned by message fragment.
@@ -52,10 +52,10 @@ fn l1_dirty_layering_fires() {
         &findings,
         "`treecast-bitmatrix` must not depend on `treecast-core`",
     );
-    // Source reaches a crate the manifest never declared.
+    // A member that escapes the workspace lint table.
     assert_one(
         &findings,
-        "uses `treecast_solver` without declaring `treecast-solver`",
+        "`treecast-bitmatrix` does not set `[lints] workspace = true`",
     );
     // A treecast crate that never registered in the DAG table.
     assert_one(
@@ -83,23 +83,6 @@ fn l2_dirty_panics_fire() {
     assert_one(&findings, "annotation is missing its reason");
 }
 
-// ---------------------------------------------------------------- L3
-
-#[test]
-fn l3_clean_unsafe_hygiene_passes() {
-    // `#![forbid(unsafe_code)]` in the lib, `// SAFETY:` on the one
-    // unsafe block in test support code.
-    assert_eq!(run("l3_clean", RuleId::UnsafeHygiene), vec![]);
-}
-
-#[test]
-fn l3_dirty_unsafe_hygiene_fires() {
-    let findings = run("l3_dirty", RuleId::UnsafeHygiene);
-    assert_eq!(findings.len(), 2, "{findings:#?}");
-    assert_one(&findings, "must carry `#![forbid(unsafe_code)]`");
-    assert_one(&findings, "`unsafe` without a `// SAFETY:` comment");
-}
-
 // ---------------------------------------------------------------- L4
 
 #[test]
@@ -120,47 +103,13 @@ fn l4_dirty_bench_gates_fire() {
     assert_one(&findings, "BENCH_orphan.json");
 }
 
-// ---------------------------------------------------------------- L5
-
-#[test]
-fn l5_clean_features_pass() {
-    // Both `#[cfg(feature = …)]` and `cfg!(feature = …)` name a feature
-    // the manifest declares.
-    assert_eq!(run("l5_clean", RuleId::FeatureHygiene), vec![]);
-}
-
-#[test]
-fn l5_dirty_features_fire() {
-    let findings = run("l5_dirty", RuleId::FeatureHygiene);
-    assert_eq!(findings.len(), 1, "{findings:#?}");
-    assert_one(&findings, "cfg names feature \"sered\"");
-}
-
-// ---------------------------------------------------------------- L6
-
-#[test]
-fn l6_clean_docs_pass() {
-    // Documented items, attributes between doc and item, struct fields
-    // and `pub(crate)` visibility out of scope.
-    assert_eq!(run("l6_clean", RuleId::DocCoverage), vec![]);
-}
-
-#[test]
-fn l6_dirty_docs_fire() {
-    let findings = run("l6_dirty", RuleId::DocCoverage);
-    assert_eq!(findings.len(), 3, "{findings:#?}");
-    assert_one(&findings, "public fn `bare` has no doc comment");
-    assert_one(&findings, "public struct `Naked` has no doc comment");
-    assert_one(&findings, "public const `LIMIT` has no doc comment");
-}
-
 // ------------------------------------------------- cross-rule sanity
 
 #[test]
 fn dirty_fixtures_are_quiet_outside_their_rule() {
-    // The L5 dirty fixture must not trip the panic policy, and the L2
-    // dirty fixture must not trip feature hygiene: each fixture isolates
+    // The L1 dirty fixture must not trip the panic policy, and the L2
+    // dirty fixture must not trip gate coverage: each fixture isolates
     // exactly one rule's failure mode.
-    assert_eq!(run("l5_dirty", RuleId::PanicPolicy), vec![]);
-    assert_eq!(run("l2_dirty", RuleId::FeatureHygiene), vec![]);
+    assert_eq!(run("l1_dirty", RuleId::PanicPolicy), vec![]);
+    assert_eq!(run("l2_dirty", RuleId::GateCoverage), vec![]);
 }

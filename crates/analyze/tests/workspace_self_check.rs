@@ -1,4 +1,4 @@
-//! The analyzer must pass on its own workspace: all six rules over the
+//! The analyzer must pass on its own workspace: every rule over the
 //! real repository, with the checked-in `analyze.allow`, yield zero
 //! live findings and zero stale allowlist entries — the same contract
 //! `ci.sh` enforces, kept honest from inside `cargo test`.

@@ -1,7 +1,8 @@
 //! Frontier-engine measurement harness: runs the sparse engine's scale
-//! rows (static-path broadcast and the k-source seeded sweep) and emits
-//! `results/BENCH_frontier.json` with completion rounds, total and
-//! per-round wall time, and peak RSS.
+//! rows (static-path broadcast and the k-source seeded sweep), times the
+//! sweep again to take the median per-round cost of several runs, and
+//! emits `results/BENCH_frontier.json` with completion rounds, total and
+//! per-round wall time, the gated median, and peak RSS.
 //!
 //! ```text
 //! cargo run --release -p treecast-bench --bin bench_frontier            # smoke, n = 10^4
@@ -13,14 +14,16 @@
 //! With `--check <baseline>` the run exits nonzero if (a) any row's
 //! completion round differs from the baseline — every row is a seeded
 //! deterministic run, so this is a correctness gate that is never
-//! skipped — or (b) the gated smoke row is more than 25% slower
+//! skipped — or (b) the median ns/round of the smoke-size sweep's
+//! repetitions is more than 25% slower
 //! (skippable via `TREECAST_BENCH_GATE=off`). The checked-in baseline
 //! records only the smoke size; `--scale` rows are extra cells the exact
 //! gate permits, so the million-node runs stay release-tier-only without
 //! weakening the gate.
 
 use treecast_bench::frontierbench::{
-    gate_report, measure_scale_rows, ScaleMeasurement, SCALE_N, SMOKE_N,
+    gate_report, measure_scale_rows, sweep_median_ns_per_round, ScaleMeasurement, GATE_N,
+    GATE_REPS, SCALE_N, SMOKE_N,
 };
 use treecast_bench::gate;
 
@@ -50,6 +53,8 @@ fn main() {
     println!("frontier smoke rows (n = {SMOKE_N})...");
     let mut rows = measure_scale_rows(SMOKE_N);
     print_rows(&rows);
+    let sweep_median_ns = sweep_median_ns_per_round(GATE_N);
+    println!("  gated sweep n={GATE_N}: median {sweep_median_ns:.0} ns/round of {GATE_REPS} runs");
 
     if scale {
         println!("frontier scale rows (n = {SCALE_N})...");
@@ -58,5 +63,5 @@ fn main() {
         rows.extend(big);
     }
 
-    gate::finish(&gate_report(&rows), &args);
+    gate::finish(&gate_report(&rows, sweep_median_ns), &args);
 }

@@ -5,9 +5,6 @@
 //! experiments -- <id>`) regenerates every table/figure of the paper; see
 //! `README.md` in this crate for the id ↔ paper mapping.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod adversarybench;
 pub mod emulationbench;
 pub mod experiments;

@@ -468,17 +468,6 @@ impl BitSet {
         words_subset(&self.words, other.words())
     }
 
-    /// Returns `true` if `self ⊇ other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universe sizes differ.
-    #[inline]
-    pub fn is_superset<V: BitView>(&self, other: V) -> bool {
-        self.check_same_universe(&other);
-        words_subset(other.words(), &self.words)
-    }
-
     /// Returns `true` if the sets share no element.
     ///
     /// # Panics
@@ -882,7 +871,6 @@ mod tests {
         let small = BitSet::from_indices(6, [1, 2]);
         let big = BitSet::from_indices(6, [0, 1, 2, 4]);
         assert!(small.is_subset(&big));
-        assert!(big.is_superset(&small));
         assert!(!big.is_subset(&small));
         assert!(small.is_subset(&small));
     }

@@ -50,9 +50,6 @@
 //! * `proptest` — exposes the `strategies` module for downstream property
 //!   tests.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod bitset;
 mod hybrid;
 mod matrix;

@@ -9,6 +9,11 @@
 //! allocation; the file contains exactly one `#[test]` so no concurrent
 //! test can pollute the counter while the measured window is open.
 
+#![allow(
+    unsafe_code,
+    reason = "a counting `GlobalAlloc` wrapper is the only way to observe allocations"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -21,27 +26,27 @@ static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 // SAFETY: delegates everything to `System`, upholding its contract
 // verbatim; the counter is a relaxed atomic with no further invariants.
 unsafe impl GlobalAlloc for CountingAllocator {
-    // SAFETY: same layout contract as `System::alloc`, to which it delegates.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
+        // SAFETY: same layout contract as `System::alloc`, to which it delegates.
+        unsafe { System.alloc(layout) }
     }
 
-    // SAFETY: same layout contract as `System::alloc_zeroed`.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
+        // SAFETY: same layout contract as `System::alloc_zeroed`.
+        unsafe { System.alloc_zeroed(layout) }
     }
 
-    // SAFETY: same pointer/layout contract as `System::realloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
+        // SAFETY: same pointer/layout contract as `System::realloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 
-    // SAFETY: same pointer/layout contract as `System::dealloc`.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        // SAFETY: same pointer/layout contract as `System::dealloc`.
+        unsafe { System.dealloc(ptr, layout) }
     }
 }
 

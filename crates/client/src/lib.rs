@@ -27,9 +27,6 @@
 //! assert!(report.hit_rate > 0.0, "repeat asks run warm");
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod loadgen;
 
 pub use loadgen::{percentile, LoadConfig, LoadGen, LoadReport};

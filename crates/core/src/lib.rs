@@ -51,9 +51,6 @@
 //! assert!(t <= bounds::upper_bound(n as u64));
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod bounds;
 pub mod cert;
 mod drive;

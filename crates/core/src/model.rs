@@ -114,17 +114,6 @@ impl BroadcastState {
         }
     }
 
-    /// Reconstructs a state from an explicit product-graph matrix (row `x`
-    /// = reach set of `x`), marking it as reached at `round`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is not reflexive — product graphs of self-looped
-    /// rounds always contain the diagonal.
-    pub fn from_product_matrix(m: &BoolMatrix, round: u64) -> Self {
-        Self::from_heard(m.transpose(), round)
-    }
-
     /// Resumes a state from its heard-view matrix (row `y` = heard set of
     /// `y`, as [`BroadcastState::heard`] returns it), marking it as reached
     /// at `round`. Takes the matrix by value, so no transpose or copy is
@@ -600,15 +589,6 @@ mod tests {
         a.apply(&t);
         b.apply_matrix(&t.to_matrix(true));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn from_product_matrix_roundtrip() {
-        let mut s = BroadcastState::new(5);
-        s.apply(&generators::star(5));
-        s.apply(&generators::path(5));
-        let rebuilt = BroadcastState::from_product_matrix(&s.product_matrix(), s.round());
-        assert_eq!(rebuilt, s);
     }
 
     #[test]

@@ -41,9 +41,6 @@
 //! assert_eq!(capped.completion_time, Some(7));
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod protocol;
 pub mod runner;
 pub mod spec;

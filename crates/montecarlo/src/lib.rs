@@ -39,9 +39,6 @@
 //! assert!(est.stats.min().unwrap_or(0) >= 15);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod estimator;
 pub mod replica;
 pub mod sweep;

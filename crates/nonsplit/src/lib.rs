@@ -23,9 +23,6 @@
 //! assert!(cfn_product_is_nonsplit(&trees));
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use rand::Rng;
 
 use treecast_bitmatrix::BoolMatrix;
@@ -91,26 +88,6 @@ pub fn split_path_power(n: usize) -> BoolMatrix {
 /// Generators for random and adversarial nonsplit round graphs.
 pub mod generators {
     use super::*;
-
-    /// A reflexive star-based nonsplit graph: one random hub points to
-    /// everyone (making all pairs share the hub), plus a sprinkle of
-    /// `extra` random edges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn star_based<R: Rng + ?Sized>(n: usize, extra: usize, rng: &mut R) -> BoolMatrix {
-        assert!(n > 0, "graph needs at least one node");
-        let hub = rng.gen_range(0..n);
-        let mut m = BoolMatrix::identity(n);
-        for y in 0..n {
-            m.set(hub, y, true);
-        }
-        for _ in 0..extra {
-            m.set(rng.gen_range(0..n), rng.gen_range(0..n), true);
-        }
-        m
-    }
 
     /// A *sparse* nonsplit graph: every unordered pair of nodes is
     /// assigned a random common in-neighbor, and nothing else (apart from
@@ -493,7 +470,6 @@ mod tests {
     fn generators_produce_nonsplit() {
         let mut rng = rng();
         for n in [1usize, 2, 5, 16, 33] {
-            assert!(generators::star_based(n, 5, &mut rng).is_nonsplit());
             assert!(generators::pairwise_min(n, &mut rng).is_nonsplit());
             assert!(generators::tree_product(n, &mut rng).is_nonsplit());
         }

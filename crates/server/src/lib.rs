@@ -49,9 +49,6 @@
 //! assert!(server.stats().hits > 0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod api;
 pub mod cache;
 pub mod fingerprint;

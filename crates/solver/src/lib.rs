@@ -32,9 +32,6 @@
 //! # Ok::<(), treecast_solver::SolveError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod canon;
 mod pool;
 mod search;

@@ -29,9 +29,6 @@
 //! assert!(m.is_reflexive());
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod arborescence;
 pub mod enumerate;
 pub mod generators;

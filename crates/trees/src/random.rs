@@ -97,28 +97,6 @@ pub fn recursive<R: Rng + ?Sized>(n: usize, rng: &mut R) -> RootedTree {
     RootedTree::from_parents(parent).expect("recursive attachment is acyclic")
 }
 
-/// A path visiting all nodes in uniform random order.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn random_path<R: Rng + ?Sized>(n: usize, rng: &mut R) -> RootedTree {
-    assert!(n > 0, "tree needs at least one node");
-    let mut order: Vec<NodeId> = (0..n).collect();
-    order.shuffle(rng);
-    crate::generators::path_with_order(&order)
-}
-
-/// A star with a uniform random center.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn random_star<R: Rng + ?Sized>(n: usize, rng: &mut R) -> RootedTree {
-    assert!(n > 0, "tree needs at least one node");
-    crate::generators::star_with_center(n, rng.gen_range(0..n))
-}
-
 /// A random relabeling of `tree` under a uniform random permutation.
 pub fn relabeled<R: Rng + ?Sized>(tree: &RootedTree, rng: &mut R) -> RootedTree {
     let mut perm: Vec<NodeId> = (0..tree.n()).collect();
@@ -261,13 +239,6 @@ mod tests {
         assert_eq!(t.n(), 40);
         // Recursive trees are shallow with overwhelming probability.
         assert!(t.height() < 20);
-    }
-
-    #[test]
-    fn random_path_and_star() {
-        let mut rng = rng();
-        assert!(random_path(12, &mut rng).is_path());
-        assert!(random_star(12, &mut rng).is_star());
     }
 
     #[test]

@@ -456,11 +456,6 @@ impl RootedTree {
         (0..self.n()).filter(|&v| self.is_leaf(v)).count()
     }
 
-    /// All inner (non-leaf) nodes, in increasing node order.
-    pub fn inner_nodes(&self) -> Vec<NodeId> {
-        (0..self.n()).filter(|&v| self.is_inner(v)).collect()
-    }
-
     /// Number of inner nodes ("k inner nodes" row of Figure 1).
     pub fn inner_count(&self) -> usize {
         self.n() - self.leaf_count()
@@ -512,17 +507,6 @@ impl RootedTree {
             stack.extend_from_slice(self.children(u));
         }
         count
-    }
-
-    /// The set of nodes in the subtree rooted at `v`, as a bitset.
-    pub fn subtree_set(&self, v: NodeId) -> treecast_bitmatrix::BitSet {
-        let mut set = treecast_bitmatrix::BitSet::new(self.n());
-        let mut stack = vec![v];
-        while let Some(u) = stack.pop() {
-            set.insert(u);
-            stack.extend_from_slice(self.children(u));
-        }
-        set
     }
 
     /// Returns `true` if the tree is a path rooted at one end.
@@ -748,7 +732,6 @@ mod tests {
         assert_eq!(t.height(), 3);
         assert_eq!(t.depth(3), 3);
         assert_eq!(t.leaves(), vec![3]);
-        assert_eq!(t.inner_nodes(), vec![0, 1, 2]);
         assert_eq!(t.path_to_root(3), vec![3, 2, 1, 0]);
         assert_eq!(t.bfs_order(), vec![0, 1, 2, 3]);
     }
@@ -847,10 +830,8 @@ mod tests {
     }
 
     #[test]
-    fn subtree_set_matches_size() {
+    fn subtree_size_counts_the_subtree() {
         let t = RootedTree::from_edges(6, [(0, 1), (1, 2), (1, 3), (0, 4), (4, 5)]).unwrap();
-        let s = t.subtree_set(1);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![1, 2, 3]);
         assert_eq!(t.subtree_size(1), 3);
         assert_eq!(t.subtree_size(0), 6);
     }

@@ -39,9 +39,6 @@
 //! `experiments` binary (`crates/bench`) for the full table/figure
 //! reproduction harness.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub use treecast_adversary as adversary;
 pub use treecast_bitmatrix as bitmatrix;
 pub use treecast_core as core;
