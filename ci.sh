@@ -4,17 +4,17 @@
 #   ./ci.sh [quick|full|release] [--fix]
 #
 #   quick    fmt check, clippy (-D warnings, which turns the root
-#            `[workspace.lints]` table's warnings into errors), release
-#            build, tests, benchmark type-check, bench smoke, frontier
-#            smoke (n = 10^4), server smoke (n = 64), montecarlo smoke
-#            (n = 64), emulation smoke (n = 64), static analysis (L1, L2,
-#            L4 + allowlist + baseline gate), docs (skips the bench
-#            regression gates and the --ignored tier)
+#            `[workspace.lints]` table's warnings into errors, the panic
+#            policy included), release build, tests (the layering and
+#            gate-coverage checks among them), benchmark type-check, bench
+#            smoke, frontier smoke (n = 10^4), server smoke (n = 64),
+#            montecarlo smoke (n = 64), emulation smoke (n = 64), docs
+#            (skips the bench regression gates and the --ignored tier)
 #   full     quick + the solver/workloads/adversary/frontier/server/
 #            montecarlo/emulation bench gates, the release-mode
 #            differential/scenario proptests, the benchmark's build and
-#            smoke tests, and the concurrency-determinism audit (debug
-#            build, threads 1/2/4/8) (default)
+#            smoke tests, and all five determinism tests (debug build,
+#            threads 1/2/4/8) (default)
 #   release  full + the slow --ignored solver tier, the beam width
 #            sweep, and the frontier scale rows (n = 10^6)
 #   --fix    apply rustfmt instead of failing on drift
@@ -93,9 +93,10 @@ step_docs() {
 run_step "cargo fmt ${FMT_MODE:-(fix)}" step_fmt
 # Every target, warnings as errors. The workspace lint table of the root
 # Cargo.toml holds the lint policy: the allowed lints with their reasons,
-# and the lints that replaced analyzer rules L3, L5 and L6 (missing_docs,
-# unsafe_code, unsafe_op_in_unsafe_fn, unexpected_cfgs,
-# undocumented_unsafe_blocks).
+# doc coverage, unsafe hygiene, cfg names, and the panic policy
+# (unwrap_used, expect_used, panic; clippy.toml exempts tests). Each
+# library panic site carries an `#[expect(…, reason = "…")]`, and one that
+# no longer fires fails this step (unfulfilled_lint_expectations).
 run_step "cargo clippy (warnings are errors)" \
     cargo clippy --workspace --all-targets -- -D warnings
 run_step "cargo build --release" cargo build --release
@@ -131,15 +132,6 @@ run_step "montecarlo smoke (n = 64, release)" \
 # the full tier below.
 run_step "emulation smoke (n = 64, release)" \
     cargo run --release -p treecast-bench --bin bench_emulation -- --smoke
-# Static analysis: the three workspace rules (layering DAG with the
-# per-member `[lints] workspace = true` check, panic policy, bench-gate
-# coverage) with the checked-in allowlist, gated against the per-rule
-# baseline so grandfathered counts only ratchet down. Unsafe hygiene, cfg
-# hygiene and doc coverage are lints in the root manifest, enforced by
-# the clippy step above. Writes results/ANALYZE.json.
-run_step "static analysis (L1, L2, L4, allowlist ratchet)" \
-    cargo run --release -p treecast-analyze --bin analyze -- \
-    --rules all --check results/ANALYZE_baseline.json
 
 if [[ "$TIER" != quick ]]; then
     # Each gate re-measures, writes its GateReport to
@@ -190,16 +182,14 @@ if [[ "$TIER" != quick ]]; then
     # and testing it here surfaces a library change that breaks it.
     run_step "benchmark build + smoke tests (perfbench, release)" \
         cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
-    # Concurrency-determinism audit: the four threaded subsystems
-    # (solver discovery, server batch threads, Monte Carlo replica pool,
-    # gossip-emulation replica pool) across
-    # {1,2,4,8} threads must be bit-identical, with the debug_validate
-    # invariant checkers live — hence a DEBUG build, not --release.
-    # Combined with --rules all so the checked-in results/ANALYZE.json
-    # carries both the lexical findings and the audit fingerprints.
-    run_step "determinism audit (debug, threads 1/2/4/8) + rules" \
-        cargo run -p treecast-analyze --bin analyze -- \
-        --rules all --determinism --check results/ANALYZE_baseline.json
+    # Concurrency determinism: the four threaded subsystems (solver
+    # discovery, server batch threads, Monte Carlo replica pool,
+    # gossip-emulation replica pool) across {1,2,4,8} threads must be
+    # bit-identical and match their pinned fingerprints, with the
+    # debug_validate invariant checkers live — hence a DEBUG build, not
+    # --release. Tier-1 runs three of the five; this runs all five.
+    run_step "determinism tests (debug, threads 1/2/4/8)" \
+        cargo test -q -p treecast-bench --test determinism -- --include-ignored
 fi
 
 if [[ "$TIER" == release ]]; then

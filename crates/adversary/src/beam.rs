@@ -314,7 +314,10 @@ where
     if let Some((_, schedule)) = best_full {
         return collect_schedule(&schedule);
     }
-    // analyze: allow(panic): the beam is seeded with the root state and never drained below one entry
+    #[expect(
+        clippy::expect_used,
+        reason = "the beam is seeded with the root state and never drained below one entry"
+    )]
     let best = beam.into_iter().next().expect("beam is never empty");
     let mut schedule = collect_schedule(&best.schedule);
     // Cap hit with survivors: append one closing candidate so the schedule
@@ -414,6 +417,10 @@ where
     O: Objective,
     W: Workload,
 {
+    #[expect(
+        clippy::expect_used,
+        reason = "the replay plan is initialized by the branch above on first call"
+    )]
     fn next_tree(&mut self, state: &BroadcastState) -> RootedTree {
         if self.replay.is_none() {
             let n = state.n();
@@ -431,7 +438,6 @@ where
         }
         self.replay
             .as_mut()
-            // analyze: allow(panic): the replay plan is initialized by the branch above on first call
             .expect("initialized above")
             .next_tree(state)
     }

@@ -196,6 +196,10 @@ impl CandidateGen for StructuredPool {
 
 /// A broom whose handle is the first `handle_len` nodes of `order` and
 /// whose remaining nodes hang off the handle end as leaves.
+#[expect(
+    clippy::expect_used,
+    reason = "the ordered-broom parent array is acyclic by construction"
+)]
 fn broom_with_order(order: &[NodeId], handle_len: usize) -> RootedTree {
     let n = order.len();
     let handle_len = handle_len.clamp(1, n);
@@ -206,7 +210,6 @@ fn broom_with_order(order: &[NodeId], handle_len: usize) -> RootedTree {
     for i in handle_len..n {
         parent[order[i]] = Some(order[handle_len - 1]);
     }
-    // analyze: allow(panic): the ordered-broom parent array is acyclic by construction
     RootedTree::from_parents(parent).expect("ordered broom is a valid tree")
 }
 
@@ -396,7 +399,10 @@ fn ordered_exact_leaf_path_like(n: usize, k: usize, order: &[NodeId]) -> RootedT
     for (j, i) in (spine + 1..n).enumerate() {
         parent[order[i]] = Some(order[j % spine]);
     }
-    // analyze: allow(panic): the ordered-caterpillar parent array is acyclic by construction
+    #[expect(
+        clippy::expect_used,
+        reason = "the ordered-caterpillar parent array is acyclic by construction"
+    )]
     let t = RootedTree::from_parents(parent).expect("ordered caterpillar is valid");
     debug_assert_eq!(t.leaf_count(), k);
     t
@@ -411,7 +417,10 @@ fn ordered_exact_inner_broom(n: usize, k: usize, order: &[NodeId]) -> RootedTree
     for i in k..n {
         parent[order[i]] = Some(order[k - 1]);
     }
-    // analyze: allow(panic): the ordered-broom parent array is acyclic by construction
+    #[expect(
+        clippy::expect_used,
+        reason = "the ordered-broom parent array is acyclic by construction"
+    )]
     let t = RootedTree::from_parents(parent).expect("ordered broom is valid");
     debug_assert_eq!(t.inner_count(), k);
     t

@@ -110,6 +110,10 @@ impl<P: CandidateGen, O: Objective> GreedyAdversary<P, O> {
 }
 
 impl<P: CandidateGen, O: Objective> TreeSource for GreedyAdversary<P, O> {
+    #[expect(
+        clippy::expect_used,
+        reason = "the pool contract guarantees at least one candidate tree"
+    )]
     fn next_tree(&mut self, state: &BroadcastState) -> RootedTree {
         let candidates = self.pool.candidates(state);
         candidates
@@ -117,7 +121,6 @@ impl<P: CandidateGen, O: Objective> TreeSource for GreedyAdversary<P, O> {
             .map(|t| (self.objective.score(Tokens::all(state), &t), t))
             .min_by_key(|(score, _)| *score)
             .map(|(_, t)| t)
-            // analyze: allow(panic): the pool contract guarantees at least one candidate tree
             .expect("candidate pools are non-empty")
     }
 
@@ -157,6 +160,10 @@ impl<P: CandidateGen, O: Objective> LookaheadAdversary<P, O> {
 }
 
 impl<P: CandidateGen, O: Objective> TreeSource for LookaheadAdversary<P, O> {
+    #[expect(
+        clippy::expect_used,
+        reason = "the pool contract guarantees at least one candidate tree"
+    )]
     fn next_tree(&mut self, state: &BroadcastState) -> RootedTree {
         let candidates = self.pool.candidates(state);
         let mut best: Option<(u64, u64, RootedTree)> = None;
@@ -181,7 +188,6 @@ impl<P: CandidateGen, O: Objective> TreeSource for LookaheadAdversary<P, O> {
             }
         }
         best.map(|(_, _, t)| t)
-            // analyze: allow(panic): the pool contract guarantees at least one candidate tree
             .expect("candidate pools are non-empty")
     }
 
@@ -219,9 +225,12 @@ impl TreeSource for FreezeLeaderAdversary {
         }
         let reach = state.reach_weights();
         let heard = state.heard_weights();
+        #[expect(
+            clippy::expect_used,
+            reason = "simulations run with n >= 1, so 0..n is non-empty"
+        )]
         let leader = (0..n)
             .min_by_key(|&v| (std::cmp::Reverse(reach[v]), v))
-            // analyze: allow(panic): simulations run with n >= 1, so 0..n is non-empty
             .expect("n ≥ 1");
         if reach[leader] >= n {
             // Already broadcast; play anything.

@@ -141,11 +141,14 @@ impl ArborescencePool {
         let mut quality: Vec<(i64, usize, NodeId)> = (0..n)
             .map(|r| {
                 let heard = state.heard_set(r);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "every heard set contains the node itself, so the minimum exists"
+                )]
                 let q = heard
                     .iter()
                     .map(|x| d[x] as i64)
                     .min()
-                    // analyze: allow(panic): every heard set contains the node itself, so the minimum exists
                     .expect("heard sets contain self");
                 (-q, heard.len(), r)
             })
@@ -271,6 +274,10 @@ impl Default for SurvivalAdversary {
 }
 
 impl TreeSource for SurvivalAdversary {
+    #[expect(
+        clippy::expect_used,
+        reason = "Edmonds always yields an arborescence on a complete digraph"
+    )]
     fn next_tree(&mut self, state: &BroadcastState) -> RootedTree {
         let candidates = self.pool.candidates(state);
         candidates
@@ -278,7 +285,6 @@ impl TreeSource for SurvivalAdversary {
             .map(|t| (SurvivalObjective.score(Tokens::all(state), &t), t))
             .min_by_key(|(score, _)| *score)
             .map(|(_, t)| t)
-            // analyze: allow(panic): Edmonds always yields an arborescence on a complete digraph
             .expect("arborescence pool is never empty")
     }
 

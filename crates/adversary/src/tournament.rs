@@ -209,8 +209,11 @@ pub fn run_tournament(
                     };
                     let report =
                         run_workload(n, &mut adversary, workload, SimulationConfig::for_n(n));
+                    #[expect(
+                        clippy::panic,
+                        reason = "a tournament entrant that cannot broadcast within the cap is a strategy bug worth crashing the harness"
+                    )]
                     let broadcast_time = report.broadcast_time.unwrap_or_else(|| {
-                        // analyze: allow(panic): a tournament entrant that cannot broadcast within the cap is a strategy bug worth crashing the harness
                         panic!(
                             "adversary {name:?} failed to broadcast at n = {n} \
                              within {} rounds (outcome {:?})",
@@ -234,7 +237,10 @@ pub fn run_tournament(
             }));
         }
         for h in handles {
-            // analyze: allow(panic): propagate a tournament worker's panic instead of dropping its rows
+            #[expect(
+                clippy::expect_used,
+                reason = "propagate a tournament worker's panic instead of dropping its rows"
+            )]
             rows.extend(h.join().expect("tournament worker panicked"));
         }
     });
@@ -260,11 +266,14 @@ pub fn best_per_n(rows: &[TournamentRow]) -> Vec<(usize, u64, String)> {
     ns.dedup();
     ns.into_iter()
         .map(|n| {
+            #[expect(
+                clippy::expect_used,
+                reason = "every n in the grid was just measured, so each has a row"
+            )]
             let best = rows
                 .iter()
                 .filter(|r| r.n == n)
                 .max_by_key(|r| r.broadcast_time)
-                // analyze: allow(panic): every n in the grid was just measured, so each has a row
                 .expect("each n has at least one row");
             (n, best.broadcast_time, best.adversary.clone())
         })

@@ -3,6 +3,11 @@
 //! deliberately excluded here — the `bench_solver` binary and the
 //! experiments binary cover them.
 
+#![allow(
+    clippy::expect_used,
+    reason = "a benchmark body aborts loudly on a failed setup"
+)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use treecast_solver::{solve_with, SolveOptions, SuccessorGen, TreePool};
 

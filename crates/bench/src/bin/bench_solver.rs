@@ -16,6 +16,11 @@
 //! comparison (underpowered or heavily loaded hosts); `t*` equality is
 //! always enforced.
 
+#![allow(
+    clippy::expect_used,
+    reason = "the bench harness is a binary-facing tool: a failed measurement or a malformed baseline aborts the run loudly"
+)]
+
 use std::time::Instant;
 
 use treecast_bench::gate;

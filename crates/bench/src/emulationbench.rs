@@ -51,7 +51,7 @@ pub const GATE_PATH_BUDGET: u64 = 768;
 pub const GATE_SEEDED_BUDGET: u64 = 192;
 
 /// Worker threads for the gate runs. The statistics are bit-identical
-/// for any count (see `analyze --determinism`); fixing one keeps the
+/// for any count (see `tests/determinism.rs`); fixing one keeps the
 /// wall half comparable across runs.
 pub const GATE_THREADS: usize = 4;
 

@@ -1589,8 +1589,8 @@ pub fn montecarlo_on(
     );
     out.notes.push(
         "Every cell is a seeded replica pool: reruns, thread counts and engine choices (dense \
-         for n <= 1024, frontier-sparse above) reproduce identical statistics — `analyze \
-         --determinism` audits the replica pool, and `bench_montecarlo --check` gates the \
+         for n <= 1024, frontier-sparse above) reproduce identical statistics — the `determinism` \
+         tests pin the replica pool, and `bench_montecarlo --check` gates the \
          integer cells exactly."
             .into(),
     );

@@ -5,6 +5,12 @@
 //! experiments -- <id>`) regenerates every table/figure of the paper; see
 //! `README.md` in this crate for the id ↔ paper mapping.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "the bench harness is a binary-facing tool: a failed measurement or a malformed baseline aborts the run loudly"
+)]
+
 pub mod adversarybench;
 pub mod emulationbench;
 pub mod experiments;

@@ -44,7 +44,7 @@ pub const GATE_BUDGET: u64 = 1024;
 pub const GATE_LOSS_GRID: [u32; 6] = [0, 2, 6, 10, 14, 20];
 
 /// Worker threads for the gate runs. The statistics are bit-identical
-/// for any count (see `analyze --determinism`); fixing one keeps the
+/// for any count (see `tests/determinism.rs`); fixing one keeps the
 /// wall half comparable across runs.
 pub const GATE_THREADS: usize = 4;
 

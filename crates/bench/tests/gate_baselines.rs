@@ -3,6 +3,13 @@
 //! baseline refresh that drops a cell or moves a wall number shows up
 //! here, not as a silently weaker CI gate.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helper outside a #[test] fn: a failed setup aborts the test"
+)]
+
 use std::path::PathBuf;
 
 use treecast_bench::gate::{check, GateReport};
@@ -18,8 +25,12 @@ const PINNED: [(&str, usize, f64, &str); 7] = [
     ("workloads", 42, 7_062.0, "ns/round"),
 ];
 
+fn repo_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
 fn results_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
+    repo_root().join("results")
 }
 
 /// Every `BENCH_<bench>_baseline.json`, parsed, in file-name order.
@@ -72,4 +83,40 @@ fn exact_cell_counts_and_wall_values_are_pinned() {
         total += report.exact.0.len();
     }
     assert_eq!(total, 245);
+}
+
+/// Every `src/bin/bench_<x>.rs` is a gate: it has a pinned baseline above,
+/// a `ci.sh` step, and a `BENCH_<x>.json` row in the crate README.
+#[test]
+fn every_bench_bin_is_pinned_run_by_ci_and_documented() {
+    let bins = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+    let mut stems: Vec<String> = std::fs::read_dir(bins)
+        .unwrap()
+        .filter_map(|entry| {
+            let name = entry.ok()?.file_name().into_string().ok()?;
+            Some(
+                name.strip_prefix("bench_")?
+                    .strip_suffix(".rs")?
+                    .to_string(),
+            )
+        })
+        .collect();
+    stems.sort();
+    let pinned: Vec<&str> = PINNED.iter().map(|p| p.0).collect();
+    assert_eq!(
+        stems, pinned,
+        "every bench_<x> bin needs a pinned results/BENCH_<x>_baseline.json"
+    );
+    let ci = std::fs::read_to_string(repo_root().join("ci.sh")).unwrap();
+    let readme = std::fs::read_to_string(repo_root().join("crates/bench/README.md")).unwrap();
+    for stem in &stems {
+        assert!(
+            ci.contains(&format!("bench_{stem}")),
+            "bench_{stem} is never run by ci.sh"
+        );
+        assert!(
+            readme.contains(&format!("BENCH_{stem}.json")),
+            "bench_{stem} has no `BENCH_{stem}.json` row in crates/bench/README.md"
+        );
+    }
 }

@@ -468,8 +468,8 @@ impl BoolMatrix {
     /// column `n − 1` in its final (masked) word.
     ///
     /// Compiled to a no-op in release builds; debug builds (the tier-1
-    /// test pass and the `analyze --determinism` audit) get the real
-    /// checks. Violations panic with the broken invariant named.
+    /// test pass and the `determinism` tests of `treecast-bench`) get the
+    /// real checks. Violations panic with the broken invariant named.
     pub fn debug_validate(&self) {
         #[cfg(debug_assertions)]
         {

@@ -728,10 +728,13 @@ impl FrontierSource {
         match &self.kind {
             SourceKind::Static(tree) => tree,
             SourceKind::Sequence(trees) => &trees[self.seq_idx],
+            #[expect(
+                clippy::expect_used,
+                reason = "next_round populates the seeded source's current tree before any access"
+            )]
             SourceKind::Seeded { .. } => self
                 .current
                 .as_ref()
-                // analyze: allow(panic): next_round populates the seeded source's current tree before any access
                 .expect("seeded source advanced by next_round"),
         }
     }

@@ -205,7 +205,10 @@ pub struct ReplicaOutcome {
     pub rounds: Option<u64>,
 }
 
-/// SplitMix64 — the workspace's standard seed-derivation mix.
+/// SplitMix64 (David Stafford's finalizer) — the workspace's one 64-bit
+/// mixer: seed derivation here, the server's tree hashes and prefix
+/// chains, and the solver's canonical-form signatures and state table.
+#[inline]
 #[must_use]
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);

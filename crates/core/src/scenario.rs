@@ -84,8 +84,11 @@ impl RoundFaults {
         self.losses.dedup();
         self.offline.sort_unstable();
         self.offline.dedup();
+        #[expect(
+            clippy::panic,
+            reason = "documented contract; untrusted input goes through `check` first"
+        )]
         if let Err(message) = self.check(n) {
-            // analyze: allow(panic): documented contract; untrusted input goes through `check` first
             panic!("{message}");
         }
     }

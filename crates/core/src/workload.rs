@@ -466,9 +466,12 @@ impl WorkloadReport {
     /// # Panics
     ///
     /// Panics if the workload did not complete.
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking accessor (the _or_panic suffix is the contract)"
+    )]
     pub fn completion_time_or_panic(&self) -> u64 {
         self.completion_time.unwrap_or_else(|| {
-            // analyze: allow(panic): documented panicking accessor (the _or_panic suffix is the contract)
             panic!(
                 "workload {:?} under {:?} did not complete within {} rounds at n = {} \
                  ({}/{} tokens disseminated)",

@@ -10,6 +10,10 @@
 //! concurrent test can pollute the counters while a window is open.
 
 #![allow(
+    clippy::expect_used,
+    reason = "test helper outside a #[test] fn: a failed setup aborts the test"
+)]
+#![allow(
     unsafe_code,
     reason = "a counting `GlobalAlloc` wrapper is the only way to observe allocations"
 )]

@@ -24,8 +24,8 @@
 //! Everything is deterministic per (spec, base seed): reruns, thread
 //! counts and engine choices all reproduce the same statistics, which is
 //! what lets `bench_montecarlo` gate estimator cells exactly and
-//! `analyze --determinism` audit the replica pool as the workspace's
-//! fourth threaded subsystem.
+//! `crates/bench/tests/determinism.rs` test the replica pool as one of
+//! the workspace's four threaded subsystems.
 //!
 //! ```
 //! use treecast_montecarlo::{estimate, FaultSpec, RunSpec, TreeSpec};

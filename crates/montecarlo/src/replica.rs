@@ -13,8 +13,8 @@
 //! worker), so the merged outcome sequence is the replica-index order
 //! regardless of thread count or scheduling. The estimators then consume
 //! that sequence serially. Every statistic is therefore bit-identical
-//! for 1, 2, 4 or 8 workers — `analyze --determinism` audits exactly
-//! this property.
+//! for 1, 2, 4 or 8 workers — `crates/bench/tests/determinism.rs` tests
+//! exactly this property.
 //!
 //! # Engine selection
 //!

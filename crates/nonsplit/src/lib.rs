@@ -201,7 +201,7 @@ pub mod generators {
     /// ```
     pub fn grid(n: usize) -> BoolMatrix {
         assert!(n > 0, "graph needs at least one node");
-        // analyze: allow(panic): (1..) always reaches s with s*s >= n.
+        #[expect(clippy::expect_used, reason = "(1..) always reaches s with s*s >= n.")]
         let side = (1..).find(|s| s * s >= n).expect("finite n");
         let mut m = BoolMatrix::identity(n);
         for z in 0..n {
@@ -297,6 +297,10 @@ impl Default for GreedyNonsplit {
 }
 
 impl MatrixSource for GreedyNonsplit {
+    #[expect(
+        clippy::expect_used,
+        reason = "the loop above ran over a non-empty pool, so `best` was set on its first iteration."
+    )]
     fn next_matrix<R: Rng + ?Sized>(&mut self, state: &BroadcastState, rng: &mut R) -> BoolMatrix {
         let n = state.n();
         let mut best: Option<(usize, BoolMatrix)> = None;
@@ -312,8 +316,6 @@ impl MatrixSource for GreedyNonsplit {
                 best = Some((max_reach, candidate));
             }
         }
-        // analyze: allow(panic): the loop above ran over a non-empty pool, so
-        // `best` was set on its first iteration.
         best.expect("pool ≥ 1").1
     }
 }

@@ -22,8 +22,7 @@ use std::sync::{Arc, Mutex};
 
 use treecast_bitmatrix::{BitSet, BoolMatrix};
 use treecast_core::prefix::disseminated_mask;
-
-use crate::fingerprint::splitmix64;
+use treecast_core::splitmix64;
 
 /// Fixed per-entry bookkeeping charge (slot, map entry, Arc) added to the
 /// heap bytes of the matrix and mask.
@@ -156,14 +155,16 @@ impl Shard {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "an LRU link to a vacant slot is arena corruption; serving from a corrupt cache would be worse than dying."
+    )]
     fn slot(&self, i: usize) -> &Slot {
-        // analyze: allow(panic): an LRU link to a vacant slot is arena
-        // corruption; serving from a corrupt cache would be worse than dying.
         self.slots[i].as_ref().expect("linked slot must be live")
     }
 
+    #[expect(clippy::expect_used, reason = "see `slot` — corrupt arena must abort.")]
     fn slot_mut(&mut self, i: usize) -> &mut Slot {
-        // analyze: allow(panic): see `slot` — corrupt arena must abort.
         self.slots[i].as_mut().expect("linked slot must be live")
     }
 
@@ -209,7 +210,7 @@ impl Shard {
             return;
         }
         self.unlink(i);
-        // analyze: allow(panic): see `slot` — corrupt arena must abort.
+        #[expect(clippy::expect_used, reason = "see `slot` — corrupt arena must abort.")]
         let slot = self.slots[i].take().expect("tail slot must be live");
         self.map.remove(&slot.key);
         self.bytes -= slot.bytes;
@@ -291,9 +292,10 @@ impl PrefixCache {
     pub fn get(&self, fingerprint: u64, round: u64) -> Option<Arc<PrefixEntry>> {
         // A poisoned shard means a worker died inside the intrusive list;
         // its state cannot be trusted, so propagate the abort.
+        #[expect(clippy::expect_used, reason = "poisoned shard propagates")]
         let mut shard = self.shards[self.shard_of(fingerprint)]
             .lock()
-            .expect("cache shard poisoned"); // analyze: allow(panic): poisoned shard propagates
+            .expect("cache shard poisoned");
         match shard.map.get(&(fingerprint, round)).copied() {
             Some(i) => {
                 shard.touch(i);
@@ -314,9 +316,12 @@ impl PrefixCache {
     /// past the shard's byte budget.
     pub fn insert(&self, fingerprint: u64, round: u64, entry: Arc<PrefixEntry>) {
         let budget = self.budget_per_shard;
+        #[expect(
+            clippy::expect_used,
+            reason = "see `get` — a poisoned shard propagates."
+        )]
         self.shards[self.shard_of(fingerprint)]
             .lock()
-            // analyze: allow(panic): see `get` — a poisoned shard propagates.
             .expect("cache shard poisoned")
             .insert((fingerprint, round), entry, budget);
     }
@@ -327,7 +332,10 @@ impl PrefixCache {
         let mut entries = 0;
         let mut bytes = 0;
         for shard in &self.shards {
-            // analyze: allow(panic): see `get` — a poisoned shard propagates.
+            #[expect(
+                clippy::expect_used,
+                reason = "see `get` — a poisoned shard propagates."
+            )]
             let s = shard.lock().expect("cache shard poisoned");
             entries += s.map.len();
             bytes += s.bytes;
@@ -357,7 +365,10 @@ impl PrefixCache {
     pub fn debug_validate(&self) {
         #[cfg(debug_assertions)]
         for (si, shard) in self.shards.iter().enumerate() {
-            // analyze: allow(panic): see `get` — a poisoned shard propagates.
+            #[expect(
+                clippy::expect_used,
+                reason = "see `get` — a poisoned shard propagates."
+            )]
             let s = shard.lock().expect("cache shard poisoned");
             let live: Vec<usize> = (0..s.slots.len())
                 .filter(|&i| s.slots[i].is_some())
@@ -371,9 +382,9 @@ impl PrefixCache {
                     walked.insert(i),
                     "shard {si}: LRU list revisits slot {i} (cycle)"
                 );
+                #[expect(clippy::panic, reason = "this IS the invariant checker.")]
                 let slot = s.slots[i]
                     .as_ref()
-                    // analyze: allow(panic): this IS the invariant checker.
                     .unwrap_or_else(|| panic!("shard {si}: LRU list links vacant slot {i}"));
                 assert_eq!(slot.prev, prev, "shard {si}: asymmetric prev link at {i}");
                 assert_eq!(

@@ -25,6 +25,7 @@
 //! same-length prefixes with colliding chains (the residual risk every
 //! fingerprint cache carries).
 
+use treecast_core::splitmix64;
 use treecast_trees::RootedTree;
 
 /// The chain's initial value — an arbitrary odd constant, fixed so
@@ -36,17 +37,6 @@ const LANES: usize = 8;
 
 /// Odd multiplier of the lane step (the 64-bit Fx constant).
 const LANE_MUL: u64 = 0x517C_C1B7_2722_0A95;
-
-/// David Stafford's splitmix64 finalizer — the workspace's standard
-/// 64-bit mixer.
-#[inline]
-#[must_use]
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// One lane step: xor the entry in, multiply by an odd constant, rotate
 /// the high bits back down. Bijective in `lane` and in `token`.

@@ -921,7 +921,7 @@ mod tests {
         let admitted = |pool: PoolSpec, n: usize, width: usize| {
             build_pool(&pool, n, BeamOptions::for_n(n).with_width(width)).is_ok()
         };
-        // The plans the server tests and the determinism audit send.
+        // The plans the server tests and the determinism tests send.
         assert!(admitted(PoolSpec::Structured, 8, 8));
         assert!(admitted(PoolSpec::Sampled { count: 12, seed: 9 }, 6, 6));
         assert!(admitted(PoolSpec::Sampled { count: 12, seed: 7 }, 6, 3));

@@ -10,6 +10,8 @@
 //! permutation set to the automorphism-ish classes, over which we take an
 //! exact minimum.
 
+use treecast_core::splitmix64;
+
 use crate::state::state_rows;
 
 /// Canonicalization policy for the solver's memo table.
@@ -204,24 +206,13 @@ fn signatures(state: u64, n: usize) -> [u64; 8] {
         while bits != 0 {
             let x = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            let h = mix(heard_w[x] << 32 | reach_w[x]);
+            let h = splitmix64(heard_w[x] << 32 | reach_w[x]);
             acc = acc.wrapping_add(h);
         }
         // Lexicographically dominant: own weights first.
-        *sig = mix(heard_w[y] << 48 | reach_w[y] << 32).wrapping_add(acc);
+        *sig = splitmix64(heard_w[y] << 48 | reach_w[y] << 32).wrapping_add(acc);
     }
     sigs
-}
-
-/// A fixed 64-bit mixer (splitmix64 finalizer) — deterministic across runs
-/// and platforms, which the canonical form requires. Also the hash of the
-/// solver's open-addressing state table.
-#[inline]
-pub(crate) fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -103,12 +103,15 @@ impl TreePool {
     /// # Panics
     ///
     /// Panics if `i >= len()` (checked explicitly, see [`TreePool::edges`]).
+    #[expect(
+        clippy::expect_used,
+        reason = "pool entries were validated trees when they were interned"
+    )]
     pub fn tree(&self, i: usize) -> RootedTree {
         let mut parent = vec![None; self.n];
         for &(c, p) in self.edges(i) {
             parent[c as usize] = Some(p as usize);
         }
-        // analyze: allow(panic): pool entries were validated trees when they were interned
         RootedTree::from_parents(parent).expect("pool entries are valid trees")
     }
 
@@ -441,6 +444,10 @@ impl SuccessorGen {
     /// # Panics
     ///
     /// See [`Self::parents_for`].
+    #[expect(
+        clippy::expect_used,
+        reason = "the recovered parent vector mirrors an interned, validated tree"
+    )]
     pub fn tree_for(&self, base_state: u64, succ: Successor) -> RootedTree {
         let parents = self.parents_for(base_state, succ);
         let vec: Vec<Option<usize>> = (0..self.n)
@@ -452,7 +459,6 @@ impl SuccessorGen {
                 }
             })
             .collect();
-        // analyze: allow(panic): the recovered parent vector mirrors an interned, validated tree
         RootedTree::from_parents(vec).expect("recovered parents form a tree")
     }
 }

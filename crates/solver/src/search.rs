@@ -256,7 +256,7 @@ impl StateTable {
     #[inline]
     fn slot_of(&self, key: u64) -> usize {
         debug_assert_ne!(key, 0, "key 0 is the empty-slot sentinel");
-        let mut i = crate::canon::mix(key) as usize & self.mask;
+        let mut i = treecast_core::splitmix64(key) as usize & self.mask;
         loop {
             let k = self.keys[i];
             if k == key || k == 0 {
@@ -382,6 +382,10 @@ impl Engine {
     /// Every state the passes discover is valued, so later calls for any
     /// state in the explored cone are pure lookups — which is also what
     /// makes this safe to call again during schedule extraction.
+    #[expect(
+        clippy::expect_used,
+        reason = "run_layers promises the seed is valued; a miss here is a graded-DAG ordering bug, not a recoverable state."
+    )]
     fn value_of(&mut self, raw_state: u64) -> Result<u32, SolveError> {
         if has_witness(raw_state, self.n) {
             return Ok(0);
@@ -392,12 +396,10 @@ impl Engine {
             return Ok(v);
         }
         self.run_layers(key)?;
-        // analyze: allow(panic): run_layers promises the seed is valued; a
-        // miss here is a graded-DAG ordering bug, not a recoverable state.
         Ok(self
             .table
             .get(key)
-            .expect("layered passes value their seed")) // analyze: allow(panic): see above
+            .expect("layered passes value their seed"))
     }
 
     /// Forward discovery + backward value propagation from `seed_key`.
@@ -498,9 +500,13 @@ impl Engine {
                 .collect();
             handles
                 .into_iter()
-                // analyze: allow(panic): re-raise a worker panic on the
-                // coordinating thread instead of returning a partial layer.
-                .map(|h| h.join().expect("solver expansion worker panicked"))
+                .map(
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "re-raise a worker panic on the coordinating thread instead of returning a partial layer."
+                    )]
+                    |h| h.join().expect("solver expansion worker panicked"),
+                )
                 .collect()
         })
     }
@@ -542,7 +548,7 @@ fn value_layer(table: &StateTable, layer: &Layer, threads: usize) -> Vec<u32> {
                 let succ = &layer.succ_keys[layer.succ_off[i]..layer.succ_off[i + 1]];
                 let mut best = 0u32;
                 for &key in succ {
-                    // analyze: allow(panic): graded-DAG order guarantees it
+                    #[expect(clippy::expect_used, reason = "graded-DAG order guarantees it")]
                     let v = table.get(key).expect("graded DAG: successor valued first");
                     debug_assert_ne!(v, UNVALUED);
                     best = best.max(v);
@@ -568,7 +574,10 @@ fn value_layer(table: &StateTable, layer: &Layer, threads: usize) -> Vec<u32> {
             .collect();
         let mut out = Vec::with_capacity(len);
         for h in handles {
-            // analyze: allow(panic): re-raise a worker panic, as in expansion.
+            #[expect(
+                clippy::expect_used,
+                reason = "re-raise a worker panic, as in expansion."
+            )]
             out.extend(h.join().expect("solver valuation worker panicked"));
         }
         out

@@ -162,19 +162,28 @@ fn solve(n_nodes: usize, root: usize, edges: &[Edge]) -> Result<Vec<usize>, Arbo
         // Walk up best-in edges until hitting root, a labeled node, or a
         // node visited in THIS walk (a fresh cycle).
         let mut v = start;
+        #[expect(
+            clippy::expect_used,
+            reason = "best[v] was set for every non-root node before the cycle walk"
+        )]
         while v != root && comp[v] == UNSEEN && mark[v] != start {
             mark[v] = start;
-            // analyze: allow(panic): best[v] was set for every non-root node before the cycle walk
             v = edges[best[v].expect("checked above")].from;
         }
         if v != root && comp[v] == UNSEEN && mark[v] == start {
             // Fresh cycle through v.
             let mut cyc = vec![v];
-            // analyze: allow(panic): cycle nodes are non-root, so their best incoming edge exists
+            #[expect(
+                clippy::expect_used,
+                reason = "cycle nodes are non-root, so their best incoming edge exists"
+            )]
             let mut u = edges[best[v].expect("cycle node")].from;
+            #[expect(
+                clippy::expect_used,
+                reason = "cycle nodes are non-root, so their best incoming edge exists"
+            )]
             while u != v {
                 cyc.push(u);
-                // analyze: allow(panic): cycle nodes are non-root, so their best incoming edge exists
                 u = edges[best[u].expect("cycle node")].from;
             }
             let id = next_comp;
@@ -186,10 +195,13 @@ fn solve(n_nodes: usize, root: usize, edges: &[Edge]) -> Result<Vec<usize>, Arbo
         }
         // Label the rest of the walk path as singleton components.
         let mut u = start;
+        #[expect(
+            clippy::expect_used,
+            reason = "the walk stays on non-root nodes, which all have a best edge"
+        )]
         while u != root && comp[u] == UNSEEN {
             comp[u] = next_comp;
             next_comp += 1;
-            // analyze: allow(panic): the walk stays on non-root nodes, which all have a best edge
             u = edges[best[u].expect("non-root")].from;
         }
     }
@@ -202,8 +214,13 @@ fn solve(n_nodes: usize, root: usize, edges: &[Edge]) -> Result<Vec<usize>, Arbo
     if cycles.is_empty() {
         return Ok((0..n_nodes)
             .filter(|&v| v != root)
-            // analyze: allow(panic): the no-cycle branch: every non-root node kept its best edge
-            .map(|v| best[v].expect("non-root"))
+            .map(
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the no-cycle branch: every non-root node kept its best edge"
+                )]
+                |v| best[v].expect("non-root"),
+            )
             .collect());
     }
 
@@ -223,8 +240,11 @@ fn solve(n_nodes: usize, root: usize, edges: &[Edge]) -> Result<Vec<usize>, Arbo
         if cu == cv {
             continue;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "in_cycle nodes are non-root, so their best incoming edge exists"
+        )]
         let weight = if in_cycle[e.to] {
-            // analyze: allow(panic): in_cycle nodes are non-root, so their best incoming edge exists
             e.weight - edges[best[e.to].expect("cycle node")].weight
         } else {
             e.weight
@@ -250,7 +270,10 @@ fn solve(n_nodes: usize, root: usize, edges: &[Edge]) -> Result<Vec<usize>, Arbo
     for cyc in &cycles {
         for &v in cyc {
             if !entered[v] {
-                // analyze: allow(panic): cycle nodes are non-root, so their best incoming edge exists
+                #[expect(
+                    clippy::expect_used,
+                    reason = "cycle nodes are non-root, so their best incoming edge exists"
+                )]
                 selected.push(best[v].expect("cycle node"));
             }
         }

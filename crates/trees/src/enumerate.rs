@@ -48,7 +48,10 @@ pub fn for_each_rooted_tree<F: FnMut(&RootedTree)>(n: usize, mut f: F) {
         "enumeration supports 1 ≤ n ≤ {MAX_ENUM_N}, got {n}"
     );
     if n == 1 {
-        // analyze: allow(panic): a single-node parent array is trivially a valid tree
+        #[expect(
+            clippy::expect_used,
+            reason = "a single-node parent array is trivially a valid tree"
+        )]
         f(&RootedTree::from_parents(vec![None]).expect("single node"));
         return;
     }
@@ -70,7 +73,10 @@ pub fn for_each_rooted_tree<F: FnMut(&RootedTree)>(n: usize, mut f: F) {
             }
             parent[root] = None;
             if is_acyclic(&parent, root) {
-                // analyze: allow(panic): acyclicity of the parent array was checked on the line above
+                #[expect(
+                    clippy::expect_used,
+                    reason = "acyclicity of the parent array was checked on the line above"
+                )]
                 let tree = RootedTree::from_parents(parent.clone()).expect("acyclic parent array");
                 f(&tree);
             }

@@ -35,6 +35,10 @@ pub fn path(n: usize) -> RootedTree {
 /// # Panics
 ///
 /// Panics if `order` is empty or not a permutation of `0..order.len()`.
+#[expect(
+    clippy::expect_used,
+    reason = "chaining a permutation into a path is acyclic by construction"
+)]
 pub fn path_with_order(order: &[NodeId]) -> RootedTree {
     assert!(!order.is_empty(), "path needs at least one node");
     let n = order.len();
@@ -42,7 +46,6 @@ pub fn path_with_order(order: &[NodeId]) -> RootedTree {
     for w in order.windows(2) {
         parent[w[1]] = Some(w[0]);
     }
-    // analyze: allow(panic): chaining a permutation into a path is acyclic by construction
     RootedTree::from_parents(parent).expect("a node order defines a valid path")
 }
 
@@ -69,13 +72,16 @@ pub fn star(n: usize) -> RootedTree {
 /// assert!(t.is_star());
 /// assert_eq!(t.root(), 3);
 /// ```
+#[expect(
+    clippy::expect_used,
+    reason = "the star parent array has one root and no chains to cycle"
+)]
 pub fn star_with_center(n: usize, center: NodeId) -> RootedTree {
     assert!(n > 0, "star needs at least one node");
     assert!(center < n, "center {center} out of range for n = {n}");
     let parent = (0..n)
         .map(|v| if v == center { None } else { Some(center) })
         .collect();
-    // analyze: allow(panic): the star parent array has one root and no chains to cycle
     RootedTree::from_parents(parent).expect("star parent array is valid")
 }
 
@@ -97,6 +103,10 @@ pub fn star_with_center(n: usize, center: NodeId) -> RootedTree {
 /// assert_eq!(t.leaf_count(), 3);
 /// assert_eq!(t.height(), 3);
 /// ```
+#[expect(
+    clippy::expect_used,
+    reason = "the broom parent array is acyclic by construction"
+)]
 pub fn broom(n: usize, handle_len: usize) -> RootedTree {
     assert!(n > 0, "broom needs at least one node");
     assert!(
@@ -110,7 +120,6 @@ pub fn broom(n: usize, handle_len: usize) -> RootedTree {
     for v in handle_len..n {
         parent[v] = Some(handle_len - 1);
     }
-    // analyze: allow(panic): the broom parent array is acyclic by construction
     RootedTree::from_parents(parent).expect("broom parent array is valid")
 }
 
@@ -125,6 +134,10 @@ pub fn broom(n: usize, handle_len: usize) -> RootedTree {
 ///
 /// Panics if the three parts don't fit: requires
 /// `head_leaves + handle_len + 1 ≤ n` and `handle_len ≥ 1`.
+#[expect(
+    clippy::expect_used,
+    reason = "the double-broom parent array is acyclic by construction"
+)]
 pub fn double_broom(n: usize, head_leaves: usize, handle_len: usize) -> RootedTree {
     assert!(handle_len >= 1, "double broom needs a handle");
     assert!(
@@ -144,7 +157,6 @@ pub fn double_broom(n: usize, head_leaves: usize, handle_len: usize) -> RootedTr
     for v in handle_start + handle_len..n {
         parent[v] = Some(handle_end);
     }
-    // analyze: allow(panic): the double-broom parent array is acyclic by construction
     RootedTree::from_parents(parent).expect("double broom parent array is valid")
 }
 
@@ -155,6 +167,10 @@ pub fn double_broom(n: usize, head_leaves: usize, handle_len: usize) -> RootedTr
 /// # Panics
 ///
 /// Panics if `n == 0` or `spine_len == 0` or `spine_len > n`.
+#[expect(
+    clippy::expect_used,
+    reason = "the caterpillar parent array is acyclic by construction"
+)]
 pub fn caterpillar(n: usize, spine_len: usize) -> RootedTree {
     assert!(n > 0, "caterpillar needs at least one node");
     assert!(
@@ -168,7 +184,6 @@ pub fn caterpillar(n: usize, spine_len: usize) -> RootedTree {
     for (i, v) in (spine_len..n).enumerate() {
         parent[v] = Some(i % spine_len);
     }
-    // analyze: allow(panic): the caterpillar parent array is acyclic by construction
     RootedTree::from_parents(parent).expect("caterpillar parent array is valid")
 }
 
@@ -179,10 +194,17 @@ pub fn caterpillar(n: usize, spine_len: usize) -> RootedTree {
 ///
 /// Panics if `n == 0`, `legs == 0`, or `legs > n − 1` (unless `n == 1`,
 /// where any `legs` collapses to the single node).
+#[expect(
+    clippy::expect_used,
+    reason = "the spider parent array is acyclic by construction"
+)]
 pub fn spider(n: usize, legs: usize) -> RootedTree {
     assert!(n > 0, "spider needs at least one node");
     if n == 1 {
-        // analyze: allow(panic): a single-node parent array is trivially a valid tree
+        #[expect(
+            clippy::expect_used,
+            reason = "a single-node parent array is trivially a valid tree"
+        )]
         return RootedTree::from_parents(vec![None]).expect("single node");
     }
     assert!(
@@ -197,7 +219,6 @@ pub fn spider(n: usize, legs: usize) -> RootedTree {
         parent[v] = Some(prev[leg]);
         prev[leg] = v;
     }
-    // analyze: allow(panic): the spider parent array is acyclic by construction
     RootedTree::from_parents(parent).expect("spider parent array is valid")
 }
 
@@ -215,13 +236,16 @@ pub fn complete_binary(n: usize) -> RootedTree {
 /// # Panics
 ///
 /// Panics if `n == 0` or `k == 0`.
+#[expect(
+    clippy::expect_used,
+    reason = "the heap parent array points strictly downward, so it is acyclic"
+)]
 pub fn complete_kary(n: usize, k: usize) -> RootedTree {
     assert!(n > 0, "tree needs at least one node");
     assert!(k > 0, "arity must be positive");
     let parent = (0..n)
         .map(|v| if v == 0 { None } else { Some((v - 1) / k) })
         .collect();
-    // analyze: allow(panic): the heap parent array points strictly downward, so it is acyclic
     RootedTree::from_parents(parent).expect("heap parent array is valid")
 }
 
@@ -242,6 +266,10 @@ pub fn complete_kary(n: usize, k: usize) -> RootedTree {
 ///     assert_eq!(exact_leaf_caterpillar(8, k).leaf_count(), k);
 /// }
 /// ```
+#[expect(
+    clippy::expect_used,
+    reason = "the exact-leaf caterpillar parent array is acyclic by construction"
+)]
 pub fn exact_leaf_caterpillar(n: usize, k: usize) -> RootedTree {
     assert!(n >= 2, "need at least two nodes to control leaf count");
     assert!(
@@ -259,7 +287,6 @@ pub fn exact_leaf_caterpillar(n: usize, k: usize) -> RootedTree {
     for (i, v) in (spine + 1..n).enumerate() {
         parent[v] = Some(i % spine);
     }
-    // analyze: allow(panic): the exact-leaf caterpillar parent array is acyclic by construction
     RootedTree::from_parents(parent).expect("exact-leaf caterpillar is valid")
 }
 

@@ -125,6 +125,10 @@ pub fn encode(tree: &RootedTree) -> Vec<NodeId> {
     // To delete leaves we need undirected adjacency; emulate with parent +
     // children and a removed mask.
     let mut removed = vec![false; n];
+    #[expect(
+        clippy::expect_used,
+        reason = "Pruefer decode invariant: a live leaf's parent keeps a live child"
+    )]
     let neighbor = |v: NodeId, removed: &[bool], tree: &RootedTree| -> NodeId {
         if let Some(p) = tree.parent(v) {
             if !removed[p] {
@@ -135,7 +139,6 @@ pub fn encode(tree: &RootedTree) -> Vec<NodeId> {
             .children(v)
             .iter()
             .find(|&&c| !removed[c])
-            // analyze: allow(panic): Pruefer decode invariant: a live leaf's parent keeps a live child
             .expect("a live leaf has exactly one live neighbor")
     };
     let mut seq = Vec::with_capacity(n - 2);

@@ -84,6 +84,10 @@ pub fn uniform_into<R: Rng + ?Sized>(tree: &mut RootedTree, n: usize, rng: &mut 
 /// # Panics
 ///
 /// Panics if `n == 0`.
+#[expect(
+    clippy::expect_used,
+    reason = "attaching each node to an earlier one is acyclic by construction"
+)]
 pub fn recursive<R: Rng + ?Sized>(n: usize, rng: &mut R) -> RootedTree {
     assert!(n > 0, "tree needs at least one node");
     let mut order: Vec<NodeId> = (0..n).collect();
@@ -93,7 +97,6 @@ pub fn recursive<R: Rng + ?Sized>(n: usize, rng: &mut R) -> RootedTree {
         let p = order[rng.gen_range(0..i)];
         parent[order[i]] = Some(p);
     }
-    // analyze: allow(panic): attaching each node to an earlier one is acyclic by construction
     RootedTree::from_parents(parent).expect("recursive attachment is acyclic")
 }
 
@@ -136,8 +139,11 @@ pub fn with_exact_leaves<R: Rng + ?Sized>(n: usize, leaves: usize, rng: &mut R) 
     let inner = n - leaves;
 
     // Draw an inner skeleton whose own leaves we can all pin.
+    #[expect(
+        clippy::expect_used,
+        reason = "a single-node parent array is trivially a valid tree"
+    )]
     let skeleton = if inner == 1 {
-        // analyze: allow(panic): a single-node parent array is trivially a valid tree
         RootedTree::from_parents(vec![None]).expect("single node")
     } else {
         let mut candidate = None;
@@ -165,7 +171,10 @@ pub fn with_exact_leaves<R: Rng + ?Sized>(n: usize, leaves: usize, rng: &mut R) 
     for v in next_leaf..n {
         parent[v] = Some(rng.gen_range(0..inner));
     }
-    // analyze: allow(panic): a validated skeleton plus fresh leaves stays acyclic
+    #[expect(
+        clippy::expect_used,
+        reason = "a validated skeleton plus fresh leaves stays acyclic"
+    )]
     let tree = RootedTree::from_parents(parent).expect("skeleton plus leaves is a tree");
     debug_assert_eq!(tree.leaf_count(), leaves);
     relabeled(&tree, rng)

@@ -557,6 +557,10 @@ impl RootedTree {
     /// # Panics
     ///
     /// Panics if `perm` is not a permutation of `0..n`.
+    #[expect(
+        clippy::expect_used,
+        reason = "relabeling by a permutation preserves tree-ness"
+    )]
     pub fn relabel(&self, perm: &[NodeId]) -> RootedTree {
         let n = self.n();
         assert_eq!(perm.len(), n, "permutation length must equal n");
@@ -569,7 +573,6 @@ impl RootedTree {
         for (v, &p) in self.parent.iter().enumerate() {
             parent[perm[v]] = p.map(|p| perm[p]);
         }
-        // analyze: allow(panic): relabeling by a permutation preserves tree-ness
         RootedTree::from_parents(parent).expect("relabeling preserves tree-ness")
     }
 
@@ -597,12 +600,15 @@ impl RootedTree {
     /// assert_eq!(flipped.parent(0), Some(1)); // every edge reversed
     /// assert_eq!(path.rerooted(0).parents(), path.parents());
     /// ```
+    #[expect(
+        clippy::expect_used,
+        reason = "rerooting flips root-path edges only, preserving tree-ness"
+    )]
     pub fn rerooted(&self, new_root: NodeId) -> RootedTree {
         let n = self.n();
         assert!(new_root < n, "new root {new_root} out of range for n = {n}");
         let mut parent = self.parent.clone();
         reroot_parents(&mut parent, new_root);
-        // analyze: allow(panic): rerooting flips root-path edges only, preserving tree-ness
         RootedTree::from_parents(parent).expect("rerooting preserves tree-ness")
     }
 

@@ -6,6 +6,11 @@
 //! tree: a refill drops it, a read rebuilds the current tree's, and
 //! equality, hashing and cloning do not depend on whether it is built.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helper outside a #[test] fn: a failed setup aborts the test"
+)]
+
 use std::collections::VecDeque;
 
 use proptest::prelude::*;

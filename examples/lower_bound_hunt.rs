@@ -7,6 +7,11 @@
 //! cargo run --release --example lower_bound_hunt
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    reason = "an example aborts loudly on an impossible state rather than threading errors through its narrative"
+)]
+
 use treecast::adversary::{beam_search_plan, ArborescencePool, BeamOptions, SurvivalAdversary};
 use treecast::core::{bounds, run_workload, Broadcast, SequenceSource, SimulationConfig};
 use treecast::solver;

@@ -7,6 +7,11 @@
 //! cargo run --release --example nonsplit_dissemination
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    reason = "an example aborts loudly on an impossible state rather than threading errors through its narrative"
+)]
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use treecast::core::bounds;

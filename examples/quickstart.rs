@@ -8,6 +8,12 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "an example aborts loudly on an impossible state rather than threading errors through its narrative"
+)]
+
 use treecast::core::{bounds, run_workload, Broadcast, SimulationConfig, StaticSource};
 use treecast::trees::generators;
 

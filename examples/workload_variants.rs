@@ -8,6 +8,11 @@
 //! cargo run --release --example workload_variants
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    reason = "an example aborts loudly on an impossible state rather than threading errors through its narrative"
+)]
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use treecast::adversary::{GreedyAdversary, MinDisseminated, StructuredPool};

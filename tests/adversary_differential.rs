@@ -14,6 +14,11 @@
 //!   reproduces, tree for tree, the pre-refactor broadcast-only beam
 //!   (reimplemented verbatim below as the reference).
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helper outside a #[test] fn: a failed setup aborts the test"
+)]
+
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};

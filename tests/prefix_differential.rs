@@ -13,6 +13,11 @@
 //! independent oracle: `G(t)` composed from `to_matrix(true)` with
 //! `BoolMatrix::compose`.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helper outside a #[test] fn: a failed setup aborts the test"
+)]
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 
