@@ -11,8 +11,15 @@
 //! * **wall time** — the median per-round cost of [`GATE_REPS`] runs of
 //!   the seeded sweep at [`GATE_N`] (k-source spread under seeded
 //!   uniform trees) is gated at +25%, skippable via
-//!   `TREECAST_BENCH_GATE=off`. One run is ~10 ms, short enough that
-//!   host noise moves it by half; the median of several does not.
+//!   `TREECAST_BENCH_GATE=off`. One run is ~5 ms, short enough that
+//!   host noise moves it by half; the median of several does not. A
+//!   host state that lasts a whole process still moves it: on a 2-vCPU
+//!   host, processes of one binary read medians in clusters up to 1.7×
+//!   apart, and the baseline sits in the slow cluster. So the gate
+//!   catches an undo of the node-major frontier rows only while the
+//!   host is slow; in its fast state such an undo passes (ROADMAP item
+//!   13: gate the minimum over processes, or a per-process ratio against
+//!   an in-process reference loop).
 //!
 //! The baseline records only the smoke sizes: the n = 10⁶ rows run in
 //! the release tier, where [`crate::gate::check`]'s

@@ -18,7 +18,7 @@ use treecast_bench::gate::{check, GateReport};
 const PINNED: [(&str, usize, f64, &str); 7] = [
     ("adversary", 18, 4_688_225.0, "ns/plan"),
     ("emulation", 120, 5_287.5, "ns/replica-round"),
-    ("frontier", 2, 537_814.1, "ns/round"),
+    ("frontier", 2, 249_343.85, "ns/round"),
     ("montecarlo", 30, 29_384.7, "ns/replica-round"),
     ("server", 27, 132_334.630_1, "ns/request"),
     ("solver", 6, 1_581.803, "ms"),

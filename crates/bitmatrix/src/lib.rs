@@ -11,7 +11,7 @@
 //! (x, y) ∈ A∘B  ⇔  ∃z. (x, z) ∈ A ∧ (z, y) ∈ B      (Definition 2.1)
 //! ```
 //!
-//! Three representations are provided:
+//! Two representations are provided:
 //!
 //! * [`BitSet`] — a dense set over `{0, …, n−1}`; reach sets and
 //!   heard-from sets.
@@ -23,9 +23,6 @@
 //!   predicates used throughout the evaluation. Rows are borrowed out as
 //!   [`RowRef`]/[`RowMut`] views, interchangeable with [`BitSet`] through
 //!   the [`BitView`] trait.
-//! * [`HybridRow`] — a sparse-until-promoted row (sorted index list below a
-//!   per-universe threshold, dense words above) for the frontier engine's
-//!   million-node states.
 //!
 //! # Examples
 //!
@@ -51,7 +48,6 @@
 //!   tests.
 
 mod bitset;
-mod hybrid;
 mod matrix;
 mod row;
 
@@ -59,6 +55,5 @@ mod row;
 pub mod strategies;
 
 pub use bitset::{gather_word, BitSet, BitView, Iter, ParseBitSetError};
-pub use hybrid::{hybrid_threshold, HybridIter, HybridRow};
 pub use matrix::{BoolMatrix, ParseMatrixError};
 pub use row::{RowMut, RowRef};

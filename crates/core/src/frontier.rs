@@ -1,29 +1,27 @@
 //! The frontier-sparse engine: million-node runs in O(newly informed)
 //! work per round.
 //!
-//! The dense engine carries the `n × n` product graph, O(n²/64) words of
-//! work per round. But along a round tree, node `y` hears token `x`
-//! exactly when its parent already holds `x`, so a round only needs to
-//! examine, per token,
+//! The dense engine carries the `n × n` heard-from matrix, O(n²/64) words
+//! of work per round. A run that tracks `k` tokens needs only that
+//! matrix's `k` source columns: one node-major array of ⌈k/64⌉ words per
+//! node, in which row `y` holds the tracked tokens `y` has. Along a round
+//! tree `y` receives exactly its parent's row, so a round only needs to
+//! examine
 //!
-//! * last round's fault-**deferred** candidates,
-//! * the children of last round's **frontier** (newly informed nodes), and
+//! * last round's fault-**deferred** nodes,
+//! * the children of last round's **frontier** (the nodes whose row
+//!   grew), and
 //! * the nodes whose parent changed (the **delta** the source reports).
 //!
 //! Nothing else can change (see `apply_round`): on a static tree a round
-//! costs O(frontier). Holder sets are [`HybridRow`]s — sorted lists while
-//! small, dense words once promoted.
+//! costs O(frontier).
 //!
 //! When the whole tree changes ([`RoundDelta::All`], e.g. a fresh uniform
-//! tree every round) the candidate lists would be all `n` nodes per token,
-//! so such a round steps the tree directly instead: one O(n) pass builds
-//! the effective parent map (`y`'s parent if the edge carries, else `y`),
-//! then each token costs one 64-bits-per-word gather over its dense holder
-//! row, and up to 64 sparse rows share one more pass over the map (a bit
-//! per token on each holder), plus a scan of the masked edges for the
-//! fault-deferred nodes. None of that reads the tree's children index, so
-//! a freshly sampled tree never builds one unless a fault masks an edge
-//! or more than 64 rows are sparse.
+//! tree every round) every node would be a candidate, so such a round is
+//! one double-buffered pass over the rows instead,
+//! `next[y] = cur[y] | cur[parent(y)]`, with `parent(y) = y` across a
+//! masked edge. The pass reads the parent array only, so a freshly
+//! sampled tree never builds its children index.
 //!
 //! # Exactness and scale
 //!
@@ -31,13 +29,14 @@
 //! the dense semantics, pinned round-for-round (faults included) by
 //! `tests/frontier_differential.rs`. That is Ω(n²) in the worst case, so
 //! n = 10⁶ experiments track [`SourceSet::Nodes`]
-//! ([`crate::KSourceBroadcast`]). There, and only there,
-//! [`WorkloadReport::broadcast_time`] is the first round a *tracked*
-//! token disseminated, where the dense engine counts any of the `n`.
+//! ([`crate::KSourceBroadcast`]), which the same suite pins too. For
+//! those, and only those, [`WorkloadReport::broadcast_time`] is the first
+//! round a *tracked* token is held by everyone, where the dense engine
+//! counts any of the `n` (ROADMAP item 10, finding 1).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use treecast_bitmatrix::{gather_word, BitSet, HybridRow};
+use treecast_bitmatrix::BitSet;
 use treecast_trees::{random, NodeId, RootedTree};
 
 use crate::drive::{drive, RoundEngine};
@@ -63,150 +62,137 @@ pub enum RoundDelta<'a> {
     /// did not actually change; extra candidates are harmless.
     Changed(&'a [NodeId]),
     /// Arbitrarily different tree (e.g. a fresh uniform draw). Always
-    /// sound. No candidate lists: one O(n) parent map per round, then one
-    /// word gather per dense token row (see [`FrontierState::apply_round`]).
+    /// sound. No candidate lists: one pass over every node's row (see
+    /// [`FrontierState::apply_round`]).
     All,
 }
 
-/// Per-token frontier state: the holder set plus the worklists that make
-/// the next round O(candidates).
+/// Which tracked tokens everyone holds and, while counted, how many
+/// nodes hold each.
 #[derive(Debug, Clone)]
-struct TokenFrontier {
-    /// The node whose token this is (it never forgets it).
-    source: NodeId,
-    /// Nodes currently holding the token.
-    holders: HybridRow,
-    /// Nodes that became holders in the last applied round.
-    frontier: Vec<NodeId>,
-    /// Candidates blocked by faults (offline endpoint) or token loss in
-    /// an earlier round; re-examined every round until resolved.
-    deferred: Vec<NodeId>,
-    /// Cached `holders.is_full()`.
-    full: bool,
+struct Tally {
+    n: usize,
+    /// The tokens held by every node: the AND of all rows.
+    everyone: Vec<u64>,
+    /// Holders per token, valid while `counted`. Quiet rounds and losses
+    /// keep it; a whole-tree round only ANDs its rows into `everyone`, and
+    /// the next quiet round recounts.
+    held: Vec<usize>,
+    counted: bool,
 }
 
-impl TokenFrontier {
-    /// Resolves a [`RoundDelta::All`] round against the pre-round holder
-    /// set with no candidate list: pushes the nodes that receive the token
-    /// onto `fresh` and refills `deferred` with the fault-blocked ones.
-    /// `round_parents[y]` is `y`'s parent if that edge carries this round,
-    /// else `y` ([`round_parents_into`]).
-    ///
-    /// A sparse row that [`step_sparse_rows`] already stepped (`marked`)
-    /// holds its new holders in `frontier`; they move to `fresh` here.
-    fn step_whole_tree(
-        &mut self,
-        tree: &RootedTree,
-        round_parents: &[NodeId],
-        offline: &[NodeId],
-        marked: bool,
-        fresh: &mut Vec<NodeId>,
-    ) {
-        let holders = &self.holders;
-        match holders.dense_words() {
-            // Dense: `y` is new iff it is not a holder but its round
-            // parent is — one gathered word per 64 nodes.
-            Some(words) => {
-                for (w, chunk) in round_parents.chunks(64).enumerate() {
-                    let mut new = gather_word(words, chunk) & !words[w];
-                    while new != 0 {
-                        fresh.push(w * 64 + new.trailing_zeros() as usize);
-                        new &= new - 1;
-                    }
-                }
-            }
-            None if marked => std::mem::swap(fresh, &mut self.frontier),
-            // Sparse, in a round with too many sparse rows to share one
-            // pass: only a holder's children can be new.
-            None => {
-                for h in holders.iter() {
-                    let kids = tree.children(h).iter().copied();
-                    fresh.extend(kids.filter(|&c| round_parents[c] == h && !holders.contains(c)));
-                }
+impl Tally {
+    fn disseminated(&self) -> usize {
+        self.everyone.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Makes `held` valid again after a whole-tree round: O(n·⌈k/64⌉)
+    /// plus one step per held token.
+    fn recount(&mut self, rows: &[u64], words: usize) {
+        if self.counted {
+            return;
+        }
+        self.held.fill(0);
+        for row in rows.chunks_exact(words) {
+            for (w, &bits) in row.iter().enumerate() {
+                tokens_in(w, bits).for_each(|i| self.held[i] += 1);
             }
         }
+        self.counted = true;
+    }
 
-        // Deferred: the non-holders whose parent holds the token across a
-        // masked edge — an offline node itself, or an online child of an
-        // offline node. Repeated offline entries are skipped.
-        self.deferred.clear();
-        let is_offline = |v: NodeId| offline.binary_search(&v).is_ok();
-        for (i, &v) in offline.iter().enumerate() {
-            if i > 0 && offline[i - 1] == v {
-                continue;
+    /// Counts one more holder of each token in `bits`, word `w` of a row.
+    /// Needs `held` counted.
+    fn gain(&mut self, w: usize, bits: u64) {
+        for i in tokens_in(w, bits) {
+            self.held[i] += 1;
+            if self.held[i] == self.n {
+                self.everyone[w] |= 1 << (i % 64);
             }
-            if let Some(p) = tree.parent(v) {
-                if !holders.contains(v) && holders.contains(p) {
-                    self.deferred.push(v);
-                }
-            }
-            if holders.contains(v) {
-                let kids = tree.children(v).iter().copied();
-                self.deferred
-                    .extend(kids.filter(|&c| !is_offline(c) && !holders.contains(c)));
-            }
+        }
+    }
+
+    /// Counts one holder less of each token in `bits`, word `w` of a row.
+    fn lose(&mut self, w: usize, bits: u64) {
+        self.everyone[w] &= !bits;
+        if self.counted {
+            tokens_in(w, bits).for_each(|i| self.held[i] -= 1);
         }
     }
 }
 
-/// The most sparse rows one [`step_sparse_rows`] pass serves: one bit of a
-/// node's mark word each.
-const MARK_BITS: usize = u64::BITS as usize;
+/// The tokens whose bits are set in `bits`, word `w` of a row.
+fn tokens_in(w: usize, mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let i = (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize);
+        bits &= bits.wrapping_sub(1);
+        i
+    })
+}
 
-/// Steps the sparse rows `marked` (at most [`MARK_BITS`] unfinished
-/// tokens) of a whole-tree round in one shared O(n) pass over the
-/// effective parent map, reading no children index: bit `b` of `marks[v]`
-/// says that `v` holds token `marked[b]`, so `y` receives exactly the
-/// tokens in `marks[round_parents[y]] & !marks[y]`. Each token's new
-/// holders land in its `frontier`, in ascending node order. `holding`
-/// has the bit of every marked node, so the pass reads a mark word only
-/// behind a set bit: n/8 bytes of random reads instead of 8n. `marks`
-/// and `holding` are all zero before and after (clearing costs
-/// O(holders)).
-fn step_sparse_rows(
-    tokens: &mut [TokenFrontier],
-    marked: &[usize],
-    round_parents: &[NodeId],
-    marks: &mut Vec<u64>,
-    holding: &mut BitSet,
+/// One whole-tree round over the rows: `next[y] = cur[y] | cur[parent(y)]`,
+/// `words` words per row, ANDing every new row into `everyone`. Leaves in
+/// `grown` the nodes whose row grew, in ascending order.
+fn whole_tree_pass(
+    cur: &[u64],
+    next: &mut [u64],
+    words: usize,
+    parent: impl Fn(NodeId) -> NodeId,
+    everyone: &mut [u64],
+    grown: &mut Vec<NodeId>,
 ) {
-    marks.resize(round_parents.len(), 0);
-    for (bit, &i) in marked.iter().enumerate() {
-        let tok = &mut tokens[i];
-        tok.frontier.clear();
-        for h in tok.holders.iter() {
-            marks[h] |= 1 << bit;
-            holding.insert(h);
+    // Branch-free: every node is written at `len`, which advances past
+    // it only if its row grew.
+    grown.resize(next.len() / words, 0);
+    let mut len = 0;
+    if words == 1 {
+        // At most 64 tokens (the common case): one word per node, the AND
+        // in a register. The per-word loop below costs 2.5–4× more per
+        // pass here, and a seeded n = 10⁴, k = 16 replica 1.3× more end
+        // to end.
+        let mut all = !0;
+        for (y, out) in next.iter_mut().enumerate() {
+            let c = cur[y];
+            let gain = cur[parent(y)] & !c;
+            *out = c | gain;
+            all &= *out;
+            grown[len] = y;
+            len += usize::from(gain != 0);
+        }
+        everyone[0] = all;
+    } else {
+        everyone.fill(!0);
+        for (y, out) in next.chunks_exact_mut(words).enumerate() {
+            let own = &cur[y * words..][..words];
+            let from = &cur[parent(y) * words..][..words];
+            let mut gains = 0;
+            for (((out, all), &c), &p) in out.iter_mut().zip(&mut *everyone).zip(own).zip(from) {
+                gains |= p & !c;
+                *out = c | p;
+                *all &= *out;
+            }
+            grown[len] = y;
+            len += usize::from(gains != 0);
         }
     }
-    for (y, &p) in round_parents.iter().enumerate() {
-        if !holding.contains(p) {
-            continue;
-        }
-        let mut new = marks[p] & !marks[y];
-        while new != 0 {
-            tokens[marked[new.trailing_zeros() as usize]]
-                .frontier
-                .push(y);
-            new &= new - 1;
-        }
-    }
-    for &i in marked {
-        for h in tokens[i].holders.iter() {
-            marks[h] = 0;
-            holding.remove(h);
-        }
-    }
+    grown.truncate(len);
 }
 
-/// The frontier-sparse dissemination state: one [`HybridRow`] holder set
-/// and a newly-informed worklist per tracked token.
+/// Whether row `p` holds a token that row `y` lacks.
+fn row_gains(rows: &[u64], words: usize, p: NodeId, y: NodeId) -> bool {
+    let (from, own) = (&rows[p * words..][..words], &rows[y * words..][..words]);
+    from.iter().zip(own).any(|(&p, &c)| p & !c != 0)
+}
+
+/// The frontier-sparse dissemination state, node-major: row `y` holds the
+/// tracked tokens `y` has, one bit per token in ⌈k/64⌉ words, beside one
+/// node frontier and one deferred list.
 ///
 /// Observationally equivalent to the dense engine's state on the tracked
-/// tokens — [`TrackedTokens`](crate::TrackedTokens) for
-/// [`SourceSet::Nodes`], the full [`BroadcastState`](crate::BroadcastState)
-/// (token `x` ↔ column `x`) when all `n` tokens are tracked — but a round
-/// costs O(candidates) instead of O(n²/64).
+/// tokens — the source columns of the full
+/// [`BroadcastState`](crate::BroadcastState) (token `i` ↔ column
+/// `sources[i]`) — but a round costs O(candidates), or one O(n·⌈k/64⌉)
+/// pass for a whole new tree, instead of O(n²/64).
 ///
 /// # Examples
 ///
@@ -227,29 +213,34 @@ fn step_sparse_rows(
 pub struct FrontierState {
     n: usize,
     round: u64,
-    tokens: Vec<TokenFrontier>,
-    /// Tokens currently held by everyone (kept incrementally).
-    disseminated: usize,
-    /// Per-round scratch bits, clear between rounds: the candidate dedup
-    /// of a delta round, cleared via `touched` so clearing costs
-    /// O(candidates), not O(n/64); in a whole-tree round, the nodes that
-    /// hold a sparse row's token ([`step_sparse_rows`]).
-    seen: BitSet,
-    /// Scratch: nodes accepted this round (the next frontier).
-    fresh: Vec<NodeId>,
-    /// Scratch: nodes whose `seen` bit is set.
-    touched: Vec<NodeId>,
-    /// Scratch: the round's candidate list.
+    /// Words per row: ⌈k/64⌉.
+    words: usize,
+    /// Row `y` is `rows[y * words..][..words]`; bit `i` says that `y`
+    /// holds token `i`.
+    rows: Vec<u64>,
+    /// `(source, token)` pairs sorted by node: the tokens a loss never
+    /// clears.
+    own: Vec<(NodeId, usize)>,
+    tally: Tally,
+    /// Nodes whose row grew in the last applied round (before any round,
+    /// the sources).
+    frontier: Vec<NodeId>,
+    /// Nodes that a fault (an offline endpoint or a token loss) kept from
+    /// a token their parent held; the next round re-examines them.
+    deferred: Vec<NodeId>,
+    /// Scratch: a whole-tree round's next rows (the double buffer).
+    spare: Vec<u64>,
+    /// Scratch: a quiet round's candidate list.
     pending: Vec<NodeId>,
-    /// Scratch: a whole-tree round's effective parent map, shared by all
-    /// tokens.
+    /// Scratch: a quiet round's candidate dedup, cleared through
+    /// `pending` so that clearing costs O(candidates), not O(n/64).
+    seen: BitSet,
+    /// Scratch: the nodes a quiet round informs (the next frontier).
+    fresh: Vec<NodeId>,
+    /// Scratch: their new tokens, `words` per node of `fresh`.
+    gains: Vec<u64>,
+    /// Scratch: a faulty whole-tree round's effective parent map.
     round_parents: Vec<NodeId>,
-    /// Scratch: per-node token bits of a whole-tree round's sparse rows
-    /// ([`step_sparse_rows`]); all zero between rounds.
-    marks: Vec<u64>,
-    /// Scratch: the tokens whose rows `marks` carries, bit `b` ↔ token
-    /// `marked[b]`.
-    marked: Vec<usize>,
 }
 
 impl FrontierState {
@@ -262,35 +253,40 @@ impl FrontierState {
     pub fn new(n: usize, sources: &[NodeId]) -> Self {
         assert!(n > 0, "the model needs at least one process");
         assert!(!sources.is_empty(), "need at least one source");
-        let mut tokens = Vec::with_capacity(sources.len());
-        let mut disseminated = 0;
-        for &s in sources {
+        let k = sources.len();
+        let words = k.div_ceil(64);
+        let mut rows = vec![0; n * words];
+        let mut own = Vec::with_capacity(k);
+        for (i, &s) in sources.iter().enumerate() {
             assert!(s < n, "source {s} out of range for n = {n}");
-            let holders = HybridRow::singleton(n, s);
-            let full = holders.is_full();
-            if full {
-                disseminated += 1;
-            }
-            tokens.push(TokenFrontier {
-                source: s,
-                holders,
-                frontier: vec![s],
-                deferred: Vec::new(),
-                full,
-            });
+            rows[s * words + i / 64] |= 1 << (i % 64);
+            own.push((s, i));
         }
+        own.sort_unstable();
+        let mut frontier = sources.to_vec();
+        frontier.sort_unstable();
+        frontier.dedup();
+        let everyone = if n == 1 { rows.clone() } else { vec![0; words] };
         FrontierState {
             n,
             round: 0,
-            tokens,
-            disseminated,
+            words,
+            rows,
+            own,
+            tally: Tally {
+                n,
+                everyone,
+                held: vec![1; k],
+                counted: true,
+            },
+            frontier,
+            deferred: Vec::new(),
+            spare: Vec::new(),
+            pending: Vec::new(),
             seen: BitSet::new(n),
             fresh: Vec::new(),
-            touched: Vec::new(),
-            pending: Vec::new(),
+            gains: Vec::new(),
             round_parents: Vec::new(),
-            marks: Vec::new(),
-            marked: Vec::new(),
         }
     }
 
@@ -306,42 +302,37 @@ impl FrontierState {
         self.round
     }
 
-    /// The holder set of token `i`.
+    /// The holder set of token `i`, collected from the rows (O(n)).
     ///
     /// # Panics
     ///
     /// Panics if `i` is not a tracked token.
-    pub fn holders(&self, i: usize) -> &HybridRow {
-        &self.tokens[i].holders
+    pub fn holders(&self, i: usize) -> BitSet {
+        assert!(i < self.tally.held.len(), "token {i} is not tracked");
+        let (w, bit) = (i / 64, 1 << (i % 64));
+        let rows = self.rows.chunks_exact(self.words);
+        let holders = rows.enumerate().filter(|(_, row)| row[w] & bit != 0);
+        BitSet::from_indices(self.n, holders.map(|(y, _)| y))
     }
 
-    /// Token `i`'s frontier: the nodes that became holders in the last
-    /// applied round (before any round, the source), in no particular
-    /// order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is not a tracked token.
-    pub fn frontier(&self, i: usize) -> &[NodeId] {
-        &self.tokens[i].frontier
+    /// The nodes whose row grew in the last applied round (before any
+    /// round, the sources), in no particular order.
+    pub fn frontier(&self) -> &[NodeId] {
+        &self.frontier
     }
 
-    /// The non-holders of token `i` that a fault (an offline endpoint or a
-    /// token loss) kept from it; they are re-examined every round until
-    /// resolved. In no particular order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is not a tracked token.
-    pub fn deferred(&self, i: usize) -> &[NodeId] {
-        &self.tokens[i].deferred
+    /// The nodes that a fault (an offline endpoint or a token loss) kept
+    /// from a token their parent held; the next round re-examines them.
+    /// In no particular order, possibly repeated.
+    pub fn deferred(&self) -> &[NodeId] {
+        &self.deferred
     }
 
     /// Tokens currently held by every node (maintained incrementally;
-    /// equal to recounting the full holder sets).
+    /// equal to recounting the rows).
     #[inline]
     pub fn disseminated_count(&self) -> usize {
-        self.disseminated
+        self.tally.disseminated()
     }
 
     /// The progress summary the workload predicates consume.
@@ -349,18 +340,18 @@ impl FrontierState {
         WorkloadProgress {
             n: self.n,
             round: self.round,
-            tokens: self.tokens.len(),
-            disseminated: self.disseminated,
+            tokens: self.tally.held.len(),
+            disseminated: self.tally.disseminated(),
         }
     }
 
     /// Checks the between-round invariants; a noop in release builds.
     ///
-    /// Per token: the source holds its own token, frontier nodes are
-    /// holders (or deferred, after a `forget`), deferred nodes are
-    /// in-range non-holders, and the cached `full` flag matches the
-    /// holder set. Globally: `disseminated` equals the recount of full
-    /// tokens, and the `seen` dedup bits are clear.
+    /// Every source holds its own tokens, no row has a bit past the last
+    /// token, the tokens everyone holds are the AND of the rows, the
+    /// holder counts (while counted) equal a recount of the rows, the
+    /// frontier and deferred nodes are in range, and the `seen` dedup
+    /// bits are clear.
     ///
     /// # Panics
     ///
@@ -368,88 +359,83 @@ impl FrontierState {
     pub fn debug_validate(&self) {
         #[cfg(debug_assertions)]
         {
-            let mut full_tokens = 0usize;
-            for (i, tok) in self.tokens.iter().enumerate() {
-                assert!(tok.source < self.n, "token {i}: source out of range");
+            let k = self.tally.held.len();
+            let mut held = vec![0; k];
+            let mut everyone = vec![!0u64; self.words];
+            for (y, row) in self.rows.chunks_exact(self.words).enumerate() {
+                for (w, &bits) in row.iter().enumerate() {
+                    tokens_in(w, bits).for_each(|i| held[i] += 1);
+                    everyone[w] &= bits;
+                }
+                if !k.is_multiple_of(64) {
+                    assert_eq!(
+                        row[self.words - 1] >> (k % 64),
+                        0,
+                        "node {y}: bits past the last token"
+                    );
+                }
+            }
+            for &(s, i) in &self.own {
                 assert!(
-                    tok.holders.contains(tok.source),
-                    "token {i}: source {} lost its own token",
-                    tok.source
+                    self.rows[s * self.words + i / 64] >> (i % 64) & 1 == 1,
+                    "source {s} lost its own token {i}"
                 );
-                assert_eq!(
-                    tok.holders.universe_size(),
-                    self.n,
-                    "token {i}: holder universe drifted from n"
-                );
-                for &f in &tok.frontier {
-                    assert!(
-                        f < self.n && (tok.holders.contains(f) || tok.deferred.contains(&f)),
-                        "token {i}: frontier node {f} is neither a holder nor deferred"
-                    );
-                }
-                for &d in &tok.deferred {
-                    assert!(
-                        d < self.n && !tok.holders.contains(d),
-                        "token {i}: deferred node {d} is out of range or already a holder"
-                    );
-                }
-                assert_eq!(
-                    tok.full,
-                    tok.holders.is_full(),
-                    "token {i}: cached full flag disagrees with the holder set"
-                );
-                full_tokens += usize::from(tok.full);
             }
             assert_eq!(
-                self.disseminated, full_tokens,
-                "incremental disseminated count disagrees with the recount"
+                everyone, self.tally.everyone,
+                "the disseminated tokens disagree with the AND of the rows"
             );
+            if self.tally.counted {
+                assert_eq!(
+                    held, self.tally.held,
+                    "holder counts disagree with the rows"
+                );
+            }
+            for &v in self.frontier.iter().chain(&self.deferred) {
+                assert!(v < self.n, "frontier or deferred node {v} out of range");
+            }
             assert!(
                 self.seen.is_empty(),
                 "seen dedup bits not scrubbed between rounds"
-            );
-            assert!(
-                self.marks.iter().all(|&m| m == 0),
-                "sparse-row marks not scrubbed between rounds"
             );
         }
     }
 
     /// Applies one synchronous round along `tree` (self-loops implied),
     /// with the edges incident to the sorted `offline` nodes masked out —
-    /// the frontier mirror of the dense engine's masked round matrix.
+    /// the frontier mirror of the dense engine's masked round.
     ///
     /// # Cost
     ///
     /// [`RoundDelta::Unchanged`] and [`RoundDelta::Changed`] rounds
-    /// examine O(candidates) nodes per token (below). A
-    /// [`RoundDelta::All`] round builds the effective parent map once
-    /// (O(n)) and then steps each token along the whole tree: a dense
-    /// holder row costs one word gather of n bits ([`gather_word`]); the
-    /// sparse rows share one more O(n) pass over the map while there are
-    /// at most 64 of them, and otherwise each walks its holders'
-    /// children. Either way the deferred set comes from the masked edges
-    /// alone (offline nodes and their children). Only the children walks
-    /// and a non-empty `offline` set read `tree`'s children index.
+    /// examine O(candidates) rows of ⌈k/64⌉ words (below) and read the
+    /// tree's children index. A [`RoundDelta::All`] round is one pass
+    /// over all `n` rows, `next[y] = cur[y] | cur[parent(y)]`, into a
+    /// retained second buffer. With nobody offline it reads
+    /// `tree.parents()` directly; otherwise it first builds the effective
+    /// parent map (`y` itself across a masked edge) and then scans the
+    /// masked edges for the deferred nodes. It never reads the children
+    /// index, and it ANDs the new rows to find the tokens everyone holds.
+    /// A quiet round counts each new holder instead; the first one after
+    /// a whole-tree round recounts the rows once (O(n·⌈k/64⌉)).
     ///
     /// # Correctness of the candidate set
     ///
-    /// A node `y` can newly receive a token this round only if
-    /// `p = parent(y)` held it at the start of the round. Induction over
-    /// rounds shows `y` is always among the candidates examined:
-    /// if `p` became a holder last round, `y` is a child of the last
-    /// frontier; if `y`'s parent edge changed, `y` is in the delta; and
-    /// otherwise `y` was already a candidate last round and was either
-    /// informed then (contradiction), dropped because `p` was not yet a
-    /// holder (then `p` joined a later frontier — first case), or blocked
-    /// by a fault and parked in `deferred`, where it stays until
-    /// resolved. Fault-forgotten nodes re-enter through `deferred` too
-    /// ([`FrontierState::forget`]). A whole-tree round needs no
-    /// candidates and leaves exactly the fault-blocked nodes deferred, so
-    /// the induction carries on from it.
+    /// Between rounds, every node `y` whose parent `p` holds a token `y`
+    /// lacks has `p` in the frontier or `y` in the deferred list (when
+    /// the next tree differs, `y` is in the delta instead). A round keeps
+    /// that true: an informed candidate receives all of `p`'s pre-round
+    /// row, so afterwards `p` can hold more only through its own growth
+    /// (`p` joins the frontier); a candidate whose edge is masked is
+    /// deferred; a loss victim is deferred by [`FrontierState::forget`].
+    /// So every node that can grow this round is a candidate. A
+    /// whole-tree round needs no candidates and leaves exactly the grown
+    /// nodes in the frontier and the masked children that miss a token
+    /// deferred, so the induction carries on from it.
     ///
-    /// New holders are collected first and committed after the scan, so a
-    /// token still travels exactly one hop per round.
+    /// A quiet round resolves every candidate against the pre-round rows
+    /// and commits after the scan, and a whole-tree round writes into the
+    /// second buffer, so a token travels exactly one hop per round.
     ///
     /// # Panics
     ///
@@ -464,129 +450,132 @@ impl FrontierState {
             self.n
         );
         check_offline(offline, self.n);
-        let is_offline = |v: NodeId| offline.binary_search(&v).is_ok();
-        let whole_tree = matches!(delta, RoundDelta::All);
-        self.marked.clear();
-        if whole_tree && self.tokens.iter().any(|tok| !tok.full) {
+        match delta {
+            RoundDelta::All => self.step_whole_tree(tree, offline),
+            _ => self.step_candidates(tree, delta, offline),
+        }
+        self.round += 1;
+    }
+
+    /// A [`RoundDelta::All`] round: one [`whole_tree_pass`], then the
+    /// buffers swap.
+    fn step_whole_tree(&mut self, tree: &RootedTree, offline: &[NodeId]) {
+        let words = self.words;
+        let parents = tree.parents();
+        self.spare.resize(self.rows.len(), 0);
+        self.frontier.clear();
+        self.deferred.clear();
+        if offline.is_empty() {
+            let parent = |y: NodeId| parents[y].unwrap_or(y);
+            let (rows, spare, everyone) = (&self.rows, &mut self.spare, &mut self.tally.everyone);
+            whole_tree_pass(rows, spare, words, parent, everyone, &mut self.frontier);
+        } else {
             round_parents_into(tree, offline, &mut self.round_parents);
-            let sparse_rows = self.tokens.iter().enumerate();
-            let sparse_rows = sparse_rows.filter(|(_, tok)| !tok.full && tok.holders.is_sparse());
-            self.marked.extend(sparse_rows.map(|(i, _)| i));
-            if self.marked.len() > MARK_BITS {
-                self.marked.clear();
-            } else if !self.marked.is_empty() {
-                step_sparse_rows(
-                    &mut self.tokens,
-                    &self.marked,
-                    &self.round_parents,
-                    &mut self.marks,
-                    &mut self.seen,
-                );
+            let round_parents = &self.round_parents;
+            let parent = |y: NodeId| round_parents[y];
+            let (rows, spare, everyone) = (&self.rows, &mut self.spare, &mut self.tally.everyone);
+            whole_tree_pass(rows, spare, words, parent, everyone, &mut self.frontier);
+            // A masked edge defers its child while the parent holds a
+            // token the child lacks: an offline node itself, or an online
+            // child of an offline node.
+            for (y, (&p, &r)) in parents.iter().zip(round_parents).enumerate() {
+                if p.is_some_and(|p| r == y && row_gains(rows, words, p, y)) {
+                    self.deferred.push(y);
+                }
             }
         }
-        let shared_pass = !self.marked.is_empty();
-        let mut seen = std::mem::replace(&mut self.seen, BitSet::new(0));
-        let mut fresh = std::mem::take(&mut self.fresh);
-        let mut touched = std::mem::take(&mut self.touched);
-        let mut pending = std::mem::take(&mut self.pending);
-        let mut disseminated = self.disseminated;
+        std::mem::swap(&mut self.rows, &mut self.spare);
+        self.tally.counted = false;
+    }
 
-        for tok in &mut self.tokens {
-            if tok.full {
-                // Nothing left to inform; candidates would all be
-                // dropped as already-holders. A later `forget` re-enters
-                // through `deferred`.
-                tok.frontier.clear();
+    /// An [`RoundDelta::Unchanged`] or [`RoundDelta::Changed`] round over
+    /// the candidates deferred ∪ frontier children ∪ delta.
+    fn step_candidates(&mut self, tree: &RootedTree, delta: RoundDelta<'_>, offline: &[NodeId]) {
+        let words = self.words;
+        let is_offline = |v: NodeId| offline.binary_search(&v).is_ok();
+        self.tally.recount(&self.rows, words);
+
+        // Phase 1: gather candidates.
+        self.pending.clear();
+        self.pending.append(&mut self.deferred);
+        for &f in &self.frontier {
+            self.pending.extend_from_slice(tree.children(f));
+        }
+        if let RoundDelta::Changed(nodes) = delta {
+            self.pending.extend_from_slice(nodes);
+        }
+
+        // Phase 2: resolve against the pre-round rows. `deferred` is empty
+        // here and refills with this round's fault-blocked candidates.
+        self.fresh.clear();
+        self.gains.clear();
+        for &y in &self.pending {
+            if !self.seen.insert(y) {
                 continue;
             }
-            fresh.clear();
-            if whole_tree {
-                let marked = shared_pass && tok.holders.is_sparse();
-                tok.step_whole_tree(tree, &self.round_parents, offline, marked, &mut fresh);
-            } else {
-                // Phase 1: gather candidates.
-                pending.clear();
-                pending.append(&mut tok.deferred);
-                for &f in &tok.frontier {
-                    pending.extend_from_slice(tree.children(f));
-                }
-                if let RoundDelta::Changed(nodes) = delta {
-                    pending.extend_from_slice(nodes);
-                }
-
-                // Phase 2: resolve against the *pre-round* holder set.
-                // `tok.deferred` is empty here and refills with this
-                // round's fault-blocked candidates.
-                touched.clear();
-                for &y in &pending {
-                    if seen.contains(y) {
-                        continue;
-                    }
-                    seen.insert(y);
-                    touched.push(y);
-                    if tok.holders.contains(y) {
-                        continue;
-                    }
-                    let Some(p) = tree.parent(y) else {
-                        continue;
-                    };
-                    if !tok.holders.contains(p) {
-                        continue;
-                    }
-                    if is_offline(y) || is_offline(p) {
-                        tok.deferred.push(y);
-                        continue;
-                    }
-                    fresh.push(y);
-                }
-                for &y in &touched {
-                    seen.remove(y);
-                }
+            let Some(p) = tree.parent(y) else {
+                continue;
+            };
+            if !row_gains(&self.rows, words, p, y) {
+                continue;
             }
-
-            // Phase 3: commit. `fresh` becomes the next frontier; the old
-            // frontier vector is recycled as the next token's scratch.
-            for &y in &fresh {
-                tok.holders.insert(y);
+            if is_offline(y) || is_offline(p) {
+                self.deferred.push(y);
+                continue;
             }
-            std::mem::swap(&mut tok.frontier, &mut fresh);
-            if tok.holders.is_full() {
-                tok.full = true;
-                disseminated += 1;
-            }
+            let (from, own) = (
+                &self.rows[p * words..][..words],
+                &self.rows[y * words..][..words],
+            );
+            self.gains
+                .extend(from.iter().zip(own).map(|(&p, &c)| p & !c));
+            self.fresh.push(y);
+        }
+        for &y in &self.pending {
+            self.seen.remove(y);
         }
 
-        self.disseminated = disseminated;
-        self.seen = seen;
-        self.fresh = fresh;
-        self.touched = touched;
-        self.pending = pending;
-        self.round += 1;
+        // Phase 3: commit. `fresh` becomes the next frontier.
+        for (&y, gain) in self.fresh.iter().zip(self.gains.chunks_exact(words)) {
+            let row = &mut self.rows[y * words..][..words];
+            for (w, (row, &g)) in row.iter_mut().zip(gain).enumerate() {
+                *row |= g;
+                self.tally.gain(w, g);
+            }
+        }
+        std::mem::swap(&mut self.frontier, &mut self.fresh);
     }
 
     /// Token-loss fault: node `y` drops every tracked token except its
     /// own — the sparse mirror of
     /// [`BroadcastState::forget`](crate::BroadcastState::forget) /
-    /// [`TrackedTokens::forget`](crate::TrackedTokens::forget). The
-    /// victim re-enters each affected token's `deferred` list so it can
-    /// be re-informed as soon as its parent holds the token again.
+    /// [`TrackedTokens::forget`](crate::TrackedTokens::forget). A victim
+    /// that lost anything joins the deferred list, so it is re-informed
+    /// as soon as its parent holds the tokens again.
     ///
     /// # Panics
     ///
     /// Panics if `y >= n`.
     pub fn forget(&mut self, y: NodeId) {
         assert!(y < self.n, "node {y} out of range for n = {}", self.n);
-        for tok in &mut self.tokens {
-            if tok.source == y {
-                continue;
-            }
-            if tok.holders.remove(y) {
-                if tok.full {
-                    tok.full = false;
-                    self.disseminated -= 1;
-                }
-                tok.deferred.push(y);
-            }
+        let own = &self.own[self.own.partition_point(|&(s, _)| s < y)..];
+        let own = &own[..own.partition_point(|&(s, _)| s == y)];
+        let mut lost_any = false;
+        for (w, row) in self.rows[y * self.words..][..self.words]
+            .iter_mut()
+            .enumerate()
+        {
+            let keep = own
+                .iter()
+                .filter(|&&(_, i)| i / 64 == w)
+                .fold(0, |keep, &(_, i)| keep | 1 << (i % 64));
+            let lost = *row & !keep;
+            *row &= keep;
+            self.tally.lose(w, lost);
+            lost_any |= lost != 0;
+        }
+        if lost_any {
+            self.deferred.push(y);
         }
     }
 }
@@ -1037,8 +1026,8 @@ mod tests {
         for _ in 0..n - 1 {
             let round = src.next_round(n, None);
             state.apply_round(round.tree, round.delta, &[]);
-            assert!(state.tokens[0].frontier.len() <= 1);
-            assert!(state.tokens[0].deferred.is_empty());
+            assert!(state.frontier().len() <= 1);
+            assert!(state.deferred().is_empty());
         }
         assert!(state.holders(0).is_full());
     }

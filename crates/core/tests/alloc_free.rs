@@ -2,8 +2,9 @@
 //! steady-state `BoolMatrix::compose_into`, the `apply_matrix` and the
 //! tree-native `apply_round` of `BroadcastState` and `TrackedTokens`
 //! (rounds quiet and with dropouts), the per-round
-//! `BroadcastState::disseminated_count`, and `ComposedPrefixes::next_prefix`
-//! perform no heap allocation per call.
+//! `BroadcastState::disseminated_count`, `ComposedPrefixes::next_prefix`,
+//! and the frontier engine's quiet static-path rounds with a token loss
+//! each perform no heap allocation per call.
 //!
 //! A counting wrapper around the system allocator tallies every
 //! allocation; the file contains exactly one `#[test]` so no concurrent
@@ -19,7 +20,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use treecast_bitmatrix::BoolMatrix;
 use treecast_core::prefix::{ComposedPrefixes, PrefixProvider};
-use treecast_core::{BroadcastState, TrackedTokens};
+use treecast_core::{BroadcastState, FrontierSource, FrontierState, TrackedTokens};
 use treecast_trees::generators;
 
 struct CountingAllocator;
@@ -180,11 +181,43 @@ fn steady_state_compose_and_apply_matrix_do_not_allocate() {
         "steady-state next_prefix must not allocate"
     );
 
+    // Quiet frontier rounds on the static path, one token loss each: the
+    // victim re-enters through the deferred list. The candidate list, the
+    // dedup bits, the node frontier, the gains and the deferred list are
+    // retained scratch, grown during the warm-up.
+    let mut path_source = FrontierSource::fixed(generators::path(n));
+    let mut frontier = FrontierState::new(n, &[0, 64, 128, 256]);
+    let mut victim = 0;
+    let mut quiet_round = |state: &mut FrontierState| {
+        let round = path_source.next_round(n, None);
+        state.apply_round(round.tree, round.delta, &[]);
+        victim = (victim + 97) % n;
+        state.forget(victim);
+    };
+    for _ in 0..2 * n {
+        quiet_round(&mut frontier);
+    }
+    let clean_frontier_window = (0..5)
+        .map(|_| {
+            let before = allocations();
+            for _ in 0..10 {
+                quiet_round(&mut frontier);
+            }
+            allocations() - before
+        })
+        .min()
+        .expect("five windows measured");
+    assert_eq!(
+        clean_frontier_window, 0,
+        "steady-state quiet frontier rounds with a loss must not allocate"
+    );
+
     // Keep the results observable so the loops cannot be optimized away.
     assert!(out.edge_count() > 0);
     assert!(state.edge_count() > 0);
     assert!(disseminated > 0);
     assert!(prefix_tokens > 0);
+    assert!(frontier.holders(0).len() > 1);
     assert!(tracked.holders(0).len() > 1);
     assert!(tracked_rows.holders(0).len() > 1);
 }

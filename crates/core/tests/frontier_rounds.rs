@@ -1,51 +1,61 @@
-//! Pins the frontier engine's whole-tree rounds to the per-candidate scan
-//! they replace.
+//! Pins the frontier engine's node-major rounds to the per-token,
+//! per-candidate scan they replace.
 //!
-//! `FrontierState::apply_round` steps a `RoundDelta::All` round along the
-//! tree's effective parent map: one word gather per dense holder row, one
-//! shared marking pass for up to 64 sparse rows (the holders' children
-//! per sparse row beyond that), and the masked edges for the
-//! fault-deferred nodes. `Reference` below is a verbatim copy of the scan
-//! it replaced, which made every node a candidate. After every round both
-//! must agree on the holder sets, the frontier and deferred sets (as
-//! sets), and the disseminated count — through offline masks, token
-//! losses, and the `Unchanged` rounds that then resolve the deferred nodes.
-//! The whole-tree rounds also pin when the round tree's lazily built
-//! children index gets built: never, unless a children walk or a masked
-//! edge reads it.
+//! `FrontierState` keeps one row of token bits per node. A
+//! `RoundDelta::All` round is one double-buffered pass over the rows; a
+//! quiet round resolves the children of one node frontier, the delta and
+//! one deferred list. `Reference` below is the algorithm it replaced, over
+//! one `BitSet` holder row per token: every round it scans each token's
+//! own candidates (all `n` nodes in a whole-tree round) and commits after
+//! the scan. After every round both must agree on every token's holder
+//! set, the disseminated count, and (as sets) the node frontier and
+//! deferred list against the union of the per-token ones — through
+//! offline masks in whole-tree and quiet rounds, token losses, a
+//! re-rooting `Changed` round and the `Unchanged` rounds that then run to
+//! quiescence with everyone online. The whole-tree rounds
+//! also pin that the round tree's lazily built children index is never
+//! built, faults or not.
 
 use std::collections::BTreeSet;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use treecast_bitmatrix::{hybrid_threshold, BitSet, HybridRow};
+use treecast_bitmatrix::BitSet;
 use treecast_core::frontier::{FrontierSource, FrontierState, RoundDelta};
 use treecast_trees::{generators, random, NodeId, RootedTree};
 
-/// Sizes around the word boundaries, plus one whose promotion threshold
-/// (100) lets rows spend several rounds on each side of it.
-const SIZES: [usize; 7] = [1, 2, 63, 64, 65, 130, 6400];
-/// Whole-tree rounds per case before the `Unchanged` tail.
+/// Sizes around the word boundaries.
+const SIZES: [usize; 6] = [1, 2, 63, 64, 65, 130];
+/// A size with deep trees and long tails.
+const LARGE_N: usize = 6400;
+/// Quiet rounds after which a [`LARGE_N`] tail with [`WIDE_TOKENS`]
+/// stops, quiet or not: a reference round there scans `k · n` holder bits
+/// in a debug build.
+const LARGE_TAIL_ROUNDS: usize = 8;
+/// Tracked tokens: one word, a full word, one bit into a second word,
+/// and two full words. Below `n = k` sources repeat.
+const TOKENS: [usize; 5] = [1, 16, 64, 65, 128];
+/// The [`TOKENS`] that fill a row word or more.
+const WIDE_TOKENS: [usize; 3] = [64, 65, 128];
+/// Offline modes: nobody, the root, everyone, a seeded quarter.
+const MODES: [u8; 4] = [0, 1, 2, 3];
+/// Whole-tree rounds per case before the tail.
 const WHOLE_ROUNDS: usize = 16;
-/// Whole-tree rounds per case around the shared-pass limit: enough for
-/// rows to promote at n = 6400, few enough to keep the reference's
-/// O(k·n) rounds cheap.
-const LIMIT_ROUNDS: usize = 10;
-/// The most sparse rows a whole-tree round steps in one shared pass;
-/// beyond it each sparse row walks its holders' children.
-const SHARED_PASS_ROWS: usize = 64;
+/// Quiet rounds per case with nodes offline, before the online tail.
+const MASKED_QUIET_ROUNDS: usize = 2;
 
 #[derive(Debug, Clone)]
 struct RefToken {
     source: NodeId,
-    holders: HybridRow,
+    holders: BitSet,
     frontier: Vec<NodeId>,
     deferred: Vec<NodeId>,
     full: bool,
 }
 
-/// The per-candidate frontier round as it was before whole-tree rounds:
-/// a `RoundDelta::All` round makes all `n` nodes candidates.
+/// The per-token frontier round: each token scans its deferred nodes, its
+/// frontier's children and the delta, or all `n` nodes in a
+/// `RoundDelta::All` round.
 struct Reference {
     n: usize,
     tokens: Vec<RefToken>,
@@ -61,7 +71,7 @@ impl Reference {
         let tokens: Vec<RefToken> = sources
             .iter()
             .map(|&s| {
-                let holders = HybridRow::singleton(n, s);
+                let holders = BitSet::singleton(n, s);
                 RefToken {
                     source: s,
                     full: holders.is_full(),
@@ -172,6 +182,13 @@ impl Reference {
             }
         }
     }
+
+    /// Whether no token has a frontier or a deferred node left.
+    fn is_quiet(&self) -> bool {
+        self.tokens
+            .iter()
+            .all(|t| t.frontier.is_empty() && t.deferred.is_empty())
+    }
 }
 
 fn as_set(nodes: &[NodeId]) -> BTreeSet<NodeId> {
@@ -185,23 +202,31 @@ fn assert_same(state: &FrontierState, reference: &Reference, ctx: &str) {
         reference.disseminated,
         "{ctx}: disseminated"
     );
+    assert_eq!(
+        state.progress().disseminated,
+        reference.disseminated,
+        "{ctx}: progress"
+    );
     for (i, tok) in reference.tokens.iter().enumerate() {
-        assert_eq!(state.holders(i), &tok.holders, "{ctx}: token {i} holders");
-        assert_eq!(
-            as_set(state.frontier(i)),
-            as_set(&tok.frontier),
-            "{ctx}: token {i} frontier"
-        );
-        assert_eq!(
-            as_set(state.deferred(i)),
-            as_set(&tok.deferred),
-            "{ctx}: token {i} deferred"
-        );
+        assert_eq!(state.holders(i), tok.holders, "{ctx}: token {i} holders");
     }
+    let union = |list: fn(&RefToken) -> &[NodeId]| -> BTreeSet<NodeId> {
+        reference.tokens.iter().flat_map(list).copied().collect()
+    };
+    assert_eq!(
+        as_set(state.frontier()),
+        union(|t| &t.frontier),
+        "{ctx}: frontier"
+    );
+    assert_eq!(
+        as_set(state.deferred()),
+        union(|t| &t.deferred),
+        "{ctx}: deferred"
+    );
 }
 
 /// The offline set of `mode`: empty, root only, all nodes, or a seeded
-/// subset. Sorted, as `RoundFaults::normalize` leaves it.
+/// quarter. Sorted, as `RoundFaults::normalize` leaves it.
 fn offline_set(mode: u8, tree: &RootedTree, rng: &mut StdRng) -> Vec<NodeId> {
     match mode {
         0 => Vec::new(),
@@ -213,26 +238,27 @@ fn offline_set(mode: u8, tree: &RootedTree, rng: &mut StdRng) -> Vec<NodeId> {
     }
 }
 
-/// What the whole-tree rounds of [`run_case`] exercised.
+/// What a [`run_case`] exercised.
 #[derive(Debug, Default)]
 struct Coverage {
-    /// Token steps on a sparse holder row.
-    sparse: usize,
-    /// Token steps on a dense holder row.
-    dense: usize,
-    /// Rounds with more sparse rows than one shared pass serves.
-    wide: usize,
-    /// Rounds whose masked edges built the tree's children index.
-    indexed_by_faults: usize,
+    /// Whole-tree rounds that left masked nodes deferred.
+    deferred_rounds: usize,
+    /// Token losses that took something away.
+    losses: usize,
+    /// Nodes left deferred by the masked quiet rounds.
+    masked_quiet_deferrals: usize,
+    /// Quiet rounds in the tail.
+    quiet_rounds: usize,
 }
 
-/// `whole_rounds` whole-tree rounds of `k` evenly spread tokens in
+/// [`WHOLE_ROUNDS`] whole-tree rounds of `k` evenly spread tokens in
 /// offline `mode` against the reference, with a token loss every third
-/// round, then (with `tail`) `Unchanged` rounds on the last tree with
-/// everyone online until nothing moves. After each whole-tree round,
-/// checks that the tree's children index was built only by a children
-/// walk (more than [`SHARED_PASS_ROWS`] sparse rows) or the masked edges.
-fn run_case(n: usize, k: usize, mode: u8, whole_rounds: usize, seed: u64, tail: bool) -> Coverage {
+/// round, checking after each one that the tree never built its children
+/// index. Then the tail on the last tree re-rooted at a random node: one
+/// `Changed` round and [`MASKED_QUIET_ROUNDS`] `Unchanged` rounds with a
+/// fresh offline set of the same mode, then `Unchanged` rounds with
+/// everyone online until nothing moves or `max_tail` of them have run.
+fn run_case(n: usize, k: usize, mode: u8, seed: u64, max_tail: usize) -> Coverage {
     let mut rng = StdRng::seed_from_u64(seed);
     let sources: Vec<NodeId> = (0..k).map(|i| i * n / k).collect();
     let mut state = FrontierState::new(n, &sources);
@@ -240,41 +266,24 @@ fn run_case(n: usize, k: usize, mode: u8, whole_rounds: usize, seed: u64, tail: 
     let mut tree = random::uniform(n, &mut rng);
     let mut seen = Coverage::default();
 
-    for round in 1..=whole_rounds {
+    for round in 1..=WHOLE_ROUNDS {
         random::uniform_into(&mut tree, n, &mut rng);
         let offline = offline_set(mode, &tree, &mut rng);
-        let mut sparse_rows = 0;
-        for i in (0..k).filter(|&i| !state.holders(i).is_full()) {
-            if state.holders(i).is_sparse() {
-                sparse_rows += 1;
-            } else {
-                seen.dense += 1;
-            }
-        }
-        seen.sparse += sparse_rows;
-        let wide = sparse_rows > SHARED_PASS_ROWS;
-        seen.wide += usize::from(wide);
         state.apply_round(&tree, RoundDelta::All, &offline);
         let ctx = format!("n = {n}, k = {k}, offline mode {mode}, whole round {round}");
-        if wide {
-            assert!(
-                tree.is_indexed(),
-                "{ctx}: the children walk reads the index"
-            );
-        } else if offline.is_empty() {
-            assert!(
-                !tree.is_indexed(),
-                "{ctx}: no fault, no children walk, no index"
-            );
-        } else {
-            seen.indexed_by_faults += usize::from(tree.is_indexed());
-        }
+        assert!(
+            !tree.is_indexed(),
+            "{ctx}: a whole-tree round built the index"
+        );
         reference.apply_round(&tree, RoundDelta::All, &offline);
         assert_same(&state, &reference, &ctx);
+        seen.deferred_rounds += usize::from(!state.deferred().is_empty());
         if round % 3 == 0 {
             let victim = rng.gen_range(0..n);
+            let before = holders_total(&state);
             state.forget(victim);
             reference.forget(victim);
+            seen.losses += usize::from(holders_total(&state) < before);
             assert_same(
                 &state,
                 &reference,
@@ -283,105 +292,114 @@ fn run_case(n: usize, k: usize, mode: u8, whole_rounds: usize, seed: u64, tail: 
         }
     }
 
+    let r = rng.gen_range(0..n);
+    let changed = tree.path_to_root(r);
+    let tree = tree.rerooted(r);
+    let offline = offline_set(mode, &tree, &mut rng);
+    state.apply_round(&tree, RoundDelta::Changed(&changed), &offline);
+    reference.apply_round(&tree, RoundDelta::Changed(&changed), &offline);
+    let ctx = format!("n = {n}, k = {k}, offline mode {mode}, re-rooted at {r}");
+    assert_same(&state, &reference, &ctx);
+    for round in 1..=MASKED_QUIET_ROUNDS {
+        state.apply_round(&tree, RoundDelta::Unchanged, &offline);
+        reference.apply_round(&tree, RoundDelta::Unchanged, &offline);
+        seen.masked_quiet_deferrals += state.deferred().len();
+        let ctx = format!("n = {n}, k = {k}, offline mode {mode}, masked quiet round {round}");
+        assert_same(&state, &reference, &ctx);
+    }
+
     // With everyone online a deferred node's parent edge carries, so the
-    // first `Unchanged` round resolves it; the rest run to quiescence.
-    let quiet = |r: &Reference| {
-        r.tokens
-            .iter()
-            .all(|t| t.frontier.is_empty() && t.deferred.is_empty())
-    };
-    let mut round = 0;
-    while tail && !quiet(&reference) {
-        round += 1;
+    // first quiet round resolves it; the rest run to quiescence.
+    while !reference.is_quiet() && seen.quiet_rounds < max_tail {
+        seen.quiet_rounds += 1;
+        let round = seen.quiet_rounds;
         assert!(round <= n, "n = {n}, k = {k}, mode {mode}: no quiescence");
         state.apply_round(&tree, RoundDelta::Unchanged, &[]);
         reference.apply_round(&tree, RoundDelta::Unchanged, &[]);
         let ctx = format!("n = {n}, k = {k}, offline mode {mode}, unchanged round {round}");
         assert_same(&state, &reference, &ctx);
         assert!(
-            (0..k).all(|i| state.deferred(i).is_empty()),
+            state.deferred().is_empty(),
             "{ctx}: deferred nodes must resolve once everyone is online"
         );
     }
     seen
 }
 
-#[test]
-fn whole_tree_rounds_match_the_candidate_scan() {
-    let mut indexed_by_faults = 0;
-    for n in SIZES {
-        let (mut sparse, mut dense) = (0, 0);
-        for mode in 0..4 {
-            let seed = 0xF0_0000 + 16 * n as u64 + u64::from(mode);
-            let seen = run_case(n, n.min(8), mode, WHOLE_ROUNDS, seed, true);
-            sparse += seen.sparse;
-            dense += seen.dense;
-            indexed_by_faults += seen.indexed_by_faults;
-        }
-        if n > hybrid_threshold(n) {
-            assert!(
-                sparse > 0 && dense > 0,
-                "n = {n}: want whole-tree rounds on both row kinds, got {sparse} sparse / {dense} dense"
-            );
+/// Holder sets summed over tokens, for telling a loss that bit.
+fn holders_total(state: &FrontierState) -> usize {
+    let k = state.progress().tokens;
+    (0..k).map(|i| state.holders(i).len()).sum()
+}
+
+/// Runs [`run_case`] over `sizes × tokens × MODES` and checks that the
+/// grid exercised masked edges, losses and quiet tails.
+fn run_grid(sizes: &[usize], tokens: &[usize], max_tail: usize) {
+    let mut total = Coverage::default();
+    for &n in sizes {
+        for &k in tokens {
+            for mode in MODES {
+                let seed = 0xF0_0000 + 1024 * n as u64 + 4 * k as u64 + u64::from(mode);
+                let seen = run_case(n, k, mode, seed, max_tail);
+                total.deferred_rounds += seen.deferred_rounds;
+                total.losses += seen.losses;
+                total.masked_quiet_deferrals += seen.masked_quiet_deferrals;
+                total.quiet_rounds += seen.quiet_rounds;
+            }
         }
     }
     assert!(
-        indexed_by_faults > 0,
-        "want whole-tree rounds whose masked edges build the index lazily"
+        total.deferred_rounds > 0
+            && total.losses > 0
+            && total.masked_quiet_deferrals > 0
+            && total.quiet_rounds > 0,
+        "want masked edges, losses, masked quiet rounds and quiet tails, got {total:?}"
     );
 }
 
-/// Around the 64 rows one shared pass serves: at n = 6400 (promotion
-/// threshold 100) rows stay sparse for several rounds, so k = 64 steps
-/// every sparse row in the shared pass, while k = 65 and k = 128 start
-/// with children walks and cross over to the shared pass as rows
-/// promote. The root-offline mode adds the deferred path. The cases skip
-/// the `Unchanged` tail, which at k = 128 would add about a hundred
-/// rounds of reference checks in debug builds.
+/// Every token count and offline mode at the small sizes, each tail to
+/// quiescence.
 #[test]
-fn sparse_rows_around_the_shared_pass_limit_match_the_candidate_scan() {
-    let n = 6400;
-    for k in [64, 65, 128] {
-        let (mut wide, mut narrow) = (0, 0);
-        for mode in [0, 1] {
-            let seed = 0xF1_0000 + 16 * k as u64 + u64::from(mode);
-            let seen = run_case(n, k, mode, LIMIT_ROUNDS, seed, false);
-            wide += seen.wide;
-            narrow += LIMIT_ROUNDS - seen.wide;
-        }
-        if k > SHARED_PASS_ROWS {
-            assert!(
-                wide > 0 && narrow > 0,
-                "k = {k}: want rounds on both sides of the limit, got {wide} wide / {narrow} narrow"
-            );
-        } else {
-            assert_eq!(wide, 0, "k = {k}: every round fits one shared pass");
-        }
-    }
+fn whole_tree_rounds_match_the_candidate_scan() {
+    run_grid(&SIZES, &TOKENS, usize::MAX);
 }
 
-/// Seeded whole-tree rounds at k = 16 from the first round to
-/// dissemination: no faults and at most 64 sparse rows, so no round ever
-/// builds its tree's children index.
+/// At [`LARGE_N`] with one-word rows, in every offline mode, each tail to
+/// quiescence: deep quiet propagation checked to the end.
+#[test]
+fn large_trees_match_the_candidate_scan() {
+    run_grid(&[LARGE_N], &[1, 16], usize::MAX);
+}
+
+/// At [`LARGE_N`] with full and multi-word rows, in every offline mode,
+/// tails cut at [`LARGE_TAIL_ROUNDS`].
+#[test]
+fn large_trees_with_wide_rows_match_the_candidate_scan() {
+    run_grid(&[LARGE_N], &WIDE_TOKENS, LARGE_TAIL_ROUNDS);
+}
+
+/// Seeded whole-tree rounds from the first round to dissemination, for
+/// every token count: no round ever builds its tree's children index.
 #[test]
 fn seeded_rounds_never_build_the_children_index() {
     let n = 3000;
-    let k = 16;
-    let sources: Vec<NodeId> = (0..k).map(|i| i * n / k).collect();
-    let mut state = FrontierState::new(n, &sources);
-    let mut source = FrontierSource::seeded(n, 0x5EED);
-    let mut rounds = 0;
-    while state.disseminated_count() < k {
-        rounds += 1;
-        assert!(rounds <= n, "no dissemination");
-        let round = source.next_round(n, None);
-        state.apply_round(round.tree, round.delta, &[]);
-        assert!(
-            !round.tree.is_indexed(),
-            "round {rounds} built the children index"
-        );
+    for k in TOKENS {
+        let sources: Vec<NodeId> = (0..k).map(|i| i * n / k).collect();
+        let mut state = FrontierState::new(n, &sources);
+        let mut source = FrontierSource::seeded(n, 0x5EED);
+        let mut rounds = 0;
+        while state.disseminated_count() < k {
+            rounds += 1;
+            assert!(rounds <= n, "k = {k}: no dissemination");
+            let round = source.next_round(n, None);
+            state.apply_round(round.tree, round.delta, &[]);
+            assert!(
+                !round.tree.is_indexed(),
+                "k = {k}: round {rounds} built the children index"
+            );
+        }
+        assert!(rounds > 2, "k = {k}: want several rounds");
     }
-    assert!(rounds > 2, "want rounds with sparse and dense rows");
 }
 
 #[test]
@@ -394,7 +412,7 @@ fn whole_tree_round_with_repeated_offline_entries_defers_once() {
     state.apply_round(&star, RoundDelta::All, &offline);
     reference.apply_round(&star, RoundDelta::All, &offline);
     assert_same(&state, &reference, "repeated offline entries");
-    assert_eq!(state.deferred(0).len(), n - 1, "each leaf deferred once");
+    assert_eq!(state.deferred().len(), n - 1, "each leaf deferred once");
 }
 
 #[test]

@@ -123,7 +123,8 @@ fn steady_state_sampling_does_not_allocate() {
         // Seeded rounds on the frontier engine with k = 16 tokens (fewer
         // below n = 16). One loss per round keeps the tokens stepping
         // instead of idling once disseminated. The warm-up grows every
-        // buffer and promotes the holder rows.
+        // buffer: the second row buffer, the node frontier and the
+        // deferred list.
         let k = n.min(16);
         let sources: Vec<usize> = (0..k).map(|i| i * n / k).collect();
         let mut state = FrontierState::new(n, &sources);

@@ -1,8 +1,10 @@
 //! The dense-oracle differential layer pinning the frontier-sparse engine:
 //! for every workload × fault-model combination the sparse run must equal
-//! the dense run **round for round** — per-round disseminated counts,
-//! termination round, report fields, and the recorded fault log — and the
-//! sparse log must replay bit-identically through [`FaultSchedule`].
+//! the dense run **round for round** — per-round counts of the workload's
+//! disseminated tokens, termination round, report fields, and the
+//! recorded fault log — and the sparse log must replay bit-identically
+//! through [`FaultSchedule`]. The workloads are broadcast, k-broadcast,
+//! gossip and [`KSourceBroadcast`], whose tracked tokens span row words.
 //!
 //! The dense side always runs the frontier source's
 //! [`dense_twin`](FrontierSource::dense_twin), which produces the
@@ -14,8 +16,8 @@ use proptest::prelude::*;
 use treecast::core::{
     drive, run_workload_faulty, run_workload_frontier, run_workload_frontier_faulty, Broadcast,
     BroadcastState, DenseEngine, FaultModel, FaultSchedule, FrontierEngine, FrontierSource,
-    FrontierState, Gossip, KBroadcast, NoFaults, RotatingRoot, RoundFaults, SeededFaults,
-    SimulationConfig, Workload, WorkloadReport,
+    FrontierState, Gossip, KBroadcast, KSourceBroadcast, NoFaults, RotatingRoot, RoundFaults,
+    SeededFaults, SimulationConfig, SourceSet, Workload, WorkloadReport,
 };
 use treecast::trees::{generators, RootedTree};
 
@@ -59,7 +61,13 @@ fn source_by_index(i: usize, n: usize, seed: u64) -> FrontierSource {
 
 /// Runs the identical configuration on both engines, tracing both, and
 /// asserts full equality: every report field, the fault logs, and the
-/// per-round `(disseminated, tree root)` witness streams.
+/// per-round `(disseminated, tree root)` witness streams, where
+/// `disseminated` counts the workload's tokens only.
+///
+/// The one exception is `broadcast_time` on a [`SourceSet::Nodes`]
+/// workload: the dense engine reads it off all `n` tokens and the
+/// frontier engine off the tracked ones (ROADMAP item 10, finding 1), so
+/// each side is checked against its own rule on the traced rounds.
 fn assert_differential(
     n: usize,
     mut sparse_src: FrontierSource,
@@ -82,11 +90,13 @@ fn assert_differential(
             // The structural invariant checker is live in debug builds; the
             // differential suite exercises it on every traced round.
             state.debug_validate();
-            sparse_trace.push((state.disseminated_count(), tree.root()));
+            sparse_trace.push((state.progress().disseminated, tree.root()));
         },
     );
 
+    let sources = workload.sources(n);
     let mut dense_trace: Vec<(usize, usize)> = Vec::new();
+    let mut dense_any: Vec<usize> = Vec::new();
     let dense = drive(
         &mut DenseEngine::new(n, &mut dense_src, workload),
         workload,
@@ -94,7 +104,12 @@ fn assert_differential(
         cfg,
         true,
         &mut |_: &RoundFaults, tree: &RootedTree, state: &BroadcastState| {
-            dense_trace.push((state.disseminated_count(), tree.root()));
+            let tracked = match &sources {
+                SourceSet::All => state.disseminated_count(),
+                SourceSet::Nodes(nodes) => state.disseminated_among(nodes),
+            };
+            dense_trace.push((tracked, tree.root()));
+            dense_any.push(state.disseminated_count());
         },
     );
 
@@ -107,10 +122,28 @@ fn assert_differential(
         sparse.completion_time, dense.completion_time,
         "{ctx}: completion_time"
     );
-    assert_eq!(
-        sparse.broadcast_time, dense.broadcast_time,
-        "{ctx}: broadcast_time"
-    );
+    match sources {
+        SourceSet::All => assert_eq!(
+            sparse.broadcast_time, dense.broadcast_time,
+            "{ctx}: broadcast_time"
+        ),
+        SourceSet::Nodes(_) => {
+            let first = |mut counts: std::slice::Iter<'_, usize>| {
+                counts.position(|&d| d >= 1).map(|i| i as u64 + 1)
+            };
+            let tracked: Vec<usize> = sparse_trace.iter().map(|&(d, _)| d).collect();
+            assert_eq!(
+                sparse.broadcast_time,
+                first(tracked.iter()),
+                "{ctx}: frontier broadcast_time (first tracked token everywhere)"
+            );
+            assert_eq!(
+                dense.broadcast_time,
+                first(dense_any.iter()),
+                "{ctx}: dense broadcast_time (first of all n tokens everywhere)"
+            );
+        }
+    }
     assert_eq!(
         sparse.disseminated, dense.disseminated,
         "{ctx}: disseminated"
@@ -283,4 +316,76 @@ fn plain_runner_is_quiet_faulty_runner_with_log_cleared() {
     assert_eq!(plain.rounds, faulty.rounds);
     assert_eq!(plain.disseminated, faulty.disseminated);
     assert!(faulty.fault_log.iter().all(|rf| rf.is_quiet()));
+}
+
+/// `k` distinct sources at `n > 64`: the word-edge nodes `n − 1`, 0, 64
+/// and 63 first, then the lowest other nodes. At k = 65 the tracked
+/// tokens spill one bit into a second row word.
+fn edge_sources(n: usize, k: usize) -> Vec<usize> {
+    let mut sources: Vec<usize> = [n - 1, 0, 64, 63].into_iter().take(k).collect();
+    let rest: Vec<usize> = (1..n).filter(|s| !sources.contains(s)).collect();
+    sources.extend(rest.into_iter().take(k - sources.len()));
+    sources
+}
+
+/// `KSourceBroadcast` on every source kind and fault model, with k across
+/// the row-word boundary, including the replay of each fault log.
+#[test]
+fn k_source_broadcast_matches_dense() {
+    let n = 130;
+    let cfg = SimulationConfig::for_n(n).with_max_rounds(SEEDED_MAX_ROUNDS);
+    for k in [1, 3, 16, 65] {
+        let workload = KSourceBroadcast::new(edge_sources(n, k));
+        for source_idx in 0..3 {
+            for fault_idx in 0..3 {
+                let seed = 0x4B00 + 16 * k as u64 + 4 * source_idx as u64 + fault_idx as u64;
+                let ctx = format!("n={n} k={k} src={source_idx} faults={fault_idx}");
+                let report = assert_differential(
+                    n,
+                    source_by_index(source_idx, n, seed),
+                    &workload,
+                    fault_model_by_index(fault_idx, seed).as_mut(),
+                    fault_model_by_index(fault_idx, seed).as_mut(),
+                    cfg,
+                    &ctx,
+                );
+                assert_replays(
+                    n,
+                    &source_by_index(source_idx, n, seed),
+                    &workload,
+                    cfg,
+                    &report,
+                    &format!("replay {ctx}"),
+                );
+            }
+        }
+    }
+}
+
+/// The open `broadcast_time` divergence (ROADMAP item 10, finding 1),
+/// pinned so that the change which mends it flips this test: on the
+/// static path at n = 8 the last node's token never reaches the root, so
+/// the frontier engine, which counts tracked tokens only, reports no
+/// broadcast; the dense engine counts all `n` tokens and reports round 7,
+/// when the root's own (untracked) token reaches everyone.
+#[test]
+fn k_source_broadcast_time_differs_between_engines() {
+    let n = 8;
+    let cfg = SimulationConfig::for_n(n).with_max_rounds(80);
+    let workload = KSourceBroadcast::new(vec![7]);
+    let report = assert_differential(
+        n,
+        FrontierSource::fixed(generators::path(n)),
+        &workload,
+        &mut NoFaults,
+        &mut NoFaults,
+        cfg,
+        "source 7 on the static path",
+    );
+    assert_eq!(report.broadcast_time, None);
+    assert_eq!(report.completion_time, None);
+    assert_eq!(report.rounds, 80);
+    let mut src = FrontierSource::fixed(generators::path(n)).dense_twin(cfg.max_rounds);
+    let dense = run_workload_faulty(n, &mut src, &workload, &mut NoFaults, cfg);
+    assert_eq!(dense.broadcast_time, Some(7));
 }
