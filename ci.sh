@@ -102,10 +102,11 @@ run_step "cargo clippy (warnings are errors)" \
 run_step "cargo build --release" cargo build --release
 run_step "cargo test -q" cargo test -q
 # The benchmark is a workspace of its own that calls the library APIs by
-# path; type-checking it here surfaces a library change that breaks it
-# without waiting for the full tier's build and smoke tests.
+# path; type-checking it here, its smoke tests included, surfaces a
+# library change that breaks it without waiting for the full tier's
+# build and smoke tests.
 run_step "benchmark type-check (perfbench, release)" \
-    cargo check --release --offline --manifest-path perfbench/Cargo.toml
+    cargo check --release --offline --all-targets --manifest-path perfbench/Cargo.toml
 run_step "bench smoke (criterion test mode)" cargo test -q -p treecast-bench --benches
 # Frontier-engine smoke at n = 10^4 (release binary, ~1 s): proves the
 # sparse engine completes both scale workloads far above the dense

@@ -1,6 +1,6 @@
 //! Candidate tree pools for search-based adversaries.
 //!
-//! A greedy or lookahead adversary is only as strong as the trees it
+//! A greedy or beam-search adversary is only as strong as the trees it
 //! considers. Exhaustive pools are exact but explode as `n^(n−1)`;
 //! the structured pool builds a small set of *state-informed* candidates —
 //! paths and brooms ordered by the current reach/heard profiles, plus
@@ -211,81 +211,6 @@ fn broom_with_order(order: &[NodeId], handle_len: usize) -> RootedTree {
         parent[order[i]] = Some(order[handle_len - 1]);
     }
     RootedTree::from_parents(parent).expect("ordered broom is a valid tree")
-}
-
-/// Concatenates several pools.
-pub struct CompositePool {
-    pools: Vec<Box<dyn CandidateGen + Send>>,
-}
-
-impl CompositePool {
-    /// Combines `pools`, deduplicating nothing (scorers handle ties).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pools` is empty.
-    pub fn new(pools: Vec<Box<dyn CandidateGen + Send>>) -> Self {
-        assert!(!pools.is_empty(), "composite pool needs at least one part");
-        CompositePool { pools }
-    }
-}
-
-impl CandidateGen for CompositePool {
-    fn candidates(&mut self, state: &BroadcastState) -> Vec<RootedTree> {
-        self.pools
-            .iter_mut()
-            .flat_map(|p| p.candidates(state))
-            .collect()
-    }
-
-    fn name(&self) -> String {
-        let parts: Vec<String> = self.pools.iter().map(|p| p.name()).collect();
-        format!("composite[{}]", parts.join("+"))
-    }
-}
-
-impl std::fmt::Debug for CompositePool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "CompositePool({})", self.name())
-    }
-}
-
-/// Adds `extra` random relabelings of every candidate another pool emits —
-/// cheap diversity for lookahead search.
-#[derive(Debug)]
-pub struct JitteredPool<P> {
-    inner: P,
-    extra: usize,
-    rng: StdRng,
-}
-
-impl<P: CandidateGen> JitteredPool<P> {
-    /// Wraps `inner`, adding `extra` relabeled variants per candidate.
-    pub fn new(inner: P, extra: usize, seed: u64) -> Self {
-        JitteredPool {
-            inner,
-            extra,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl<P: CandidateGen> CandidateGen for JitteredPool<P> {
-    fn candidates(&mut self, state: &BroadcastState) -> Vec<RootedTree> {
-        let base = self.inner.candidates(state);
-        let mut out = Vec::with_capacity(base.len() * (1 + self.extra));
-        for t in base {
-            for _ in 0..self.extra {
-                out.push(random::relabeled(&t, &mut self.rng));
-            }
-            out.push(t);
-        }
-        out
-    }
-
-    fn name(&self) -> String {
-        format!("jittered({}, +{})", self.inner.name(), self.extra)
-    }
 }
 
 /// Restricts another pool to trees with exactly `k` leaves, refilling with
@@ -510,43 +435,29 @@ mod tests {
     }
 
     #[test]
-    fn composite_concatenates() {
-        let s = BroadcastState::new(5);
-        let mut pool = CompositePool::new(vec![
-            Box::new(SampledPool::new(3, 1)),
-            Box::new(StructuredPool::new()),
-        ]);
-        let n_struct = StructuredPool::new().candidates(&s).len();
-        assert_eq!(pool.candidates(&s).len(), 3 + n_struct);
-        assert!(pool.name().contains("composite"));
-    }
-
-    #[test]
-    fn jittered_adds_relabelings() {
-        let s = BroadcastState::new(6);
-        let mut pool = JitteredPool::new(SampledPool::new(4, 2), 2, 3);
-        let cands = pool.candidates(&s);
-        assert_eq!(cands.len(), 4 * 3);
-    }
-
-    #[test]
     fn exact_leaf_pool_honors_k() {
-        let s = advanced_state(9, 1);
-        for k in 1..9 {
-            let mut pool = ExactLeafPool::new(k, 6, 4);
-            for t in pool.candidates(&s) {
-                assert_eq!(t.leaf_count(), k, "k = {k}");
+        for n in 2..12 {
+            let s = advanced_state(n, 1);
+            for k in 1..n {
+                let mut pool = ExactLeafPool::new(k, 6, 4);
+                for t in pool.candidates(&s) {
+                    assert_eq!(t.n(), n);
+                    assert_eq!(t.leaf_count(), k, "n = {n}, k = {k}");
+                }
             }
         }
     }
 
     #[test]
     fn exact_inner_pool_honors_k() {
-        let s = advanced_state(9, 1);
-        for k in 1..9 {
-            let mut pool = ExactInnerPool::new(k, 6, 4);
-            for t in pool.candidates(&s) {
-                assert_eq!(t.inner_count(), k, "k = {k}");
+        for n in 2..12 {
+            let s = advanced_state(n, 1);
+            for k in 1..n {
+                let mut pool = ExactInnerPool::new(k, 6, 4);
+                for t in pool.candidates(&s) {
+                    assert_eq!(t.n(), n);
+                    assert_eq!(t.inner_count(), k, "n = {n}, k = {k}");
+                }
             }
         }
     }

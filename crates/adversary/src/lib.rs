@@ -10,7 +10,7 @@
 //! * **Structural** — [`FreezeLeaderAdversary`], the seesaw that pins the
 //!   most-spread token inside a closed subtree each round.
 //! * **Search-based** — [`GreedyAdversary`] over pluggable [`Objective`]s
-//!   and [`CandidateGen`] pools, [`LookaheadAdversary`], and offline
+//!   and [`CandidateGen`] pools, and offline
 //!   [`beam_search_plan`] whose schedules replay as certified lower
 //!   bounds. The stack searches one state, the
 //!   [`treecast_core::BroadcastState`], and scores it through [`Tokens`]:
@@ -50,15 +50,13 @@ pub mod tournament;
 
 pub use beam::{beam_search_plan, beam_search_workload_plan, BeamOptions, BeamSearchAdversary};
 pub use candidates::{
-    CandidateGen, CompositePool, ExactInnerPool, ExactLeafPool, ExhaustivePool, JitteredPool,
-    SampledPool, StructuredPool,
+    CandidateGen, ExactInnerPool, ExactLeafPool, ExhaustivePool, SampledPool, StructuredPool,
 };
 pub use objectives::{
     MinDisseminated, MinMaxReach, MinNearWinners, MinNewEdges, MinSumReach, Objective, Tokens,
 };
 pub use strategies::{
-    FamilyRandomAdversary, FreezeLeaderAdversary, GreedyAdversary, LookaheadAdversary,
-    UniformRandomAdversary,
+    FamilyRandomAdversary, FreezeLeaderAdversary, GreedyAdversary, UniformRandomAdversary,
 };
 pub use survival::{survival_rank, ArborescencePool, SurvivalAdversary, SurvivalObjective};
 pub use tournament::{

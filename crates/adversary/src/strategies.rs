@@ -4,10 +4,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use treecast_core::{Broadcast, BroadcastState, TreeSource};
+use treecast_core::{BroadcastState, TreeSource};
 use treecast_trees::{generators, random, RootedTree};
 
-use crate::beam::lookahead_rank;
 use crate::candidates::CandidateGen;
 use crate::objectives::{Objective, Tokens};
 
@@ -129,78 +128,6 @@ impl<P: CandidateGen, O: Objective> TreeSource for GreedyAdversary<P, O> {
     }
 }
 
-/// Depth-limited search adversary: evaluates each candidate by the best
-/// delaying line of play `depth` rounds deep, scoring leaves with the
-/// objective's [`Objective::state_rank`] (the beam planner's lookahead
-/// scorer). `depth = 1` degenerates to [`GreedyAdversary`].
-#[derive(Debug)]
-pub struct LookaheadAdversary<P, O> {
-    pool: P,
-    objective: O,
-    depth: u32,
-}
-
-impl<P: CandidateGen, O: Objective> LookaheadAdversary<P, O> {
-    /// Lookahead of `depth ≥ 1` over `pool`, leaf-scored by `objective`.
-    ///
-    /// Cost per round is `|pool|^depth` state applications; keep the pool
-    /// structured and the depth ≤ 3.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth == 0`.
-    pub fn new(pool: P, objective: O, depth: u32) -> Self {
-        assert!(depth >= 1, "lookahead needs depth ≥ 1");
-        LookaheadAdversary {
-            pool,
-            objective,
-            depth,
-        }
-    }
-}
-
-impl<P: CandidateGen, O: Objective> TreeSource for LookaheadAdversary<P, O> {
-    #[expect(
-        clippy::expect_used,
-        reason = "the pool contract guarantees at least one candidate tree"
-    )]
-    fn next_tree(&mut self, state: &BroadcastState) -> RootedTree {
-        let candidates = self.pool.candidates(state);
-        let mut best: Option<(u64, u64, RootedTree)> = None;
-        for t in candidates {
-            let immediate = self.objective.score(Tokens::all(state), &t);
-            let mut next = state.clone();
-            next.apply(&t);
-            let future = lookahead_rank(
-                Tokens::all(&next),
-                &mut self.pool,
-                &self.objective,
-                &Broadcast,
-                self.depth - 1,
-            );
-            let key = (future, immediate);
-            if best
-                .as_ref()
-                .map(|(f, i, _)| key < (*f, *i))
-                .unwrap_or(true)
-            {
-                best = Some((future, immediate, t));
-            }
-        }
-        best.map(|(_, _, t)| t)
-            .expect("candidate pools are non-empty")
-    }
-
-    fn name(&self) -> String {
-        format!(
-            "lookahead(d={}, {}, {})",
-            self.depth,
-            self.pool.name(),
-            self.objective.name()
-        )
-    }
-}
-
 /// Pure structural seesaw: each round, freeze the current leader token by
 /// making its carrier set a closed path tail, without any scoring.
 ///
@@ -318,19 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn lookahead_at_least_matches_greedy_small() {
-        let n = 10;
-        let greedy = broadcast_time(n, GreedyAdversary::new(StructuredPool::new(), MinMaxReach));
-        let look = broadcast_time(
-            n,
-            LookaheadAdversary::new(StructuredPool::new(), MinMaxReach, 2),
-        );
-        // Lookahead is not provably monotone, but on this configuration it
-        // must at least stay close; a collapse signals a bug.
-        assert!(look + 2 >= greedy, "lookahead {look} vs greedy {greedy}");
-    }
-
-    #[test]
     fn adversary_runs_are_certified() {
         let n = 14;
         let mut cert = CertObserver::full();
@@ -356,8 +270,6 @@ mod tests {
         let g = GreedyAdversary::new(StructuredPool::new(), MinMaxReach);
         assert!(g.name().contains("greedy"));
         assert!(g.name().contains("min-max-reach"));
-        let l = LookaheadAdversary::new(StructuredPool::new(), MinMaxReach, 2);
-        assert!(l.name().contains("d=2"));
     }
 
     #[test]

@@ -350,7 +350,6 @@ pub fn to_csv(rows: &[TournamentRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategies::LookaheadAdversary;
 
     fn tiny_lineup() -> Lineup {
         Lineup::new()
@@ -413,49 +412,6 @@ mod tests {
         // doesn't — but the field must be populated consistently.
         let path_row = rows.iter().find(|r| r.adversary == "static-path").unwrap();
         assert_eq!(path_row.gossip_time, None);
-    }
-
-    #[test]
-    fn lookahead_lineup_entry_is_golden() {
-        // Pins the exact trajectory of depth-2 `MinMaxReach` lookahead over
-        // the slim structured pool (the former lineup entry): its leaf
-        // scores and candidate order decide every cell below.
-        let lineup = Lineup::new().with(
-            "lookahead-2/max-reach",
-            Box::new(|_, _| {
-                Box::new(LookaheadAdversary::new(
-                    StructuredPool {
-                        freeze_leaders: 1,
-                        brooms: false,
-                    },
-                    MinMaxReach,
-                    2,
-                ))
-            }),
-        );
-        let ns: Vec<usize> = (2..=12).collect();
-        let config = TournamentConfig {
-            threads: 1,
-            ..Default::default()
-        };
-        let times: Vec<u64> = run_tournament(&lineup, &ns, config)
-            .iter()
-            .map(|r| r.broadcast_time)
-            .collect();
-        assert_eq!(times, vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]);
-        // The played trees themselves, at one size: the lookahead finds
-        // no line that beats repeating the identity-order path.
-        let n = 7;
-        let (_, factory) = &lineup.entries[0];
-        let mut adversary = factory(n, 0);
-        let mut state = treecast_core::BroadcastState::new(n);
-        let mut played = Vec::new();
-        while state.broadcast_witness().is_none() {
-            let tree = adversary.next_tree(&state);
-            state.apply(&tree);
-            played.push(tree);
-        }
-        assert_eq!(played, vec![generators::path(n); n - 1]);
     }
 
     #[test]

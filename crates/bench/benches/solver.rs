@@ -36,11 +36,7 @@ fn bench_canonicalization_modes(c: &mut Criterion) {
     use treecast_solver::CanonMode;
     let mut group = c.benchmark_group("solver_canon_mode_n5");
     group.sample_size(10);
-    for (label, mode) in [
-        ("exact", CanonMode::Exact),
-        ("fast", CanonMode::Fast),
-        ("none", CanonMode::None),
-    ] {
+    for (label, mode) in [("exact", CanonMode::Exact), ("none", CanonMode::None)] {
         group.bench_function(label, |bencher| {
             bencher.iter(|| {
                 solve_with(

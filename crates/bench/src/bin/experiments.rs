@@ -4,9 +4,9 @@
 //! cargo run --release -p treecast-bench --bin experiments -- <id> [--full] [--out DIR]
 //! ```
 //!
-//! `<id>` is one of `fig1 thm31 sanity restricted cfn fnw exact evolution
-//! gossip ablation variants adversarial all`. Quick grids are the default; `--full` switches to
-//! the paper-scale grids. Tables print to stdout and are
+//! `<id>` is one of `treecast_bench::experiments::IDS` (the usage line
+//! lists them), `all` running every experiment. Quick grids are the
+//! default; `--full` switches to the paper-scale grids. Tables print to stdout and are
 //! written as CSV under `--out` (default `results/`).
 
 use std::path::PathBuf;

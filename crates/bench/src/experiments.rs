@@ -1611,48 +1611,47 @@ pub fn montecarlo_on(
     out
 }
 
-/// Runs every experiment.
-pub fn all(quick: bool) -> Vec<ExperimentOutput> {
-    vec![
-        fig1(quick),
-        thm31(quick),
-        sanity(quick),
-        restricted(quick),
-        cfn(quick),
-        fnw(quick),
-        exact(quick),
-        evolution(quick),
-        gossip(quick),
-        ablation(quick),
-        variants(quick),
-        adversarial_variants(quick),
-        scale(quick),
-        serving(quick),
-        montecarlo(quick),
-        emulation(quick),
-    ]
+/// An experiment's entry point; the flag selects the quick grids.
+pub type Experiment = fn(bool) -> ExperimentOutput;
+
+/// Every experiment, by the id the binary accepts, in run order.
+pub const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("fig1", fig1),
+    ("thm31", thm31),
+    ("sanity", sanity),
+    ("restricted", restricted),
+    ("cfn", cfn),
+    ("fnw", fnw),
+    ("exact", exact),
+    ("evolution", evolution),
+    ("gossip", gossip),
+    ("ablation", ablation),
+    ("variants", variants),
+    ("adversarial", adversarial_variants),
+    ("scale", scale),
+    ("serving", serving),
+    ("montecarlo", montecarlo),
+    ("emulation", emulation),
+];
+
+/// Experiment ids accepted by the binary: every [`EXPERIMENTS`] id, then
+/// `all`.
+pub const IDS: &[&str] = &ids();
+
+const fn ids() -> [&'static str; EXPERIMENTS.len() + 1] {
+    let mut out = ["all"; EXPERIMENTS.len() + 1];
+    let mut i = 0;
+    while i < EXPERIMENTS.len() {
+        out[i] = EXPERIMENTS[i].0;
+        i += 1;
+    }
+    out
 }
 
-/// Experiment ids accepted by the binary.
-pub const IDS: &[&str] = &[
-    "fig1",
-    "thm31",
-    "sanity",
-    "restricted",
-    "cfn",
-    "fnw",
-    "exact",
-    "evolution",
-    "gossip",
-    "ablation",
-    "variants",
-    "adversarial",
-    "scale",
-    "serving",
-    "montecarlo",
-    "emulation",
-    "all",
-];
+/// Runs every experiment.
+pub fn all(quick: bool) -> Vec<ExperimentOutput> {
+    EXPERIMENTS.iter().map(|(_, run)| run(quick)).collect()
+}
 
 /// Dispatches one id.
 ///
@@ -1660,25 +1659,12 @@ pub const IDS: &[&str] = &[
 ///
 /// Panics on an unknown id; the binary validates first.
 pub fn run_by_id(id: &str, quick: bool) -> Vec<ExperimentOutput> {
-    match id {
-        "fig1" => vec![fig1(quick)],
-        "thm31" => vec![thm31(quick)],
-        "sanity" => vec![sanity(quick)],
-        "restricted" => vec![restricted(quick)],
-        "cfn" => vec![cfn(quick)],
-        "fnw" => vec![fnw(quick)],
-        "exact" => vec![exact(quick)],
-        "evolution" => vec![evolution(quick)],
-        "gossip" => vec![gossip(quick)],
-        "ablation" => vec![ablation(quick)],
-        "variants" => vec![variants(quick)],
-        "adversarial" => vec![adversarial_variants(quick)],
-        "scale" => vec![scale(quick)],
-        "serving" => vec![serving(quick)],
-        "montecarlo" => vec![montecarlo(quick)],
-        "emulation" => vec![emulation(quick)],
-        "all" => all(quick),
-        other => panic!("unknown experiment id {other:?}, expected one of {IDS:?}"),
+    if id == "all" {
+        return all(quick);
+    }
+    match EXPERIMENTS.iter().find(|(name, _)| *name == id) {
+        Some((_, run)) => vec![run(quick)],
+        None => panic!("unknown experiment id {id:?}, expected one of {IDS:?}"),
     }
 }
 

@@ -427,36 +427,6 @@ impl BitSet {
         }
     }
 
-    /// In-place symmetric difference: `self ← self △ other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universe sizes differ.
-    #[inline]
-    pub fn symmetric_difference_with<V: BitView>(&mut self, other: V) {
-        self.check_same_universe(&other);
-        for (a, b) in self.words.iter_mut().zip(other.words()) {
-            *a ^= b;
-        }
-    }
-
-    /// Complements the set within its universe.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use treecast_bitmatrix::BitSet;
-    /// let mut s = BitSet::from_indices(4, [0, 2]);
-    /// s.complement();
-    /// assert_eq!(s.iter().collect::<Vec<_>>(), vec![1, 3]);
-    /// ```
-    pub fn complement(&mut self) {
-        for w in &mut self.words {
-            *w = !*w;
-        }
-        self.mask_tail();
-    }
-
     /// Returns `true` if `self ⊆ other`.
     ///
     /// # Panics
@@ -479,16 +449,6 @@ impl BitSet {
         words_disjoint(&self.words, other.words())
     }
 
-    /// Returns `true` if the sets share at least one element.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universe sizes differ.
-    #[inline]
-    pub fn intersects<V: BitView>(&self, other: V) -> bool {
-        !self.is_disjoint(other)
-    }
-
     /// Number of elements in `self ∩ other` without materializing it.
     ///
     /// # Panics
@@ -498,20 +458,6 @@ impl BitSet {
     pub fn intersection_len<V: BitView>(&self, other: V) -> usize {
         self.check_same_universe(&other);
         words_intersection_len(&self.words, other.words())
-    }
-
-    /// Number of elements in `self \ other` without materializing it.
-    ///
-    /// This is the per-round "how many new edges appeared" primitive used
-    /// by the strict-progress certificate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universe sizes differ.
-    #[inline]
-    pub fn difference_len<V: BitView>(&self, other: V) -> usize {
-        self.check_same_universe(&other);
-        words_difference_len(&self.words, other.words())
     }
 
     /// The smallest element, if any.
@@ -554,14 +500,6 @@ impl BitSet {
     #[inline]
     pub fn iter(&self) -> Iter<'_> {
         Iter::over_words(&self.words)
-    }
-
-    /// Grows or shrinks the universe to `nbits`, dropping elements that no
-    /// longer fit.
-    pub fn resize_universe(&mut self, nbits: usize) {
-        self.nbits = nbits;
-        self.words.resize(words_for(nbits), 0);
-        self.mask_tail();
     }
 
     #[inline]
@@ -615,15 +553,6 @@ pub(crate) fn words_intersection_len(a: &[u64], b: &[u64]) -> usize {
     a.iter()
         .zip(b)
         .map(|(x, y)| (x & y).count_ones() as usize)
-        .sum()
-}
-
-/// `|a \ b|` on equally sized masked word slices.
-#[inline]
-pub(crate) fn words_difference_len(a: &[u64], b: &[u64]) -> usize {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x & !y).count_ones() as usize)
         .sum()
 }
 
@@ -782,13 +711,6 @@ macro_rules! binop {
 
 binop!(BitOr, bitor, BitOrAssign, bitor_assign, union_with);
 binop!(BitAnd, bitand, BitAndAssign, bitand_assign, intersect_with);
-binop!(
-    BitXor,
-    bitxor,
-    BitXorAssign,
-    bitxor_assign,
-    symmetric_difference_with
-);
 
 #[cfg(test)]
 mod tests {
@@ -846,21 +768,11 @@ mod tests {
     }
 
     #[test]
-    fn complement_respects_tail() {
-        let mut s = BitSet::new(67);
-        s.complement();
-        assert!(s.is_full());
-        s.complement();
-        assert!(s.is_empty());
-    }
-
-    #[test]
     fn set_algebra() {
         let a = BitSet::from_indices(10, [1, 3, 5, 7]);
         let b = BitSet::from_indices(10, [3, 4, 5]);
         assert_eq!((&a | &b).iter().collect::<Vec<_>>(), vec![1, 3, 4, 5, 7]);
         assert_eq!((&a & &b).iter().collect::<Vec<_>>(), vec![3, 5]);
-        assert_eq!((&a ^ &b).iter().collect::<Vec<_>>(), vec![1, 4, 7]);
         let mut d = a.clone();
         d.difference_with(&b);
         assert_eq!(d.iter().collect::<Vec<_>>(), vec![1, 7]);
@@ -880,11 +792,9 @@ mod tests {
         let a = BitSet::from_indices(8, [0, 2]);
         let b = BitSet::from_indices(8, [1, 3]);
         assert!(a.is_disjoint(&b));
-        assert!(!a.intersects(&b));
         let c = BitSet::from_indices(8, [2]);
-        assert!(a.intersects(&c));
+        assert!(!a.is_disjoint(&c));
         assert_eq!(a.intersection_len(&c), 1);
-        assert_eq!(a.difference_len(&c), 1);
     }
 
     #[test]
@@ -922,16 +832,6 @@ mod tests {
         let mut a = BitSet::new(4);
         let b = BitSet::new(5);
         a.union_with(&b);
-    }
-
-    #[test]
-    fn resize_universe_drops_overflow() {
-        let mut s = BitSet::from_indices(10, [0, 9]);
-        s.resize_universe(5);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0]);
-        s.resize_universe(12);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0]);
-        assert_eq!(s.universe_size(), 12);
     }
 
     #[test]

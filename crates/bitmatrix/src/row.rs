@@ -11,8 +11,7 @@
 use core::fmt;
 
 use crate::bitset::{
-    words_difference_len, words_disjoint, words_intersection_len, words_subset, BitSet, BitView,
-    Iter, WORD_BITS,
+    words_disjoint, words_intersection_len, words_subset, BitSet, BitView, Iter, WORD_BITS,
 };
 
 /// An immutable, borrowed view of one matrix row (a reach set).
@@ -129,16 +128,6 @@ impl<'a> RowRef<'a> {
         words_disjoint(self.words, other.words())
     }
 
-    /// Returns `true` if the sets share at least one element.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universe sizes differ.
-    #[inline]
-    pub fn intersects<V: BitView>(self, other: V) -> bool {
-        !self.is_disjoint(other)
-    }
-
     /// Number of elements in `self ∩ other` without materializing it.
     ///
     /// # Panics
@@ -148,17 +137,6 @@ impl<'a> RowRef<'a> {
     pub fn intersection_len<V: BitView>(self, other: V) -> usize {
         self.check_same_universe(&other);
         words_intersection_len(self.words, other.words())
-    }
-
-    /// Number of elements in `self \ other` without materializing it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universe sizes differ.
-    #[inline]
-    pub fn difference_len<V: BitView>(self, other: V) -> usize {
-        self.check_same_universe(&other);
-        words_difference_len(self.words, other.words())
     }
 
     #[inline]
@@ -430,10 +408,8 @@ mod tests {
         let m = BoolMatrix::from_edges(6, [(0, 1), (0, 3), (1, 3), (1, 5)]);
         let a = m.row(0);
         let b = m.row(1);
-        assert!(a.intersects(b));
         assert!(!a.is_disjoint(b));
         assert_eq!(a.intersection_len(b), 1);
-        assert_eq!(a.difference_len(b), 1);
         let owned = a.to_bitset();
         assert!(a.is_subset(&owned));
         assert!(owned.is_subset(a));

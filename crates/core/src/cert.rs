@@ -6,9 +6,9 @@
 //! * **Strict progress** — Section 2: *"in each round, it is easy to see
 //!   that at least one new edge appears in the product graph"* (before
 //!   broadcast), which gives the trivial `n²` bound.
-//! * **Theorem 3.1 sandwich** — any measured broadcast time must respect
-//!   `t ≤ ⌈(1+√2)n − 1⌉`; for provably optimal adversaries it must also
-//!   reach `⌈(3n−1)/2⌉ − 2`.
+//! * **Theorem 3.1 upper bound** — any measured broadcast time must
+//!   respect `t ≤ ⌈(1+√2)n − 1⌉` (the whole sandwich, lower bound
+//!   included, is [`bounds::sandwich_holds`]).
 //!
 //! Attach a [`CertObserver`] as the [`Probe`] of a dense run and
 //! interrogate it afterwards, or let property tests assert
@@ -191,40 +191,6 @@ impl Probe<BroadcastState> for CertObserver {
     }
 }
 
-/// Verdict of checking a measured broadcast time against Theorem 3.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TheoremVerdict {
-    /// Number of processes.
-    pub n: u64,
-    /// The measured broadcast time.
-    pub measured: u64,
-    /// `measured ≤ ⌈(1+√2)n − 1⌉` — must hold for *every* adversary.
-    pub within_upper: bool,
-    /// `measured ≥ ⌈(3n−1)/2⌉ − 2` — expected only of (near-)optimal
-    /// adversaries; `false` just means the strategy is weak.
-    pub reaches_lower: bool,
-}
-
-/// Checks a measured broadcast time against both sides of Theorem 3.1.
-///
-/// # Examples
-///
-/// ```
-/// use treecast_core::cert::check_theorem;
-/// let v = check_theorem(10, 14);
-/// assert!(v.within_upper && v.reaches_lower);
-/// let weak = check_theorem(10, 9); // static path: n − 1
-/// assert!(weak.within_upper && !weak.reaches_lower);
-/// ```
-pub fn check_theorem(n: u64, measured: u64) -> TheoremVerdict {
-    TheoremVerdict {
-        n,
-        measured,
-        within_upper: measured <= bounds::upper_bound(n),
-        reaches_lower: measured >= bounds::lower_bound(n),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,15 +247,6 @@ mod tests {
             cert.violations()[0],
             Violation::UpperBoundExceeded { measured: 100, .. }
         ));
-    }
-
-    #[test]
-    fn theorem_check_examples() {
-        // n = 4: LB 4, UB 9.
-        assert!(check_theorem(4, 4).reaches_lower);
-        assert!(check_theorem(4, 4).within_upper);
-        assert!(!check_theorem(4, 3).reaches_lower);
-        assert!(!check_theorem(4, 10).within_upper);
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //!   scaling the same workloads and faults to n = 10⁶;
 //! * [`MetricsRecorder`] / [`CertObserver`] — probes recording the
 //!   Section 3 matrix quantities and certifying monotonicity, strict
-//!   progress and the Theorem 3.1 sandwich.
+//!   progress and the Theorem 3.1 upper bound.
 //!
 //! # Examples
 //!
@@ -63,7 +63,7 @@ pub mod replica;
 pub mod scenario;
 pub mod workload;
 
-pub use cert::{CertObserver, TheoremVerdict, Violation};
+pub use cert::{CertObserver, Violation};
 pub use drive::{drive, DenseEngine, Probe, RoundEngine};
 pub use engine::{SequenceSource, SimulationConfig, StaticSource, TreeSource};
 pub use frontier::{

@@ -14,7 +14,7 @@ use crate::drive::Probe;
 use crate::model::BroadcastState;
 use crate::scenario::RoundFaults;
 
-/// One sampled round of matrix-evolution statistics.
+/// One round of matrix-evolution statistics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RoundMetrics {
@@ -22,9 +22,8 @@ pub struct RoundMetrics {
     pub round: u64,
     /// Total edges of `G(t)`.
     pub edge_count: usize,
-    /// Edges gained this round (vs the previous *sampled* round when
-    /// sampling sparsely; with `every = 1` this is the per-round gain —
-    /// the strict-progress quantity of Section 2).
+    /// Edges gained this round — the strict-progress quantity of
+    /// Section 2.
     pub new_edges: usize,
     /// Smallest reach-set size (min row weight of `G(t)`).
     pub min_reach: usize,
@@ -45,8 +44,7 @@ pub struct RoundMetrics {
     pub tree_height: usize,
 }
 
-/// A dense-engine [`Probe`] that samples [`RoundMetrics`] every `every`
-/// rounds.
+/// A dense-engine [`Probe`] that records [`RoundMetrics`] every round.
 ///
 /// # Examples
 ///
@@ -67,32 +65,17 @@ pub struct RoundMetrics {
 /// // Strict progress: every round added at least one edge.
 /// assert!(trace.iter().all(|m| m.new_edges >= 1));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricsRecorder {
-    every: u64,
     last_edges: usize,
     trace: Vec<RoundMetrics>,
 }
 
 impl MetricsRecorder {
-    /// Samples every round. O(n²) work per round — fine for `n` in the
-    /// hundreds, use [`MetricsRecorder::sampled`] beyond that.
+    /// An empty recorder. O(n²) work per round — fine for `n` in the
+    /// hundreds.
     pub fn every_round() -> Self {
-        Self::sampled(1)
-    }
-
-    /// Samples every `every`-th round.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every == 0`.
-    pub fn sampled(every: u64) -> Self {
-        assert!(every > 0, "sampling interval must be positive");
-        MetricsRecorder {
-            every,
-            last_edges: 0,
-            trace: Vec::new(),
-        }
+        Self::default()
     }
 
     /// The collected trace.
@@ -148,21 +131,13 @@ impl MetricsRecorder {
     }
 }
 
-impl Default for MetricsRecorder {
-    fn default() -> Self {
-        Self::every_round()
-    }
-}
-
 impl Probe<BroadcastState> for MetricsRecorder {
     fn on_round(&mut self, _faults: &RoundFaults, tree: &RootedTree, state: &BroadcastState) {
         if self.trace.is_empty() {
             // First sighting: baseline is the identity state's n edges.
             self.last_edges = state.n();
         }
-        if state.round().is_multiple_of(self.every) {
-            self.sample(tree, state);
-        }
+        self.sample(tree, state);
     }
 }
 
@@ -214,15 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_recorder_skips() {
-        let n = 9;
-        let mut rec = MetricsRecorder::sampled(3);
-        record(n, generators::path(n), &mut rec);
-        let rounds: Vec<u64> = rec.trace().iter().map(|m| m.round).collect();
-        assert_eq!(rounds, vec![3, 6]);
-    }
-
-    #[test]
     fn csv_has_header_and_rows() {
         let n = 4;
         let mut rec = MetricsRecorder::every_round();
@@ -231,11 +197,5 @@ mod tests {
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 1 + 3);
         assert!(lines[0].starts_with("round,edge_count"));
-    }
-
-    #[test]
-    #[should_panic(expected = "sampling interval")]
-    fn zero_interval_rejected() {
-        MetricsRecorder::sampled(0);
     }
 }

@@ -9,6 +9,9 @@
 //! [`TREE_STREAM_TWEAK`], so replica `r` of a synchronous cell and of its
 //! emulated twin see identical streams: paired comparisons.
 
+use treecast_trees::generators;
+
+use crate::frontier::FrontierSource;
 use crate::scenario::{rate_label, FaultModel, RotatingRoot, RoundFaults, SeededFaults};
 
 /// The tree source a replica runs against.
@@ -34,6 +37,19 @@ impl TreeSpec {
             TreeSpec::Path => "static(path)",
             TreeSpec::Star => "static(star)",
             TreeSpec::SeededUniform => "seeded-uniform",
+        }
+    }
+
+    /// The `n`-node tree stream this spec names, with `tree_seed` seeding
+    /// the uniform draws (the static specs ignore it). Its
+    /// [`FrontierSource::dense_twin`] is the same stream for the dense
+    /// engines.
+    #[must_use]
+    pub fn source(self, n: usize, tree_seed: u64) -> FrontierSource {
+        match self {
+            TreeSpec::Path => FrontierSource::fixed(generators::path(n)),
+            TreeSpec::Star => FrontierSource::fixed(generators::star(n)),
+            TreeSpec::SeededUniform => FrontierSource::seeded(n, tree_seed),
         }
     }
 }
@@ -266,6 +282,30 @@ pub trait ReplicaSource: Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn spec_sources_and_their_dense_twins_agree() {
+        use crate::{BroadcastState, StaticSource, TreeSource};
+        let n = 9;
+        let state = BroadcastState::new(n);
+        for spec in [TreeSpec::Path, TreeSpec::Star, TreeSpec::SeededUniform] {
+            let mut source = spec.source(n, 0x5EED);
+            let mut twin = source.dense_twin(16);
+            assert_eq!(source.name(), twin.name(), "{spec:?}");
+            for round in 0..16 {
+                let tree = source.next_round(n, None).tree.clone();
+                assert_eq!(tree, twin.next_tree(&state), "{spec:?} round {round}");
+            }
+        }
+        for (spec, tree) in [
+            (TreeSpec::Path, generators::path(n)),
+            (TreeSpec::Star, generators::star(n)),
+        ] {
+            let label = StaticSource::new(tree).name();
+            assert_eq!(spec.source(n, 1).name(), label);
+            assert_eq!(spec.source(n, 1).dense_twin(1).name(), label);
+        }
+    }
 
     #[test]
     fn replica_seeds_are_distinct_and_stable() {

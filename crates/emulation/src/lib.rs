@@ -16,7 +16,7 @@
 //!   protocol on the core round driver;
 //! * [`spec`] — [`EmulationSpec`], a [`treecast_core::ReplicaSource`]
 //!   stream-paired seed-for-seed with the synchronous cells, with
-//!   [`EmuSweepDim`] making the knobs sweepable.
+//!   [`EmuSweepDim`] making bandwidth, fan-out and loss sweepable.
 //!
 //! With every knob unconstrained an emulated run equals the synchronous
 //! run report-for-report, fault log included (`tests/differential.rs`).
@@ -45,6 +45,6 @@ pub mod protocol;
 pub mod runner;
 pub mod spec;
 
-pub use protocol::{EmulationState, GossipKnobs, QueueDiscipline};
+pub use protocol::{EmulationState, GossipKnobs};
 pub use runner::{run_emulation, run_emulation_traced, EmulationEngine};
 pub use spec::{EmuSweepDim, EmulationSpec};

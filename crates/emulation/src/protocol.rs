@@ -16,11 +16,10 @@
 //!    advertiser for the offered tokens it misses (one parent per tree
 //!    means at most one advert per round, so no two requests of one
 //!    round ask for the same token);
-//! 3. **serve** — every online peer answers its request queue (batch
-//!    cap again; at most [`GossipKnobs::bandwidth`] token payloads per
-//!    round; [`GossipKnobs::discipline`] picks the order), re-queueing
-//!    the unsent remainder of a partially served grant at the front of
-//!    its queue;
+//! 3. **serve** — every online peer answers its request queue in
+//!    arrival order (batch cap again; at most [`GossipKnobs::bandwidth`]
+//!    token payloads per round), re-queueing the unsent remainder of a
+//!    partially served grant at the front of its queue;
 //! 4. **integrate** — every peer unions the tokens delivered to it this
 //!    round into its holdings;
 //! 5. **lose** — the round's loss victims forget every foreign token
@@ -55,20 +54,8 @@ use treecast_core::scenario::RoundFaults;
 use treecast_core::BitSet;
 use treecast_trees::{NodeId, RootedTree};
 
-/// How a serving peer orders its request queue.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum QueueDiscipline {
-    /// Serve requests in arrival order.
-    #[default]
-    Fifo,
-    /// Serve the smallest outstanding want first each round (a
-    /// shortest-job-first variant; stable, so equal sizes keep arrival
-    /// order).
-    SmallestFirst,
-}
-
-/// The scenario knobs of the protocol — each one a first-class sweep
-/// dimension through [`crate::EmuSweepDim`]. `None` means
+/// The scenario knobs of the protocol; bandwidth and fan-out are sweep
+/// dimensions through [`crate::EmuSweepDim`]. `None` means
 /// unconstrained; with every knob unconstrained the emulation is
 /// round-for-round the synchronous model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -82,13 +69,10 @@ pub struct GossipKnobs {
     /// Max messages a peer processes per queue per round (adverts in
     /// the request phase, requests in the serve phase).
     pub batch: Option<u32>,
-    /// Request-queue service order.
-    pub discipline: QueueDiscipline,
 }
 
 impl GossipKnobs {
-    /// No caps, FIFO service — the configuration pinned to the
-    /// synchronous engines.
+    /// No caps — the configuration pinned to the synchronous engines.
     #[must_use]
     pub fn unconstrained() -> Self {
         GossipKnobs::default()
@@ -115,13 +99,6 @@ impl GossipKnobs {
         self
     }
 
-    /// Sets the request-queue service order.
-    #[must_use]
-    pub fn with_discipline(mut self, discipline: QueueDiscipline) -> Self {
-        self.discipline = discipline;
-        self
-    }
-
     /// `true` when no knob constrains the protocol.
     #[must_use]
     pub fn is_unconstrained(&self) -> bool {
@@ -129,7 +106,7 @@ impl GossipKnobs {
     }
 
     /// Compact label for tables (`unconstrained`, or the set knobs:
-    /// `bw=4,fan=2,smallest-first`).
+    /// `bw=4,fan=2`).
     #[must_use]
     pub fn label(&self) -> String {
         if self.is_unconstrained() {
@@ -144,9 +121,6 @@ impl GossipKnobs {
         }
         if let Some(b) = self.batch {
             parts.push(format!("batch={b}"));
-        }
-        if self.discipline == QueueDiscipline::SmallestFirst {
-            parts.push("smallest-first".into());
         }
         parts.join(",")
     }
@@ -197,11 +171,6 @@ impl Arena {
 
     fn get_mut(&mut self, slot: usize) -> &mut [u64] {
         &mut self.words[slot * self.stride..][..self.stride]
-    }
-
-    /// Number of tokens in `slot`.
-    fn len(&self, slot: usize) -> usize {
-        self.get(slot).iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Moves the `cap` smallest tokens of `slot` (which holds more than
@@ -445,13 +414,6 @@ impl EmulationState {
             if peer.requests.is_empty() {
                 continue;
             }
-            if knobs.discipline == QueueDiscipline::SmallestFirst {
-                // Stable: equal-size wants keep their arrival order.
-                let arena = &self.arena;
-                peer.requests
-                    .make_contiguous()
-                    .sort_by_key(|rq| arena.len(rq.slot));
-            }
             let mut bw_left = bandwidth;
             for _ in 0..batch {
                 if bw_left == 0 {
@@ -554,8 +516,8 @@ mod tests {
         let knobs = GossipKnobs::unconstrained()
             .with_bandwidth(4)
             .with_fanout(2)
-            .with_discipline(QueueDiscipline::SmallestFirst);
-        assert_eq!(knobs.label(), "bw=4,fan=2,smallest-first");
+            .with_batch(3);
+        assert_eq!(knobs.label(), "bw=4,fan=2,batch=3");
         assert!(!knobs.is_unconstrained());
     }
 
@@ -680,16 +642,11 @@ mod tests {
         // round: each peer gets at most one per round (one parent per
         // tree) and answers it in the same round.
         let n = 70;
-        for (discipline, batch) in [
-            (QueueDiscipline::Fifo, 3),
-            (QueueDiscipline::SmallestFirst, 3),
-            (QueueDiscipline::Fifo, 1),
-        ] {
+        for batch in [3, 1] {
             let knobs = GossipKnobs::unconstrained()
                 .with_bandwidth(2)
                 .with_fanout(3)
-                .with_batch(batch)
-                .with_discipline(discipline);
+                .with_batch(batch);
             let mut emu = EmulationState::new(n);
             for r in 0..150 {
                 let tree = if r % 3 == 0 {

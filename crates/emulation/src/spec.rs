@@ -1,7 +1,7 @@
 //! The emulation's replica cell: [`EmulationSpec`] implements
 //! [`ReplicaSource`], so `treecast-montecarlo`'s estimators, sweeps and
 //! critical-value readout apply to gossip emulations verbatim, and
-//! [`EmuSweepDim`] makes the protocol knobs sweep dimensions.
+//! [`EmuSweepDim`] makes bandwidth, fan-out and loss sweep dimensions.
 //!
 //! Replica `r` derives its fault seed as [`replica_seed`]`(base, r)` and
 //! its tree seed as [`splitmix64`]`(seed ⊕ `[`TREE_STREAM_TWEAK`]`)`, the
@@ -12,13 +12,9 @@ use treecast_core::replica::{
     default_budget, replica_seed, splitmix64, FaultSpec, ReplicaOutcome, ReplicaSource, TreeSpec,
     TREE_STREAM_TWEAK,
 };
-use treecast_core::{
-    FrontierSource, KSourceBroadcast, SimulationConfig, StaticSource, TreeSource, Workload,
-    WorkloadReport,
-};
-use treecast_trees::generators;
+use treecast_core::{KSourceBroadcast, SimulationConfig, Workload, WorkloadReport};
 
-use crate::protocol::{GossipKnobs, QueueDiscipline};
+use crate::protocol::GossipKnobs;
 use crate::runner::run_emulation;
 
 /// One emulation cell: R replicas of an (n, k, trees, faults, knobs)
@@ -36,7 +32,7 @@ pub struct EmulationSpec {
     pub trees: TreeSpec,
     /// Randomized fault mix.
     pub faults: FaultSpec,
-    /// Protocol knobs (bandwidth, fan-out, batch, discipline).
+    /// Protocol knobs (bandwidth, fan-out, batch).
     pub knobs: GossipKnobs,
     /// Round budget per replica; replicas still incomplete at the
     /// budget are *censored*, not averaged.
@@ -92,13 +88,6 @@ impl EmulationSpec {
         self
     }
 
-    /// Overrides the protocol knobs.
-    #[must_use]
-    pub fn with_knobs(mut self, knobs: GossipKnobs) -> Self {
-        self.knobs = knobs;
-        self
-    }
-
     /// The workload label (`k-source-broadcast(k=…)`).
     #[must_use]
     pub fn workload_label(&self) -> String {
@@ -119,15 +108,12 @@ impl EmulationSpec {
         let mut faults = self.faults.model(seed);
         let config = SimulationConfig::for_n(self.n).with_max_rounds(self.round_budget);
         let tree_seed = splitmix64(seed ^ TREE_STREAM_TWEAK);
-        let mut source: Box<dyn TreeSource> = match self.trees {
-            TreeSpec::Path => Box::new(StaticSource::new(generators::path(self.n))),
-            TreeSpec::Star => Box::new(StaticSource::new(generators::star(self.n))),
-            // The frontier source's dense twin draws the identical tree
-            // stream the synchronous replicas see for this seed.
-            TreeSpec::SeededUniform => {
-                FrontierSource::seeded(self.n, tree_seed).dense_twin(self.round_budget)
-            }
-        };
+        // The dense twin draws the identical tree stream the synchronous
+        // replicas see for this seed.
+        let mut source = self
+            .trees
+            .source(self.n, tree_seed)
+            .dense_twin(self.round_budget);
         run_emulation(
             self.n,
             &mut source,
@@ -179,7 +165,7 @@ impl ReplicaSource for EmulationSpec {
     }
 }
 
-/// The scenario dimensions an emulation sweep can vary — the protocol
+/// The scenario dimensions an emulation sweep varies — two protocol
 /// knobs plus the per-mille loss rate, all through one grid interface.
 /// Feed [`EmuSweepDim::cell`] to `treecast_montecarlo::sweep_cells` and
 /// the critical-value readout applies unchanged.
@@ -189,11 +175,6 @@ pub enum EmuSweepDim {
     BandwidthCap,
     /// [`GossipKnobs::fanout`]; grid value `0` = unconstrained.
     AdvertFanout,
-    /// [`GossipKnobs::batch`]; grid value `0` = unconstrained.
-    BatchSize,
-    /// [`GossipKnobs::discipline`]; `0` = FIFO, anything else =
-    /// smallest-first.
-    Discipline,
     /// Token-loss probability, per-mille (the fault dimension that pairs
     /// emulated sweeps with the Monte Carlo layer's critical sweeps).
     LossPermille,
@@ -206,8 +187,6 @@ impl EmuSweepDim {
         match self {
             EmuSweepDim::BandwidthCap => "bandwidth cap",
             EmuSweepDim::AdvertFanout => "advert fan-out",
-            EmuSweepDim::BatchSize => "batch size",
-            EmuSweepDim::Discipline => "queue discipline",
             EmuSweepDim::LossPermille => "loss ‰",
         }
     }
@@ -221,14 +200,6 @@ impl EmuSweepDim {
         match self {
             EmuSweepDim::BandwidthCap => spec.knobs.bandwidth = cap(value),
             EmuSweepDim::AdvertFanout => spec.knobs.fanout = cap(value),
-            EmuSweepDim::BatchSize => spec.knobs.batch = cap(value),
-            EmuSweepDim::Discipline => {
-                spec.knobs.discipline = if value == 0 {
-                    QueueDiscipline::Fifo
-                } else {
-                    QueueDiscipline::SmallestFirst
-                };
-            }
             EmuSweepDim::LossPermille => spec.faults = FaultSpec::loss_permille(value as u32),
         }
         spec
@@ -286,7 +257,10 @@ mod tests {
             "k-source-broadcast(k=1)"
         );
         assert_eq!(ReplicaSource::fault_label(&free), "no-faults");
-        let capped = free.with_knobs(GossipKnobs::unconstrained().with_bandwidth(2));
+        let capped = EmulationSpec {
+            knobs: GossipKnobs::unconstrained().with_bandwidth(2),
+            ..free
+        };
         assert_eq!(
             ReplicaSource::source_label(&capped),
             "emulated(static(path), bw=2)"
@@ -309,11 +283,6 @@ mod tests {
             EmuSweepDim::AdvertFanout.cell(&base, 2).knobs.fanout,
             Some(2)
         );
-        assert_eq!(EmuSweepDim::BatchSize.cell(&base, 8).knobs.batch, Some(8));
-        assert_eq!(
-            EmuSweepDim::Discipline.cell(&base, 1).knobs.discipline,
-            QueueDiscipline::SmallestFirst
-        );
         assert_eq!(
             EmuSweepDim::LossPermille.cell(&base, 5).faults,
             FaultSpec::loss_permille(5)
@@ -324,10 +293,12 @@ mod tests {
     #[test]
     fn censored_replicas_report_no_rounds() {
         // Fanout 0 starves the protocol: every replica censors.
-        let spec = quiet_cell(6)
-            .with_knobs(GossipKnobs::unconstrained().with_fanout(0))
-            .with_budget(12)
-            .with_replicas(2);
+        let spec = EmulationSpec {
+            knobs: GossipKnobs::unconstrained().with_fanout(0),
+            ..quiet_cell(6)
+        }
+        .with_budget(12)
+        .with_replicas(2);
         for index in 0..2 {
             assert_eq!(spec.run_replica(index).rounds, None);
         }

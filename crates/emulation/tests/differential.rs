@@ -217,9 +217,7 @@ fn knob_grid(which: u8) -> GossipKnobs {
         0 => GossipKnobs::unconstrained(),
         1 => GossipKnobs::unconstrained().with_bandwidth(1),
         2 => GossipKnobs::unconstrained().with_fanout(2).with_batch(3),
-        _ => GossipKnobs::unconstrained()
-            .with_bandwidth(2)
-            .with_discipline(treecast_emulation::QueueDiscipline::SmallestFirst),
+        _ => GossipKnobs::unconstrained().with_bandwidth(2),
     }
 }
 

@@ -12,8 +12,8 @@
 //!
 //! The unconstrained corner is already pinned to the synchronous model
 //! (`tests/differential.rs`); this file is what pins the caps: FIFO
-//! order, the within-round request dedup, the front re-queue of
-//! truncated grants and the stable smallest-first sort.
+//! order, the within-round request dedup and the front re-queue of
+//! truncated grants.
 
 use std::collections::VecDeque;
 
@@ -23,7 +23,7 @@ use treecast_core::{
     BitSet, FrontierSource, Gossip, RoundFaults, SequenceSource, SimulationConfig, StaticSource,
     TreeSource,
 };
-use treecast_emulation::{run_emulation_traced, EmulationState, GossipKnobs, QueueDiscipline};
+use treecast_emulation::{run_emulation_traced, EmulationState, GossipKnobs};
 use treecast_trees::{generators, NodeId, RootedTree};
 
 /// Removes and returns the `cap` smallest elements of `set` (all of
@@ -232,12 +232,6 @@ impl Reference {
             if peer.requests.is_empty() {
                 continue;
             }
-            if knobs.discipline == QueueDiscipline::SmallestFirst {
-                // Stable: equal-size wants keep their arrival order.
-                peer.requests
-                    .make_contiguous()
-                    .sort_by_key(|r| r.want.len());
-            }
             let mut bw_left = bandwidth;
             let mut served = 0;
             while served < batch && bw_left > 0 {
@@ -339,17 +333,12 @@ fn divergence(emu: &EmulationState, reference: &Reference) -> Option<String> {
 }
 
 /// The knob under test: bandwidth, fanout and batch caps indexed into
-/// {None, 1, 2, 8}, {None, 0, 2} and {None, 3}, and the discipline.
-fn knobs(bandwidth: usize, fanout: usize, batch: usize, smallest_first: bool) -> GossipKnobs {
+/// {None, 1, 2, 8}, {None, 0, 2} and {None, 3}.
+fn knobs(bandwidth: usize, fanout: usize, batch: usize) -> GossipKnobs {
     GossipKnobs {
         bandwidth: [None, Some(1), Some(2), Some(8)][bandwidth],
         fanout: [None, Some(0), Some(2)][fanout],
         batch: [None, Some(3)][batch],
-        discipline: if smallest_first {
-            QueueDiscipline::SmallestFirst
-        } else {
-            QueueDiscipline::Fifo
-        },
     }
 }
 
@@ -412,24 +401,22 @@ fn first_divergence(
 
 #[test]
 fn every_knob_combination_matches_the_reference() {
-    // All 48 knob settings on the three tree sources under the fault
+    // All 24 knob settings on the three tree sources under the fault
     // cocktail, at a size whose sets span two words.
     let n = 65;
     for bandwidth in 0..4 {
         for fanout in 0..3 {
             for batch in 0..2 {
-                for smallest_first in [false, true] {
-                    let knobs = knobs(bandwidth, fanout, batch, smallest_first);
-                    for tree_kind in 0..3 {
-                        let seed = 0x5EED ^ (bandwidth * 16 + fanout * 4 + batch) as u64;
-                        let diverged = first_divergence(n, tree_kind, 2, &knobs, seed, 60);
-                        assert!(
-                            diverged.is_none(),
-                            "{} on tree source {tree_kind}: {}",
-                            knobs.label(),
-                            diverged.unwrap_or_default()
-                        );
-                    }
+                let knobs = knobs(bandwidth, fanout, batch);
+                for tree_kind in 0..3 {
+                    let seed = 0x5EED ^ (bandwidth * 16 + fanout * 4 + batch) as u64;
+                    let diverged = first_divergence(n, tree_kind, 2, &knobs, seed, 60);
+                    assert!(
+                        diverged.is_none(),
+                        "{} on tree source {tree_kind}: {}",
+                        knobs.label(),
+                        diverged.unwrap_or_default()
+                    );
                 }
             }
         }
@@ -449,11 +436,10 @@ proptest! {
         bandwidth in 0usize..4,
         fanout in 0usize..3,
         batch in 0usize..2,
-        smallest_first in proptest::bool::ANY,
         seed in proptest::num::u64::ANY,
     ) {
         let n = [1, 2, 63, 64, 65, 130][size];
-        let knobs = knobs(bandwidth, fanout, batch, smallest_first);
+        let knobs = knobs(bandwidth, fanout, batch);
         let diverged = first_divergence(n, tree_kind, fault_mix, &knobs, seed, 80);
         prop_assert!(diverged.is_none(), "{}: {}", knobs.label(), diverged.unwrap_or_default());
     }

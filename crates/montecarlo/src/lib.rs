@@ -16,8 +16,9 @@
 //!   frontier-sparse engine above) out over a `std::thread::scope`
 //!   worker pool whose slot-per-replica merge makes every estimate
 //!   bit-identical for any thread count;
-//! * [`mod@sweep`] — parameter grids over loss rate, dropout rate and
-//!   root-rotation period, with the phase-transition readout (the first
+//! * [`mod@sweep`] — parameter grids over the loss rate (and, through
+//!   [`sweep_cells`], any other cell field), with the phase-transition
+//!   readout (the first
 //!   grid point where a majority of replicas stall — the executable
 //!   mirror of the companion paper's k ≥ 2 divergence).
 //!

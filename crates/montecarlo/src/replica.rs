@@ -26,10 +26,9 @@
 //! `crates/montecarlo/tests/differential.rs` re-checks through this
 //! layer.
 
-use treecast_core::frontier::{run_workload_frontier_faulty, FrontierSource};
+use treecast_core::frontier::run_workload_frontier_faulty;
 use treecast_core::scenario::run_workload_faulty;
 use treecast_core::{KSourceBroadcast, SimulationConfig, Workload};
-use treecast_trees::generators;
 
 // The cell vocabulary and the replica-source contract live in
 // `treecast_core::replica` (shared with `treecast-emulation`); this
@@ -195,32 +194,14 @@ pub fn run_replica_on(spec: &RunSpec, index: usize, frontier: bool) -> ReplicaOu
     // An independent tree-stream seed: decorrelated from the fault
     // stream by a fixed tweak.
     let tree_seed = splitmix64(seed ^ TREE_STREAM_TWEAK);
+    let mut source = spec.trees.source(spec.n, tree_seed);
     let report = if frontier {
-        let mut source = match spec.trees {
-            TreeSpec::Path => FrontierSource::fixed(generators::path(spec.n)),
-            TreeSpec::Star => FrontierSource::fixed(generators::star(spec.n)),
-            TreeSpec::SeededUniform => FrontierSource::seeded(spec.n, tree_seed),
-        };
         run_workload_frontier_faulty(spec.n, &mut source, &workload, &mut faults, config)
     } else {
-        match spec.trees {
-            TreeSpec::Path => {
-                let mut source = treecast_core::StaticSource::new(generators::path(spec.n));
-                run_workload_faulty(spec.n, &mut source, &workload, &mut faults, config)
-            }
-            TreeSpec::Star => {
-                let mut source = treecast_core::StaticSource::new(generators::star(spec.n));
-                run_workload_faulty(spec.n, &mut source, &workload, &mut faults, config)
-            }
-            TreeSpec::SeededUniform => {
-                // The frontier source's dense twin draws the identical
-                // tree stream, so dense and frontier replicas of the
-                // same seed see the same trees.
-                let mut source =
-                    FrontierSource::seeded(spec.n, tree_seed).dense_twin(spec.round_budget);
-                run_workload_faulty(spec.n, source.as_mut(), &workload, &mut faults, config)
-            }
-        }
+        // The dense twin draws the identical tree stream, so dense and
+        // frontier replicas of the same seed see the same trees.
+        let mut source = source.dense_twin(spec.round_budget);
+        run_workload_faulty(spec.n, source.as_mut(), &workload, &mut faults, config)
     };
     ReplicaOutcome {
         rounds: report.completion_time,

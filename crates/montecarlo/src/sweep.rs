@@ -2,8 +2,7 @@
 //! phase-transition readout: where does a (workload, n, source) cell
 //! cross from finite expected dissemination time into censored stalls?
 //!
-//! A sweep varies exactly one fault dimension ([`SweepDim`]) over a
-//! value grid, estimating every grid point with the same replica count,
+//! A sweep varies the token-loss rate ([`SweepDim`]) over a value grid, estimating every grid point with the same replica count,
 //! budget and base seed. The critical value reported by
 //! [`SweepResult::critical_value`] is the first grid point whose cell
 //! *stalls* — a majority of replicas censored at the round budget
@@ -14,7 +13,8 @@
 
 use crate::replica::{estimate_from, FaultSpec, MonteCarloEstimate, ReplicaSource, RunSpec};
 
-/// The fault dimension a sweep varies.
+/// The fault dimension a sweep varies: the token-loss rate, at one of
+/// two resolutions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepDim {
     /// Token-loss probability, percent.
@@ -22,14 +22,6 @@ pub enum SweepDim {
     /// Token-loss probability, per-mille — the resolution that locates
     /// the n ≥ 1024 transitions the percent grid can only floor at 1%.
     LossPermille,
-    /// Dropout probability, percent (events last
-    /// [`FaultSpec::dropout_rounds`] rounds, default 2).
-    DropoutPercent,
-    /// Dropout probability, per-mille (events last 2 rounds).
-    DropoutPermille,
-    /// Deterministic root-rotation period, rounds (smaller = more
-    /// hostile).
-    RotationPeriod,
 }
 
 impl SweepDim {
@@ -39,9 +31,6 @@ impl SweepDim {
         match self {
             SweepDim::LossPercent => "loss %",
             SweepDim::LossPermille => "loss ‰",
-            SweepDim::DropoutPercent => "dropout %",
-            SweepDim::DropoutPermille => "dropout ‰",
-            SweepDim::RotationPeriod => "rotation period",
         }
     }
 
@@ -51,15 +40,6 @@ impl SweepDim {
         match self {
             SweepDim::LossPercent => FaultSpec::loss(value as u32),
             SweepDim::LossPermille => FaultSpec::loss_permille(value as u32),
-            SweepDim::DropoutPercent => FaultSpec::dropout(value as u32, 2),
-            SweepDim::DropoutPermille => FaultSpec::dropout_permille(value as u32, 2),
-            SweepDim::RotationPeriod => {
-                if value == 0 {
-                    FaultSpec::none()
-                } else {
-                    FaultSpec::rotation(value)
-                }
-            }
         }
     }
 }
@@ -85,11 +65,8 @@ pub struct SweepResult {
 
 impl SweepResult {
     /// The first swept value whose cell stalled (majority censored), if
-    /// any — the located phase transition. For [`SweepDim::LossPercent`]
-    /// and [`SweepDim::DropoutPercent`] grids swept in ascending order
-    /// this is the critical probability; for
-    /// [`SweepDim::RotationPeriod`] grids (hostility *decreases* with
-    /// the value) sweep descending to keep the same reading.
+    /// any — the located phase transition. For a loss grid swept in
+    /// ascending order this is the critical probability.
     #[must_use]
     pub fn critical_value(&self) -> Option<u64> {
         self.cells
@@ -106,8 +83,7 @@ impl SweepResult {
 ///
 /// # Panics
 ///
-/// Panics on an invalid base spec, or on percent values above 100 for
-/// the probability dimensions.
+/// Panics on an invalid base spec, or on percent values above 100.
 #[must_use]
 pub fn sweep(base: &RunSpec, dim: SweepDim, values: &[u64], threads: usize) -> SweepResult {
     sweep_cells(
@@ -124,8 +100,8 @@ pub fn sweep(base: &RunSpec, dim: SweepDim, values: &[u64], threads: usize) -> S
 
 /// The generic grid behind [`sweep`]: estimates `cell(value)` for every
 /// grid value, over any [`ReplicaSource`]. This is how scenario knobs
-/// that live outside the fault layer — the emulation's bandwidth cap,
-/// advert fan-out, batch size — become first-class sweep dimensions
+/// that live outside the fault layer — the emulation's bandwidth cap
+/// and advert fan-out — become first-class sweep dimensions
 /// with the same [`SweepResult::critical_value`] readout.
 ///
 /// # Panics
@@ -203,18 +179,5 @@ mod tests {
             SweepDim::LossPermille.fault_spec(5),
             FaultSpec::loss_permille(5)
         );
-        assert_eq!(
-            SweepDim::DropoutPercent.fault_spec(10),
-            FaultSpec::dropout(10, 2)
-        );
-        assert_eq!(
-            SweepDim::DropoutPermille.fault_spec(3),
-            FaultSpec::dropout_permille(3, 2)
-        );
-        assert_eq!(
-            SweepDim::RotationPeriod.fault_spec(4),
-            FaultSpec::rotation(4)
-        );
-        assert_eq!(SweepDim::RotationPeriod.fault_spec(0), FaultSpec::none());
     }
 }

@@ -27,7 +27,7 @@ use rand::Rng;
 
 use treecast_bitmatrix::BoolMatrix;
 use treecast_core::workload::{full_state_progress, tracked_progress, SourceSet};
-use treecast_core::{Broadcast, BroadcastState, Gossip, Workload};
+use treecast_core::{Broadcast, BroadcastState, Workload};
 use treecast_trees::{random, RootedTree};
 
 /// The product `T₁∘…∘T_k` of a tree sequence, self-loops included
@@ -405,23 +405,12 @@ pub fn broadcast_time_nonsplit<S: MatrixSource, R: Rng + ?Sized>(
     workload_time_nonsplit(n, &Broadcast, source, cap, rng)
 }
 
-/// Rounds until everyone has heard everyone (gossip) under nonsplit
-/// rounds, or `None` at `cap`. Thin wrapper over
-/// [`workload_time_nonsplit`] with the [`Gossip`] workload.
-pub fn gossip_time_nonsplit<S: MatrixSource, R: Rng + ?Sized>(
-    n: usize,
-    source: &mut S,
-    cap: u64,
-    rng: &mut R,
-) -> Option<u64> {
-    workload_time_nonsplit(n, &Gossip, source, cap, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use treecast_core::Gossip;
     use treecast_trees::generators as treegen;
 
     fn rng() -> StdRng {
@@ -549,7 +538,7 @@ mod tests {
     fn gossip_takes_at_least_broadcast() {
         let mut rng = rng();
         let n = 16;
-        let g = gossip_time_nonsplit(n, &mut RandomNonsplit, 500, &mut rng).unwrap();
+        let g = workload_time_nonsplit(n, &Gossip, &mut RandomNonsplit, 500, &mut rng).unwrap();
         let mut rng2 = StdRng::seed_from_u64(0xBEEF);
         let b = broadcast_time_nonsplit(n, &mut RandomNonsplit, 500, &mut rng2).unwrap();
         assert!(g >= b, "gossip {g} earlier than broadcast {b} on same seed");
@@ -625,8 +614,14 @@ mod tests {
             let mut total = 0u64;
             for seed in 0..trials {
                 let mut rng = StdRng::seed_from_u64(seed);
-                total +=
-                    gossip_time_nonsplit(n, &mut PiecewiseNonsplit::new(c), 500, &mut rng).unwrap();
+                total += workload_time_nonsplit(
+                    n,
+                    &Gossip,
+                    &mut PiecewiseNonsplit::new(c),
+                    500,
+                    &mut rng,
+                )
+                .unwrap();
             }
             times.push(total);
         }
@@ -655,7 +650,8 @@ mod tests {
             "k-broadcast times must be monotone in k: {times:?}"
         );
         let mut rng = StdRng::seed_from_u64(7);
-        let gossip = gossip_time_nonsplit(n, &mut RandomNonsplit, 500, &mut rng).unwrap();
+        let gossip =
+            workload_time_nonsplit(n, &Gossip, &mut RandomNonsplit, 500, &mut rng).unwrap();
         assert_eq!(*times.last().unwrap(), gossip);
     }
 
@@ -669,7 +665,8 @@ mod tests {
             workload_time_nonsplit(n, &workload, &mut RandomNonsplit, 500, &mut rng).unwrap();
         // The same seed's gossip run upper-bounds the 3-source run.
         let mut rng = StdRng::seed_from_u64(99);
-        let gossip = gossip_time_nonsplit(n, &mut RandomNonsplit, 500, &mut rng).unwrap();
+        let gossip =
+            workload_time_nonsplit(n, &Gossip, &mut RandomNonsplit, 500, &mut rng).unwrap();
         assert!(tracked <= gossip, "3 tokens ({tracked}) vs all ({gossip})");
     }
 

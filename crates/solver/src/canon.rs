@@ -21,9 +21,6 @@ pub enum CanonMode {
     /// permutations (signature classes make this exact — see module docs).
     #[default]
     Exact,
-    /// One deterministic signature-sorting permutation only: cheaper, still
-    /// sound (representatives are orbit members), but may split orbits.
-    Fast,
     /// No canonicalization: memo on raw states.
     None,
 }
@@ -34,22 +31,11 @@ pub enum CanonMode {
 /// related by a node relabeling (the representative is the minimum over all
 /// signature-class-respecting permutations, which is constant on orbits and
 /// always a member of the orbit — though not necessarily the global
-/// min-over-`n!` value). With [`CanonMode::Fast`] equal output implies
-/// isomorphic but not conversely. With [`CanonMode::None`] the state is
-/// returned unchanged.
+/// min-over-`n!` value). With [`CanonMode::None`] the state is returned
+/// unchanged.
 pub fn canonicalize(state: u64, n: usize, mode: CanonMode) -> u64 {
     match mode {
         CanonMode::None => state,
-        CanonMode::Fast => {
-            let sigs = signatures(state, n);
-            let order = sig_order(&sigs, n);
-            // perm maps old node -> new position.
-            let mut perm = [0u8; 8];
-            for (pos, &v) in order[..n].iter().enumerate() {
-                perm[v as usize] = pos as u8;
-            }
-            permute_packed(state, n, &perm)
-        }
         CanonMode::Exact => {
             let sigs = signatures(state, n);
             let order = sig_order(&sigs, n);
@@ -314,17 +300,6 @@ mod tests {
                     "seed = {seed}, perm = {perm:?}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn fast_is_sound_member_of_orbit() {
-        let n = 5;
-        for seed in 0..20u64 {
-            let s = random_state(n, seed, 2);
-            let fast = canonicalize(s, n, CanonMode::Fast);
-            // fast must be a permutation of s: equal canonical forms.
-            assert_eq!(canonical_brute(fast, n), canonical_brute(s, n));
         }
     }
 

@@ -249,78 +249,6 @@ pub fn complete_kary(n: usize, k: usize) -> RootedTree {
     RootedTree::from_parents(parent).expect("heap parent array is valid")
 }
 
-/// A caterpillar with **exactly** `k` leaves: spine of `n − k` inner nodes,
-/// `k` leaves distributed along it with the spine end guaranteed one.
-///
-/// Building block for the "k leaves" restricted adversary (Figure 1 row 2).
-///
-/// # Panics
-///
-/// Panics unless `1 ≤ k ≤ n − 1` (a path is `k = 1`), or if `n < 2`.
-///
-/// # Examples
-///
-/// ```
-/// use treecast_trees::generators::exact_leaf_caterpillar;
-/// for k in 1..8 {
-///     assert_eq!(exact_leaf_caterpillar(8, k).leaf_count(), k);
-/// }
-/// ```
-#[expect(
-    clippy::expect_used,
-    reason = "the exact-leaf caterpillar parent array is acyclic by construction"
-)]
-pub fn exact_leaf_caterpillar(n: usize, k: usize) -> RootedTree {
-    assert!(n >= 2, "need at least two nodes to control leaf count");
-    assert!(
-        (1..n).contains(&k),
-        "leaf count {k} out of range for n = {n} (need 1 ≤ k ≤ n − 1)"
-    );
-    let spine = n - k;
-    let mut parent = vec![None; n];
-    for v in 1..spine {
-        parent[v] = Some(v - 1);
-    }
-    // First leaf pins the spine end so it stays inner... i.e. the spine end
-    // receives the first leaf, making every spine node inner.
-    parent[spine] = Some(spine - 1);
-    for (i, v) in (spine + 1..n).enumerate() {
-        parent[v] = Some(i % spine);
-    }
-    RootedTree::from_parents(parent).expect("exact-leaf caterpillar is valid")
-}
-
-/// A broom with **exactly** `k` inner nodes: an inner path of `k` nodes and
-/// `n − k` leaves all attached to its last node... except that would make
-/// only the last node carry leaves; instead leaves go to the last inner
-/// node to keep every inner node inner (each spine node has its successor
-/// as a child).
-///
-/// Building block for the "k inner nodes" restricted adversary (Figure 1
-/// row 3).
-///
-/// # Panics
-///
-/// Panics unless `1 ≤ k ≤ n − 1`, or if `n < 2`.
-///
-/// # Examples
-///
-/// ```
-/// use treecast_trees::generators::exact_inner_broom;
-/// for k in 1..8 {
-///     assert_eq!(exact_inner_broom(8, k).inner_count(), k);
-/// }
-/// ```
-pub fn exact_inner_broom(n: usize, k: usize) -> RootedTree {
-    assert!(n >= 2, "need at least two nodes to control inner count");
-    assert!(
-        (1..n).contains(&k),
-        "inner count {k} out of range for n = {n} (need 1 ≤ k ≤ n − 1)"
-    );
-    // Inner path 0 → 1 → … → k−1; all n − k leaves under node k−1.
-    broom(n, k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,7 +316,7 @@ mod tests {
         assert_eq!(t.n(), 11);
         assert_eq!(t.height(), 4);
         for v in 0..3 {
-            assert!(t.is_inner(v));
+            assert!(!t.is_leaf(v));
         }
     }
 
@@ -417,32 +345,5 @@ mod tests {
         let t = complete_kary(13, 3);
         assert_eq!(t.children(0), &[1, 2, 3]);
         assert_eq!(t.height(), 2);
-    }
-
-    #[test]
-    fn exact_leaf_caterpillar_hits_every_k() {
-        for n in 2..12 {
-            for k in 1..n {
-                let t = exact_leaf_caterpillar(n, k);
-                assert_eq!(t.leaf_count(), k, "n = {n}, k = {k}");
-                assert_eq!(t.n(), n);
-            }
-        }
-    }
-
-    #[test]
-    fn exact_inner_broom_hits_every_k() {
-        for n in 2..12 {
-            for k in 1..n {
-                let t = exact_inner_broom(n, k);
-                assert_eq!(t.inner_count(), k, "n = {n}, k = {k}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn exact_leaf_rejects_k_equals_n() {
-        exact_leaf_caterpillar(5, 5);
     }
 }

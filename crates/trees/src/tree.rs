@@ -437,12 +437,6 @@ impl RootedTree {
         self.index().is_leaf(v)
     }
 
-    /// Returns `true` if `v` has at least one child.
-    #[inline]
-    pub fn is_inner(&self, v: NodeId) -> bool {
-        !self.is_leaf(v)
-    }
-
     /// All leaves, in increasing node order.
     pub fn leaves(&self) -> Vec<NodeId> {
         (0..self.n()).filter(|&v| self.is_leaf(v)).collect()
@@ -461,23 +455,18 @@ impl RootedTree {
         self.n() - self.leaf_count()
     }
 
-    /// Nodes in breadth-first order starting at the root.
+    /// Nodes in breadth-first order starting at the root, computed once
+    /// with the index.
     ///
     /// # Examples
     ///
     /// ```
     /// use treecast_trees::RootedTree;
     /// let t = RootedTree::from_edges(4, [(0, 2), (2, 1), (2, 3)])?;
-    /// assert_eq!(t.bfs_order()[0], 0);
-    /// assert_eq!(t.bfs_order().len(), 4);
+    /// assert_eq!(t.bfs()[0], 0);
+    /// assert_eq!(t.bfs().len(), 4);
     /// # Ok::<(), treecast_trees::TreeError>(())
     /// ```
-    pub fn bfs_order(&self) -> Vec<NodeId> {
-        self.bfs().to_vec()
-    }
-
-    /// [`RootedTree::bfs_order`], borrowed: the order is computed once,
-    /// with the index.
     #[inline]
     pub fn bfs(&self) -> &[NodeId] {
         &self.index().bfs
@@ -496,17 +485,6 @@ impl RootedTree {
             cur = p;
         }
         path
-    }
-
-    /// Size of the subtree rooted at `v` (including `v`).
-    pub fn subtree_size(&self, v: NodeId) -> usize {
-        let mut count = 0;
-        let mut stack = vec![v];
-        while let Some(u) = stack.pop() {
-            count += 1;
-            stack.extend_from_slice(self.children(u));
-        }
-        count
     }
 
     /// Returns `true` if the tree is a path rooted at one end.
@@ -739,7 +717,7 @@ mod tests {
         assert_eq!(t.depth(3), 3);
         assert_eq!(t.leaves(), vec![3]);
         assert_eq!(t.path_to_root(3), vec![3, 2, 1, 0]);
-        assert_eq!(t.bfs_order(), vec![0, 1, 2, 3]);
+        assert_eq!(t.bfs(), [0, 1, 2, 3]);
     }
 
     #[test]
@@ -750,8 +728,6 @@ mod tests {
         assert!(!t.is_path());
         assert_eq!(t.leaf_count(), 4);
         assert_eq!(t.height(), 1);
-        assert_eq!(t.subtree_size(2), 5);
-        assert_eq!(t.subtree_size(0), 1);
     }
 
     #[test]
@@ -833,13 +809,6 @@ mod tests {
     fn display_format() {
         let t = RootedTree::from_parents(vec![None, Some(0), Some(1)]).unwrap();
         assert_eq!(t.to_string(), "root=0; parents=[., 0, 1]");
-    }
-
-    #[test]
-    fn subtree_size_counts_the_subtree() {
-        let t = RootedTree::from_edges(6, [(0, 1), (1, 2), (1, 3), (0, 4), (4, 5)]).unwrap();
-        assert_eq!(t.subtree_size(1), 3);
-        assert_eq!(t.subtree_size(0), 6);
     }
 
     #[test]

@@ -43,7 +43,7 @@ fn optimal_schedules_replay_and_certify() {
 fn canonicalization_modes_agree_end_to_end() {
     for n in 2..=5usize {
         let mut values = Vec::new();
-        for canon in [CanonMode::Exact, CanonMode::Fast, CanonMode::None] {
+        for canon in [CanonMode::Exact, CanonMode::None] {
             let r = solve_with(
                 n,
                 SolveOptions {
